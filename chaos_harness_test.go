@@ -416,9 +416,7 @@ func TestChaosDurableAckedWritesSurviveRecovery(t *testing.T) {
 		in := faults.New(faults.Config{Seed: seed})
 		stop := faults.NewSchedule(seed, 250*time.Millisecond).Start(in)
 
-		st, err := store.Open(dir, store.Options{Shards: 4, WrapWAL: func(w store.WALFile) store.WALFile {
-			return in.File(w.(faults.File))
-		}})
+		st, err := store.Open(dir, store.Options{Shards: 4, WrapFile: in.File})
 		if err != nil {
 			stop()
 			t.Fatal(err)

@@ -46,6 +46,7 @@ import (
 	"strings"
 	"testing"
 
+	"webfountain/internal/durable"
 	"webfountain/internal/faults"
 	"webfountain/internal/serve"
 	"webfountain/internal/store"
@@ -83,9 +84,9 @@ func newServingChaos(t *testing.T, seed int64) *servingChaos {
 // open boots (or re-boots) the durable platform + miner + tier over
 // the harness directories. wrapWAL and wrapCkpt install the injected
 // disk faults; nil means a healthy disk.
-func (sc *servingChaos) open(wrapWAL func(store.WALFile) store.WALFile, cfg ServingTierConfig) {
+func (sc *servingChaos) open(wrapWAL durable.Wrap, cfg ServingTierConfig) {
 	sc.t.Helper()
-	st, err := store.Open(sc.dataDir, store.Options{Shards: 4, WrapWAL: wrapWAL})
+	st, err := store.Open(sc.dataDir, store.Options{Shards: 4, WrapFile: wrapWAL})
 	if err != nil {
 		sc.t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestChaosServingKillMidIngestBatch(t *testing.T) {
 		logf := chaosInvariantLog(t)
 		sc := newServingChaos(t, seed)
 		in := faults.New(faults.Config{Seed: seed, TornWriteRate: 0.04, SyncFailRate: 0.03})
-		wrap := func(w store.WALFile) store.WALFile { return in.File(w.(faults.File)) }
+		wrap := in.File
 
 		sc.open(wrap, ServingTierConfig{CheckpointEvery: 2})
 		sc.ingestBatches(10, 3)
@@ -294,7 +295,7 @@ func TestChaosServingKillMidCheckpointWrite(t *testing.T) {
 		sc := newServingChaos(t, seed)
 		in := faults.New(faults.Config{Seed: seed, TornWriteRate: 0.5})
 
-		sc.open(nil, ServingTierConfig{CheckpointEvery: 1, WrapCheckpoint: in.Writer})
+		sc.open(nil, ServingTierConfig{CheckpointEvery: 1, WrapCheckpoint: in.File})
 		sc.ingestBatches(10, 2)
 		sc.directIngest(2)
 		sc.crash()

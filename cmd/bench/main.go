@@ -2,7 +2,7 @@
 // test` and records the results as JSON, so every PR's speedup (or
 // regression) is a committed artifact rather than a claim. It covers
 // the ingest→index pipeline end to end (serial vs. worker-pool), the
-// sharded inverted index, WAL durability with and without group commit,
+// sharded inverted index, WAL durability under concurrent writers,
 // and the single-thread NLP micro-benchmarks that guard against
 // regressions on the non-parallel paths. Three scenario probes cover
 // the distributed paths: p99 latency under 2× open-loop overload with
@@ -286,48 +286,44 @@ func run(docs int, quick bool) Report {
 		}
 	})
 
-	// WAL durability: per-record fsync vs. group commit under
-	// concurrent writers.
+	// WAL durability: eight concurrent writers through the store's one
+	// commit path (a write+fsync per commit, shared by whoever queued).
 	entities := make([]*store.Entity, len(generated))
 	for i := range generated {
 		entities[i] = &store.Entity{ID: generated[i].ID, Source: "review", Text: generated[i].Text()}
 	}
-	walBench := func(opts store.Options) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dir, err := os.MkdirTemp("", "wfbench-*")
-				if err != nil {
-					b.Fatal(err)
-				}
-				st, err := store.Open(dir, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < 8; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for j := w; j < len(entities); j += 8 {
-							if err := st.Put(entities[j]); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				b.StopTimer()
-				st.Close()
-				os.RemoveAll(dir)
-				b.StartTimer()
+	record("store/wal-put", 0, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dir, err := os.MkdirTemp("", "wfbench-*")
+			if err != nil {
+				b.Fatal(err)
 			}
+			st, err := store.Open(dir, store.Options{Shards: 16})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for j := w; j < len(entities); j += 8 {
+						if err := st.Put(entities[j]); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			b.StopTimer()
+			st.Close()
+			os.RemoveAll(dir)
+			b.StartTimer()
 		}
-	}
-	record("store/wal-put", 0, walBench(store.Options{Shards: 16}))
-	record("store/wal-put-group-commit", 0, walBench(store.Options{Shards: 16, GroupCommit: true}))
+	})
 
 	// Full mining pipeline over an ingested corpus. Besides the number
 	// itself, this populates the per-stage latency histograms
@@ -413,11 +409,6 @@ func run(docs int, quick bool) Report {
 	if s, ok := byName["ingest/4w@1p"]; ok {
 		if p, ok := byName["ingest/4w@4p"]; ok && p.NsPerOp > 0 {
 			rep.Derived["ingest_4w_speedup_4p_vs_1p"] = s.NsPerOp / p.NsPerOp
-		}
-	}
-	if s, ok := byName["store/wal-put"]; ok {
-		if g, ok := byName["store/wal-put-group-commit"]; ok && g.NsPerOp > 0 {
-			rep.Derived["wal_group_commit_speedup"] = s.NsPerOp / g.NsPerOp
 		}
 	}
 	// Overload and hedging probes: scenario measurements rather than

@@ -35,8 +35,6 @@ func TestValidateRejectsNonsenseConfigs(t *testing.T) {
 		{"negative compaction cadence", PlatformConfig{CompactEvery: -2}, "CompactEvery"},
 		{"negative miner backoff", PlatformConfig{MinerBackoff: -1}, "MinerBackoff"},
 		{"negative entity timeout", PlatformConfig{EntityTimeout: -1}, "EntityTimeout"},
-		{"negative group commit window", PlatformConfig{GroupCommitWindow: -1}, "GroupCommitWindow"},
-		{"group commit without data dir", PlatformConfig{GroupCommit: true}, "GroupCommit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,18 +1,15 @@
 package faults
 
-import (
-	"io"
-)
+import "webfountain/internal/durable"
 
-// Disk-fault injection: deterministic wrappers over the file surfaces the
-// durable store writes through, mirroring the Conn/Client wrappers. Four
-// fault shapes cover how real disks lose data:
+// Disk-fault injection: a deterministic wrapper over durable.File, the
+// one surface every durable writer appends through, mirroring the
+// Conn/Client wrappers. Three fault shapes cover how real disks lose
+// data:
 //
 //   - torn write  — a Write persists only a prefix and fails: the on-disk
 //     image a crash mid-append leaves behind;
-//   - short read  — a Read returns fewer bytes than available with
-//     io.ErrUnexpectedEOF;
-//   - bit flip    — one bit of the moved data is flipped silently;
+//   - bit flip    — one bit of the written data is flipped silently;
 //   - sync fail   — Sync errors, so acknowledged data may not be durable.
 //
 // All decisions come from the injector's single seeded PRNG, so a
@@ -23,7 +20,6 @@ import (
 // Disk-fault decisions, disjoint from the transport decision set.
 const (
 	tornWrite decision = iota + 100
-	shortRead
 	bitFlip
 	syncFail
 )
@@ -33,7 +29,6 @@ type diskOp int
 
 const (
 	diskWrite diskOp = iota
-	diskRead
 	diskSync
 )
 
@@ -48,17 +43,6 @@ func (in *Injector) decideDisk(op diskOp) decision {
 		if r < cum {
 			in.stats.TornWrites++
 			return tornWrite
-		}
-		cum += in.cfg.BitFlipRate
-		if r < cum {
-			in.stats.BitFlips++
-			return bitFlip
-		}
-	case diskRead:
-		cum := in.cfg.ShortReadRate
-		if r < cum {
-			in.stats.ShortReads++
-			return shortRead
 		}
 		cum += in.cfg.BitFlipRate
 		if r < cum {
@@ -89,25 +73,16 @@ func (in *Injector) intn(n int) int {
 	return in.rng.Intn(n)
 }
 
-// File is the durable-storage surface the injector wraps: the subset of
-// *os.File the store's WAL and snapshot paths use. It structurally
-// satisfies store.WALFile, so an injected file drops straight into
-// store.Options.WrapWAL.
-type File interface {
-	io.Reader
-	io.Writer
-	Sync() error
-	Close() error
-}
-
 type faultyFile struct {
 	in *Injector
-	f  File
+	f  durable.File
 }
 
-// File wraps a file so Writes may be torn or bit-flipped, Reads may come
-// up short or bit-flipped, and Syncs may fail.
-func (in *Injector) File(f File) File { return &faultyFile{in: in, f: f} }
+// File wraps a file so Writes may be torn or bit-flipped and Syncs may
+// fail. It is a durable.Wrap: the same method value drops into
+// store.Options.WrapFile (live WAL, compaction snapshot temp file) and
+// the serving tier's checkpoint hook.
+func (in *Injector) File(f durable.File) durable.File { return &faultyFile{in: in, f: f} }
 
 func (ff *faultyFile) Write(p []byte) (int, error) {
 	switch ff.in.decideDisk(diskWrite) {
@@ -136,27 +111,6 @@ func (ff *faultyFile) Write(p []byte) (int, error) {
 	return ff.f.Write(p)
 }
 
-func (ff *faultyFile) Read(p []byte) (int, error) {
-	switch ff.in.decideDisk(diskRead) {
-	case shortRead:
-		if len(p) > 1 {
-			p = p[:1+ff.in.intn(len(p)-1)]
-		}
-		n, err := ff.f.Read(p)
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		return n, err
-	case bitFlip:
-		n, err := ff.f.Read(p)
-		if n > 0 {
-			p[ff.in.intn(n)] ^= 1 << uint(ff.in.intn(8))
-		}
-		return n, err
-	}
-	return ff.f.Read(p)
-}
-
 func (ff *faultyFile) Sync() error {
 	if ff.in.decideDisk(diskSync) == syncFail {
 		return &Error{Op: "disk-sync", Transient: false}
@@ -165,27 +119,3 @@ func (ff *faultyFile) Sync() error {
 }
 
 func (ff *faultyFile) Close() error { return ff.f.Close() }
-
-type faultyWriter struct {
-	in *Injector
-	w  io.WriteCloser
-}
-
-// Writer wraps a write-only sink with the write-side disk faults (torn
-// writes, bit flips) for code paths that never read back or sync.
-func (in *Injector) Writer(w io.WriteCloser) io.WriteCloser {
-	return &faultyWriter{in: in, w: w}
-}
-
-func (fw *faultyWriter) Write(p []byte) (int, error) {
-	ff := faultyFile{in: fw.in, f: writerFile{fw.w}}
-	return ff.Write(p)
-}
-
-func (fw *faultyWriter) Close() error { return fw.w.Close() }
-
-// writerFile adapts an io.WriteCloser to the File surface.
-type writerFile struct{ io.WriteCloser }
-
-func (writerFile) Read([]byte) (int, error) { return 0, io.EOF }
-func (writerFile) Sync() error              { return nil }

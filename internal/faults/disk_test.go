@@ -3,11 +3,10 @@ package faults
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 )
 
-// memFile is an in-memory File: Writes append, Reads drain, Sync counts.
+// memFile is an in-memory durable.File: Writes append, Sync counts.
 type memFile struct {
 	buf    bytes.Buffer
 	syncs  int
@@ -15,7 +14,6 @@ type memFile struct {
 }
 
 func (m *memFile) Write(p []byte) (int, error) { return m.buf.Write(p) }
-func (m *memFile) Read(p []byte) (int, error)  { return m.buf.Read(p) }
 func (m *memFile) Sync() error                 { m.syncs++; return nil }
 func (m *memFile) Close() error                { m.closed = true; return nil }
 
@@ -83,20 +81,6 @@ func TestFileBitFlipOnWrite(t *testing.T) {
 	}
 }
 
-func TestFileShortRead(t *testing.T) {
-	mem := &memFile{}
-	mem.buf.WriteString("plenty of bytes to read from this buffer")
-	f := New(Config{ShortReadRate: 1}).File(mem)
-	p := make([]byte, 16)
-	n, err := f.Read(p)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("short read err = %v, want io.ErrUnexpectedEOF", err)
-	}
-	if n <= 0 || n >= len(p) {
-		t.Errorf("short read n = %d, want 0 < n < %d", n, len(p))
-	}
-}
-
 func TestFileSyncFailure(t *testing.T) {
 	mem := &memFile{}
 	f := New(Config{SyncFailRate: 1}).File(mem)
@@ -119,9 +103,8 @@ func TestFilePassthroughWithoutRates(t *testing.T) {
 	if n, err := f.Write([]byte("clean")); n != 5 || err != nil {
 		t.Fatalf("write = %d, %v", n, err)
 	}
-	p := make([]byte, 5)
-	if n, err := f.Read(p); n != 5 || err != nil || string(p) != "clean" {
-		t.Fatalf("read = %d, %v, %q", n, err, p)
+	if got := mem.buf.String(); got != "clean" {
+		t.Fatalf("underlying file holds %q", got)
 	}
 	if err := f.Sync(); err != nil || mem.syncs != 1 {
 		t.Fatalf("sync = %v, syncs = %d", err, mem.syncs)
@@ -163,51 +146,18 @@ func TestFileDeterministicReplay(t *testing.T) {
 }
 
 func TestDiskStatsCounting(t *testing.T) {
-	in := New(Config{ShortReadRate: 1})
-	mem := &memFile{}
-	mem.buf.WriteString("some data")
-	f := in.File(mem)
-	p := make([]byte, 4)
-	f.Read(p)
-	f.Read(p)
+	in := New(Config{TornWriteRate: 1})
+	f := in.File(&memFile{})
+	f.Write([]byte("some data"))
+	f.Write([]byte("some more"))
 	st := in.Stats()
-	if st.ShortReads != 2 {
-		t.Errorf("ShortReads = %d, want 2", st.ShortReads)
+	if st.TornWrites != 2 {
+		t.Errorf("TornWrites = %d, want 2", st.TornWrites)
 	}
 	if st.Total() != 2 {
 		t.Errorf("Total() = %d, want 2", st.Total())
 	}
-	if s := st.String(); !bytes.Contains([]byte(s), []byte("2 short reads")) {
+	if s := st.String(); !bytes.Contains([]byte(s), []byte("2 torn writes")) {
 		t.Errorf("String() missing disk section: %q", s)
-	}
-}
-
-// closeWriter adapts a bytes.Buffer to io.WriteCloser for the Writer wrapper.
-type closeWriter struct {
-	bytes.Buffer
-	closed bool
-}
-
-func (c *closeWriter) Close() error { c.closed = true; return nil }
-
-func TestWriterWrapper(t *testing.T) {
-	sink := &closeWriter{}
-	w := New(Config{TornWriteRate: 1}).Writer(sink)
-	n, err := w.Write([]byte("payload going through Writer"))
-	if err == nil {
-		t.Fatal("torn write did not fail through Writer")
-	}
-	if sink.Len() != n {
-		t.Errorf("sink has %d bytes, reported %d", sink.Len(), n)
-	}
-	if err := w.Close(); err != nil || !sink.closed {
-		t.Errorf("close passthrough: err=%v closed=%v", err, sink.closed)
-	}
-
-	// Clean config: Writer is a transparent passthrough.
-	sink2 := &closeWriter{}
-	w2 := New(Config{}).Writer(sink2)
-	if n, err := w2.Write([]byte("clean")); n != 5 || err != nil || sink2.String() != "clean" {
-		t.Fatalf("clean write = %d, %v, %q", n, err, sink2.String())
 	}
 }

@@ -61,11 +61,8 @@ type Config struct {
 	// TornWriteBytes caps the persisted prefix of a torn write (0: any
 	// prefix strictly shorter than the buffer).
 	TornWriteBytes int
-	// ShortReadRate makes a Read return fewer bytes than requested with
-	// io.ErrUnexpectedEOF — a truncated or failing device.
-	ShortReadRate float64
-	// BitFlipRate flips one bit of the data moved by a Read or Write —
-	// silent media corruption.
+	// BitFlipRate flips one bit of the data a Write moves — silent media
+	// corruption.
 	BitFlipRate float64
 	// SyncFailRate fails a Sync call: the data may not be durable.
 	SyncFailRate float64
@@ -79,9 +76,8 @@ type Stats struct {
 	Transients  int
 	Permanents  int
 
-	// Disk-fault counters (Writer/File wrappers).
+	// Disk-fault counters (the File wrapper).
 	TornWrites   int
-	ShortReads   int
 	BitFlips     int
 	SyncFailures int
 }
@@ -89,16 +85,16 @@ type Stats struct {
 // Total is the number of faults injected so far.
 func (s Stats) Total() int {
 	return s.Drops + s.Delays + s.Corruptions + s.Transients + s.Permanents +
-		s.TornWrites + s.ShortReads + s.BitFlips + s.SyncFailures
+		s.TornWrites + s.BitFlips + s.SyncFailures
 }
 
 // String renders the stats in one line.
 func (s Stats) String() string {
 	out := fmt.Sprintf("faults: %d drops, %d delays, %d corruptions, %d transient, %d permanent",
 		s.Drops, s.Delays, s.Corruptions, s.Transients, s.Permanents)
-	if disk := s.TornWrites + s.ShortReads + s.BitFlips + s.SyncFailures; disk > 0 {
-		out += fmt.Sprintf("; disk: %d torn writes, %d short reads, %d bit flips, %d sync failures",
-			s.TornWrites, s.ShortReads, s.BitFlips, s.SyncFailures)
+	if disk := s.TornWrites + s.BitFlips + s.SyncFailures; disk > 0 {
+		out += fmt.Sprintf("; disk: %d torn writes, %d bit flips, %d sync failures",
+			s.TornWrites, s.BitFlips, s.SyncFailures)
 	}
 	return out
 }

@@ -75,11 +75,12 @@ func TestQuorumGetNewestWinsAndRepairs(t *testing.T) {
 	stale := set[1]
 	// Strand an old version: kill one replica, update under W=1, revive
 	// without a rejoin. The revived node still serves its stale copy.
-	c.nodes[stale].gate.Kill()
+	// Under W=1 the put acks on the first replica; wait for the straggler
+	// write to land on both before the kill, or there is no copy to strand.
 	waitFor(t, "straggler settles", func() bool {
-		e, ok := c.nodes[set[0]].st.Get(id)
-		return ok && e != nil
+		return len(c.holders(id)) == 2
 	})
+	c.nodes[stale].gate.Kill()
 	updated := &store.Entity{ID: id, Text: "updated text after the kill"}
 	if err := c.r.Put(updated); err != nil {
 		t.Fatalf("put update with dead replica under W=1: %v", err)

@@ -9,10 +9,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
+
+	"webfountain/internal/durable"
 )
 
 // A checkpoint makes the serving tier's materialized state durable: the
@@ -25,11 +24,9 @@ import (
 // The on-disk format is a versioned binary codec guarded the same way
 // the store's snapshots are: a magic+version header, a varint-encoded
 // body, and a CRC32 (IEEE) trailer over everything before it. Files are
-// published atomically (temp file + fsync + rename + directory fsync)
-// and named by the aggregate generation they capture, so "newest" is
-// well-defined without trusting mtimes. A checkpoint that fails its CRC
-// or decodes inconsistently is quarantined (renamed *.corrupt) and the
-// loader falls back to the next-older generation.
+// a durable.Family named by the aggregate generation they capture:
+// published atomically, and loaded newest-first with any file that
+// fails its CRC or decodes inconsistently quarantined.
 
 const (
 	// checkpointMagic opens every checkpoint file; the trailing two
@@ -101,8 +98,8 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	ck := &Checkpoint{}
 	ck.View = decodeViewBody(d)
 	n := d.uvarint()
-	if max := uint64(len(d.buf)); n > max { // each entry is ≥ 6 bytes
-		d.fail("entry count %d exceeds remaining bytes", n)
+	if max := uint64(len(d.buf)) / 6; n > max { // each entry is ≥ 6 bytes
+		d.fail("entry count %d exceeds what %d remaining bytes can hold", n, len(d.buf))
 	}
 	if d.err == nil {
 		ck.Entries = make([]Entry, 0, n)
@@ -208,149 +205,47 @@ func NewAggregatesFrom(v *View) *Aggregates {
 	return a
 }
 
-// checkpointName returns the file name for a generation.
-func checkpointName(gen uint64) string {
-	return fmt.Sprintf("checkpoint-%016x.ck", gen)
-}
+// checkpointFiles names the checkpoint generations in a directory:
+// checkpoint-<16 hex digits>.ck, the aggregate generation captured.
+var checkpointFiles = durable.Family{Prefix: "checkpoint", Suffix: ".ck", Base: 16, Width: 16}
 
-// checkpointGen parses a generation back out of a checkpoint file name.
-func checkpointGen(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "checkpoint-") || !strings.HasSuffix(name, ".ck") {
-		return 0, false
-	}
-	gen, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "checkpoint-"), ".ck"), 16, 64)
-	return gen, err == nil
-}
-
-// WriteCheckpoint atomically publishes a checkpoint into dir and prunes
-// old generations (keeping checkpointKeep valid files). wrap, when
-// non-nil, wraps the temp file handle — the deterministic disk-fault
-// injector's hook in crash tests. The write path mirrors the store's
-// compaction: write temp, fsync file, rename into place, fsync the
-// directory, so a crash at any instant leaves either the old set of
-// checkpoints or the old set plus one complete new file — never a torn
-// one under the real name.
-func WriteCheckpoint(dir string, ck *Checkpoint, wrap func(io.WriteCloser) io.WriteCloser) (string, error) {
+// WriteCheckpoint atomically publishes a checkpoint into dir
+// (durable.Family.Publish: a crash at any instant leaves either the old
+// set of checkpoints or the old set plus one complete new file) and
+// prunes old generations, keeping checkpointKeep. wrap, when non-nil,
+// wraps the temp file handle — the deterministic disk-fault injector's
+// hook in crash tests.
+func WriteCheckpoint(dir string, ck *Checkpoint, wrap durable.Wrap) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("serve: checkpoint dir: %w", err)
 	}
 	data := ck.encode()
-	f, err := os.CreateTemp(dir, "checkpoint-*.tmp")
+	gen := ck.View.Generation()
+	err := checkpointFiles.Publish(dir, gen, wrap, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return "", fmt.Errorf("serve: checkpoint temp: %w", err)
+		return "", fmt.Errorf("serve: write checkpoint: %w", err)
 	}
-	tmpPath := f.Name()
-	var w io.WriteCloser = f
-	if wrap != nil {
-		w = wrap(f)
-	}
-	if _, err := w.Write(data); err != nil {
-		w.Close()
-		os.Remove(tmpPath)
-		return "", fmt.Errorf("serve: checkpoint write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		w.Close()
-		os.Remove(tmpPath)
-		return "", fmt.Errorf("serve: checkpoint sync: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmpPath)
-		return "", fmt.Errorf("serve: checkpoint close: %w", err)
-	}
-	final := filepath.Join(dir, checkpointName(ck.View.Generation()))
-	if err := os.Rename(tmpPath, final); err != nil {
-		os.Remove(tmpPath)
-		return "", fmt.Errorf("serve: checkpoint rename: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return "", fmt.Errorf("serve: checkpoint dir sync: %w", err)
-	}
-	pruneCheckpoints(dir, ck.View.Generation())
-	return final, nil
-}
-
-// pruneCheckpoints removes checkpoint files older than the
-// checkpointKeep newest, never touching generations above the one just
-// written. Best-effort: pruning failures don't fail the write.
-func pruneCheckpoints(dir string, written uint64) {
-	gens := listCheckpointGens(dir)
-	keep := 0
-	for _, gen := range gens { // gens is newest-first
-		if gen > written {
-			continue
-		}
-		keep++
-		if keep > checkpointKeep {
-			os.Remove(filepath.Join(dir, checkpointName(gen)))
-		}
-	}
-}
-
-// listCheckpointGens returns the generations present in dir, newest
-// first.
-func listCheckpointGens(dir string) []uint64 {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var gens []uint64
-	for _, de := range des {
-		if gen, ok := checkpointGen(de.Name()); ok {
-			gens = append(gens, gen)
-		}
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
-	return gens
+	checkpointFiles.Prune(dir, gen, checkpointKeep)
+	return checkpointFiles.Path(dir, gen), nil
 }
 
 // LoadCheckpoint returns the newest valid checkpoint in dir (nil when
-// the directory holds none), quarantining every newer file that fails
-// verification by renaming it *.corrupt, and reports how many files it
-// quarantined. Stray temp files from a crash mid-write are removed —
-// they were never published, so they carry no authority.
+// the directory holds none) and reports how many newer files failed
+// verification and were quarantined as *.corrupt — bit rot, or a torn
+// write that somehow reached the real name.
 func LoadCheckpoint(dir string) (*Checkpoint, int, error) {
-	des, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
+	var ck *Checkpoint
+	_, _, quarantined, err := checkpointFiles.Load(dir, func(data []byte) (derr error) {
+		ck, derr = decodeCheckpoint(data)
+		return derr
+	})
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: checkpoint dir: %w", err)
+		return nil, quarantined, fmt.Errorf("serve: load checkpoint: %w", err)
 	}
-	for _, de := range des {
-		if strings.HasSuffix(de.Name(), ".tmp") {
-			os.Remove(filepath.Join(dir, de.Name()))
-		}
-	}
-	quarantined := 0
-	for _, gen := range listCheckpointGens(dir) {
-		path := filepath.Join(dir, checkpointName(gen))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, quarantined, fmt.Errorf("serve: read checkpoint: %w", err)
-		}
-		ck, err := decodeCheckpoint(data)
-		if err != nil {
-			// Bit rot or a torn write that somehow reached the real
-			// name: quarantine for post-mortem and fall back.
-			os.Rename(path, path+".corrupt")
-			quarantined++
-			continue
-		}
-		return ck, quarantined, nil
-	}
-	return nil, quarantined, nil
-}
-
-// syncDir fsyncs a directory so a rename into it is durable — the same
-// ordering discipline as the store's compaction.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return ck, quarantined, nil
 }
 
 // --- varint codec helpers ---

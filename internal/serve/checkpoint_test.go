@@ -2,12 +2,14 @@ package serve
 
 import (
 	"errors"
-	"io"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"webfountain/internal/durable"
 )
 
 // testFacts builds a small deterministic fact stream: two subjects,
@@ -46,6 +48,10 @@ func mustWrite(t *testing.T, dir string, ck *Checkpoint) string {
 	}
 	return path
 }
+
+// checkpointName pins the on-disk file name of a generation
+// independently of the code that produces it.
+func checkpointName(gen uint64) string { return fmt.Sprintf("checkpoint-%016x.ck", gen) }
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -216,34 +222,60 @@ func TestWriteCheckpointPrunes(t *testing.T) {
 		mustWrite(t, dir, ck)
 		lastGen = ck.View.Generation()
 	}
-	gens := listCheckpointGens(dir)
+	gens := checkpointFiles.Gens(dir) // ascending
 	if len(gens) != checkpointKeep {
 		t.Fatalf("kept %d generations %v, want %d", len(gens), gens, checkpointKeep)
 	}
-	if gens[0] != lastGen {
-		t.Errorf("newest kept generation %d, want %d", gens[0], lastGen)
+	if newest := gens[len(gens)-1]; newest != lastGen {
+		t.Errorf("newest kept generation %d, want %d", newest, lastGen)
 	}
 }
 
-// failingWriter fails every write — the injected-fault shape of a disk
-// that dies mid-checkpoint.
-type failingWriter struct{ io.WriteCloser }
+// failingFile passes data through but fails every Write or every Sync —
+// the injected-fault shapes of a disk that dies mid-checkpoint, or that
+// accepts the bytes and cannot make them durable.
+type failingFile struct {
+	durable.File
+	failWrite, failSync bool
+}
 
-func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("injected write failure") }
+func (f failingFile) Write(p []byte) (int, error) {
+	if f.failWrite {
+		return 0, errors.New("injected write failure")
+	}
+	return f.File.Write(p)
+}
 
-// TestWriteCheckpointFailureLeavesOldIntact: a failed write publishes
-// nothing — no torn file under the real name, no stray temp, and the
-// previous checkpoint still loads.
+func (f failingFile) Sync() error {
+	if f.failSync {
+		return errors.New("injected sync failure")
+	}
+	return f.File.Sync()
+}
+
+// TestWriteCheckpointFailureLeavesOldIntact: a failed write or a failed
+// fsync of the temp file publishes nothing — no torn or unsynced file
+// under the real name, no stray temp, and the previous checkpoint still
+// loads.
 func TestWriteCheckpointFailureLeavesOldIntact(t *testing.T) {
+	for _, fail := range []failingFile{{failWrite: true}, {failSync: true}} {
+		t.Run(fmt.Sprintf("write=%v,sync=%v", fail.failWrite, fail.failSync), func(t *testing.T) {
+			testWriteCheckpointFailure(t, fail)
+		})
+	}
+}
+
+func testWriteCheckpointFailure(t *testing.T, fail failingFile) {
 	dir := t.TempDir()
 	old := testCheckpoint(1)
 	mustWrite(t, dir, old)
 
-	_, err := WriteCheckpoint(dir, testCheckpoint(2), func(w io.WriteCloser) io.WriteCloser {
-		return failingWriter{w}
+	_, err := WriteCheckpoint(dir, testCheckpoint(2), func(f durable.File) durable.File {
+		fail.File = f
+		return fail
 	})
 	if err == nil {
-		t.Fatal("WriteCheckpoint succeeded through a failing writer")
+		t.Fatal("WriteCheckpoint succeeded through a failing file")
 	}
 
 	des, err := os.ReadDir(dir)

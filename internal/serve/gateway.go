@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"webfountain/internal/metrics"
+	"webfountain/internal/vinci"
 )
 
 // Gateway metrics, alongside the cache and limiter counters.
@@ -175,12 +175,8 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // header. Zero means no deadline.
 func (g *Gateway) deadlineFor(r *http.Request) time.Duration {
 	d := g.timeout
-	if h := r.Header.Get("x-deadline-ms"); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			if hd := time.Duration(ms) * time.Millisecond; d == 0 || hd < d {
-				d = hd
-			}
-		}
+	if hd, ok := vinci.ParseDeadlineMS(r.Header.Get(vinci.DeadlineParam)); ok && hd > 0 && (d == 0 || hd < d) {
+		d = hd
 	}
 	return d
 }

@@ -182,3 +182,28 @@ func TestGatewayDeadlineHeaderTightensOnly(t *testing.T) {
 		t.Errorf("header only: %v, want 100ms", d)
 	}
 }
+
+// TestGatewayDeadlineHeaderNeverLoosens: no x-deadline-ms value — in
+// particular one that overflows time.Duration when scaled to
+// nanoseconds — may drop or extend the configured RequestTimeout.
+func TestGatewayDeadlineHeaderNeverLoosens(t *testing.T) {
+	const timeout = time.Second
+	g := NewGateway(newFakeBackend(), GatewayConfig{RequestTimeout: timeout})
+	for _, h := range []string{
+		"9223372036855",        // ms → ns overflows to a negative duration
+		"9223372036854775807",  // MaxInt64
+		"99999999999999999999", // does not fit int64 at all
+		"-5", "0", "+5000", "5s", " 100", "1e3", "",
+	} {
+		req, _ := http.NewRequest("GET", "/api/subjects", nil)
+		req.Header.Set("x-deadline-ms", h)
+		if d := g.deadlineFor(req); d <= 0 || d > timeout {
+			t.Errorf("x-deadline-ms %q: budget %v, want within (0, %v]", h, d, timeout)
+		}
+	}
+	req, _ := http.NewRequest("GET", "/api/subjects", nil)
+	req.Header.Set("x-deadline-ms", "+5")
+	if d := g.deadlineFor(req); d != 5*time.Millisecond {
+		t.Errorf("x-deadline-ms +5: budget %v, want the tighter 5ms", d)
+	}
+}

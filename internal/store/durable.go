@@ -4,15 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
+
+	"webfountain/internal/durable"
 )
 
 // The durable store keeps its state in one data directory:
@@ -35,47 +31,24 @@ import (
 // accepting more writes would acknowledge data that cannot be recovered.
 var ErrReadOnly = errors.New("store: degraded read-only mode")
 
-// WALFile is the file surface the write-ahead log appends to — the
-// subset of *os.File the store needs. Tests substitute fault-injecting
-// implementations via Options.WrapWAL.
-type WALFile interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
-
 // Options tunes a durable store opened with Open. The zero value selects
 // 16 shards and a sync on every record.
 type Options struct {
 	// Shards is the number of store shards (default 16).
 	Shards int
-	// SyncEvery syncs the WAL to stable storage after every Nth appended
-	// record (default and minimum 1: every record). Larger values trade
-	// a window of acknowledged-but-unsynced writes for throughput.
+	// SyncEvery syncs the WAL to stable storage once at least that many
+	// records have been appended since the last sync (default and minimum
+	// 1: every commit). Larger values trade a window of
+	// acknowledged-but-unsynced writes for throughput.
 	SyncEvery int
 	// CompactEvery, when positive, compacts automatically after that
 	// many records have been appended since the last compaction
 	// (0: compaction only happens via explicit Compact calls).
 	CompactEvery int
-	// GroupCommit coalesces concurrent mutations into shared WAL
-	// batches: the first writer to arrive becomes the batch leader,
-	// writes every queued record in one append and fsyncs once for all
-	// of them. Each caller still returns only after its own record is
-	// durable — ack-after-durable is preserved; what changes is that one
-	// fsync amortizes over the batch. SyncEvery is ignored in this mode
-	// (every batch syncs). Default off: each record appends and syncs
-	// individually, exactly the pre-group-commit contract.
-	GroupCommit bool
-	// GroupCommitWindow, when positive, makes a batch leader wait that
-	// long for followers to queue before committing, trading latency for
-	// larger batches. The default 0 commits as soon as the leader runs:
-	// under concurrency batches still form naturally, because writers
-	// arriving while a leader is inside its append+fsync queue up for
-	// the next batch.
-	GroupCommitWindow time.Duration
-	// WrapWAL, when set, wraps the live WAL file handle — the hook the
-	// deterministic disk-fault injector uses in crash-recovery tests.
-	WrapWAL func(WALFile) WALFile
+	// WrapFile, when set, wraps every file the store writes durably — the
+	// live WAL handle and the compaction snapshot's temp file — the hook
+	// the deterministic disk-fault injector uses in crash-recovery tests.
+	WrapFile durable.Wrap
 }
 
 // DurabilityStats describes a durable store's persistence state.
@@ -98,8 +71,9 @@ type DurabilityStats struct {
 	Appended int
 	// Syncs is the number of WAL syncs since open.
 	Syncs int
-	// Batches is the number of group-commit batches committed since
-	// open (0 unless Options.GroupCommit).
+	// Batches is the number of WAL commits since open: each is one
+	// append covering the writers that arrived during the commit before
+	// it, so Appended/Batches is the coalescing rate.
 	Batches int
 	// Degraded reports read-only mode; Reason says why.
 	Degraded bool
@@ -112,70 +86,65 @@ type durability struct {
 	dir  string
 	opts Options
 
-	gen     uint64
-	wal     WALFile
-	walPath string
+	gen uint64
+	wal durable.File
 
 	appended  int
 	sinceSync int
 	syncs     int
+	batches   int
 
 	replayed    int
 	quarantined int
 	truncated   int
 	snapLoaded  bool
 
-	// Group-commit state: writers queue requests on pending; the writer
-	// that finds no leader active becomes the leader, takes the whole
-	// queue, and commits it as one append+fsync. commitIdle is signalled
-	// when a leader finishes, so Close and Compact can wait out an
-	// in-flight batch.
-	pending    []*walReq
-	committing bool
-	commitIdle *sync.Cond
-	batches    int
+	// Commit state. next is the batch the next commit will write, led by
+	// its first writer; queue holds writers that arrived after next was
+	// fixed. A commit runs with mu released around its file I/O (busy
+	// set), so arrivals meanwhile join queue, and when it completes the
+	// queue becomes next: a batch is exactly the writers that arrived
+	// during the previous commit. idle is broadcast after every commit:
+	// it wakes the batch's followers, the next leader, and
+	// Close/Compact/Update waiting for the WAL to be free.
+	next  []*walReq
+	queue []*walReq
+	busy  bool
+	idle  *sync.Cond
 
 	degraded string // reason; "" while healthy
 	closed   bool
 }
 
-// walReq is one writer's queued record in a group-commit batch.
+// walReq is one writer's record waiting for, or riding, a commit.
 type walReq struct {
 	rec   []byte
 	apply func()
-	done  chan error
+	done  bool
+	err   error
 }
 
-func snapshotPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snapshot-%08d.xml", gen))
-}
+var (
+	snapshotFiles = durable.Family{Prefix: "snapshot", Suffix: ".xml", Base: 10, Width: 8}
+	walFiles      = durable.Family{Prefix: "wal", Suffix: ".log", Base: 10, Width: 8}
+)
 
-func walPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%08d.log", gen))
-}
-
-// listGens returns the generations of files named <prefix>-<gen><suffix>
-// in dir, ascending.
-func listGens(dir, prefix, suffix string) []uint64 {
-	entries, err := os.ReadDir(dir)
+// openWAL opens (creating if absent) generation gen's log for appending
+// and fsyncs the directory, so a fresh WAL's name cannot vanish in a
+// power cut after writes were acknowledged into it.
+func (d *durability) openWAL(gen uint64) (durable.File, error) {
+	f, err := os.OpenFile(walFiles.Path(d.dir, gen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	var gens []uint64
-	for _, ent := range entries {
-		name := ent.Name()
-		if !strings.HasPrefix(name, prefix+"-") || !strings.HasSuffix(name, suffix) {
-			continue
-		}
-		mid := strings.TrimSuffix(strings.TrimPrefix(name, prefix+"-"), suffix)
-		g, err := strconv.ParseUint(mid, 10, 64)
-		if err != nil {
-			continue
-		}
-		gens = append(gens, g)
+	if err := durable.SyncDir(d.dir); err != nil {
+		_ = f.Close() // nothing written; the sync error is the one to report
+		return nil, err
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	return gens
+	if d.opts.WrapFile != nil {
+		return d.opts.WrapFile(f), nil
+	}
+	return f, nil
 }
 
 // Open creates or recovers a durable store rooted at dir. Recovery loads
@@ -199,47 +168,35 @@ func Open(dir string, opts Options) (*Store, error) {
 	// re-logs.
 	s := New(opts.Shards)
 	d := &durability{dir: dir, opts: opts}
-	d.commitIdle = sync.NewCond(&d.mu)
+	d.idle = sync.NewCond(&d.mu)
 
-	// Load the newest verifiable snapshot.
-	snapGens := listGens(dir, "snapshot", ".xml")
-	for i := len(snapGens) - 1; i >= 0; i-- {
-		g := snapGens[i]
-		path := snapshotPath(dir, g)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				continue
-			}
-			// A read error (EIO, EPERM, a flaky mount) is not evidence
-			// the snapshot is bad: failing Open beats demoting a
-			// possibly-good snapshot and losing the records only it holds.
-			return nil, fmt.Errorf("store: open %s: read snapshot gen %d: %w", dir, g, err)
+	// Load the newest snapshot whose checksum verifies.
+	var body []byte
+	gen, ok, quarantined, err := snapshotFiles.Load(dir, func(data []byte) (verr error) {
+		body, verr = VerifySnapshot(data)
+		return verr
+	})
+	d.quarantined += quarantined
+	if err != nil {
+		return nil, fmt.Errorf("store: open %s: read snapshot: %w", dir, err)
+	}
+	if ok {
+		if _, err := s.Restore(bytes.NewReader(body)); err != nil {
+			return nil, fmt.Errorf("store: open %s: snapshot gen %d: %w", dir, gen, err)
 		}
-		body, verr := VerifySnapshot(data)
-		if verr != nil {
-			// Failed verification: set it aside and try older.
-			_ = os.Rename(path, path+".corrupt")
-			d.quarantined++
-			continue
-		}
-		if _, rerr := s.Restore(bytes.NewReader(body)); rerr != nil {
-			return nil, fmt.Errorf("store: open %s: snapshot gen %d: %w", dir, g, rerr)
-		}
-		d.gen = g
+		d.gen = gen
 		d.snapLoaded = true
-		break
 	}
 
 	// Replay WALs from the loaded generation forward. A framing loss
 	// (corrupt record header) degrades the store and ends replay: the
 	// records after the loss — in this log and any later generation —
 	// cannot be trusted to form a consistent history.
-	for _, g := range listGens(dir, "wal", ".log") {
+	for _, g := range walFiles.Gens(dir) {
 		if g < d.gen {
 			continue
 		}
-		if err := d.replayWAL(s, walPath(dir, g)); err != nil {
+		if err := d.replayWAL(s, walFiles.Path(dir, g)); err != nil {
 			return nil, fmt.Errorf("store: open %s: %w", dir, err)
 		}
 		if g > d.gen {
@@ -251,21 +208,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	// Append to the current generation's WAL from here on.
-	d.walPath = walPath(dir, d.gen)
-	f, err := os.OpenFile(d.walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if d.wal, err = d.openWAL(d.gen); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
-	// O_CREATE may have made a new directory entry; fsync the directory
-	// so a fresh WAL cannot vanish in a power cut after writes were
-	// acknowledged into it.
-	if err := syncDir(dir); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
-	d.wal = WALFile(f)
-	if opts.WrapWAL != nil {
-		d.wal = opts.WrapWAL(d.wal)
 	}
 	s.dur = d
 	return s, nil
@@ -323,24 +267,6 @@ func (d *durability) replayWAL(s *Store, path string) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so recently created or renamed entries in
-// it survive a power failure — syncing a file's data does not make its
-// name durable.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("sync dir %s: %w", dir, err)
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("sync dir %s: %w", dir, err)
-	}
-	return nil
-}
-
 // applyRecord applies one decoded WAL record through the in-memory paths.
 func applyRecord(s *Store, op byte, body []byte) error {
 	switch op {
@@ -392,159 +318,118 @@ func (d *durability) quarantine(rec []byte) {
 	_, _ = f.Write(rec)
 }
 
-// logged appends one record and, if the append is durable, applies the
-// mutation. The WAL mutex serializes log order with apply order so replay
-// reconstructs exactly the in-memory history. Any append or sync failure
-// flips the store into degraded read-only mode: the mutation is NOT
-// applied, the caller gets ErrReadOnly, and no later write is accepted —
-// readers keep working from the recovered state.
-func (s *Store) logged(op byte, body []byte, apply func()) error {
-	d := s.dur
-	if d.opts.GroupCommit {
-		return s.loggedGroup(op, body, apply)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return s.loggedLocked(op, body, apply)
-}
-
-// loggedGroup is the group-commit write path: the record joins the
-// pending batch, and either this writer becomes the batch leader —
-// committing everything queued with one append and one fsync — or it
-// waits for the current leader to commit on its behalf. Either way the
-// call returns only once the record is durable (or the store degraded),
-// so the ack-after-durable contract is identical to the per-record path.
-func (s *Store) loggedGroup(op byte, body []byte, apply func()) error {
-	d := s.dur
-	req := &walReq{rec: encodeWALRecord(op, body), apply: apply, done: make(chan error, 1)}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return fmt.Errorf("store: closed")
-	}
-	if d.degraded != "" {
-		reason := d.degraded
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrReadOnly, reason)
-	}
-	d.pending = append(d.pending, req)
-	if d.committing {
-		// A leader is already collecting or committing; it will take
-		// this request in its batch (if still collecting) or the next
-		// writer to arrive after it finishes will.
-		d.mu.Unlock()
-		return <-req.done
-	}
-	d.committing = true
-	d.mu.Unlock()
-	if w := d.opts.GroupCommitWindow; w > 0 {
-		time.Sleep(w)
-	}
-	d.mu.Lock()
-	batch := d.pending
-	d.pending = nil
-	s.commitBatchLocked(batch)
-	d.committing = false
-	d.commitIdle.Broadcast()
-	d.mu.Unlock()
-	return <-req.done
-}
-
-// commitBatchLocked writes every queued record in one WAL append, syncs
-// once, applies the mutations in log order, and completes each waiter.
-// A failed append or sync degrades the store and fails the whole batch
-// un-applied: none of those writers were acknowledged, so recovery
-// surfacing any prefix of the batch (what made it to disk before the
-// failure) never contradicts an ack. The caller holds d.mu.
-func (s *Store) commitBatchLocked(batch []*walReq) {
-	d := s.dur
-	fail := func(err error) {
-		for _, r := range batch {
-			r.done <- err
-		}
-	}
-	if len(batch) == 0 {
-		return
-	}
-	if d.degraded != "" {
-		fail(fmt.Errorf("%w: %s", ErrReadOnly, d.degraded))
-		return
-	}
-	total := 0
-	for _, r := range batch {
-		total += len(r.rec)
-	}
-	buf := make([]byte, 0, total)
-	for _, r := range batch {
-		buf = append(buf, r.rec...)
-	}
-	if _, err := d.wal.Write(buf); err != nil {
-		d.degrade("wal append failed: " + err.Error())
-		fail(fmt.Errorf("%w: %s", ErrReadOnly, d.degraded))
-		return
-	}
-	span := walFsyncNs.Start()
-	if err := d.wal.Sync(); err != nil {
-		d.degrade("wal sync failed: " + err.Error())
-		fail(fmt.Errorf("%w: %s", ErrReadOnly, d.degraded))
-		return
-	}
-	span.End()
-	walAppends.Add(int64(len(batch)))
-	walSyncs.Inc()
-	walBatchRecords.Observe(int64(len(batch)))
-	d.appended += len(batch)
-	d.sinceSync = 0
-	d.syncs++
-	d.batches++
-	for _, r := range batch {
-		r.apply()
-		r.done <- nil
-	}
-	if d.opts.CompactEvery > 0 && d.appended >= d.opts.CompactEvery {
-		if err := s.compactLocked(); err != nil {
-			d.degrade("compaction failed: " + err.Error())
-		}
-	}
-}
-
-// loggedLocked is logged for callers that already hold d.mu — Update
-// uses it to keep its read-modify-write atomic with respect to every
-// other logged mutation.
-func (s *Store) loggedLocked(op byte, body []byte, apply func()) error {
-	d := s.dur
+// writableLocked reports why the store cannot accept a mutation, nil
+// while it can. The caller holds d.mu.
+func (d *durability) writableLocked() error {
 	if d.closed {
 		return fmt.Errorf("store: closed")
 	}
 	if d.degraded != "" {
 		return fmt.Errorf("%w: %s", ErrReadOnly, d.degraded)
-	}
-	rec := encodeWALRecord(op, body)
-	if _, err := d.wal.Write(rec); err != nil {
-		d.degrade("wal append failed: " + err.Error())
-		return fmt.Errorf("%w: %s", ErrReadOnly, d.degraded)
-	}
-	walAppends.Inc()
-	d.appended++
-	d.sinceSync++
-	if d.sinceSync >= d.opts.SyncEvery {
-		span := walFsyncNs.Start()
-		if err := d.wal.Sync(); err != nil {
-			d.degrade("wal sync failed: " + err.Error())
-			return fmt.Errorf("%w: %s", ErrReadOnly, d.degraded)
-		}
-		span.End()
-		walSyncs.Inc()
-		d.sinceSync = 0
-		d.syncs++
-	}
-	apply()
-	if d.opts.CompactEvery > 0 && d.appended >= d.opts.CompactEvery {
-		if err := s.compactLocked(); err != nil {
-			d.degrade("compaction failed: " + err.Error())
-		}
 	}
 	return nil
+}
+
+// logged makes one mutation durable and then applies it. A writer that
+// finds the WAL free commits at once — a lone writer is a batch of one —
+// and writers that arrive while a commit is in flight ride the next one
+// together, led by the first of them. Either way the call returns only
+// once the record is durable under the sync policy and applied, or with
+// the error that failed its batch.
+func (s *Store) logged(op byte, body []byte, apply func()) error {
+	d := s.dur
+	req := &walReq{rec: encodeWALRecord(op, body), apply: apply}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.busy && len(d.next) == 0 {
+		d.next = []*walReq{req}
+	} else {
+		d.queue = append(d.queue, req)
+	}
+	for !req.done && (d.busy || d.next[0] != req) {
+		d.idle.Wait()
+	}
+	if !req.done {
+		s.commitLocked(d.next)
+	}
+	return req.err
+}
+
+// commitLocked is the one WAL write path: append the batch's records in
+// a single write, sync per the sync policy, apply the mutations in log
+// order, complete every waiter, and compact when due. Log order is apply
+// order because only one commit runs at a time, so replay reconstructs
+// exactly the in-memory history. A failed append or sync flips the store
+// into degraded read-only mode and fails the whole batch un-applied:
+// none of its writers is acknowledged, so recovery surfacing any prefix
+// of the batch (what reached the disk before the failure) never
+// contradicts an ack, no later write is accepted, and readers keep
+// working from the state they had.
+//
+// The caller holds d.mu and has seen !d.busy; batch is d.next or, for
+// Update, a batch of its own taken while nothing was waiting. d.mu is
+// released around the file I/O with d.busy set; Close, Compact and
+// Update wait on d.idle for it to clear.
+func (s *Store) commitLocked(batch []*walReq) {
+	d := s.dur
+	d.next = nil
+	err := d.writableLocked()
+	if err == nil {
+		buf := batch[0].rec
+		for _, r := range batch[1:] {
+			buf = append(buf, r.rec...)
+		}
+		wal, doSync := d.wal, d.sinceSync+len(batch) >= d.opts.SyncEvery
+		d.busy = true
+		d.mu.Unlock()
+		reason := appendWAL(wal, buf, doSync)
+		d.mu.Lock()
+		d.busy = false
+		if reason != "" {
+			d.degrade(reason)
+			err = d.writableLocked()
+		} else {
+			walAppends.Add(int64(len(batch)))
+			walBatchRecords.Observe(int64(len(batch)))
+			d.appended += len(batch)
+			d.batches++
+			d.sinceSync += len(batch)
+			if doSync {
+				walSyncs.Inc()
+				d.syncs++
+				d.sinceSync = 0
+			}
+		}
+	}
+	for _, r := range batch {
+		if err == nil {
+			r.apply()
+		}
+		r.err, r.done = err, true
+	}
+	d.next, d.queue = d.queue, nil
+	d.idle.Broadcast()
+	if err == nil && d.opts.CompactEvery > 0 && d.appended >= d.opts.CompactEvery {
+		if cerr := s.compactLocked(); cerr != nil {
+			d.degrade("compaction failed: " + cerr.Error())
+		}
+	}
+}
+
+// appendWAL writes buf to the live WAL and, when asked, syncs it,
+// returning the degradation reason on failure ("" on success).
+func appendWAL(wal durable.File, buf []byte, doSync bool) string {
+	if _, err := wal.Write(buf); err != nil {
+		return "wal append failed: " + err.Error()
+	}
+	if doSync {
+		span := walFsyncNs.Start()
+		if err := wal.Sync(); err != nil {
+			return "wal sync failed: " + err.Error()
+		}
+		span.End()
+	}
+	return ""
 }
 
 // Compact writes a checksummed snapshot of the current state as the next
@@ -558,116 +443,69 @@ func (s *Store) Compact() error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for d.committing {
-		d.commitIdle.Wait()
+	for d.busy {
+		d.idle.Wait()
 	}
-	if d.closed {
-		return fmt.Errorf("store: closed")
-	}
-	if d.degraded != "" {
-		return fmt.Errorf("%w: %s", ErrReadOnly, d.degraded)
+	if err := d.writableLocked(); err != nil {
+		return err
 	}
 	return s.compactLocked()
 }
 
-// compactLocked does the compaction work; the caller holds d.mu.
+// compactLocked does the compaction work; the caller holds d.mu and
+// nobody owns the WAL.
 //
-// Failure atomicity: every fallible step runs BEFORE the snapshot is
-// renamed into place, and each undoes cleanly — on error the store is
-// still entirely on the old generation, appending to the old WAL, and
+// Failure atomicity: every step that can fail cleanly runs BEFORE the
+// snapshot is renamed into place, and each undoes — on error the store
+// is still entirely on the old generation, appending to the old WAL, and
 // recovery (which would load the old snapshot and replay the old WAL)
-// loses nothing, so the caller may keep acknowledging writes. Renaming
-// the snapshot first and opening the new WAL after would open a window
-// where a rotation failure leaves acked writes flowing into wal-oldGen
-// while recovery, seeing snapshot-newGen, skips that log entirely.
+// loses nothing, so the caller may keep acknowledging writes. The next
+// generation's WAL is created, and its directory entry made durable,
+// before the snapshot becomes visible: once snapshot-newGen exists,
+// recovery roots there and skips wal-oldGen entirely, so acked writes
+// must never flow into the old log past that point.
 func (s *Store) compactLocked() error {
 	d := s.dur
 	newGen := d.gen + 1
-
-	// Snapshot to a temp file and sync it, so a crash mid-write never
-	// leaves a half-snapshot under the real name.
-	snapPath := snapshotPath(d.dir, newGen)
-	tmp, err := os.CreateTemp(d.dir, "snapshot-*.tmp")
+	newWAL, err := d.openWAL(newGen)
 	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	tmpName := tmp.Name()
-	if err := s.Snapshot(tmp); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: compact: %w", err)
-	}
-
-	// Create the next generation's WAL and make its directory entry
-	// durable before the snapshot becomes visible: once snapshot-newGen
-	// exists, recovery roots there, so wal-newGen must be guaranteed to
-	// survive a power cut too.
-	newWalPath := walPath(d.dir, newGen)
-	newWal, err := os.OpenFile(newWalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		_ = os.Remove(tmpName)
 		return fmt.Errorf("store: compact: rotate wal: %w", err)
 	}
-	if err := syncDir(d.dir); err == nil {
-		err = os.Rename(tmpName, snapPath)
-	}
-	if err != nil {
-		_ = newWal.Close()
-		_ = os.Remove(newWalPath)
-		_ = os.Remove(tmpName)
+	err = snapshotFiles.Publish(d.dir, newGen, d.opts.WrapFile, s.Snapshot)
+	if err != nil && !errors.Is(err, durable.ErrUnsynced) {
+		_ = newWAL.Close() // never written to
+		_ = os.Remove(walFiles.Path(d.dir, newGen))
 		return fmt.Errorf("store: compact: %w", err)
 	}
 
 	// The snapshot is in place: switch appends to the new generation.
+	// The old log is superseded by the snapshot, so its final sync and
+	// close cannot lose anything recovery would read.
 	_ = d.wal.Sync()
 	_ = d.wal.Close()
-	d.wal = WALFile(newWal)
-	if d.opts.WrapWAL != nil {
-		d.wal = d.opts.WrapWAL(d.wal)
-	}
-	d.walPath = newWalPath
+	d.wal = newWAL
 	d.gen = newGen
 	d.appended = 0
 	d.sinceSync = 0
 
-	if err := syncDir(d.dir); err != nil {
+	if err != nil {
 		// The snapshot rename may not be durable. The on-disk state is
-		// still recoverable (the fallback generation is kept below), but
-		// a directory that cannot fsync cannot be trusted with further
+		// still recoverable (the fallback generation is kept), but a
+		// directory that cannot fsync cannot be trusted with further
 		// acknowledgements.
 		d.degrade("compaction failed: " + err.Error())
 		return fmt.Errorf("store: compact: %w", err)
 	}
 
-	// Prune history older than the newest PREVIOUS snapshot still on
-	// disk: if snapshot-newGen rots, recovery falls back to that
-	// snapshot, so every WAL from its generation forward must survive.
-	// Normally that is generation newGen-1; after a crashed compaction
-	// that bumped the WAL generation without publishing a snapshot, it
-	// is older, and keying the prune off the snapshot actually present
-	// keeps the whole fallback chain intact.
-	prev, havePrev := uint64(0), false
-	for _, g := range listGens(d.dir, "snapshot", ".xml") {
-		if g < newGen && (!havePrev || g > prev) {
-			prev, havePrev = g, true
-		}
-	}
-	if havePrev {
-		for _, g := range listGens(d.dir, "snapshot", ".xml") {
-			if g < prev {
-				_ = os.Remove(snapshotPath(d.dir, g))
-			}
-		}
-		for _, g := range listGens(d.dir, "wal", ".log") {
-			if g < prev {
-				_ = os.Remove(walPath(d.dir, g))
-			}
-		}
+	// Keep the new snapshot and the newest PREVIOUS one still on disk: if
+	// snapshot-newGen rots, recovery falls back to that one, so every WAL
+	// from its generation forward must survive. Normally that is
+	// generation newGen-1; after a crashed compaction that bumped the WAL
+	// generation without publishing a snapshot it is older, and keying
+	// the WAL prune off the snapshot actually kept leaves the whole
+	// fallback chain intact. With no previous snapshot every WAL stays.
+	if kept := snapshotFiles.Prune(d.dir, newGen, 2); len(kept) == 2 {
+		walFiles.RemoveBelow(d.dir, kept[1])
 	}
 	compactions.Inc()
 	return nil
@@ -682,10 +520,10 @@ func (s *Store) Close() error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// An in-flight group-commit batch finishes first: its writers were
-	// promised a durable ack and the leader needs the WAL handle.
-	for d.committing {
-		d.commitIdle.Wait()
+	// An in-flight commit finishes first: its writers were promised a
+	// durable ack and it owns the WAL handle.
+	for d.busy {
+		d.idle.Wait()
 	}
 	if d.closed {
 		return nil

@@ -21,15 +21,13 @@ import (
 // ID of the put whose ack failed, if any: that op is in limbo — a torn
 // write destroys it, but a sync failure may leave it fully on disk, so
 // recovery may legitimately surface it. The opts' shard count and WAL
-// wrapper are overridden; everything else (group commit, sync policy)
-// runs as given, so the same workload exercises every write path.
+// wrapper are overridden; everything else (the sync policy) runs as
+// given.
 func runFaultedWorkload(t *testing.T, dir string, cfg faults.Config, docs int, opts store.Options) (acked []string, inFlight string, stats faults.Stats) {
 	t.Helper()
 	in := faults.New(cfg)
 	opts.Shards = 4
-	opts.WrapWAL = func(w store.WALFile) store.WALFile {
-		return in.File(w.(faults.File))
-	}
+	opts.WrapFile = in.File
 	st, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -62,22 +60,11 @@ func runFaultedWorkload(t *testing.T, dir string, cfg faults.Config, docs int, o
 // write or sync failure injected at an arbitrary point must never lose
 // an acknowledged put, and recovery must surface exactly the acked set.
 func TestCrashRecoveryUnderInjectedDiskFaults(t *testing.T) {
-	crashRecoveryMatrix(t, store.Options{})
-}
-
-// TestCrashRecoveryUnderInjectedDiskFaultsGroupCommit runs the same
-// fault matrix through the group-commit write path: batching the
-// append+fsync must not change what an acknowledgement promises.
-func TestCrashRecoveryUnderInjectedDiskFaultsGroupCommit(t *testing.T) {
-	crashRecoveryMatrix(t, store.Options{GroupCommit: true})
-}
-
-func crashRecoveryMatrix(t *testing.T, opts store.Options) {
 	const docs = 40
 	for seed := int64(1); seed <= 25; seed++ {
 		cfg := faults.Config{Seed: seed, TornWriteRate: 0.06, SyncFailRate: 0.04}
 		dir := t.TempDir()
-		acked, inFlight, stats := runFaultedWorkload(t, dir, cfg, docs, opts)
+		acked, inFlight, stats := runFaultedWorkload(t, dir, cfg, docs, store.Options{})
 
 		rec, err := store.Open(dir, store.Options{Shards: 4})
 		if err != nil {

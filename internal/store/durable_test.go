@@ -7,8 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"webfountain/internal/durable"
 )
 
 // scriptOp is one mutation in a scripted workload, applied identically to
@@ -478,6 +481,78 @@ func TestCompactFailureKeepsAckedWritesRecoverable(t *testing.T) {
 	requireEqualStores(t, "after failed compaction", rec, referenceAfter(t, ops, len(ops)))
 }
 
+// TestCompactTempFileFaultLeavesOldGeneration: a write or fsync failure
+// injected on the compaction snapshot's temp file (through the same
+// WrapFile seam as the WAL) publishes nothing — no snapshot or WAL of the
+// new generation, no stray temp file — and leaves the store healthy on
+// the old generation, so later acked writes stay recoverable.
+func TestCompactTempFileFaultLeavesOldGeneration(t *testing.T) {
+	faultsByName := map[string]func(durable.File) durable.File{
+		"write": func(f durable.File) durable.File { return &failingWAL{File: f} },
+		"sync":  func(f durable.File) durable.File { return &failSyncWAL{inner: f} },
+	}
+	for name, inject := range faultsByName {
+		t.Run(name, func(t *testing.T) {
+			ops := crashScript()
+			dir := t.TempDir()
+			failing := false
+			st, err := Open(dir, Options{Shards: 4, WrapFile: func(f durable.File) durable.File {
+				if failing && strings.HasSuffix(f.(*os.File).Name(), ".tmp") {
+					return inject(f)
+				}
+				return f
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range ops[:4] {
+				applyOp(t, st, op)
+			}
+			if err := st.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			applyOp(t, st, ops[4])
+			applyOp(t, st, ops[5])
+
+			failing = true
+			if err := st.Compact(); err == nil {
+				t.Fatal("compact through a failing snapshot temp file should fail")
+			}
+			failing = false
+			if deg, reason := st.Degraded(); deg {
+				t.Fatalf("cleanly undone compaction failure degraded the store: %s", reason)
+			}
+			if g := st.Durability().Generation; g != 1 {
+				t.Fatalf("generation = %d after failed compaction, want 1", g)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ent := range entries {
+				if n := ent.Name(); strings.HasSuffix(n, ".tmp") || strings.Contains(n, "00000002") {
+					t.Errorf("failed compaction left %s behind", n)
+				}
+			}
+			for _, op := range ops[6:] {
+				applyOp(t, st, op)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := Open(dir, Options{Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if ds := rec.Durability(); !ds.SnapshotLoaded || ds.Generation != 1 || ds.Quarantined != 0 {
+				t.Fatalf("recovery stats = %+v, want the generation-1 snapshot loaded cleanly", ds)
+			}
+			requireEqualStores(t, "after failed compaction", rec, referenceAfter(t, ops, len(ops)))
+		})
+	}
+}
+
 // TestCorruptSnapshotFallsBack: when the newest snapshot fails its
 // checksum, recovery quarantines it and reconstructs the same state from
 // the previous generation's WAL plus the current one.
@@ -559,7 +634,7 @@ func TestAutoCompact(t *testing.T) {
 
 // failingWAL fails every write after the first failAfter succeed.
 type failingWAL struct {
-	WALFile
+	durable.File
 	failAfter int
 	writes    int
 	failSync  bool
@@ -570,14 +645,14 @@ func (f *failingWAL) Write(p []byte) (int, error) {
 	if f.writes > f.failAfter {
 		return 0, errors.New("simulated disk failure")
 	}
-	return f.WALFile.Write(p)
+	return f.File.Write(p)
 }
 
 func (f *failingWAL) Sync() error {
 	if f.failSync && f.writes >= f.failAfter {
 		return errors.New("simulated sync failure")
 	}
-	return f.WALFile.Sync()
+	return f.File.Sync()
 }
 
 // TestDegradedReadOnlyOnAppendFailure: a failed WAL append flips the
@@ -586,8 +661,8 @@ func (f *failingWAL) Sync() error {
 // clean reopen recovers exactly the acknowledged ops.
 func TestDegradedReadOnlyOnAppendFailure(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{Shards: 2, WrapWAL: func(w WALFile) WALFile {
-		return &failingWAL{WALFile: w, failAfter: 2}
+	st, err := Open(dir, Options{Shards: 2, WrapFile: func(w durable.File) durable.File {
+		return &failingWAL{File: w, failAfter: 2}
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -637,8 +712,8 @@ func TestDegradedReadOnlyOnAppendFailure(t *testing.T) {
 // TestDegradedReadOnlyOnSyncFailure: a failed sync equally degrades.
 func TestDegradedReadOnlyOnSyncFailure(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{Shards: 2, WrapWAL: func(w WALFile) WALFile {
-		return &failingWAL{WALFile: w, failAfter: 1, failSync: true}
+	st, err := Open(dir, Options{Shards: 2, WrapFile: func(w durable.File) durable.File {
+		return &failingWAL{File: w, failAfter: 1, failSync: true}
 	}})
 	if err != nil {
 		t.Fatal(err)

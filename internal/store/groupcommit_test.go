@@ -6,13 +6,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"webfountain/internal/durable"
 )
 
 // slowSyncWAL delays every Sync, widening the window in which other
 // writers queue behind the batch leader — the forcing function for the
 // coalescing assertions below.
 type slowSyncWAL struct {
-	inner WALFile
+	inner durable.File
 	delay time.Duration
 }
 
@@ -26,7 +28,7 @@ func (w *slowSyncWAL) Close() error { return w.inner.Close() }
 // failSyncWAL fails every Sync after passing the data through, the
 // shape of a disk that accepts writes but cannot make them durable.
 type failSyncWAL struct {
-	inner WALFile
+	inner durable.File
 }
 
 func (w *failSyncWAL) Write(p []byte) (int, error) { return w.inner.Write(p) }
@@ -37,7 +39,7 @@ func (w *failSyncWAL) Close() error                { return w.inner.Close() }
 // only the first half of the buffer and then errors — a crash in the
 // middle of a group-commit batch append.
 type tornBatchWAL struct {
-	inner  WALFile
+	inner  durable.File
 	failOn int
 	writes int
 }
@@ -89,10 +91,8 @@ func groupPut(t *testing.T, st *Store, writers, perWriter int) []string {
 func TestGroupCommitConcurrentPutsDurableAndBatched(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{
-		Shards:            4,
-		GroupCommit:       true,
-		GroupCommitWindow: 2 * time.Millisecond,
-		WrapWAL:           func(w WALFile) WALFile { return &slowSyncWAL{inner: w, delay: time.Millisecond} },
+		Shards:   4,
+		WrapFile: func(w durable.File) durable.File { return &slowSyncWAL{inner: w, delay: 2 * time.Millisecond} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +136,8 @@ func TestGroupCommitConcurrentPutsDurableAndBatched(t *testing.T) {
 func TestGroupCommitSyncFailureFailsWholeBatchUnapplied(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{
-		Shards:      4,
-		GroupCommit: true,
-		WrapWAL:     func(w WALFile) WALFile { return &failSyncWAL{inner: w} },
+		Shards:   4,
+		WrapFile: func(w durable.File) durable.File { return &failSyncWAL{inner: w} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,9 +168,8 @@ func TestGroupCommitSyncFailureFailsWholeBatchUnapplied(t *testing.T) {
 func TestGroupCommitTornBatchWriteCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{
-		Shards:      4,
-		GroupCommit: true,
-		WrapWAL:     func(w WALFile) WALFile { return &tornBatchWAL{inner: w, failOn: 4} },
+		Shards:   4,
+		WrapFile: func(w durable.File) durable.File { return &tornBatchWAL{inner: w, failOn: 4} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,16 +207,14 @@ func TestGroupCommitTornBatchWriteCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestGroupCommitWindowZeroStillBatches: with no window configured,
-// writers arriving while a leader is inside its append+fsync still form
-// the next batch — coalescing is the natural consequence of the
-// leader's fsync, not of the window.
+// TestGroupCommitWindowZeroStillBatches: nobody waits for followers;
+// writers arriving while a commit is inside its append+fsync form the
+// next batch — coalescing is the natural consequence of the fsync.
 func TestGroupCommitWindowZeroStillBatches(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{
-		Shards:      4,
-		GroupCommit: true,
-		WrapWAL:     func(w WALFile) WALFile { return &slowSyncWAL{inner: w, delay: 2 * time.Millisecond} },
+		Shards:   4,
+		WrapFile: func(w durable.File) durable.File { return &slowSyncWAL{inner: w, delay: 2 * time.Millisecond} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,11 +231,11 @@ func TestGroupCommitWindowZeroStillBatches(t *testing.T) {
 }
 
 // TestGroupCommitSerialWriterMatchesPerRecordContract: a single writer
-// under group commit sees the exact per-record behavior — one record,
-// one batch, one sync, ack after durable.
+// sees the exact per-record behavior — one record, one batch, one
+// sync, ack after durable.
 func TestGroupCommitSerialWriterMatchesPerRecordContract(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{Shards: 4, GroupCommit: true})
+	st, err := Open(dir, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,10 +268,8 @@ func TestGroupCommitSerialWriterMatchesPerRecordContract(t *testing.T) {
 func TestGroupCommitCloseWaitsForInFlightBatch(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{
-		Shards:            4,
-		GroupCommit:       true,
-		GroupCommitWindow: 5 * time.Millisecond,
-		WrapWAL:           func(w WALFile) WALFile { return &slowSyncWAL{inner: w, delay: 2 * time.Millisecond} },
+		Shards:   4,
+		WrapFile: func(w durable.File) durable.File { return &slowSyncWAL{inner: w, delay: 5 * time.Millisecond} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +283,7 @@ func TestGroupCommitCloseWaitsForInFlightBatch(t *testing.T) {
 			errs[i] = st.Put(&Entity{ID: fmt.Sprintf("doc-%02d", i), Text: "t"})
 		}(i)
 	}
-	time.Sleep(time.Millisecond) // let the batch leader start its window
+	time.Sleep(time.Millisecond) // let the first commit start its slow sync
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -309,5 +303,27 @@ func TestGroupCommitCloseWaitsForInFlightBatch(t *testing.T) {
 	defer rec.Close()
 	if rec.Len() < acked {
 		t.Fatalf("recovered %d entities but %d puts were acked before Close", rec.Len(), acked)
+	}
+}
+
+// TestGroupCommitBatchIsArrivalsDuringPreviousCommit: a batch is exactly
+// the writers that arrived while the previous commit was in flight, so
+// batching depends on the arrival pattern, not on goroutine scheduling —
+// with two writers at most one can arrive during a commit, and every
+// record gets a commit (and an fsync) of its own.
+func TestGroupCommitBatchIsArrivalsDuringPreviousCommit(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{
+		Shards:   4,
+		WrapFile: func(w durable.File) durable.File { return &slowSyncWAL{inner: w, delay: 200 * time.Microsecond} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if acked := groupPut(t, st, 2, 50); len(acked) != 100 {
+		t.Fatalf("acked %d of 100 puts", len(acked))
+	}
+	if ds := st.Durability(); ds.Batches != 100 || ds.Syncs != 100 {
+		t.Fatalf("two writers: batches=%d syncs=%d, want 100/100", ds.Batches, ds.Syncs)
 	}
 }

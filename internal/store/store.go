@@ -471,9 +471,11 @@ func (s *Store) Annotate(id string, anns []Annotation) (bool, error) {
 // atomically with respect to other writers. It returns false if the ID is
 // unknown. On a durable store the mutated entity is re-logged in full (a
 // read-modify-write), so prefer Annotate for the hot append-annotations
-// path. The read, fn, and re-log run under the WAL mutex, so a
-// concurrent Annotate or Update acknowledged in between cannot be
-// overwritten by a stale full-entity put.
+// path. Update waits until every record logged before it is applied and
+// nobody owns the WAL, then reads, runs fn and commits its record as a
+// batch of its own while later writers queue behind it — so a concurrent
+// Annotate or Update acknowledged in between cannot be overwritten by a
+// stale full-entity put.
 func (s *Store) Update(id string, fn func(*Entity)) bool {
 	if s.dur == nil {
 		sh := s.shardFor(id)
@@ -489,6 +491,9 @@ func (s *Store) Update(id string, fn func(*Entity)) bool {
 	d := s.dur
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for d.busy || len(d.next) > 0 {
+		d.idle.Wait()
+	}
 	e, ok := s.Get(id)
 	if !ok {
 		return false
@@ -498,7 +503,9 @@ func (s *Store) Update(id string, fn func(*Entity)) bool {
 	if err != nil {
 		return false
 	}
-	return s.loggedLocked(opPut, body, func() { s.applyPut(e) }) == nil
+	req := &walReq{rec: encodeWALRecord(opPut, body), apply: func() { s.applyPut(e) }}
+	s.commitLocked([]*walReq{req})
+	return req.err == nil
 }
 
 // Len returns the total number of stored entities.

@@ -58,11 +58,12 @@ func IsOverloaded(err error) bool { return errors.Is(err, ErrOverloaded) }
 // IsDeadlineExceeded reports whether err marks a spent deadline budget.
 func IsDeadlineExceeded(err error) bool { return errors.Is(err, ErrDeadlineExceeded) }
 
-// parseDeadlineMS parses a DeadlineParam value. It never panics and
-// never yields a negative budget: malformed, negative or overflowing
+// ParseDeadlineMS parses a DeadlineParam value — the one x-deadline-ms
+// parser, shared with the HTTP gateway's header of the same name. It
+// never panics and never yields a negative budget: malformed, negative or overflowing
 // values return ok == false. Leading zeros and an optional '+' are
 // accepted; anything else non-numeric is rejected.
-func parseDeadlineMS(s string) (time.Duration, bool) {
+func ParseDeadlineMS(s string) (time.Duration, bool) {
 	if s == "" {
 		return 0, false
 	}
@@ -134,7 +135,7 @@ func WithDeadlineBudget(req Request, budget time.Duration) Request {
 // read as absent (the server treats them as "no deadline" rather than
 // failing the call — a lenient reading keeps old clients working).
 func (r Request) DeadlineBudget() (time.Duration, bool) {
-	return parseDeadlineMS(r.Params[DeadlineParam])
+	return ParseDeadlineMS(r.Params[DeadlineParam])
 }
 
 // Deadline returns the absolute deadline the dispatcher computed from

@@ -27,12 +27,12 @@ func TestParseDeadlineMS(t *testing.T) {
 		{" 7", 0, false},
 	}
 	for _, c := range cases {
-		got, ok := parseDeadlineMS(c.in)
+		got, ok := ParseDeadlineMS(c.in)
 		if ok != c.ok || got != c.want {
-			t.Errorf("parseDeadlineMS(%q) = (%v, %v), want (%v, %v)", c.in, got, ok, c.want, c.ok)
+			t.Errorf("ParseDeadlineMS(%q) = (%v, %v), want (%v, %v)", c.in, got, ok, c.want, c.ok)
 		}
 		if got < 0 {
-			t.Errorf("parseDeadlineMS(%q) yielded negative budget %v", c.in, got)
+			t.Errorf("ParseDeadlineMS(%q) yielded negative budget %v", c.in, got)
 		}
 	}
 }

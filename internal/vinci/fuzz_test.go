@@ -82,12 +82,12 @@ func FuzzDeadlineParam(f *testing.F) {
 	f.Add("١٢٣") // non-ASCII digits must be rejected
 	f.Add("\x00")
 	f.Fuzz(func(t *testing.T, s string) {
-		budget, ok := parseDeadlineMS(s)
+		budget, ok := ParseDeadlineMS(s)
 		if budget < 0 {
-			t.Fatalf("parseDeadlineMS(%q) yielded negative budget %v", s, budget)
+			t.Fatalf("ParseDeadlineMS(%q) yielded negative budget %v", s, budget)
 		}
 		if !ok && budget != 0 {
-			t.Fatalf("parseDeadlineMS(%q) rejected input but returned %v", s, budget)
+			t.Fatalf("ParseDeadlineMS(%q) rejected input but returned %v", s, budget)
 		}
 
 		reg := NewRegistry()

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
 
+	"webfountain/internal/durable"
 	"webfountain/internal/index"
 	"webfountain/internal/metrics"
 	"webfountain/internal/serve"
@@ -55,7 +55,7 @@ type ServingTierConfig struct {
 	CheckpointEvery int
 	// WrapCheckpoint, when set, wraps the checkpoint temp-file handle —
 	// the deterministic disk-fault injector's hook in crash tests.
-	WrapCheckpoint func(io.WriteCloser) io.WriteCloser
+	WrapCheckpoint durable.Wrap
 }
 
 // ServingRecovery describes what RecoverServingTier found and did.
@@ -202,7 +202,9 @@ func RecoverServingTier(p *Platform, m *SentimentMiner, cfg ServingTierConfig) (
 // converge to identical aggregates and generations. Each repaired
 // document gets its own aggregate publish: the generation strictly
 // grows past every batch the crash erased, so a cached client can
-// never observe the generation move backwards across a restart.
+// never observe the generation move backwards across a restart. It then
+// retries the annotation debt: documents whose facts are already folded
+// in but whose entity annotation a degraded store refused.
 func (t *ServingTier) repairForward() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -213,66 +215,56 @@ func (t *ServingTier) repairForward() int {
 		if _, ok := t.mined[id]; ok {
 			continue
 		}
-		if t.repairDoc(id) {
+		if facts, ok, _ := t.fold(id, false); ok {
+			t.agg.Apply(facts)
 			repaired++
 		}
 	}
-	t.settleAnnotations()
+	for _, id := range sortedSet(t.pendingAnn) {
+		t.fold(id, true) //nolint:errcheck // a refusal stays recorded as debt
+	}
 	return repaired
 }
 
-// repairDoc re-mines one stored document into the sentiment index and
-// the aggregates, annotating the entity only when it carries no
-// sentiment annotations yet (the crash may have landed the annotate
-// without the checkpoint). Reports whether the document existed.
-func (t *ServingTier) repairDoc(id string) bool {
+// fold is the tier's one mining step, shared by ingest, the mine-debt
+// drain and recovery: view the stored document, analyze it, annotate
+// the entity only if it carries no sentiment annotations yet (a crash
+// may have landed the annotate without the checkpoint), and return the
+// dated facts for the aggregate publish. A refused annotate (degraded
+// store) is recorded as annotation debt and returned as the error; the
+// facts are still valid. found is false when the store no longer holds
+// the document.
+//
+// settled selects the annotation-debt retry: the document's facts are
+// already in the sentiment index and the aggregates, so they are
+// re-derived from the text (the analyzer is deterministic) without
+// being indexed again, and the caller drops them.
+func (t *ServingTier) fold(id string, settled bool) (facts []serve.Fact, found bool, err error) {
 	var text, date string
 	annotated := false
 	st := t.p.internalStore()
-	ok := st.View(id, func(e *store.Entity) {
+	found = st.View(id, func(e *store.Entity) {
 		text, date = e.Text, e.Date
 		annotated = len(e.AnnotationsBy(MinerName)) > 0
 	})
-	if !ok {
-		return false
+	delete(t.pendingAnn, id)
+	if !found {
+		return nil, false, nil
 	}
-	mined := t.m.MineDocument(id, text)
-	t.mined[id] = struct{}{}
+	var mined []SubjectSentiment
+	if settled {
+		mined = t.m.analyzeEntity(id, text)
+	} else {
+		mined = t.m.MineDocument(id, text)
+		t.mined[id] = struct{}{}
+	}
 	if len(mined) > 0 && !annotated {
-		if _, err := st.Annotate(id, annotationsOf(mined)); err != nil {
+		if _, aerr := st.Annotate(id, annotationsOf(mined)); aerr != nil {
 			t.pendingAnn[id] = struct{}{}
+			err = fmt.Errorf("webfountain: serving annotate %s: %w", id, aerr)
 		}
 	}
-	t.agg.Apply(datedFacts(mined, date))
-	return true
-}
-
-// settleAnnotations retries the annotation debt: documents whose facts
-// are already folded in but whose entity annotation was refused by a
-// degraded store. The facts are re-derived from the text (the analyzer
-// is deterministic) without touching the sentiment index again.
-func (t *ServingTier) settleAnnotations() {
-	st := t.p.internalStore()
-	for _, id := range sortedSet(t.pendingAnn) {
-		var text string
-		annotated := false
-		ok := st.View(id, func(e *store.Entity) {
-			text = e.Text
-			annotated = len(e.AnnotationsBy(MinerName)) > 0
-		})
-		if !ok || annotated {
-			delete(t.pendingAnn, id)
-			continue
-		}
-		facts := t.m.analyzeEntity(id, text)
-		if len(facts) == 0 {
-			delete(t.pendingAnn, id)
-			continue
-		}
-		if _, err := st.Annotate(id, annotationsOf(facts)); err == nil {
-			delete(t.pendingAnn, id)
-		}
-	}
+	return datedFacts(mined, date), true, err
 }
 
 // Checkpoint persists the tier's current state — aggregate table,
@@ -407,19 +399,13 @@ func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, i
 
 	// Drain the mine-debt of a previous deadline-aborted batch first:
 	// those documents are durably acked, their facts ride this publish.
-	if n := len(t.pendingMine); n > 0 {
-		debt := t.pendingMine
-		t.pendingMine = nil
-		for _, id := range debt {
-			var text, date string
-			if !t.p.internalStore().View(id, func(e *store.Entity) { text, date = e.Text, e.Date }) {
-				continue
-			}
-			fs, err := t.mineDoc(id, text, date)
-			facts = append(facts, fs...)
-			if err != nil {
-				errs = append(errs, err)
-			}
+	debt := t.pendingMine
+	t.pendingMine = nil
+	for _, id := range debt {
+		fs, _, err := t.fold(id, false)
+		facts = append(facts, fs...)
+		if err != nil {
+			errs = append(errs, err)
 		}
 	}
 
@@ -443,7 +429,7 @@ func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, i
 				len(ids)-i, len(ids), cerr))
 			break
 		}
-		fs, err := t.mineDoc(id, batch[i].Text, batch[i].Date)
+		fs, _, err := t.fold(id, false)
 		facts = append(facts, fs...)
 		if err != nil {
 			errs = append(errs, err)
@@ -466,23 +452,6 @@ func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, i
 		}
 	}
 	return ids, len(facts), errors.Join(errs...)
-}
-
-// mineDoc mines one stored document into the sentiment index, records
-// it behind the watermark, annotates the entity (recording an
-// annotation debt when the store refuses) and returns the dated facts
-// for the aggregate publish.
-func (t *ServingTier) mineDoc(id, text, date string) ([]serve.Fact, error) {
-	mined := t.m.MineDocument(id, text)
-	t.mined[id] = struct{}{}
-	if len(mined) == 0 {
-		return nil, nil
-	}
-	if _, err := t.p.internalStore().Annotate(id, annotationsOf(mined)); err != nil {
-		t.pendingAnn[id] = struct{}{}
-		return datedFacts(mined, date), fmt.Errorf("webfountain: serving annotate %s: %w", id, err)
-	}
-	return datedFacts(mined, date), nil
 }
 
 // annotationsOf converts mined facts to the store annotations the

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"webfountain/internal/durable"
+	"webfountain/internal/faults"
 	"webfountain/internal/serve"
 	"webfountain/internal/store"
 )
@@ -16,7 +18,7 @@ import (
 // — a content-addressed disk fault, so the failing document is chosen
 // by the test, not by record framing details.
 type markerFailWAL struct {
-	store.WALFile
+	durable.File
 	marker []byte
 }
 
@@ -24,14 +26,14 @@ func (w *markerFailWAL) Write(p []byte) (int, error) {
 	if bytes.Contains(p, w.marker) {
 		return 0, errors.New("injected disk failure")
 	}
-	return w.WALFile.Write(p)
+	return w.File.Write(p)
 }
 
 // durableServingFixture opens a durable single-worker platform over dir
 // (optionally with a WAL wrapper) plus a fresh miner and tier config.
-func durableServingFixture(t *testing.T, dir string, wrap func(store.WALFile) store.WALFile, cfg ServingTierConfig) (*Platform, *SentimentMiner, *ServingTier, ServingRecovery) {
+func durableServingFixture(t *testing.T, dir string, wrap durable.Wrap, cfg ServingTierConfig) (*Platform, *SentimentMiner, *ServingTier, ServingRecovery) {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{Shards: 4, WrapWAL: wrap})
+	st, err := store.Open(dir, store.Options{Shards: 4, WrapFile: wrap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +57,8 @@ func durableServingFixture(t *testing.T, dir string, wrap func(store.WALFile) st
 // is reported joined rather than first-wins.
 func TestServingTierIngestPartialFailurePrefix(t *testing.T) {
 	dir := t.TempDir()
-	wrap := func(w store.WALFile) store.WALFile {
-		return &markerFailWAL{WALFile: w, marker: []byte("KABOOM")}
+	wrap := func(w durable.File) durable.File {
+		return &markerFailWAL{File: w, marker: []byte("KABOOM")}
 	}
 	_, m, tier, _ := durableServingFixture(t, dir, wrap, ServingTierConfig{})
 
@@ -267,6 +269,65 @@ func TestServingTierCheckpointRestartRoundTrip(t *testing.T) {
 	}
 	if got := tier2.Entries(context.Background(), "ZV500"); len(got) != 2 {
 		t.Errorf("ZV500 entries after restart: %d, want 2", len(got))
+	}
+}
+
+// TestServingTierCheckpointSyncFailureKeepsPreviousGeneration: an fsync
+// failure injected on the checkpoint temp file fails that checkpoint
+// without publishing it — the previous generation stays the newest
+// loadable one, no temp file is left, the store is not degraded — and
+// the tier keeps ingesting and serving, then checkpoints again once the
+// disk recovers.
+func TestServingTierCheckpointSyncFailureKeepsPreviousGeneration(t *testing.T) {
+	dataDir, ckptDir := t.TempDir(), t.TempDir()
+	in := faults.New(faults.Config{Seed: 1, SyncFailRate: 1})
+	failing := false
+	cfg := ServingTierConfig{CheckpointDir: ckptDir, WrapCheckpoint: func(f durable.File) durable.File {
+		if failing {
+			return in.File(f)
+		}
+		return f
+	}}
+	p, _, tier, _ := durableServingFixture(t, dataDir, nil, cfg)
+	ingest := func(d serve.Doc) {
+		t.Helper()
+		if _, _, err := tier.Ingest(context.Background(), []serve.Doc{d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(serve.Doc{ID: "d1", Date: "2003-01-05", Text: "The NR70 takes excellent pictures."})
+	if err := tier.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	goodGen := tier.View().Generation()
+
+	failing = true
+	ingest(serve.Doc{ID: "d2", Date: "2003-02-10", Text: "The CLIE disappointed every reviewer."})
+	if err := tier.Checkpoint(); err == nil {
+		t.Fatal("checkpoint through a failing fsync reported success")
+	}
+	if got := in.Stats().SyncFailures; got != 1 {
+		t.Fatalf("%d injected sync failures, want exactly the checkpoint's one", got)
+	}
+	ck, quarantined, err := serve.LoadCheckpoint(ckptDir)
+	if err != nil || quarantined != 0 || ck == nil || ck.View.Generation() != goodGen {
+		t.Fatalf("after the failed checkpoint: loaded %v (quarantined %d, err %v), want generation %d", ck, quarantined, err, goodGen)
+	}
+	assertNoTempFiles(t, ckptDir)
+	if deg, reason := p.Degraded(); deg {
+		t.Fatalf("a checkpoint fault degraded the store: %s", reason)
+	}
+	if got := tier.Entries(context.Background(), "CLIE"); len(got) != 1 {
+		t.Errorf("CLIE entries while checkpoints fail: %d, want 1", len(got))
+	}
+
+	failing = false
+	ingest(serve.Doc{ID: "d3", Date: "2003-03-15", Text: "The ZV500 takes excellent pictures."})
+	if err := tier.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the disk recovered: %v", err)
+	}
+	if ck, _, err := serve.LoadCheckpoint(ckptDir); err != nil || ck == nil || ck.View.Generation() != tier.View().Generation() {
+		t.Fatalf("newest checkpoint %v (err %v), want the current generation %d", ck, err, tier.View().Generation())
 	}
 }
 

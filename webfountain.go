@@ -117,22 +117,12 @@ type PlatformConfig struct {
 	// IndexShards is the number of term-hashed inverted-index shards
 	// (default 16). More shards admit more concurrent ingest workers.
 	IndexShards int
-	// GroupCommit coalesces concurrent durable writes into shared WAL
-	// append+fsync batches: each write still returns only after its
-	// record is durable, but one fsync covers a whole batch. Only
-	// meaningful with DataDir; default off preserves the per-record
-	// sync policy. See store.Options.GroupCommit.
-	GroupCommit bool
-	// GroupCommitWindow bounds how long the first writer of a batch
-	// waits for more writers before committing (default 0: commit as
-	// soon as the previous batch's fsync finishes).
-	GroupCommitWindow time.Duration
 }
 
 // ConfigError reports a nonsensical PlatformConfig field value. Zero and
 // negative tuning fields are not errors — they clamp to defaults — but a
-// value that cannot mean anything (a negative sync cadence, group commit
-// without a data directory) is surfaced instead of silently ignored.
+// value that cannot mean anything (a negative sync cadence) is surfaced
+// instead of silently ignored.
 type ConfigError struct {
 	// Field names the offending PlatformConfig field.
 	Field string
@@ -178,12 +168,6 @@ func (cfg PlatformConfig) Validate() error {
 	if cfg.EntityTimeout < 0 {
 		return &ConfigError{Field: "EntityTimeout", Value: cfg.EntityTimeout, Reason: "negative timeout"}
 	}
-	if cfg.GroupCommitWindow < 0 {
-		return &ConfigError{Field: "GroupCommitWindow", Value: cfg.GroupCommitWindow, Reason: "negative window"}
-	}
-	if cfg.GroupCommit && cfg.DataDir == "" {
-		return &ConfigError{Field: "GroupCommit", Value: true, Reason: "group commit needs DataDir (nothing to commit without a write-ahead log)"}
-	}
 	return nil
 }
 
@@ -223,11 +207,9 @@ func OpenPlatform(cfg PlatformConfig) (*Platform, error) {
 	}
 	cfg = cfg.normalized()
 	st, err := store.Open(cfg.DataDir, store.Options{
-		Shards:            cfg.Shards,
-		SyncEvery:         cfg.SyncEvery,
-		CompactEvery:      cfg.CompactEvery,
-		GroupCommit:       cfg.GroupCommit,
-		GroupCommitWindow: cfg.GroupCommitWindow,
+		Shards:       cfg.Shards,
+		SyncEvery:    cfg.SyncEvery,
+		CompactEvery: cfg.CompactEvery,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("webfountain: open platform: %w", err)
