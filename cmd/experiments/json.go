@@ -2,8 +2,7 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
+	"io"
 
 	"webfountain/internal/corpus"
 	"webfountain/internal/eval"
@@ -29,8 +28,8 @@ type jsonTable3 struct {
 	Ratio       float64 `json:"ratio"`
 }
 
-// runJSON executes every experiment and emits one JSON document on stdout.
-func (e experiments) runJSON() {
+// runJSON executes every experiment and emits one JSON document on w.
+func (e experiments) runJSON(w io.Writer) error {
 	rep := jsonReport{
 		Seed:             e.seed,
 		FeaturePrecision: map[string]float64{},
@@ -71,10 +70,7 @@ func (e experiments) runJSON() {
 	rep.Table5 = eval.Table5(e.seed, e.webDocs, e.newsDocs)
 	rep.Satisfaction = eval.Satisfaction(e.seed, e.cameraDocs, 7, []string{"picture quality", "battery", "flash"})
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "encode:", err)
-		os.Exit(1)
-	}
+	return enc.Encode(rep)
 }

@@ -29,14 +29,7 @@ func main() {
 	seed := flag.Int64("seed", eval.DefaultSeed, "corpus generation seed")
 	flag.Parse()
 
-	e := experiments{
-		seed:       *seed,
-		cameraDocs: scaled(eval.PaperCameraDocs, *scale),
-		musicDocs:  scaled(eval.PaperMusicDocs, *scale),
-		offTopic:   scaled(eval.PaperCameraOffTopic, *scale),
-		webDocs:    scaled(eval.DefaultWebDocs, *scale),
-		newsDocs:   scaled(eval.DefaultNewsDocs, *scale),
-	}
+	e := newExperiments(*seed, *scale)
 
 	all := map[string]func(){
 		"featureprec":  e.featurePrecision,
@@ -51,7 +44,10 @@ func main() {
 	order := []string{"featureprec", "table2", "table3", "table4", "table5", "satisfaction", "ablation", "bboard"}
 
 	if *run == "json" {
-		e.runJSON()
+		if err := e.runJSON(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "encode:", err)
+			os.Exit(1)
+		}
 		return
 	}
 	if *run == "all" {
@@ -66,6 +62,18 @@ func main() {
 		os.Exit(2)
 	}
 	fn()
+}
+
+// newExperiments sizes every corpus from the paper's dataset sizes.
+func newExperiments(seed int64, scale float64) experiments {
+	return experiments{
+		seed:       seed,
+		cameraDocs: scaled(eval.PaperCameraDocs, scale),
+		musicDocs:  scaled(eval.PaperMusicDocs, scale),
+		offTopic:   scaled(eval.PaperCameraOffTopic, scale),
+		webDocs:    scaled(eval.DefaultWebDocs, scale),
+		newsDocs:   scaled(eval.DefaultNewsDocs, scale),
+	}
 }
 
 func scaled(n int, f float64) int {

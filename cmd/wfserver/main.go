@@ -1,6 +1,6 @@
 // Command wfserver hosts the sentiment mining results as a Web service —
 // the equivalent of the WebFountain application server behind Figures 4
-// and 5 of the paper. It mines a generated corpus at startup and then
+// and 5 of the paper. It ingests a generated corpus at startup and then
 // serves it live: queries come off incrementally-maintained materialized
 // aggregates behind a bounded result cache, and new documents POSTed to
 // the ingest endpoint are mined online, with the cache invalidated on
@@ -185,43 +185,35 @@ func main() {
 	}
 }
 
-// boot assembles the mined platform and the serving tier. Without a
-// data dir the boot is the PR 9 in-memory path: generate, ingest and
-// batch-mine the corpus. With one, the corpus lives in the durable
-// store (seeded only when empty) and the tier recovers from its newest
-// checkpoint, re-mining only the documents past the watermark.
+// boot assembles the platform, the miner and the serving tier. The
+// tier is recovered first — from its newest checkpoint plus a repair of
+// whatever the durable store holds past the watermark; over an
+// in-memory platform or a fresh data dir that is an empty tier — and an
+// empty store is then seeded with the generated corpus through the
+// tier's own ingest, as one batch, so seed documents are mined and
+// annotated by the same step as live ones. A store that already holds
+// documents, or -docs 0, seeds nothing.
 func boot(corpusName string, docs int, seed int64, dataDir, checkpointDir string, checkpointEvery int) (
 	*webfountain.SentimentMiner, *webfountain.Platform, *webfountain.ServingTier, error) {
+	if dataDir == "" && checkpointDir != "" {
+		return nil, nil, nil, fmt.Errorf("-checkpoint-dir requires -data-dir: a checkpoint watermark is only meaningful against a durable doc set")
+	}
+	var platform *webfountain.Platform
 	if dataDir == "" {
-		if checkpointDir != "" {
-			return nil, nil, nil, fmt.Errorf("-checkpoint-dir requires -data-dir: a checkpoint watermark is only meaningful against a durable doc set")
-		}
-		miner, platform, facts, err := mine(corpusName, docs, seed)
-		if err != nil {
+		platform = webfountain.NewPlatform(webfountain.PlatformConfig{})
+	} else {
+		var err error
+		if platform, err = webfountain.OpenPlatform(webfountain.PlatformConfig{DataDir: dataDir}); err != nil {
 			return nil, nil, nil, err
 		}
-		return miner, platform, webfountain.NewServingTier(platform, miner, facts), nil
 	}
-
-	platform, err := webfountain.OpenPlatform(webfountain.PlatformConfig{DataDir: dataDir})
-	if err != nil {
+	fail := func(err error) (*webfountain.SentimentMiner, *webfountain.Platform, *webfountain.ServingTier, error) {
+		platform.Close()
 		return nil, nil, nil, err
-	}
-	if platform.NumEntities() == 0 {
-		pub, err := buildCorpus(corpusName, docs, seed)
-		if err != nil {
-			platform.Close()
-			return nil, nil, nil, err
-		}
-		if _, err := platform.Ingest(pub); err != nil {
-			platform.Close()
-			return nil, nil, nil, err
-		}
 	}
 	miner, err := webfountain.NewSentimentMiner(webfountain.MinerConfig{})
 	if err != nil {
-		platform.Close()
-		return nil, nil, nil, err
+		return fail(err)
 	}
 	start := time.Now()
 	tier, rec, err := webfountain.RecoverServingTier(platform, miner, webfountain.ServingTierConfig{
@@ -229,12 +221,22 @@ func boot(corpusName string, docs int, seed int64, dataDir, checkpointDir string
 		CheckpointEvery: checkpointEvery,
 	})
 	if err != nil {
-		platform.Close()
-		return nil, nil, nil, err
+		return fail(err)
 	}
 	log.Printf("serving recovery: checkpoint=%v gen=%d quarantined=%d repaired=%d docs in %v",
 		rec.CheckpointLoaded, rec.CheckpointGen, rec.Quarantined, rec.RepairedDocs,
 		time.Since(start).Round(time.Millisecond))
+	if platform.NumEntities() == 0 {
+		seedDocs, err := buildCorpus(corpusName, docs, seed)
+		if err != nil {
+			return fail(err)
+		}
+		if len(seedDocs) > 0 {
+			if _, _, err := tier.Ingest(context.Background(), seedDocs); err != nil {
+				return fail(err)
+			}
+		}
+	}
 	return miner, platform, tier, nil
 }
 
@@ -293,7 +295,7 @@ func newMux(miner *webfountain.SentimentMiner, platform *webfountain.Platform,
 }
 
 // buildCorpus generates the named corpus as ingestable documents.
-func buildCorpus(corpusName string, docs int, seed int64) ([]webfountain.Document, error) {
+func buildCorpus(corpusName string, docs int, seed int64) ([]serve.Doc, error) {
 	var generated []corpus.Document
 	switch corpusName {
 	case "camera":
@@ -309,9 +311,9 @@ func buildCorpus(corpusName string, docs int, seed int64) ([]webfountain.Documen
 	default:
 		return nil, fmt.Errorf("unknown corpus %q", corpusName)
 	}
-	pub := make([]webfountain.Document, len(generated))
+	pub := make([]serve.Doc, len(generated))
 	for i := range generated {
-		pub[i] = webfountain.Document{
+		pub[i] = serve.Doc{
 			ID: generated[i].ID, Source: generated[i].Source,
 			Title: generated[i].Title, Text: generated[i].Text(),
 			// The date used to be dropped here, leaving the trend
@@ -320,28 +322,4 @@ func buildCorpus(corpusName string, docs int, seed int64) ([]webfountain.Documen
 		}
 	}
 	return pub, nil
-}
-
-// mine generates, ingests and mines the corpus in memory, returning the
-// loaded miner, the platform and the extracted facts (which seed the
-// serving tier's materialized aggregates) — the boot path when no data
-// directory is configured.
-func mine(corpusName string, docs int, seed int64) (*webfountain.SentimentMiner, *webfountain.Platform, []webfountain.SubjectSentiment, error) {
-	pub, err := buildCorpus(corpusName, docs, seed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	platform := webfountain.NewPlatform(webfountain.PlatformConfig{})
-	if _, err := platform.Ingest(pub); err != nil {
-		return nil, nil, nil, err
-	}
-	miner, err := webfountain.NewSentimentMiner(webfountain.MinerConfig{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	facts, err := miner.Run(platform)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return miner, platform, facts, nil
 }

@@ -24,24 +24,14 @@ type degradable struct {
 
 func (d *degradable) Degraded() (bool, string) { return d.degraded, d.reason }
 
-func testBackend(t *testing.T) *degradable {
-	t.Helper()
-	miner, platform, facts, err := mine("pharma", 25, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { platform.Close() })
-	return &degradable{ServingTier: webfountain.NewServingTier(platform, miner, facts)}
-}
-
 func testServerCfg(t *testing.T, cfg serve.GatewayConfig) (*httptest.Server, *degradable) {
 	t.Helper()
-	miner, platform, facts, err := mine("pharma", 25, 3)
+	miner, platform, tier, err := boot("pharma", 25, 3, "", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { platform.Close() })
-	backend := &degradable{ServingTier: webfountain.NewServingTier(platform, miner, facts)}
+	backend := &degradable{ServingTier: tier}
 	srv := httptest.NewServer(newMux(miner, platform, backend, cfg))
 	t.Cleanup(srv.Close)
 	return srv, backend
@@ -81,9 +71,60 @@ func getCached(t *testing.T, url string) (int, string, string) {
 	return resp.StatusCode, string(body), resp.Header.Get("X-Cache")
 }
 
-func TestMineRejectsUnknownCorpus(t *testing.T) {
-	if _, _, _, err := mine("bogus", 5, 1); err == nil {
+func TestBootRejectsUnknownCorpus(t *testing.T) {
+	if _, _, _, err := boot("bogus", 5, 1, "", "", 0); err == nil {
 		t.Error("unknown corpus should fail")
+	}
+}
+
+// TestBootSeedsFreshDurableStoreThroughTier: the first durable boot
+// recovers an empty tier and then ingests the seed corpus through it —
+// one batch, one publish, every entity annotated by the ingest step,
+// nothing left for the repair path — and a restart over the same
+// directories seeds nothing and lands on the same aggregates. -docs 0
+// (the benchmark's flags) is a no-op: no publish, no generation.
+func TestBootSeedsFreshDurableStoreThroughTier(t *testing.T) {
+	dataDir, ckptDir := t.TempDir(), t.TempDir()
+	_, platform, tier, err := boot("pharma", 25, 3, dataDir, ckptDir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := tier.View()
+	if platform.NumEntities() != 25 || v.Generation() != 1 || v.Facts() == 0 {
+		t.Fatalf("seeded boot: %d docs, generation %d, %d facts; want 25 docs in one publish",
+			platform.NumEntities(), v.Generation(), v.Facts())
+	}
+	_, memory, memTier, err := boot("pharma", 25, 3, "", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer memory.Close()
+	if got, want := v.Fingerprint(), memTier.View().Fingerprint(); got != want {
+		t.Errorf("durable and in-memory boots of one corpus disagree: %s != %s", got, want)
+	}
+	// Crash (no tier.Close): the seed batch's cadence checkpoint covers it.
+	if err := platform.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, platform2, tier2, err := boot("camera", 99, 4, dataDir, ckptDir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer platform2.Close()
+	v2 := tier2.View()
+	if platform2.NumEntities() != 25 || v2.Generation() != 1 || v2.Fingerprint() != v.Fingerprint() {
+		t.Errorf("restart: %d docs, generation %d, fingerprint match %v; want the seeded state untouched",
+			platform2.NumEntities(), v2.Generation(), v2.Fingerprint() == v.Fingerprint())
+	}
+
+	_, empty, emptyTier, err := boot("pharma", 0, 3, t.TempDir(), t.TempDir(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer empty.Close()
+	if g := emptyTier.View().Generation(); empty.NumEntities() != 0 || g != 0 {
+		t.Errorf("-docs 0 boot: %d docs, generation %d; want an untouched empty tier", empty.NumEntities(), g)
 	}
 }
 

@@ -48,10 +48,6 @@ type Checkpoint struct {
 	// MinedDocs are the IDs of every document whose facts are folded
 	// into View and Entries — the recovery watermark. Sorted.
 	MinedDocs []string
-	// PendingAnnotate are IDs whose facts are folded in but whose
-	// entity annotations were refused (degraded store) — an annotation
-	// debt recovery settles once the store is writable again. Sorted.
-	PendingAnnotate []string
 }
 
 // encode serializes the checkpoint: header, body, CRC trailer.
@@ -72,7 +68,10 @@ func (ck *Checkpoint) encode() []byte {
 		putString(&b, e.Feature)
 	}
 	putStrings(&b, ck.MinedDocs)
-	putStrings(&b, ck.PendingAnnotate)
+	// The v1 layout ends with a second ID list (an annotation-debt list
+	// no writer fills any more); it stays, empty, so the bytes of a
+	// checkpoint and the version do not change.
+	putStrings(&b, nil)
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(b.Bytes()))
 	b.Write(crc[:])
@@ -115,7 +114,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		}
 	}
 	ck.MinedDocs = d.strings()
-	ck.PendingAnnotate = d.strings()
+	d.strings() // the retired debt list: ignored in files that carry one
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,8 +37,7 @@ func testCheckpoint(batches int) *Checkpoint {
 			{Subject: "CLIE", Polarity: "-", Doc: "d2", Sentence: 0, Snippet: "the CLIE disappointed", Feature: ""},
 			{Subject: "NR70", Polarity: "+", Doc: "d1", Sentence: 1, Snippet: "takes excellent pictures", Feature: "pictures"},
 		},
-		MinedDocs:       []string{"d1", "d2"},
-		PendingAnnotate: []string{"d2"},
+		MinedDocs: []string{"d1", "d2"},
 	}
 }
 
@@ -83,9 +84,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.MinedDocs, ck.MinedDocs) {
 		t.Errorf("mined docs %v, want %v", got.MinedDocs, ck.MinedDocs)
 	}
-	if !reflect.DeepEqual(got.PendingAnnotate, ck.PendingAnnotate) {
-		t.Errorf("pending annotate %v, want %v", got.PendingAnnotate, ck.PendingAnnotate)
-	}
 	// The restored view must answer queries like the original.
 	for _, s := range ck.View.Subjects() {
 		if got.View.Counts(s) != ck.View.Counts(s) {
@@ -97,6 +95,32 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.View.Aspects(s), ck.View.Aspects(s)) {
 			t.Errorf("%s: aspects mismatch", s)
 		}
+	}
+}
+
+// TestCheckpointOldDebtListIgnored: a v1 file written while the trailing
+// list still carried annotation debt loads, and decodes to the same
+// checkpoint as one written today — the list's position stays, its
+// contents are dropped.
+func TestCheckpointOldDebtListIgnored(t *testing.T) {
+	ck := testCheckpoint(2)
+	now := ck.encode()
+	if now[len(now)-5] != 0 {
+		t.Fatalf("encoded checkpoint does not end in an empty list before its CRC")
+	}
+	old := append([]byte(nil), now[:len(now)-5]...)
+	old = append(old, 1, 2, 'd', '2') // one ID, "d2"
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+	got, err := decodeCheckpoint(old)
+	if err != nil {
+		t.Fatalf("old-layout checkpoint rejected: %v", err)
+	}
+	want, err := decodeCheckpoint(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("old-layout checkpoint decodes to %+v, want %+v", got, want)
 	}
 }
 

@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -48,6 +53,57 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			if !reflect.DeepEqual(ck, again) {
 				t.Fatalf("round trip changed the checkpoint:\n got %+v\nwant %+v", again, ck)
 			}
+		}
+	})
+}
+
+// countingBackend records what the gateway hands to Ingest.
+type countingBackend struct {
+	*fakeBackend
+	emptyBatches int
+}
+
+func (b *countingBackend) Ingest(ctx context.Context, docs []Doc) ([]string, int, error) {
+	if len(docs) == 0 {
+		b.emptyBatches++
+	}
+	return b.fakeBackend.Ingest(ctx, docs)
+}
+
+// FuzzGatewayIngestBody: POST /api/ingest decodes whatever bytes a
+// client sends. Arbitrary input must never panic a handler, must be
+// answered 200, 400 or 413 and nothing else, and must never reach the
+// backend as an empty batch.
+func FuzzGatewayIngestBody(f *testing.F) {
+	f.Add([]byte(`{"docs":[{"id":"d1","title":"NR70","date":"2004-03-02","text":"The NR70 takes excellent pictures."}]}`))
+	f.Add([]byte(`{"docs":[]}`))
+	f.Add([]byte(`{"docs":null}`))
+	f.Add([]byte(`{"docs":[{}]}`))
+	f.Add([]byte(`{"docs":[{"text":1}]}`))
+	f.Add([]byte(`{"docs":[{"text":"a"}]} trailing`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`{`))
+	f.Add([]byte{})
+	f.Add([]byte(`{"docs":[{"text":"` + strings.Repeat("x", 600) + `"}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		b := &countingBackend{fakeBackend: newFakeBackend()}
+		g := NewGateway(b, GatewayConfig{MaxIngestBytes: 512, TenantRate: 1e9, TenantBurst: 1 << 30})
+		panics := gwPanics.Value()
+		w := httptest.NewRecorder()
+		g.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/ingest", bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("status %d for body %q", w.Code, body)
+		}
+		if got := gwPanics.Value() - panics; got != 0 {
+			t.Fatalf("handler panicked on body %q", body)
+		}
+		if b.emptyBatches != 0 {
+			t.Fatalf("backend saw an empty batch for body %q", body)
+		}
+		if (w.Code == http.StatusOK) != (b.ingests == 1) {
+			t.Fatalf("status %d with %d backend ingests for body %q", w.Code, b.ingests, body)
 		}
 	})
 }

@@ -52,10 +52,11 @@ type Backend interface {
 	Entries(ctx context.Context, subject string) []Entry
 	// Ingest stores, indexes and mines new documents online, folds the
 	// extracted facts into the aggregates and bumps the generation. It
-	// returns the assigned IDs and the number of facts mined. The
-	// context carries the request deadline: a batch whose deadline
-	// expires mid-mine keeps its durably-acked prefix and reports
-	// context.DeadlineExceeded for the rest.
+	// returns the assigned IDs and the number of facts mined. A batch
+	// cut short — the context's request deadline expired, the store
+	// refused a write — returns the prefix that is stored, mined and
+	// visible together with the error (context.DeadlineExceeded for a
+	// deadline); the rest of the batch is the client's to resend.
 	Ingest(ctx context.Context, docs []Doc) (ids []string, facts int, err error)
 	// Degraded reports the store's degraded read-only mode.
 	Degraded() (bool, string)
@@ -363,24 +364,24 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ids, facts, err := g.backend.Ingest(r.Context(), req.Docs)
-	if err != nil {
-		// A deadline that expired mid-batch is not a server fault: the
-		// acked prefix is durable and will be mined; tell the client
-		// which documents made it.
-		if errors.Is(err, context.DeadlineExceeded) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusGatewayTimeout)
-			json.NewEncoder(w).Encode(struct {
-				Error string   `json:"error"`
-				IDs   []string `json:"ids"`
-			}{err.Error(), ids})
-			return
-		}
-		jsonError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	gwIngested.Add(int64(len(ids)))
 	w.Header().Set("Content-Type", "application/json")
+	if err != nil {
+		// A batch cut short still acked a prefix: those documents are
+		// stored, mined and visible, so the body names them and the
+		// client resends only the rest. An expired deadline is not a
+		// server fault (504); anything else is (500).
+		status := http.StatusInternalServerError
+		if errors.Is(err, context.DeadlineExceeded) {
+			status = http.StatusGatewayTimeout
+		}
+		w.WriteHeader(status)
+		json.NewEncoder(w).Encode(struct {
+			Error string   `json:"error"`
+			IDs   []string `json:"ids,omitempty"`
+		}{err.Error(), ids})
+		return
+	}
 	json.NewEncoder(w).Encode(struct {
 		IDs        []string `json:"ids"`
 		Facts      int      `json:"facts"`

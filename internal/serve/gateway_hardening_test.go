@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -102,7 +104,7 @@ func TestGatewayIngestBodyLimit(t *testing.T) {
 }
 
 // deadlineBackend blocks Ingest until the request deadline fires, then
-// reports a durably-acked prefix with a DeadlineExceeded error — the
+// reports an acked prefix with a DeadlineExceeded error — the
 // ServingTier mid-batch-expiry shape.
 type deadlineBackend struct {
 	*fakeBackend
@@ -114,7 +116,7 @@ func (b *deadlineBackend) Ingest(ctx context.Context, docs []Doc) ([]string, int
 		b.sawDeadline = true
 	}
 	<-ctx.Done()
-	return []string{"acked-1"}, 0, fmt.Errorf("mine deferred: %w", ctx.Err())
+	return []string{"acked-1"}, 0, fmt.Errorf("ingest stopped: %w", ctx.Err())
 }
 
 // TestGatewayDeadlinePropagatesToIngest: RequestTimeout installs a
@@ -144,10 +146,75 @@ func TestGatewayDeadlinePropagatesToIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(out.IDs) != 1 || out.IDs[0] != "acked-1" {
-		t.Errorf("504 body ids %v, want the durably-acked prefix [acked-1]", out.IDs)
+		t.Errorf("504 body ids %v, want the acked prefix [acked-1]", out.IDs)
 	}
 	if out.Error == "" {
 		t.Error("504 body carries no error description")
+	}
+}
+
+// cutBackend acks a fixed prefix and fails the rest of the batch with
+// err — a batch cut short by a store fault or an expired deadline.
+type cutBackend struct {
+	*fakeBackend
+	acked []string
+	err   error
+}
+
+func (b *cutBackend) Ingest(context.Context, []Doc) ([]string, int, error) {
+	return b.acked, len(b.acked), b.err
+}
+
+// TestGatewayIngestErrorCarriesAckedPrefix: whatever cut the batch, the
+// error response names the documents that were acked and the ingest
+// counter counts them — a client that cannot see the prefix resends the
+// whole batch. (A bare 500 used to drop the prefix, and neither error
+// path counted it.)
+func TestGatewayIngestErrorCarriesAckedPrefix(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		acked  []string
+		err    error
+		status int
+	}{
+		{"store fault", []string{"d1", "d2"}, errors.New("ingest d3: injected disk failure"), http.StatusInternalServerError},
+		{"deadline", []string{"d1", "d2"}, fmt.Errorf("ingest stopped before d3: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
+		{"nothing acked", nil, errors.New("ingest d1: injected disk failure"), http.StatusInternalServerError},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := testGateway(t, &cutBackend{fakeBackend: newFakeBackend(), acked: c.acked, err: c.err}, GatewayConfig{})
+			before := gwIngested.Value()
+			resp, err := http.Post(srv.URL+"/api/ingest", "application/json",
+				strings.NewReader(`{"docs":[{"id":"d1","text":"a"},{"id":"d2","text":"b"},{"id":"d3","text":"c"},{"id":"d4","text":"d"}]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != c.status {
+				t.Fatalf("status %d, want %d", resp.StatusCode, c.status)
+			}
+			var out map[string]json.RawMessage
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			if len(out["error"]) == 0 {
+				t.Error("error response carries no error description")
+			}
+			var ids []string
+			if raw, ok := out["ids"]; ok != (len(c.acked) > 0) {
+				t.Errorf("body has ids = %v with %d acked", ok, len(c.acked))
+			} else if ok {
+				if err := json.Unmarshal(raw, &ids); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(ids, c.acked) {
+				t.Errorf("body ids %v, want the acked prefix %v", ids, c.acked)
+			}
+			if got := gwIngested.Value() - before; got != int64(len(c.acked)) {
+				t.Errorf("serve.gateway.ingest.docs moved by %d, want %d", got, len(c.acked))
+			}
+		})
 	}
 }
 

@@ -133,7 +133,7 @@ type SentimentMiner struct {
 // starts the next document. Stages therefore always finish consuming a
 // buffer before the stage that owns it runs again.
 type pipelineArena struct {
-	tokens []tokenize.Token    // whole-document token stream
+	tokens []tokenize.Token    // whole-document token stream, when the caller brought none
 	sents  []tokenize.Sentence // subslice views over tokens
 	spots  []spotter.Spot      // raw spotter output, one sentence at a time
 	keep   []spotter.Spot      // maximal() survivors
@@ -214,24 +214,30 @@ func NewSentimentMiner(cfg MinerConfig) (*SentimentMiner, error) {
 // the query-time mode it reports sentiment for named entities and for
 // whatever phrase each sentiment associates with.
 func (m *SentimentMiner) AnalyzeText(text string) []SubjectSentiment {
-	return m.analyzeEntity("", text)
+	return m.analyzeEntity("", text, nil)
 }
 
 // analyzeEntity extracts the (subject, sentiment) facts of one document,
-// stamping the trip through the pipeline stages into the registry. The
-// document is tokenized exactly once; sentences are subslice views over
-// the arena's token buffer, shared by every downstream stage.
-func (m *SentimentMiner) analyzeEntity(docID, text string) []SubjectSentiment {
+// stamping the trip through the pipeline stages into the registry. toks
+// is the document's token stream when the caller already has it (the
+// ingest step, which tokenized the text for the inverted index); nil
+// makes the analyzer tokenize into its arena. Either way the document
+// is tokenized exactly once, and sentences are subslice views over that
+// one token slice, shared by every downstream stage.
+func (m *SentimentMiner) analyzeEntity(docID, text string, toks []tokenize.Token) []SubjectSentiment {
 	a := m.arena()
 	defer m.arenas.Put(a)
 	doc := docPipelineNs.Start()
 	tok := stageTokenize.Start()
-	a.tokens = m.tk.AppendTokens(a.tokens[:0], text)
-	a.sents = m.tk.AppendSentences(a.sents[:0], a.tokens)
+	if toks == nil {
+		a.tokens = m.tk.AppendTokens(a.tokens[:0], text)
+		toks = a.tokens
+	}
+	a.sents = m.tk.AppendSentences(a.sents[:0], toks)
 	tok.End()
 	var out []SubjectSentiment
 	if m.spot != nil {
-		out = m.mineWithSubjects(a, docID, text)
+		out = m.mineWithSubjects(a, toks, docID, text)
 	} else {
 		out = m.mineEntities(a, docID, text)
 	}
@@ -243,7 +249,7 @@ func (m *SentimentMiner) analyzeEntity(docID, text string) []SubjectSentiment {
 
 // mineWithSubjects is mode 1: spot subjects, disambiguate, build a
 // sentiment context per spot and analyze it.
-func (m *SentimentMiner) mineWithSubjects(a *pipelineArena, docID, text string) []SubjectSentiment {
+func (m *SentimentMiner) mineWithSubjects(a *pipelineArena, toks []tokenize.Token, docID, text string) []SubjectSentiment {
 	var out []SubjectSentiment
 	// Sentences partition the document token stream, so a running offset
 	// turns sentence-local token indices into document-level ones for the
@@ -269,7 +275,7 @@ func (m *SentimentMiner) mineWithSubjects(a *pipelineArena, docID, text string) 
 					SetID: sp.SetID, Term: sp.Term,
 					Start: sentOffset + sp.Start, End: sentOffset + sp.End,
 				}
-				kept := d.Filter(a.tokens, a.one[:])
+				kept := d.Filter(toks, a.one[:])
 				dspan.End()
 				if len(kept) == 0 {
 					continue
@@ -381,21 +387,12 @@ func (m *SentimentMiner) Run(p *Platform) ([]SubjectSentiment, error) {
 	miner := cluster.MinerFunc{
 		MinerName: MinerName,
 		Fn: func(e *store.Entity) ([]store.Annotation, error) {
-			facts := m.analyzeEntity(e.ID, e.Text)
+			facts := m.analyzeEntity(e.ID, e.Text, nil)
 			if len(facts) == 0 {
 				return nil, nil
 			}
 			collect <- facts
-			anns := make([]store.Annotation, 0, len(facts))
-			for _, f := range facts {
-				anns = append(anns, store.Annotation{
-					Type:     "polarity",
-					Key:      f.Subject,
-					Value:    f.Polarity.String(),
-					Sentence: f.Sentence,
-				})
-			}
-			return anns, nil
+			return annotationsOf(facts), nil
 		},
 	}
 	_, err := p.internalCluster().RunEntityMiner(miner)
@@ -432,26 +429,28 @@ func (m *SentimentMiner) Run(p *Platform) ([]SubjectSentiment, error) {
 		}
 		return a.Snippet < b.Snippet
 	})
-	for _, f := range mu.facts {
-		m.sidx.Add(index.SentimentEntry{
-			DocID:    f.DocID,
-			Sentence: f.Sentence,
-			Subject:  f.Subject,
-			Polarity: int(f.Polarity),
-			Snippet:  f.Snippet,
-			Feature:  f.Feature,
-		})
-	}
+	m.indexFacts(mu.facts)
 	return mu.facts, nil
 }
 
-// MineDocument runs the pipeline over one already-ingested document and
-// folds the extracted facts into the query-time sentiment index — the
-// online counterpart of Run for the live serving tier, where documents
-// are mined as they arrive instead of in a corpus-wide batch. Safe for
-// concurrent use.
-func (m *SentimentMiner) MineDocument(docID, text string) []SubjectSentiment {
-	facts := m.analyzeEntity(docID, text)
+// annotationsOf converts mined facts to the store annotations the
+// offline trend miner consumes.
+func annotationsOf(facts []SubjectSentiment) []store.Annotation {
+	anns := make([]store.Annotation, 0, len(facts))
+	for _, f := range facts {
+		anns = append(anns, store.Annotation{
+			Miner:    MinerName,
+			Type:     "polarity",
+			Key:      f.Subject,
+			Value:    f.Polarity.String(),
+			Sentence: f.Sentence,
+		})
+	}
+	return anns
+}
+
+// indexFacts folds mined facts into the query-time sentiment index.
+func (m *SentimentMiner) indexFacts(facts []SubjectSentiment) {
 	for _, f := range facts {
 		m.sidx.Add(index.SentimentEntry{
 			DocID:    f.DocID,
@@ -462,6 +461,14 @@ func (m *SentimentMiner) MineDocument(docID, text string) []SubjectSentiment {
 			Feature:  f.Feature,
 		})
 	}
+}
+
+// MineDocument runs the pipeline over one document and folds the
+// extracted facts into the query-time sentiment index — Run for a single
+// document. Safe for concurrent use.
+func (m *SentimentMiner) MineDocument(docID, text string) []SubjectSentiment {
+	facts := m.analyzeEntity(docID, text, nil)
+	m.indexFacts(facts)
 	return facts
 }
 

@@ -13,6 +13,7 @@ import (
 	"webfountain/internal/metrics"
 	"webfountain/internal/serve"
 	"webfountain/internal/store"
+	"webfountain/internal/tokenize"
 )
 
 // Aliases re-exporting the serving tier's wire and config types, so
@@ -88,14 +89,19 @@ type ServingRecovery struct {
 // may see the previous snapshot — a staleness bound of exactly one
 // batch.
 //
+// Ingest contract: one step per document — stored, indexed, mined and
+// annotated before the next document is looked at — so an acked ID is
+// always fully served and an unacked one was never half-written by the
+// tier; there is no list of documents that owe a write.
+//
 // Durability contract: with a CheckpointDir configured, the tier
 // persists CRC-guarded checkpoints of the aggregate table, the
 // query-time sentiment entries and the mined-document watermark.
-// RecoverServingTier restores the newest valid checkpoint and re-mines
+// RecoverServingTier restores the newest valid checkpoint and mines
 // only the documents the durable store holds past the watermark, so a
-// crash between a durable Platform.Ingest ack and the aggregate
-// publish loses nothing: the missing documents are exactly the ones
-// past the watermark, and repair folds them in before the tier serves.
+// crash between a document's durable put and the aggregate publish
+// loses nothing: the missing documents are exactly the ones past the
+// watermark, and repair folds them in before the tier serves.
 type ServingTier struct {
 	mu  sync.Mutex // serializes ingest batches, repair and checkpoints
 	p   *Platform
@@ -107,24 +113,12 @@ type ServingTier struct {
 	// into the aggregates and the sentiment index — the recovery
 	// watermark a checkpoint persists.
 	mined map[string]struct{}
-	// pendingMine holds stored (durably acked) documents not yet
-	// mined: the suffix of a batch whose request deadline expired
-	// mid-mine. The next batch drains it; recovery repairs it.
-	pendingMine []string
-	// pendingAnn holds mined documents whose entity annotation was
-	// refused (degraded store) — an annotation debt settled by
-	// recovery once the store accepts writes again.
-	pendingAnn map[string]struct{}
 	// batches counts ingest batches since the last checkpoint.
 	batches int
 }
 
 func newServingTier(p *Platform, m *SentimentMiner, cfg ServingTierConfig) *ServingTier {
-	return &ServingTier{
-		p: p, m: m, agg: serve.NewAggregates(), cfg: cfg,
-		mined:      map[string]struct{}{},
-		pendingAnn: map[string]struct{}{},
-	}
+	return &ServingTier{p: p, m: m, agg: serve.NewAggregates(), cfg: cfg, mined: map[string]struct{}{}}
 }
 
 // NewServingTier builds the tier over a platform and a miner that has
@@ -148,10 +142,12 @@ func NewServingTier(p *Platform, m *SentimentMiner, facts []SubjectSentiment) *S
 // mining every document the store holds past the watermark — the
 // store's durable doc set is ground truth. Without a usable checkpoint
 // the same repair pass simply covers the whole corpus. Repair
-// annotates only documents that carry no sentiment annotations yet, so
-// a crash after the annotate but before the checkpoint does not
-// double-annotate on the next boot. A fresh checkpoint is written when
-// recovery completes, so the next restart starts from here.
+// annotates only documents that carry no sentiment annotations yet —
+// after a crash between a document's put and annotate records, or for
+// documents stored by plain Platform.Ingest — so a crash after the
+// annotate but before the checkpoint does not double-annotate on the
+// next boot. A fresh checkpoint is written when recovery completes, so
+// the next restart starts from here.
 func RecoverServingTier(p *Platform, m *SentimentMiner, cfg ServingTierConfig) (*ServingTier, ServingRecovery, error) {
 	t := newServingTier(p, m, cfg)
 	var rec ServingRecovery
@@ -178,9 +174,6 @@ func RecoverServingTier(p *Platform, m *SentimentMiner, cfg ServingTierConfig) (
 			for _, id := range ck.MinedDocs {
 				t.mined[id] = struct{}{}
 			}
-			for _, id := range ck.PendingAnnotate {
-				t.pendingAnn[id] = struct{}{}
-			}
 		}
 	}
 	rec.RepairedDocs = t.repairForward()
@@ -202,74 +195,73 @@ func RecoverServingTier(p *Platform, m *SentimentMiner, cfg ServingTierConfig) (
 // converge to identical aggregates and generations. Each repaired
 // document gets its own aggregate publish: the generation strictly
 // grows past every batch the crash erased, so a cached client can
-// never observe the generation move backwards across a restart. It then
-// retries the annotation debt: documents whose facts are already folded
-// in but whose entity annotation a degraded store refused.
+// never observe the generation move backwards across a restart. A
+// document whose annotate is refused (degraded store) stays outside the
+// watermark for the next boot, exactly as at ingest.
 func (t *ServingTier) repairForward() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ids := t.p.internalStore().IDs()
+	st := t.p.internalStore()
+	ids := st.IDs()
 	sort.Strings(ids)
 	repaired := 0
 	for _, id := range ids {
 		if _, ok := t.mined[id]; ok {
 			continue
 		}
-		if facts, ok, _ := t.fold(id, false); ok {
-			t.agg.Apply(facts)
-			repaired++
+		var text, date string
+		annotated := false
+		if !st.View(id, func(e *store.Entity) {
+			text, date = e.Text, e.Date
+			annotated = len(e.AnnotationsBy(MinerName)) > 0
+		}) {
+			continue
 		}
-	}
-	for _, id := range sortedSet(t.pendingAnn) {
-		t.fold(id, true) //nolint:errcheck // a refusal stays recorded as debt
+		mined, err := t.mine(id, text, nil, annotated)
+		if err != nil {
+			continue
+		}
+		t.agg.Apply(t.fold(nil, id, date, mined))
+		repaired++
 	}
 	return repaired
 }
 
-// fold is the tier's one mining step, shared by ingest, the mine-debt
-// drain and recovery: view the stored document, analyze it, annotate
-// the entity only if it carries no sentiment annotations yet (a crash
-// may have landed the annotate without the checkpoint), and return the
-// dated facts for the aggregate publish. A refused annotate (degraded
-// store) is recorded as annotation debt and returned as the error; the
-// facts are still valid. found is false when the store no longer holds
-// the document.
-//
-// settled selects the annotation-debt retry: the document's facts are
-// already in the sentiment index and the aggregates, so they are
-// re-derived from the text (the analyzer is deterministic) without
-// being indexed again, and the caller drops them.
-func (t *ServingTier) fold(id string, settled bool) (facts []serve.Fact, found bool, err error) {
-	var text, date string
-	annotated := false
-	st := t.p.internalStore()
-	found = st.View(id, func(e *store.Entity) {
-		text, date = e.Text, e.Date
-		annotated = len(e.AnnotationsBy(MinerName)) > 0
-	})
-	delete(t.pendingAnn, id)
-	if !found {
-		return nil, false, nil
-	}
-	var mined []SubjectSentiment
-	if settled {
-		mined = t.m.analyzeEntity(id, text)
-	} else {
-		mined = t.m.MineDocument(id, text)
-		t.mined[id] = struct{}{}
-	}
+// mine is the tier's one mining step, shared by ingest and recovery:
+// analyze the document (over the caller's tokens, when it has them) and
+// write the facts back onto the stored entity as annotations, unless it
+// already carries them. A refused annotate (degraded store) fails the
+// document.
+func (t *ServingTier) mine(id, text string, toks []tokenize.Token, annotated bool) ([]SubjectSentiment, error) {
+	mined := t.m.analyzeEntity(id, text, toks)
 	if len(mined) > 0 && !annotated {
-		if _, aerr := st.Annotate(id, annotationsOf(mined)); aerr != nil {
-			t.pendingAnn[id] = struct{}{}
-			err = fmt.Errorf("webfountain: serving annotate %s: %w", id, aerr)
+		if _, err := t.p.internalStore().Annotate(id, annotationsOf(mined)); err != nil {
+			return nil, fmt.Errorf("webfountain: serving annotate %s: %w", id, err)
 		}
 	}
-	return datedFacts(mined, date), true, err
+	return mined, nil
+}
+
+// fold puts one mined document behind the watermark: its facts enter
+// the sentiment index and are appended, dated, to dst for the aggregate
+// publish.
+func (t *ServingTier) fold(dst []serve.Fact, id, date string, mined []SubjectSentiment) []serve.Fact {
+	t.m.indexFacts(mined)
+	t.mined[id] = struct{}{}
+	for _, f := range mined {
+		dst = append(dst, aggFact(f, date))
+	}
+	return dst
+}
+
+// aggFact dates one mined fact for the aggregates' time-bucket dimension.
+func aggFact(f SubjectSentiment, date string) serve.Fact {
+	return serve.Fact{Subject: f.Subject, Feature: f.Feature, Date: date, Positive: f.Polarity == Positive}
 }
 
 // Checkpoint persists the tier's current state — aggregate table,
-// sentiment entries, mined-document watermark and annotation debt —
-// atomically into the configured checkpoint directory.
+// sentiment entries and mined-document watermark — atomically into the
+// configured checkpoint directory.
 func (t *ServingTier) Checkpoint() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -292,12 +284,7 @@ func (t *ServingTier) checkpointLocked() error {
 			Feature:  e.Feature,
 		})
 	}
-	ck := &serve.Checkpoint{
-		View:            t.agg.View(),
-		Entries:         entries,
-		MinedDocs:       sortedSet(t.mined),
-		PendingAnnotate: sortedSet(t.pendingAnn),
-	}
+	ck := &serve.Checkpoint{View: t.agg.View(), Entries: entries, MinedDocs: sortedSet(t.mined)}
 	if _, err := serve.WriteCheckpoint(t.cfg.CheckpointDir, ck, t.cfg.WrapCheckpoint); err != nil {
 		servingCheckpointErrs.Inc()
 		return err
@@ -329,12 +316,7 @@ func (t *ServingTier) toFacts(facts []SubjectSentiment) []serve.Fact {
 			}
 			dates[f.DocID] = date
 		}
-		out = append(out, serve.Fact{
-			Subject:  f.Subject,
-			Feature:  f.Feature,
-			Date:     date,
-			Positive: f.Polarity == Positive,
-		})
+		out = append(out, aggFact(f, date))
 	}
 	return out
 }
@@ -370,77 +352,51 @@ func (t *ServingTier) Entries(ctx context.Context, subject string) []serve.Entry
 	return out
 }
 
-// Ingest implements serve.Backend's online write path: the documents
-// are stored and indexed, each one is mined as it lands (facts go to
-// the query-time sentiment index and are annotated onto the entity, so
-// the offline trend miner sees them too), and the batch's facts are
-// folded into the aggregates — the generation bump that invalidates
-// every cached response. Batches are serialized; on a partial ingest
-// failure the successfully-ingested prefix is still mined and
-// published, matching Platform.Ingest's prefix semantics, and every
-// failure along the way (store refusal, annotate refusal, expired
-// deadline) is reported joined rather than first-wins.
+// Ingest implements serve.Backend's online write path: Platform's
+// ingest loop with the miner riding each document's step — stored,
+// indexed, analyzed over the index's own tokens and annotated onto the
+// entity (so the offline trend miner sees the facts too) before the
+// next document is touched. When the loop returns, the acked prefix is
+// folded in input order into the sentiment index and the aggregates —
+// the generation bump that invalidates every cached response. Batches
+// are serialized.
 //
-// The context carries the request deadline. A deadline that expires
-// mid-batch stops the mining, not the durability: the remaining
-// documents are already stored (acked) and are queued as mine-debt
-// that the next batch — or crash recovery — folds in.
+// The context carries the request deadline, checked before each
+// document. A deadline that expires before document k, or a store that
+// refuses document k's put or annotate, ends the batch there: ids[:k]
+// are stored, mined and visible, the error names document k (and
+// unwraps to context.DeadlineExceeded or the store's error), and the
+// client resends the rest. With IngestWorkers 1 nothing past k reached
+// the store; with more, documents already claimed when the cut came
+// complete their step but stay outside the watermark (Platform.Ingest's
+// caveat) until a resend or the next boot's repair folds them in.
 func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, fmt.Errorf("webfountain: serving ingest: %w", err)
-	}
-	var errs []error
-	var facts []serve.Fact
-
-	// Drain the mine-debt of a previous deadline-aborted batch first:
-	// those documents are durably acked, their facts ride this publish.
-	debt := t.pendingMine
-	t.pendingMine = nil
-	for _, id := range debt {
-		fs, _, err := t.fold(id, false)
-		facts = append(facts, fs...)
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-
 	batch := make([]Document, len(docs))
 	for i, d := range docs {
 		batch[i] = Document{
 			ID: d.ID, Source: d.Source, Title: d.Title, Date: d.Date, Text: d.Text,
 		}
 	}
-	ids, ingestErr := t.p.Ingest(batch)
-	if ingestErr != nil {
-		errs = append(errs, ingestErr)
-	}
+	mined := make([][]SubjectSentiment, len(docs))
+	ids, err := t.p.ingest(ctx, batch, func(i int, id string, toks []tokenize.Token) (err error) {
+		mined[i], err = t.mine(id, batch[i].Text, toks, false)
+		return err
+	})
+	var facts []serve.Fact
 	for i, id := range ids {
-		if cerr := ctx.Err(); cerr != nil {
-			// Deadline mid-batch: the rest are stored (acked) but not
-			// yet mined — queue the debt instead of dropping it.
-			t.pendingMine = append(t.pendingMine, ids[i:]...)
-			errs = append(errs, fmt.Errorf(
-				"webfountain: serving mine deferred for %d of %d docs: %w",
-				len(ids)-i, len(ids), cerr))
-			break
-		}
-		fs, _, err := t.fold(id, false)
-		facts = append(facts, fs...)
-		if err != nil {
-			errs = append(errs, err)
-		}
+		facts = t.fold(facts, id, batch[i].Date, mined[i])
 	}
 	// Publish even an empty successful batch: the corpus changed, so
 	// cached responses keyed on the old generation must re-render. A
-	// batch that stored nothing and failed changed nothing — skipping
+	// batch that acked nothing and failed changed nothing — skipping
 	// its publish keeps the generation meaningful across recovery
 	// (recovery replays documents, not failed attempts).
-	if len(ids) > 0 || len(errs) == 0 {
+	if len(ids) > 0 || err == nil {
 		t.agg.Apply(facts)
 		t.batches++
 		if t.cfg.CheckpointDir != "" && t.cfg.CheckpointEvery > 0 &&
@@ -451,38 +407,7 @@ func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, i
 			t.checkpointLocked() //nolint:errcheck
 		}
 	}
-	return ids, len(facts), errors.Join(errs...)
-}
-
-// annotationsOf converts mined facts to the store annotations the
-// offline trend miner consumes.
-func annotationsOf(facts []SubjectSentiment) []store.Annotation {
-	anns := make([]store.Annotation, 0, len(facts))
-	for _, f := range facts {
-		anns = append(anns, store.Annotation{
-			Miner:    MinerName,
-			Type:     "polarity",
-			Key:      f.Subject,
-			Value:    f.Polarity.String(),
-			Sentence: f.Sentence,
-		})
-	}
-	return anns
-}
-
-// datedFacts converts one document's mined facts to aggregate facts,
-// all carrying the document's publication date.
-func datedFacts(facts []SubjectSentiment, date string) []serve.Fact {
-	out := make([]serve.Fact, 0, len(facts))
-	for _, f := range facts {
-		out = append(out, serve.Fact{
-			Subject:  f.Subject,
-			Feature:  f.Feature,
-			Date:     date,
-			Positive: f.Polarity == Positive,
-		})
-	}
-	return out
+	return ids, len(facts), err
 }
 
 // parsePolarity inverts Polarity.String.

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"webfountain/internal/durable"
@@ -16,14 +18,15 @@ import (
 
 // markerFailWAL fails any WAL append whose payload contains the marker
 // — a content-addressed disk fault, so the failing document is chosen
-// by the test, not by record framing details.
+// by the test, not by record framing details. An empty marker is a
+// healthy disk.
 type markerFailWAL struct {
 	durable.File
 	marker []byte
 }
 
 func (w *markerFailWAL) Write(p []byte) (int, error) {
-	if bytes.Contains(p, w.marker) {
+	if len(w.marker) > 0 && bytes.Contains(p, w.marker) {
 		return 0, errors.New("injected disk failure")
 	}
 	return w.File.Write(p)
@@ -50,171 +53,168 @@ func durableServingFixture(t *testing.T, dir string, wrap durable.Wrap, cfg Serv
 	return p, m, tier, rec
 }
 
-// TestServingTierIngestPartialFailurePrefix: a mid-batch store fault
-// must leave the acked prefix fully served — stored, mined, published —
-// while the failed suffix is absent everywhere, and every error along
-// the way (the store refusal AND the degraded-store annotate refusals)
-// is reported joined rather than first-wins.
+// TestServingTierIngestPartialFailurePrefix pins the one-step ingest
+// contract for every way a batch can be cut before document k: the
+// request deadline expires, the store refuses k's put, the store
+// refuses k's annotate. In each case Ingest returns ids[:k] and an error
+// naming the cause; the prefix is stored, indexed, annotated exactly
+// once, mined and published already — no later step exists that would
+// finish it — and nothing past k reached the store (single worker),
+// the sentiment index or the aggregates. A refused annotate leaves
+// document k itself stored but unannotated and outside the watermark,
+// which the next boot's repair completes.
 func TestServingTierIngestPartialFailurePrefix(t *testing.T) {
-	dir := t.TempDir()
-	wrap := func(w durable.File) durable.File {
-		return &markerFailWAL{File: w, marker: []byte("KABOOM")}
-	}
-	_, m, tier, _ := durableServingFixture(t, dir, wrap, ServingTierConfig{})
-
 	docs := []serve.Doc{
 		{ID: "d1", Date: "2003-01-05", Text: "The NR70 takes excellent pictures."},
 		{ID: "d2", Date: "2003-02-10", Text: "The CLIE disappointed every reviewer."},
 		{ID: "d3", Date: "2003-03-15", Text: "The KABOOM takes excellent pictures."},
 		{ID: "d4", Date: "2003-04-20", Text: "The ZV500 takes excellent pictures."},
 	}
-	ids, _, err := tier.Ingest(context.Background(), docs)
-	if !reflect.DeepEqual(ids, []string{"d1", "d2"}) {
-		t.Fatalf("acked ids %v, want the serial prefix [d1 d2]", ids)
-	}
-	if err == nil {
-		t.Fatal("partial ingest reported no error")
-	}
-	// Satellite regression: the annotate errors must not be swallowed by
-	// the ingest error (nor vice versa) — both legs of the join present.
-	if msg := err.Error(); !strings.Contains(msg, "ingest d3") {
-		t.Errorf("joined error lost the store failure: %v", err)
-	} else if !strings.Contains(msg, "serving annotate d1") || !strings.Contains(msg, "serving annotate d2") {
-		t.Errorf("joined error lost the annotate refusals: %v", err)
-	}
+	for _, c := range []struct {
+		name     string
+		marker   string // WAL payload that fails its write ("" for a healthy disk)
+		ctx      context.Context
+		wantErr  string
+		stored   []string // what the store holds after the cut
+		degraded bool
+	}{
+		{name: "deadline before d3", ctx: &expireAfterCtx{Context: context.Background(), allow: 2},
+			wantErr: "stopped before d3", stored: []string{"d1", "d2"}},
+		{name: "put of d3 refused", marker: "KABOOM", ctx: context.Background(),
+			wantErr: "ingest d3", stored: []string{"d1", "d2"}, degraded: true},
+		{name: "annotate of d3 refused", marker: `<annotate id="d3"`, ctx: context.Background(),
+			wantErr: "serving annotate d3", stored: []string{"d1", "d2", "d3"}, degraded: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			wrap := func(w durable.File) durable.File {
+				return &markerFailWAL{File: w, marker: []byte(c.marker)}
+			}
+			p, m, tier, _ := durableServingFixture(t, dir, wrap, ServingTierConfig{})
 
-	// Prefix is mined and published; suffix is absent from every surface.
-	v := tier.View()
-	if v.Generation() != 1 {
-		t.Errorf("generation %d, want 1 (one published batch)", v.Generation())
-	}
-	if c := v.Counts("NR70"); c.Positive != 1 {
-		t.Errorf("NR70 counts %+v, want the prefix fact published", c)
-	}
-	if c := v.Counts("CLIE"); c.Negative != 1 {
-		t.Errorf("CLIE counts %+v, want the prefix fact published", c)
-	}
-	for _, ghost := range []string{"KABOOM", "ZV500"} {
-		if c := v.Counts(ghost); c.Positive != 0 || c.Negative != 0 {
-			t.Errorf("%s leaked into the aggregates: %+v", ghost, c)
-		}
-		if facts := m.Query(ghost); len(facts) != 0 {
-			t.Errorf("%s leaked into the sentiment index: %d facts", ghost, len(facts))
-		}
-	}
-	if len(m.Query("NR70")) != 1 || len(m.Query("CLIE")) != 1 {
-		t.Error("prefix facts missing from the sentiment index")
-	}
-	// The degraded store refused the annotations — recorded as debt.
-	if got := sortedSet(tier.pendingAnn); !reflect.DeepEqual(got, []string{"d1", "d2"}) {
-		t.Errorf("annotation debt %v, want [d1 d2]", got)
-	}
-	preFP := v.Fingerprint()
+			ids, _, err := tier.Ingest(c.ctx, docs)
+			if !reflect.DeepEqual(ids, []string{"d1", "d2"}) {
+				t.Fatalf("acked ids %v, want the serial prefix [d1 d2]", ids)
+			}
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("error = %v, want one naming %q", err, c.wantErr)
+			}
+			if isDeadline := errors.Is(err, context.DeadlineExceeded); isDeadline != (c.marker == "") {
+				t.Errorf("errors.Is(err, DeadlineExceeded) = %v for %v", isDeadline, err)
+			}
+			if deg, _ := p.Degraded(); deg != c.degraded {
+				t.Errorf("store degraded = %v, want %v", deg, c.degraded)
+			}
 
-	// Crash (no Close) and recover over a healthy disk: the cold repair
-	// re-mines exactly the durable prefix and settles the annotation
-	// debt now that the store accepts writes again.
-	p2, _, tier2, rec := durableServingFixture(t, dir, nil, ServingTierConfig{})
-	if rec.CheckpointLoaded || rec.RepairedDocs != 2 {
-		t.Fatalf("recovery %+v, want cold repair of exactly the 2 acked docs", rec)
-	}
-	if got := tier2.View().Fingerprint(); got != preFP {
-		t.Errorf("recovered aggregates diverge from the pre-crash prefix view")
-	}
-	for _, id := range []string{"d1", "d2"} {
-		anns := 0
-		if !p2.internalStore().View(id, func(e *store.Entity) { anns = len(e.AnnotationsBy(MinerName)) }) {
-			t.Fatalf("acked doc %s missing from the recovered store", id)
-		}
-		if anns != 1 {
-			t.Errorf("%s: %d sentiment annotations after settle, want exactly 1", id, anns)
-		}
-	}
-	if len(tier2.pendingAnn) != 0 {
-		t.Errorf("annotation debt not settled: %v", sortedSet(tier2.pendingAnn))
-	}
-	for _, ghost := range []string{"d3", "d4"} {
-		if _, found := p2.Entity(ghost); found {
-			t.Errorf("unacked doc %s resurrected by recovery", ghost)
-		}
+			// The prefix is complete now; the suffix is nowhere.
+			st := p.internalStore()
+			if got := st.IDs(); !sameStrings(got, c.stored) {
+				t.Errorf("store holds %v, want %v", got, c.stored)
+			}
+			for _, id := range []string{"d1", "d2"} {
+				if n := sentimentAnnotations(st, id); n != 1 {
+					t.Errorf("%s: %d sentiment annotations when Ingest returned, want exactly 1", id, n)
+				}
+			}
+			if n := sentimentAnnotations(st, "d3"); n != 0 {
+				t.Errorf("unacked d3 carries %d sentiment annotations", n)
+			}
+			v := tier.View()
+			if v.Generation() != 1 {
+				t.Errorf("generation %d, want 1 (one published batch)", v.Generation())
+			}
+			if c := v.Counts("NR70"); c.Positive != 1 {
+				t.Errorf("NR70 counts %+v, want the prefix fact published", c)
+			}
+			if c := v.Counts("CLIE"); c.Negative != 1 {
+				t.Errorf("CLIE counts %+v, want the prefix fact published", c)
+			}
+			for _, ghost := range []string{"KABOOM", "ZV500"} {
+				if c := v.Counts(ghost); c.Total() != 0 {
+					t.Errorf("%s leaked into the aggregates: %+v", ghost, c)
+				}
+				if facts := m.Query(ghost); len(facts) != 0 {
+					t.Errorf("%s leaked into the sentiment index: %d facts", ghost, len(facts))
+				}
+			}
+			if len(m.Query("NR70")) != 1 || len(m.Query("CLIE")) != 1 {
+				t.Error("prefix facts missing from the sentiment index")
+			}
+			preFP := v.Fingerprint()
+
+			// Nothing is owed: on a healthy store the next batch publishes
+			// its own document and nothing else.
+			if !c.degraded {
+				ids, _, err := tier.Ingest(context.Background(), []serve.Doc{
+					{ID: "d5", Date: "2003-05-01", Text: "The QX310 takes excellent pictures."},
+				})
+				if err != nil || len(ids) != 1 {
+					t.Fatalf("following batch: ids=%v err=%v", ids, err)
+				}
+				v = tier.View()
+				if v.Generation() != 2 || v.Facts() != 3 || v.Counts("QX310").Positive != 1 {
+					t.Errorf("following batch: generation %d, %d facts, QX310 %+v; want one publish of one fact",
+						v.Generation(), v.Facts(), v.Counts("QX310"))
+				}
+				return
+			}
+
+			// Crash (no Close) and recover over a healthy disk: the cold
+			// repair mines exactly what the store holds — annotating d3
+			// where only its annotate was refused — and never resurrects
+			// a document that was not stored.
+			p2, _, tier2, rec := durableServingFixture(t, dir, nil, ServingTierConfig{})
+			if rec.CheckpointLoaded || rec.RepairedDocs != len(c.stored) {
+				t.Fatalf("recovery %+v, want cold repair of exactly the %d stored docs", rec, len(c.stored))
+			}
+			if got := tier2.View().Fingerprint(); (got == preFP) != (len(c.stored) == 2) {
+				t.Errorf("recovered aggregates vs the pre-crash prefix view: equal = %v with %v stored", got == preFP, c.stored)
+			}
+			for _, id := range c.stored {
+				if n := sentimentAnnotations(p2.internalStore(), id); n != 1 {
+					t.Errorf("%s: %d sentiment annotations after recovery, want exactly 1", id, n)
+				}
+			}
+			if _, found := p2.Entity("d4"); found {
+				t.Error("unacked doc d4 resurrected by recovery")
+			}
+		})
 	}
 }
 
+// sentimentAnnotations counts the sentiment miner's annotations on a
+// stored entity (0 when it is absent).
+func sentimentAnnotations(st *store.Store, id string) int {
+	n := 0
+	st.View(id, func(e *store.Entity) { n = len(e.AnnotationsBy(MinerName)) })
+	return n
+}
+
+// sameStrings reports whether two ID lists hold the same IDs.
+func sameStrings(a, b []string) bool {
+	a, b = append([]string(nil), a...), append([]string(nil), b...)
+	sort.Strings(a)
+	sort.Strings(b)
+	return reflect.DeepEqual(a, b)
+}
+
 // expireAfterCtx reports expiry after its Err budget is spent — the
-// deterministic stand-in for a request deadline firing mid-batch.
+// deterministic stand-in for a request deadline firing mid-batch. The
+// ingest loop asks once per document, from whichever worker claimed it.
 type expireAfterCtx struct {
 	context.Context
+	mu    sync.Mutex
 	allow int
 }
 
 func (c *expireAfterCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.allow <= 0 {
 		return context.DeadlineExceeded
 	}
 	c.allow--
 	return nil
-}
-
-// TestServingTierDeadlineMidBatchDefersMineDebt: a deadline that
-// expires mid-batch stops the mining but not the durability — the
-// stored suffix becomes mine-debt that the next batch folds in.
-func TestServingTierDeadlineMidBatchDefersMineDebt(t *testing.T) {
-	p := NewPlatform(PlatformConfig{IngestWorkers: 1})
-	m, err := NewSentimentMiner(MinerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tier := NewServingTier(p, m, nil)
-
-	docs := []serve.Doc{
-		{ID: "d1", Date: "2003-01-05", Text: "The NR70 takes excellent pictures."},
-		{ID: "d2", Date: "2003-02-10", Text: "The CLIE disappointed every reviewer."},
-		{ID: "d3", Date: "2003-03-15", Text: "The ZV500 takes excellent pictures."},
-	}
-	// Err budget 2: the pre-flight check and the first doc pass, the
-	// deadline fires before the second doc mines.
-	ids, _, err := tier.Ingest(&expireAfterCtx{Context: context.Background(), allow: 2}, docs)
-	if len(ids) != 3 {
-		t.Fatalf("acked %d ids, want all 3 (durability is not deadline-bound)", len(ids))
-	}
-	if err == nil || !strings.Contains(err.Error(), "mine deferred for 2 of 3") {
-		t.Fatalf("error = %v, want a mine-deferred report for the suffix", err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("deferred error does not unwrap to DeadlineExceeded: %v", err)
-	}
-	v := tier.View()
-	if c := v.Counts("NR70"); c.Positive != 1 {
-		t.Errorf("mined prefix missing from aggregates: %+v", c)
-	}
-	if c := v.Counts("CLIE"); c.Negative != 0 {
-		t.Errorf("deferred doc leaked into aggregates: %+v", c)
-	}
-	if got := append([]string(nil), tier.pendingMine...); !reflect.DeepEqual(got, []string{"d2", "d3"}) {
-		t.Fatalf("mine debt %v, want [d2 d3]", got)
-	}
-
-	// The next batch drains the debt before its own docs, in one publish.
-	genBefore := v.Generation()
-	ids, _, err = tier.Ingest(context.Background(), []serve.Doc{
-		{ID: "d4", Date: "2003-04-01", Text: "The QX310 takes excellent pictures."},
-	})
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("drain batch: ids=%v err=%v", ids, err)
-	}
-	v = tier.View()
-	if v.Generation() != genBefore+1 {
-		t.Errorf("generation %d, want %d (debt rides the batch publish)", v.Generation(), genBefore+1)
-	}
-	for subject, neg := range map[string]bool{"CLIE": true, "ZV500": false, "QX310": false} {
-		c := v.Counts(subject)
-		if neg && c.Negative != 1 || !neg && c.Positive != 1 {
-			t.Errorf("%s not folded in after drain: %+v", subject, c)
-		}
-	}
-	if len(tier.pendingMine) != 0 {
-		t.Errorf("mine debt not drained: %v", tier.pendingMine)
-	}
 }
 
 // TestServingTierCheckpointRestartRoundTrip: a graceful shutdown's

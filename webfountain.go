@@ -24,6 +24,7 @@
 package webfountain
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -250,6 +251,7 @@ func platformOver(st *store.Store, cfg PlatformConfig) *Platform {
 // indexEntity tokenizes a document body and adds it to the inverted
 // index — the one tokenize→words→Add path shared by Ingest, reindex and
 // Restore, so every route into the index produces identical postings.
+// The tokens stay in a.toks for the ingest step's miner.
 func (p *Platform) indexEntity(a *ingestArena, id, text string) {
 	a.toks = a.tk.AppendTokens(a.toks[:0], text)
 	a.words = a.words[:0]
@@ -367,6 +369,20 @@ func (p *Platform) Compact() error { return p.store.Compact() }
 // documents after the failing one may also have been stored before the
 // pool drained.
 func (p *Platform) Ingest(docs []Document) ([]string, error) {
+	return p.ingest(context.Background(), docs, nil)
+}
+
+// ingest is the one ingest loop behind Platform.Ingest and
+// ServingTier.Ingest. Each worker claims the next document and runs its
+// whole step — deadline check, store.Put, tokenize, index.Add, then
+// mine (when non-nil) on those same tokens — before claiming another,
+// so a document is either finished or was never offered to the store.
+// mine runs on the worker that ingested document i; toks is only valid
+// during the call. An expired ctx fails the document it is found at like
+// any other error: the loop stops and ids[:k] is returned with the
+// earliest failure k.
+func (p *Platform) ingest(ctx context.Context, docs []Document,
+	mine func(i int, id string, toks []tokenize.Token) error) ([]string, error) {
 	ids := make([]string, len(docs))
 	for i := range docs {
 		if docs[i].ID != "" {
@@ -375,58 +391,54 @@ func (p *Platform) Ingest(docs []Document) ([]string, error) {
 			ids[i] = fmt.Sprintf("doc-%06d", p.nextID.Add(1))
 		}
 	}
-	workers := p.workers
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers <= 1 {
+	var (
+		next     atomic.Int64 // work dispenser: next input index to claim
+		aborted  atomic.Bool
+		mu       sync.Mutex
+		errIdx   = len(docs)
+		firstErr error
+	)
+	work := func() {
 		ia := newIngestArena()
-		for i := range docs {
-			if err := p.ingestOne(ia, &docs[i], ids[i]); err != nil {
-				return ids[:i], err
+		for !aborted.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(docs) {
+				return
+			}
+			err := ctx.Err()
+			if err != nil {
+				err = fmt.Errorf("webfountain: ingest stopped before %s (%d of %d): %w", ids[i], i+1, len(docs), err)
+			} else if err = p.ingestOne(ia, &docs[i], ids[i]); err == nil && mine != nil {
+				err = mine(i, ids[i], ia.toks)
+			}
+			if err != nil {
+				aborted.Store(true)
+				mu.Lock()
+				if i < errIdx {
+					errIdx, firstErr = i, err
+				}
+				mu.Unlock()
+				return
 			}
 		}
-		return ids, nil
 	}
-
-	var (
-		next    atomic.Int64 // work dispenser: next input index to claim
-		aborted atomic.Bool
-		mu      sync.Mutex
-		errIdx  = -1
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ia := newIngestArena()
-			for !aborted.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(docs) {
-					return
-				}
-				if err := p.ingestOne(ia, &docs[i], ids[i]); err != nil {
-					aborted.Store(true)
-					mu.Lock()
-					if errIdx < 0 || i < errIdx {
-						errIdx, firstEr = i, err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
+	if workers := min(p.workers, len(docs)); workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	if errIdx >= 0 {
-		// Indices are claimed monotonically and every claimed document
-		// runs to completion, so everything before the earliest failure
-		// was ingested — the serial prefix guarantee.
-		return ids[:errIdx], firstEr
-	}
-	return ids, nil
+	// Indices are claimed monotonically and every claimed document runs
+	// to completion, so everything before the earliest failure was
+	// ingested — the serial prefix guarantee.
+	return ids[:errIdx], firstErr
 }
 
 // ingestOne stores and indexes a single document under the given ID.
