@@ -1,17 +1,18 @@
 package webfountain
 
 // The serving-tier chaos suite: seeded disk faults and hard kills
-// against the crash-recoverable serving tier. Three archetypes cover
-// the crash windows the checkpoint/repair design closes:
+// against the serving tier, whose only durable state is the store's
+// write-ahead log. Three archetypes cover the crash windows of the
+// one-step ingest:
 //
 //   - kill mid-ingest-batch — a WAL fault degrades the store inside a
 //     batch, the process dies with durably-acked documents never
 //     published to the aggregates;
-//   - kill mid-checkpoint-write — the checkpoint temp file is torn by
-//     the injector, the process dies, the previous generation must
-//     still stand;
-//   - checkpoint bit rot — the newest published checkpoint is
-//     corrupted on disk, the loader must quarantine it and fall back.
+//   - kill between put and annotate — a document's annotate record is
+//     torn mid-append and the process dies: the document is stored
+//     un-annotated, and is mined and annotated exactly once at boot;
+//   - annotate-record bit rot — a committed annotate record is corrupted
+//     on disk: the WAL quarantines it and the document is mined again.
 //
 // Every archetype asserts the serving resilience invariants after a
 // kill + restart:
@@ -24,9 +25,9 @@ package webfountain
 //     sentiment annotation written exactly once;
 //  3. the cache-invalidation generation never regresses across the
 //     restart — a cached client can't see time move backwards;
-//  4. recovery is byte-deterministic per seed — two runs of one
-//     scenario end on identical fingerprints, generations and repair
-//     counts.
+//  4. recovery is deterministic per seed — two runs of one scenario end
+//     on identical fingerprints, sentiment-index dumps, generations and
+//     fold/repair counts — and the tier wrote no file of its own.
 //
 // Faults come from the same seeded injector the store's crash suite
 // uses, and the WAL is appended serially (single ingest worker), so a
@@ -35,6 +36,7 @@ package webfountain
 // appended to it — CI uploads that file as the run's artifact.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -82,8 +84,8 @@ func newServingChaos(t *testing.T, seed int64) *servingChaos {
 }
 
 // open boots (or re-boots) the durable platform + miner + tier over
-// the harness directories. wrapWAL and wrapCkpt install the injected
-// disk faults; nil means a healthy disk.
+// the harness directories. wrapWAL installs the injected disk faults;
+// nil means a healthy disk.
 func (sc *servingChaos) open(wrapWAL durable.Wrap, cfg ServingTierConfig) {
 	sc.t.Helper()
 	st, err := store.Open(sc.dataDir, store.Options{Shards: 4, WrapFile: wrapWAL})
@@ -107,8 +109,8 @@ func (sc *servingChaos) open(wrapWAL durable.Wrap, cfg ServingTierConfig) {
 	}
 }
 
-// crash abandons the running deployment without Close — no final
-// checkpoint, no WAL flush beyond what each ack already synced.
+// crash abandons the running deployment without Close — no WAL flush
+// beyond what each ack already synced.
 func (sc *servingChaos) crash() { sc.p, sc.m, sc.tier = nil, nil, nil }
 
 // nextDocs draws the next n documents from the seeded generator: one
@@ -236,11 +238,15 @@ func (sc *servingChaos) verifyRecovered(logf func(string, ...any), scenario stri
 	if gen < sc.lastGen {
 		sc.t.Fatalf("%s/seed=%d: generation regressed across restart: %d -> %d", scenario, seed, sc.lastGen, gen)
 	}
-	logf("%s seed=%d: generation %d >= pre-crash %d (repaired=%d quarantined=%d)",
-		scenario, seed, gen, sc.lastGen, sc.rec.RepairedDocs, sc.rec.Quarantined)
+	quarantined := st.Durability().Quarantined
+	logf("%s seed=%d: generation %d >= pre-crash %d (folded=%d repaired=%d quarantined=%d)",
+		scenario, seed, gen, sc.lastGen, sc.rec.FoldedDocs, sc.rec.RepairedDocs, quarantined)
 
-	return fmt.Sprintf("fp=%s sidx=%s gen=%d acked=%d repaired=%d quarantined=%d",
-		gotFP, sidxDigest(sc.m), gen, len(sc.acked), sc.rec.RepairedDocs, sc.rec.Quarantined)
+	// Invariant 4's other half: the store is the only durable copy.
+	assertNoRegularFile(sc.t, sc.ckptDir)
+
+	return fmt.Sprintf("fp=%s sidx=%s gen=%d acked=%d folded=%d repaired=%d quarantined=%d",
+		gotFP, sidxDigest(sc.m), gen, len(sc.acked), sc.rec.FoldedDocs, sc.rec.RepairedDocs, quarantined)
 }
 
 // runTwiceDeterministic runs one scenario twice per seed and asserts
@@ -260,8 +266,8 @@ func runTwiceDeterministic(t *testing.T, scenario string, run func(t *testing.T,
 
 // TestChaosServingKillMidIngestBatch: WAL faults degrade the store
 // inside ingest batches, documents land durably that the tier never
-// published, and the process is killed without a final checkpoint.
-// Recovery must repair exactly the unpublished tail.
+// published, and the process is killed. Recovery must serve exactly what
+// the store holds.
 func TestChaosServingKillMidIngestBatch(t *testing.T) {
 	runTwiceDeterministic(t, "kill-mid-ingest", func(t *testing.T, seed int64) string {
 		logf := chaosInvariantLog(t)
@@ -285,113 +291,101 @@ func TestChaosServingKillMidIngestBatch(t *testing.T) {
 	})
 }
 
-// TestChaosServingKillMidCheckpointWrite: the checkpoint temp file is
-// torn by the injector, so checkpoint attempts fail mid-write; the
-// previous published generation must keep standing and recovery must
-// repair from it — never from a torn file.
-func TestChaosServingKillMidCheckpointWrite(t *testing.T) {
-	runTwiceDeterministic(t, "kill-mid-checkpoint", func(t *testing.T, seed int64) string {
+// TestChaosServingKillBetweenPutAndAnnotate: the process dies while one
+// document's annotate record is being appended — the record is torn, the
+// put before it is durable. The document comes back stored and
+// un-annotated, is mined and annotated exactly once at boot, and the
+// boot after that folds it like every other document.
+func TestChaosServingKillBetweenPutAndAnnotate(t *testing.T) {
+	runTwiceDeterministic(t, "kill-between-put-and-annotate", func(t *testing.T, seed int64) string {
 		logf := chaosInvariantLog(t)
 		sc := newServingChaos(t, seed)
-		in := faults.New(faults.Config{Seed: seed, TornWriteRate: 0.5})
+		var wal *markerFailWAL
+		sc.open(func(f durable.File) durable.File {
+			wal = &markerFailWAL{File: f, tear: true}
+			return wal
+		}, ServingTierConfig{})
+		sc.ingestBatches(6, 2)
 
-		sc.open(nil, ServingTierConfig{CheckpointEvery: 1, WrapCheckpoint: in.File})
-		sc.ingestBatches(10, 2)
-		sc.directIngest(2)
+		batch := sc.nextDocs(4)
+		victim := batch[sc.rng.Intn(len(batch))].ID
+		wal.marker = []byte(fmt.Sprintf("<annotate id=%q", victim))
+		ids, _, err := sc.tier.Ingest(context.Background(), batch)
+		sc.acked = append(sc.acked, ids...)
+		if err == nil || !strings.Contains(err.Error(), "serving annotate "+victim) {
+			t.Fatalf("seed=%d: batch with %s's annotate record torn: err = %v", seed, victim, err)
+		}
 		sc.crash()
-		if torn := in.Stats().TornWrites; torn == 0 {
-			t.Fatalf("seed=%d: no checkpoint write was torn; the scenario exercised nothing", seed)
-		} else {
-			logf("kill-mid-checkpoint seed=%d: %d checkpoint writes torn", seed, torn)
-		}
 
-		sc.open(nil, ServingTierConfig{CheckpointEvery: 1})
-		if sc.rec.Quarantined != 0 {
-			t.Fatalf("seed=%d: %d checkpoints quarantined — a torn write reached a published name", seed, sc.rec.Quarantined)
+		sc.open(nil, ServingTierConfig{})
+		st := sc.p.internalStore()
+		if torn := st.Durability().TruncatedBytes; torn == 0 {
+			t.Fatalf("seed=%d: no torn tail was truncated; the scenario exercised nothing", seed)
 		}
-		assertNoTempFiles(t, sc.ckptDir)
-		return sc.verifyRecovered(logf, "kill-mid-checkpoint", seed)
+		if sc.rec.RepairedDocs != 1 || sc.rec.FoldedDocs != len(sc.acked) {
+			t.Fatalf("seed=%d: recovery %+v, want the %d acked documents folded and only %s mined", seed, sc.rec, len(sc.acked), victim)
+		}
+		if n := sentimentAnnotations(st, victim); n != 1 {
+			t.Fatalf("seed=%d: %s carries %d sentiment annotations after the repair, want exactly 1", seed, victim, n)
+		}
+		logf("kill-between-put-and-annotate seed=%d: %s stored un-annotated, mined and annotated at boot", seed, victim)
+		digest := sc.verifyRecovered(logf, "kill-between-put-and-annotate", seed)
+
+		// The repair's own annotate record is durable: a second kill and
+		// boot mines nothing and changes nothing.
+		fp, gen := sc.tier.View().Fingerprint(), sc.tier.View().Generation()
+		sc.crash()
+		sc.open(nil, ServingTierConfig{})
+		if sc.rec.RepairedDocs != 0 || sentimentAnnotations(sc.p.internalStore(), victim) != 1 ||
+			sc.tier.View().Fingerprint() != fp || sc.tier.View().Generation() != gen {
+			t.Fatalf("seed=%d: second recovery %+v diverged from the first", seed, sc.rec)
+		}
+		return digest
 	})
 }
 
-// TestChaosServingCheckpointBitRot: the newest published checkpoint is
-// silently corrupted on disk and a stray temp file is planted; the
-// loader must quarantine the rotten file, delete the stray, fall back
-// a generation and repair the difference.
-func TestChaosServingCheckpointBitRot(t *testing.T) {
-	runTwiceDeterministic(t, "checkpoint-bit-rot", func(t *testing.T, seed int64) string {
+// TestChaosServingAnnotateRecordBitRot: a committed annotate record rots
+// on disk. The WAL's payload checksum catches it, the record is
+// quarantined, and the document — stored, now un-annotated — is mined
+// again at boot; the fingerprint still equals the offline mine.
+func TestChaosServingAnnotateRecordBitRot(t *testing.T) {
+	runTwiceDeterministic(t, "annotate-bit-rot", func(t *testing.T, seed int64) string {
 		logf := chaosInvariantLog(t)
 		sc := newServingChaos(t, seed)
 
-		sc.open(nil, ServingTierConfig{CheckpointEvery: 1})
+		sc.open(nil, ServingTierConfig{})
 		sc.ingestBatches(6, 2)
 		sc.directIngest(2)
+		victim := sc.acked[sc.rng.Intn(12)] // one of the tier-acked, annotated documents
 		sc.crash()
 
-		// Bit-rot the newest checkpoint at a seeded offset and plant the
-		// debris of a crash mid-write.
-		newest := newestCheckpointPath(t, sc.ckptDir)
-		data, err := os.ReadFile(newest)
+		wals, err := filepath.Glob(filepath.Join(sc.dataDir, "wal-*"))
+		if err != nil || len(wals) != 1 {
+			t.Fatalf("seed=%d: WAL files %v (err %v), want one", seed, wals, err)
+		}
+		data, err := os.ReadFile(wals[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[8+sc.rng.Intn(len(data)-8)] ^= 0x20
-		if err := os.WriteFile(newest, data, 0o644); err != nil {
-			t.Fatal(err)
+		at := bytes.Index(data, []byte(fmt.Sprintf("<annotate id=%q", victim)))
+		if at < 0 {
+			t.Fatalf("seed=%d: no annotate record for %s in the WAL", seed, victim)
 		}
-		stray := filepath.Join(sc.ckptDir, "checkpoint-9999.tmp")
-		if err := os.WriteFile(stray, []byte("half-written"), 0o644); err != nil {
+		data[at+sc.rng.Intn(40)] ^= 0x20
+		if err := os.WriteFile(wals[0], data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
-		sc.open(nil, ServingTierConfig{CheckpointEvery: 1})
-		if sc.rec.Quarantined != 1 {
-			t.Fatalf("seed=%d: quarantined %d checkpoints, want exactly the rotten one", seed, sc.rec.Quarantined)
+		sc.open(nil, ServingTierConfig{})
+		st := sc.p.internalStore()
+		if q := st.Durability().Quarantined; q != 1 {
+			t.Fatalf("seed=%d: the WAL quarantined %d records, want exactly the rotten one", seed, q)
 		}
-		if !sc.rec.CheckpointLoaded {
-			t.Fatalf("seed=%d: no fallback checkpoint loaded after quarantine", seed)
+		// The victim and the two platform-only documents are mined.
+		if sc.rec.RepairedDocs != 3 || sc.rec.FoldedDocs != 11 {
+			t.Fatalf("seed=%d: recovery %+v, want 11 folded and 3 mined", seed, sc.rec)
 		}
-		if _, err := os.Stat(newest + ".corrupt"); err != nil {
-			t.Fatalf("seed=%d: rotten checkpoint not quarantined: %v", seed, err)
-		}
-		if _, err := os.Stat(stray); !os.IsNotExist(err) {
-			t.Fatalf("seed=%d: stray temp file survived recovery", seed)
-		}
-		logf("checkpoint-bit-rot seed=%d: rotten file quarantined, fell back to gen %d", seed, sc.rec.CheckpointGen)
-		return sc.verifyRecovered(logf, "checkpoint-bit-rot", seed)
+		logf("annotate-bit-rot seed=%d: %s's annotate record quarantined, document mined again", seed, victim)
+		return sc.verifyRecovered(logf, "annotate-bit-rot", seed)
 	})
-}
-
-// newestCheckpointPath returns the highest-generation checkpoint file.
-func newestCheckpointPath(t *testing.T, dir string) string {
-	t.Helper()
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newest := ""
-	for _, de := range des {
-		if strings.HasPrefix(de.Name(), "checkpoint-") && strings.HasSuffix(de.Name(), ".ck") {
-			if newest == "" || de.Name() > newest {
-				newest = de.Name()
-			}
-		}
-	}
-	if newest == "" {
-		t.Fatal("no checkpoint files on disk")
-	}
-	return filepath.Join(dir, newest)
-}
-
-func assertNoTempFiles(t *testing.T, dir string) {
-	t.Helper()
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range des {
-		if strings.HasSuffix(de.Name(), ".tmp") {
-			t.Fatalf("temp file %s survived recovery", de.Name())
-		}
-	}
 }

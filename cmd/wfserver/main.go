@@ -32,17 +32,17 @@
 //	         [-pprof-addr :8086] [-drain-timeout 10s]
 //
 // With -data-dir the corpus lives in a durable write-ahead-logged
-// store: a restart recovers every acked document instead of minting a
-// fresh corpus. With -checkpoint-dir (requires -data-dir) the serving
-// tier also persists its materialized aggregates, so a restart loads
-// the newest valid checkpoint and re-mines only the documents past its
-// watermark instead of the whole corpus — bounded recovery time even
-// after a SIGKILL.
+// store, and the store is all a restart needs: every acked document
+// comes back, its sentiment facts are read back from the annotations it
+// was stored with, and only documents stored without them are mined —
+// after a SIGKILL as after a clean exit. -checkpoint-dir and
+// -checkpoint-every are deprecated and ignored; no checkpoint file is
+// written.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener stops
-// accepting, in-flight requests drain for up to -drain-timeout, a
-// final serving checkpoint is written, and the final metrics registry
-// is flushed to the log before exit.
+// accepting, in-flight requests drain for up to -drain-timeout, the
+// store's log is closed, and the final metrics registry is flushed to
+// the log before exit.
 package main
 
 import (
@@ -106,8 +106,8 @@ func main() {
 	docs := flag.Int("docs", 120, "documents to mine at startup")
 	seed := flag.Int64("seed", 7, "corpus seed")
 	dataDir := flag.String("data-dir", "", "durable store root (empty: in-memory, corpus is lost on exit)")
-	checkpointDir := flag.String("checkpoint-dir", "", "serving-tier checkpoint directory (requires -data-dir; empty: aggregates re-mined at boot)")
-	checkpointEvery := flag.Int("checkpoint-every", 8, "write a serving checkpoint every N ingest batches (0: only on shutdown)")
+	flag.String("checkpoint-dir", "", "Deprecated: ignored (the store is the serving tier's only durable state)")
+	flag.Int("checkpoint-every", 8, "Deprecated: ignored")
 	cacheEntries := flag.Int("cache-entries", 256, "bounded LRU result cache size (negative: disable caching)")
 	tenantRate := flag.Float64("tenant-rate", 50, "per-tenant steady request rate (tokens/second)")
 	tenantBurst := flag.Int("tenant-burst", 100, "per-tenant token-bucket burst size")
@@ -121,7 +121,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound for draining in-flight requests")
 	flag.Parse()
 
-	miner, platform, tier, err := boot(*corpusName, *docs, *seed, *dataDir, *checkpointDir, *checkpointEvery)
+	miner, platform, tier, err := boot(*corpusName, *docs, *seed, *dataDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -160,8 +160,8 @@ func main() {
 	go func() { errc <- srv.ListenAndServe() }()
 
 	// Graceful shutdown: stop accepting, drain in-flight requests for a
-	// bounded window, write a final serving checkpoint, then flush the
-	// final metrics so the run's numbers survive the process.
+	// bounded window, close the store, then flush the final metrics so
+	// the run's numbers survive the process.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
@@ -175,9 +175,6 @@ func main() {
 			log.Printf("drain incomplete: %v", err)
 			srv.Close()
 		}
-		if err := tier.Close(); err != nil {
-			log.Printf("serving checkpoint: %v", err)
-		}
 		if err := platform.Close(); err != nil {
 			log.Printf("platform close: %v", err)
 		}
@@ -186,18 +183,15 @@ func main() {
 }
 
 // boot assembles the platform, the miner and the serving tier. The
-// tier is recovered first — from its newest checkpoint plus a repair of
-// whatever the durable store holds past the watermark; over an
-// in-memory platform or a fresh data dir that is an empty tier — and an
-// empty store is then seeded with the generated corpus through the
-// tier's own ingest, as one batch, so seed documents are mined and
-// annotated by the same step as live ones. A store that already holds
-// documents, or -docs 0, seeds nothing.
-func boot(corpusName string, docs int, seed int64, dataDir, checkpointDir string, checkpointEvery int) (
+// tier is recovered first — folded from the annotations the durable
+// store holds, with un-annotated documents mined; over an in-memory
+// platform or a fresh data dir that is an empty tier — and an empty
+// store is then seeded with the generated corpus through the tier's own
+// ingest, as one batch, so seed documents are mined and annotated by the
+// same step as live ones. A store that already holds documents, or
+// -docs 0, seeds nothing.
+func boot(corpusName string, docs int, seed int64, dataDir string) (
 	*webfountain.SentimentMiner, *webfountain.Platform, *webfountain.ServingTier, error) {
-	if dataDir == "" && checkpointDir != "" {
-		return nil, nil, nil, fmt.Errorf("-checkpoint-dir requires -data-dir: a checkpoint watermark is only meaningful against a durable doc set")
-	}
 	var platform *webfountain.Platform
 	if dataDir == "" {
 		platform = webfountain.NewPlatform(webfountain.PlatformConfig{})
@@ -216,16 +210,12 @@ func boot(corpusName string, docs int, seed int64, dataDir, checkpointDir string
 		return fail(err)
 	}
 	start := time.Now()
-	tier, rec, err := webfountain.RecoverServingTier(platform, miner, webfountain.ServingTierConfig{
-		CheckpointDir:   checkpointDir,
-		CheckpointEvery: checkpointEvery,
-	})
+	tier, rec, err := webfountain.RecoverServingTier(platform, miner, webfountain.ServingTierConfig{})
 	if err != nil {
 		return fail(err)
 	}
-	log.Printf("serving recovery: checkpoint=%v gen=%d quarantined=%d repaired=%d docs in %v",
-		rec.CheckpointLoaded, rec.CheckpointGen, rec.Quarantined, rec.RepairedDocs,
-		time.Since(start).Round(time.Millisecond))
+	log.Printf("serving recovery: folded=%d repaired=%d docs in %v, generation %d",
+		rec.FoldedDocs, rec.RepairedDocs, time.Since(start).Round(time.Microsecond), tier.View().Generation())
 	if platform.NumEntities() == 0 {
 		seedDocs, err := buildCorpus(corpusName, docs, seed)
 		if err != nil {

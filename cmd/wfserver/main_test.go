@@ -26,7 +26,7 @@ func (d *degradable) Degraded() (bool, string) { return d.degraded, d.reason }
 
 func testServerCfg(t *testing.T, cfg serve.GatewayConfig) (*httptest.Server, *degradable) {
 	t.Helper()
-	miner, platform, tier, err := boot("pharma", 25, 3, "", "", 0)
+	miner, platform, tier, err := boot("pharma", 25, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,20 +72,21 @@ func getCached(t *testing.T, url string) (int, string, string) {
 }
 
 func TestBootRejectsUnknownCorpus(t *testing.T) {
-	if _, _, _, err := boot("bogus", 5, 1, "", "", 0); err == nil {
+	if _, _, _, err := boot("bogus", 5, 1, ""); err == nil {
 		t.Error("unknown corpus should fail")
 	}
 }
 
 // TestBootSeedsFreshDurableStoreThroughTier: the first durable boot
 // recovers an empty tier and then ingests the seed corpus through it —
-// one batch, one publish, every entity annotated by the ingest step,
-// nothing left for the repair path — and a restart over the same
-// directories seeds nothing and lands on the same aggregates. -docs 0
-// (the benchmark's flags) is a no-op: no publish, no generation.
+// one batch, one publish, every entity annotated by the ingest step —
+// and a restart over the same directory seeds nothing and folds the
+// stored annotations back into the same aggregates, its generation
+// advanced by the documents recovered. -docs 0 (the benchmark's flags)
+// is a no-op: no publish, no generation.
 func TestBootSeedsFreshDurableStoreThroughTier(t *testing.T) {
-	dataDir, ckptDir := t.TempDir(), t.TempDir()
-	_, platform, tier, err := boot("pharma", 25, 3, dataDir, ckptDir, 1)
+	dataDir := t.TempDir()
+	_, platform, tier, err := boot("pharma", 25, 3, dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestBootSeedsFreshDurableStoreThroughTier(t *testing.T) {
 		t.Fatalf("seeded boot: %d docs, generation %d, %d facts; want 25 docs in one publish",
 			platform.NumEntities(), v.Generation(), v.Facts())
 	}
-	_, memory, memTier, err := boot("pharma", 25, 3, "", "", 0)
+	_, memory, memTier, err := boot("pharma", 25, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,23 +103,22 @@ func TestBootSeedsFreshDurableStoreThroughTier(t *testing.T) {
 	if got, want := v.Fingerprint(), memTier.View().Fingerprint(); got != want {
 		t.Errorf("durable and in-memory boots of one corpus disagree: %s != %s", got, want)
 	}
-	// Crash (no tier.Close): the seed batch's cadence checkpoint covers it.
 	if err := platform.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	_, platform2, tier2, err := boot("camera", 99, 4, dataDir, ckptDir, 1)
+	_, platform2, tier2, err := boot("camera", 99, 4, dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer platform2.Close()
 	v2 := tier2.View()
-	if platform2.NumEntities() != 25 || v2.Generation() != 1 || v2.Fingerprint() != v.Fingerprint() {
-		t.Errorf("restart: %d docs, generation %d, fingerprint match %v; want the seeded state untouched",
+	if platform2.NumEntities() != 25 || v2.Generation() != 25 || v2.Fingerprint() != v.Fingerprint() {
+		t.Errorf("restart: %d docs, generation %d, fingerprint match %v; want the seeded state at generation 25",
 			platform2.NumEntities(), v2.Generation(), v2.Fingerprint() == v.Fingerprint())
 	}
 
-	_, empty, emptyTier, err := boot("pharma", 0, 3, t.TempDir(), t.TempDir(), 8)
+	_, empty, emptyTier, err := boot("pharma", 0, 3, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

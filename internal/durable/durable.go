@@ -1,8 +1,9 @@
 // Package durable is the one place files are made crash-safe: the file
 // surface every durable writer appends through (and the seam fault
 // injection wraps), the directory fsync, and the atomic publish / load /
-// prune of generation-numbered files that both the store's snapshots
-// and the serving tier's checkpoints are kept as.
+// prune of generation-numbered files that the store's snapshots (and the
+// retired serving-checkpoint codec the benchmark still links) are kept
+// as.
 package durable
 
 import (
@@ -18,7 +19,7 @@ import (
 )
 
 // File is the write surface of a durable file — the subset of *os.File
-// the WAL, the snapshot temp file and the checkpoint temp file use.
+// the WAL and the snapshot temp file use.
 type File interface {
 	io.Writer
 	Sync() error

@@ -79,9 +79,8 @@ type faultyFile struct {
 }
 
 // File wraps a file so Writes may be torn or bit-flipped and Syncs may
-// fail. It is a durable.Wrap: the same method value drops into
-// store.Options.WrapFile (live WAL, compaction snapshot temp file) and
-// the serving tier's checkpoint hook.
+// fail. It is a durable.Wrap: the method value drops into
+// store.Options.WrapFile (live WAL, compaction snapshot temp file).
 func (in *Injector) File(f durable.File) durable.File { return &faultyFile{in: in, f: f} }
 
 func (ff *faultyFile) Write(p []byte) (int, error) {

@@ -121,9 +121,9 @@ func (si *SentimentIndex) Subjects() []string {
 }
 
 // All returns every indexed entry in a deterministic total order
-// (subject, then the Query key) — the serving tier's checkpoint writer
-// dumps the index through it, so two indexes holding the same entries
-// always serialize to the same bytes regardless of insertion order.
+// (subject, then the Query key), so two indexes holding the same entries
+// dump identically regardless of insertion order — what the recovery
+// tests compare across a restart.
 func (si *SentimentIndex) All() []SentimentEntry {
 	si.mu.RLock()
 	out := make([]SentimentEntry, 0, 64)

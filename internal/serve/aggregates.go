@@ -159,14 +159,30 @@ func (a *Aggregates) View() *View { return a.view.Load() }
 // bumps even for an empty batch: the corpus changed (documents were
 // ingested), so every cached response keyed on the old generation must
 // re-render. Only subjects touched by the batch are cloned; untouched
-// subjects are shared structurally with the previous view.
-func (a *Aggregates) Apply(facts []Fact) uint64 {
+// subjects are shared structurally with the previous view, and so is the
+// sorted name list unless the batch brought a new subject.
+func (a *Aggregates) Apply(facts []Fact) uint64 { return a.publish(facts, 1) }
+
+// ApplyRecovered publishes the facts of docs recovered documents as one
+// snapshot and advances the generation by docs: every document was
+// acked by a batch of at least one, so the generation a restart lands on
+// is never below the one the previous process had published for the
+// same documents. Zero documents publish nothing.
+func (a *Aggregates) ApplyRecovered(facts []Fact, docs int) uint64 {
+	if docs <= 0 {
+		return a.View().gen
+	}
+	return a.publish(facts, uint64(docs))
+}
+
+func (a *Aggregates) publish(facts []Fact, advance uint64) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	old := a.view.Load()
 	next := &View{
-		gen:      old.gen + 1,
+		gen:      old.gen + advance,
 		subjects: make(map[string]*subjectAgg, len(old.subjects)+4),
+		names:    old.names,
 		totals:   old.totals,
 		facts:    old.facts + len(facts),
 	}
@@ -174,6 +190,7 @@ func (a *Aggregates) Apply(facts []Fact) uint64 {
 		next.subjects[k] = v
 	}
 	cloned := map[string]bool{}
+	added := false
 	for _, f := range facts {
 		key := strings.ToLower(f.Subject)
 		s := next.subjects[key]
@@ -182,6 +199,7 @@ func (a *Aggregates) Apply(facts []Fact) uint64 {
 			s = &subjectAgg{months: map[string]Counts{}, aspects: map[string]Counts{}}
 			next.subjects[key] = s
 			cloned[key] = true
+			added = true
 		case !cloned[key]:
 			s = s.clone()
 			next.subjects[key] = s
@@ -207,9 +225,7 @@ func (a *Aggregates) Apply(facts []Fact) uint64 {
 			s.aspects[strings.ToLower(f.Feature)] = ac
 		}
 	}
-	if len(cloned) == 0 {
-		next.names = old.names
-	} else {
+	if added {
 		next.names = make([]string, 0, len(next.subjects))
 		for k := range next.subjects {
 			next.names = append(next.names, k)

@@ -91,6 +91,51 @@ func TestAggregatesEmptyBatchBumpsGeneration(t *testing.T) {
 	}
 }
 
+// TestAggregatesNamesSharedUnlessSubjectAdded: a batch that touches only
+// subjects the view already holds shares the previous view's sorted name
+// list (no rebuild, no sort under the ingest lock); a batch that brings
+// a new subject builds a new one, sorted, and leaves the old view's
+// alone.
+func TestAggregatesNamesSharedUnlessSubjectAdded(t *testing.T) {
+	a := NewAggregates()
+	a.Apply([]Fact{{Subject: "m", Positive: true}, {Subject: "b", Positive: true}, {Subject: "x"}})
+	before := a.View().Subjects()
+	a.Apply([]Fact{{Subject: "X", Feature: "zoom", Positive: true}, {Subject: "b"}})
+	same := a.View().Subjects()
+	if len(same) != 3 || &same[0] != &before[0] {
+		t.Fatalf("a batch over existing subjects rebuilt the name list: %v (shared backing array: %v)", same, &same[0] == &before[0])
+	}
+	if c := a.View().Counts("x"); c != (Counts{Positive: 1, Negative: 1}) {
+		t.Fatalf("Counts(x) = %+v, the existing subject was not updated", c)
+	}
+	a.Apply([]Fact{{Subject: "c", Positive: true}, {Subject: "m"}})
+	if got, want := a.View().Subjects(), []string{"b", "c", "m", "x"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Subjects() = %v after a new subject, want %v", got, want)
+	}
+	if !reflect.DeepEqual(before, []string{"b", "m", "x"}) {
+		t.Fatalf("the previous view's name list was mutated: %v", before)
+	}
+}
+
+// TestAggregatesApplyRecovered: the recovery publish is one snapshot
+// whose generation advances by the number of documents recovered; no
+// documents, no publish.
+func TestAggregatesApplyRecovered(t *testing.T) {
+	a := NewAggregates()
+	if gen := a.ApplyRecovered(nil, 0); gen != 0 || a.View().Generation() != 0 {
+		t.Fatalf("recovering nothing moved the generation to %d", gen)
+	}
+	facts := []Fact{{Subject: "s", Date: "2004-01-02", Positive: true}, {Subject: "t"}}
+	if gen := a.ApplyRecovered(facts, 5); gen != 5 || a.View().Generation() != 5 {
+		t.Fatalf("generation %d after recovering 5 documents, want 5", gen)
+	}
+	ref := NewAggregates()
+	ref.Apply(facts)
+	if a.View().Fingerprint() != ref.View().Fingerprint() || a.View().Facts() != 2 {
+		t.Fatal("the recovery publish holds different cells than Apply of the same facts")
+	}
+}
+
 func TestAggregatesSnapshotImmutable(t *testing.T) {
 	a := NewAggregates()
 	a.Apply([]Fact{{Subject: "s", Feature: "f", Date: "2004-01-02", Positive: true}})

@@ -14,12 +14,17 @@ import (
 	"webfountain/internal/durable"
 )
 
-// A checkpoint makes the serving tier's materialized state durable: the
-// full subject × feature × polarity × month aggregate table, the
-// query-time sentiment entries behind /api/sentiment, and the set of
-// document IDs whose facts those tables already contain — the
-// high-watermark a restart repairs forward from by re-mining only the
-// documents the durable store holds beyond it.
+// Production no longer calls anything in this file except the view
+// codec behind View.Fingerprint: the serving tier keeps no checkpoint —
+// the store's annotate records carry every fact and a restart folds
+// them back. Checkpoint, WriteCheckpoint and LoadCheckpoint stay because
+// the frozen benchmark (benchmark/shadow.go's checkpoint stage,
+// benchmark/trace.go) still links them; delete them with that stage.
+//
+// A checkpoint held the serving tier's materialized state: the full
+// subject × feature × polarity × month aggregate table, the query-time
+// sentiment entries behind /api/sentiment, and the set of document IDs
+// whose facts those tables contain.
 //
 // The on-disk format is a versioned binary codec guarded the same way
 // the store's snapshots are: a magic+version header, a varint-encoded
@@ -194,14 +199,6 @@ func (v *View) Fingerprint() string {
 	encodeViewBody(&b, v, false)
 	sum := sha256.Sum256(b.Bytes())
 	return hex.EncodeToString(sum[:])
-}
-
-// NewAggregatesFrom returns an aggregate store whose first snapshot is
-// the given restored view — the checkpoint-recovery constructor.
-func NewAggregatesFrom(v *View) *Aggregates {
-	a := &Aggregates{}
-	a.view.Store(v)
-	return a
 }
 
 // checkpointFiles names the checkpoint generations in a directory:

@@ -209,7 +209,10 @@ type renderFunc func(v *View, r *http.Request) (body any, status int, errMsg str
 // serves the stored bytes; a miss renders against the snapshot the
 // generation was read from, then stores the bytes under that
 // generation. The snapshot is immutable, so a response and its cache
-// tag can never disagree about which ingest batch they reflect.
+// tag can never disagree about which ingest batch they reflect. A render
+// whose request deadline has expired is answered 504 and never stored:
+// the backend may have cut its answer short, and a cached empty list
+// would outlive the deadline that caused it.
 func (g *Gateway) cached(render renderFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		v := g.backend.View()
@@ -231,6 +234,10 @@ func (g *Gateway) cached(render renderFunc) http.HandlerFunc {
 		obj, status, errMsg := render(v, r)
 		if errMsg != "" {
 			jsonError(w, status, errMsg)
+			return
+		}
+		if err := r.Context().Err(); err != nil {
+			jsonError(w, http.StatusGatewayTimeout, "request deadline expired: "+err.Error())
 			return
 		}
 		body, err := json.Marshal(obj)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -150,6 +151,47 @@ func TestGatewayDeadlinePropagatesToIngest(t *testing.T) {
 	}
 	if out.Error == "" {
 		t.Error("504 body carries no error description")
+	}
+}
+
+// expiringBackend answers Entries the way ServingTier does: nothing
+// once the request context has expired.
+type expiringBackend struct{ *fakeBackend }
+
+func (b expiringBackend) Entries(ctx context.Context, subject string) []Entry {
+	if ctx.Err() != nil {
+		return nil
+	}
+	return b.fakeBackend.Entries(ctx, subject)
+}
+
+// TestGatewayExpiredDeadlineIsNotCached: a read whose deadline has
+// already expired is answered 504, and its cut-short (empty) render is
+// never stored — the next request for the same subject is a miss that
+// renders the real entries, not a hit on the empty list.
+func TestGatewayExpiredDeadlineIsNotCached(t *testing.T) {
+	g := NewGateway(expiringBackend{newFakeBackend()}, GatewayConfig{})
+	serve := func(ctx context.Context) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/sentiment?name=nr70", nil).WithContext(ctx))
+		return rec
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if rec := serve(expired); rec.Code != http.StatusGatewayTimeout || rec.Header().Get("X-Cache") != "" {
+		t.Fatalf("expired request: status %d, X-Cache %q, body %s; want an uncached 504",
+			rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+	}
+	for _, want := range []string{"miss", "hit"} {
+		rec := serve(context.Background())
+		var entries []Entry
+		if err := json.Unmarshal(rec.Body.Bytes(), &entries); err != nil {
+			t.Fatalf("%s: %v in %s", want, err, rec.Body)
+		}
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != want || len(entries) != 2 {
+			t.Errorf("request after the expired one: status %d, X-Cache %q, %d entries; want 200 %s with nr70's 2 entries",
+				rec.Code, rec.Header().Get("X-Cache"), len(entries), want)
+		}
 	}
 }
 

@@ -24,7 +24,8 @@ import (
 var ErrDeadlineExceeded = errors.New("store: scan deadline exceeded")
 
 // Annotation is one miner-produced mark on an entity: a spot, a named
-// entity, a sentiment, etc. Positions are token indices.
+// entity, a sentiment, etc. The position fields mean what the producing
+// miner says they mean; the sentiment miner's are documented on Start.
 type Annotation struct {
 	// Miner names the producer ("spotter", "sentiment", "ne", ...).
 	Miner string `xml:"miner,attr"`
@@ -34,9 +35,16 @@ type Annotation struct {
 	Key string `xml:"key,attr"`
 	// Value is the payload ("+", "-", a score, ...).
 	Value string `xml:"value,attr,omitempty"`
+	// Feature is the phrase a sentiment was directed at ("" when the
+	// miner resolved none, and on every other miner's annotations).
+	Feature string `xml:"feature,attr,omitempty"`
 	// Sentence is the sentence index, -1 when not sentence-scoped.
 	Sentence int `xml:"sentence,attr"`
-	// Start and End are token indices within the sentence (half-open).
+	// Start and End are a half-open span: token indices within the
+	// sentence for the spotters, the byte span of the sentiment-bearing
+	// sentence in Entity.Text for the sentiment miner — with Key, Value,
+	// Sentence and Feature the whole mined fact, so the serving tier is
+	// rebuilt from stored annotations without re-mining.
 	Start int `xml:"start,attr"`
 	End   int `xml:"end,attr"`
 }

@@ -100,6 +100,9 @@ type SubjectSentiment struct {
 	// Snippet is the sentiment-bearing sentence, quoted verbatim from
 	// the source text.
 	Snippet string
+	// Start and End are Snippet's half-open byte span in the source
+	// text (both zero on facts read back from the sentiment index).
+	Start, End int
 	// Pattern names the sentiment pattern that fired, for tracing.
 	Pattern string
 	// Feature is the target phrase the sentiment was directed at
@@ -295,6 +298,8 @@ func (m *SentimentMiner) mineWithSubjects(a *pipelineArena, toks []tokenize.Toke
 					DocID:    docID,
 					Sentence: s.Index,
 					Snippet:  text[s.Start:s.End], // verbatim span: no render
+					Start:    s.Start,
+					End:      s.End,
 					Pattern:  h.Pattern,
 					Feature:  h.Target,
 				})
@@ -337,6 +342,8 @@ func (m *SentimentMiner) mineEntities(a *pipelineArena, docID, text string) []Su
 					DocID:    docID,
 					Sentence: s.Index,
 					Snippet:  text[s.Start:s.End], // verbatim span: no render
+					Start:    s.Start,
+					End:      s.End,
 					Pattern:  h.Pattern,
 					Feature:  h.Target,
 				})
@@ -433,8 +440,10 @@ func (m *SentimentMiner) Run(p *Platform) ([]SubjectSentiment, error) {
 	return mu.facts, nil
 }
 
-// annotationsOf converts mined facts to the store annotations the
-// offline trend miner consumes.
+// annotationsOf converts mined facts to store annotations that carry the
+// whole fact — subject, polarity, sentence, feature and the snippet's
+// byte span — so the offline trend miner reads them and the serving tier
+// is rebuilt from them (storedFacts) without re-mining.
 func annotationsOf(facts []SubjectSentiment) []store.Annotation {
 	anns := make([]store.Annotation, 0, len(facts))
 	for _, f := range facts {
@@ -443,10 +452,52 @@ func annotationsOf(facts []SubjectSentiment) []store.Annotation {
 			Type:     "polarity",
 			Key:      f.Subject,
 			Value:    f.Polarity.String(),
+			Feature:  f.Feature,
 			Sentence: f.Sentence,
+			Start:    f.Start,
+			End:      f.End,
 		})
 	}
 	return anns
+}
+
+// storedFacts is annotationsOf's inverse: the facts of a stored document
+// rebuilt from the sentiment annotations it carries, with no tokenizer
+// and no analyzer (Pattern, which is not stored, stays empty). ok is
+// false when the entity carries none, or when one of them is not a whole
+// fact — an unknown polarity, or a span that is empty or outside the text,
+// as on annotations written before spans were recorded; such a document
+// is mined again instead.
+func storedFacts(e *store.Entity) (facts []SubjectSentiment, ok bool) {
+	for _, a := range e.Annotations {
+		if a.Miner != MinerName {
+			continue
+		}
+		var pol Polarity
+		switch a.Value {
+		case "+":
+			pol = Positive
+		case "-":
+			pol = Negative
+		}
+		if pol == Neutral || a.Start < 0 || a.Start >= a.End || a.End > len(e.Text) {
+			return nil, false
+		}
+		if facts == nil {
+			facts = make([]SubjectSentiment, 0, len(e.Annotations))
+		}
+		facts = append(facts, SubjectSentiment{
+			Subject:  a.Key,
+			Polarity: pol,
+			DocID:    e.ID,
+			Sentence: a.Sentence,
+			Snippet:  e.Text[a.Start:a.End],
+			Start:    a.Start,
+			End:      a.End,
+			Feature:  a.Feature,
+		})
+	}
+	return facts, len(facts) > 0
 }
 
 // indexFacts folds mined facts into the query-time sentiment index.
@@ -471,12 +522,6 @@ func (m *SentimentMiner) MineDocument(docID, text string) []SubjectSentiment {
 	m.indexFacts(facts)
 	return facts
 }
-
-// restoreSentiment re-adds one previously-mined entry to the query-time
-// sentiment index without re-running the pipeline — the serving tier's
-// checkpoint-restore path, where the entries come from a verified
-// checkpoint instead of the analyzer.
-func (m *SentimentMiner) restoreSentiment(e index.SentimentEntry) { m.sidx.Add(e) }
 
 // Query serves a query-time sentiment lookup from the index built by Run.
 func (m *SentimentMiner) Query(subject string) []SubjectSentiment {

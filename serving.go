@@ -2,14 +2,11 @@ package webfountain
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 	"sync"
 
-	"webfountain/internal/durable"
-	"webfountain/internal/index"
 	"webfountain/internal/metrics"
 	"webfountain/internal/serve"
 	"webfountain/internal/store"
@@ -32,9 +29,12 @@ type (
 )
 
 var (
-	servingCheckpoints    = metrics.Default().Counter("serving.checkpoints")
-	servingCheckpointErrs = metrics.Default().Counter("serving.checkpoint.errors")
-	servingRepairedDocs   = metrics.Default().Counter("serving.recovery.repaired.docs")
+	servingFoldedDocs   = metrics.Default().Counter("serving.recovery.folded.docs")
+	servingRepairedDocs = metrics.Default().Counter("serving.recovery.repaired.docs")
+	servingRecoverNs    = metrics.Default().Histogram("serving.recover.ns")
+	servingGeneration   = metrics.Default().Gauge("serving.generation")
+	servingSubjects     = metrics.Default().Gauge("serving.subjects")
+	servingEntries      = metrics.Default().Gauge("serving.entries")
 )
 
 // NewServingGateway mounts the tier's HTTP/JSON API (the /api/*
@@ -44,34 +44,25 @@ func NewServingGateway(t *ServingTier, cfg ServingGatewayConfig) http.Handler {
 	return serve.NewGateway(t, cfg)
 }
 
-// ServingTierConfig tunes the tier's durability. The zero value
-// disables checkpointing entirely (the PR 9 memory-only behavior).
+// ServingTierConfig is what is left of the tier's own persistence: the
+// tier keeps no files — the store is its checkpoint — and both fields
+// are accepted only so existing callers keep compiling.
 type ServingTierConfig struct {
-	// CheckpointDir, when non-empty, is where the tier persists its
-	// aggregate checkpoints — see RecoverServingTier for how they are
-	// used at startup.
+	// Deprecated: ignored. No checkpoint is written or read.
 	CheckpointDir string
-	// CheckpointEvery writes a checkpoint every N ingest batches
-	// (0: only on Close or an explicit Checkpoint call).
+	// Deprecated: ignored.
 	CheckpointEvery int
-	// WrapCheckpoint, when set, wraps the checkpoint temp-file handle —
-	// the deterministic disk-fault injector's hook in crash tests.
-	WrapCheckpoint durable.Wrap
 }
 
-// ServingRecovery describes what RecoverServingTier found and did.
+// ServingRecovery describes what RecoverServingTier did.
 type ServingRecovery struct {
-	// CheckpointLoaded reports whether a valid checkpoint was restored
-	// (false means a cold start: every document was re-mined).
-	CheckpointLoaded bool
-	// CheckpointGen is the restored checkpoint's aggregate generation.
-	CheckpointGen uint64
-	// Quarantined counts checkpoint files that failed verification and
-	// were renamed *.corrupt before an older valid one was found.
-	Quarantined int
-	// RepairedDocs counts the documents mined forward from the
-	// watermark — the store held them durably but the checkpoint's
-	// aggregates did not include them yet.
+	// FoldedDocs counts the documents whose facts were rebuilt from
+	// their stored annotations, without mining.
+	FoldedDocs int
+	// RepairedDocs counts the documents that were mined: stored without
+	// sentiment annotations (a crash between the put and annotate
+	// records, plain Platform.Ingest, or simply no sentiment in them) or
+	// with annotations that do not carry a whole fact.
 	RepairedDocs int
 }
 
@@ -94,137 +85,82 @@ type ServingRecovery struct {
 // always fully served and an unacked one was never half-written by the
 // tier; there is no list of documents that owe a write.
 //
-// Durability contract: with a CheckpointDir configured, the tier
-// persists CRC-guarded checkpoints of the aggregate table, the
-// query-time sentiment entries and the mined-document watermark.
-// RecoverServingTier restores the newest valid checkpoint and mines
-// only the documents the durable store holds past the watermark, so a
-// crash between a document's durable put and the aggregate publish
-// loses nothing: the missing documents are exactly the ones past the
-// watermark, and repair folds them in before the tier serves.
+// Durability contract: the tier has no files of its own. A document's
+// annotate record carries its whole facts, so the store's write-ahead
+// log is the only durable copy and RecoverServingTier rebuilds the tier
+// from it; a crash between a document's put and annotate records leaves
+// it stored un-annotated, and recovery mines it.
 type ServingTier struct {
-	mu  sync.Mutex // serializes ingest batches, repair and checkpoints
+	mu  sync.Mutex // serializes ingest batches
 	p   *Platform
 	m   *SentimentMiner
 	agg *serve.Aggregates
-	cfg ServingTierConfig
-
-	// mined holds the IDs of every document whose facts are folded
-	// into the aggregates and the sentiment index — the recovery
-	// watermark a checkpoint persists.
-	mined map[string]struct{}
-	// batches counts ingest batches since the last checkpoint.
-	batches int
 }
 
-func newServingTier(p *Platform, m *SentimentMiner, cfg ServingTierConfig) *ServingTier {
-	return &ServingTier{p: p, m: m, agg: serve.NewAggregates(), cfg: cfg, mined: map[string]struct{}{}}
+func newServingTier(p *Platform, m *SentimentMiner) *ServingTier {
+	return &ServingTier{p: p, m: m, agg: serve.NewAggregates()}
 }
 
 // NewServingTier builds the tier over a platform and a miner that has
 // already run (facts are Run's output, seeding the aggregates so the
 // first query is served from the materialized view, not a corpus scan).
-// The tier does not checkpoint; use RecoverServingTier for a tier that
-// survives restarts.
 func NewServingTier(p *Platform, m *SentimentMiner, facts []SubjectSentiment) *ServingTier {
-	t := newServingTier(p, m, ServingTierConfig{})
+	t := newServingTier(p, m)
 	t.agg.Apply(t.toFacts(facts))
-	for _, id := range p.internalStore().IDs() {
-		t.mined[id] = struct{}{}
-	}
+	t.published()
 	return t
 }
 
-// RecoverServingTier builds the tier from its durable state: it loads
-// the newest valid checkpoint in cfg.CheckpointDir (quarantining
-// corrupt ones), restores the aggregate table, the sentiment index and
-// the mined-document watermark from it, and then repairs forward by
-// mining every document the store holds past the watermark — the
-// store's durable doc set is ground truth. Without a usable checkpoint
-// the same repair pass simply covers the whole corpus. Repair
-// annotates only documents that carry no sentiment annotations yet —
-// after a crash between a document's put and annotate records, or for
-// documents stored by plain Platform.Ingest — so a crash after the
-// annotate but before the checkpoint does not double-annotate on the
-// next boot. A fresh checkpoint is written when recovery completes, so
-// the next restart starts from here.
-func RecoverServingTier(p *Platform, m *SentimentMiner, cfg ServingTierConfig) (*ServingTier, ServingRecovery, error) {
-	t := newServingTier(p, m, cfg)
+// RecoverServingTier builds the tier from what the store holds, in one
+// pass over its documents in sorted-ID order (so two recoveries of one
+// store are identical): a document stored with its facts is folded —
+// the facts are read back from its annotations, nothing is mined — and
+// any other document goes through ingest's own mine step, which
+// annotates it only if it carries no sentiment annotations yet. One
+// aggregate publish follows, its generation advanced by the number of
+// documents recovered. A document whose annotate is refused (degraded
+// store) stays out, for the next boot, exactly as at ingest. The config
+// is ignored and the error is always nil; both remain for existing
+// callers.
+func RecoverServingTier(p *Platform, m *SentimentMiner, _ ServingTierConfig) (*ServingTier, ServingRecovery, error) {
+	span := servingRecoverNs.Start()
+	t := newServingTier(p, m)
 	var rec ServingRecovery
-	if cfg.CheckpointDir != "" {
-		ck, quarantined, err := serve.LoadCheckpoint(cfg.CheckpointDir)
-		rec.Quarantined = quarantined
-		if err != nil {
-			return nil, rec, err
-		}
-		if ck != nil {
-			rec.CheckpointLoaded = true
-			rec.CheckpointGen = ck.View.Generation()
-			t.agg = serve.NewAggregatesFrom(ck.View)
-			for _, e := range ck.Entries {
-				m.restoreSentiment(index.SentimentEntry{
-					DocID:    e.Doc,
-					Sentence: e.Sentence,
-					Subject:  e.Subject,
-					Polarity: parsePolarity(e.Polarity),
-					Snippet:  e.Snippet,
-					Feature:  e.Feature,
-				})
-			}
-			for _, id := range ck.MinedDocs {
-				t.mined[id] = struct{}{}
-			}
-		}
-	}
-	rec.RepairedDocs = t.repairForward()
-	servingRepairedDocs.Add(int64(rec.RepairedDocs))
-	if cfg.CheckpointDir != "" {
-		// Persist the repaired state immediately: the next crash's
-		// recovery starts from this watermark, not the pre-crash one.
-		// Best-effort — a failing checkpoint disk must not keep the
-		// tier down when the repaired in-memory state is already
-		// serving-ready; the error counter records it and the ingest
-		// cadence retries.
-		t.Checkpoint() //nolint:errcheck
-	}
-	return t, rec, nil
-}
-
-// repairForward mines every stored document not yet behind the
-// watermark, in sorted ID order so two recoveries of the same store
-// converge to identical aggregates and generations. Each repaired
-// document gets its own aggregate publish: the generation strictly
-// grows past every batch the crash erased, so a cached client can
-// never observe the generation move backwards across a restart. A
-// document whose annotate is refused (degraded store) stays outside the
-// watermark for the next boot, exactly as at ingest.
-func (t *ServingTier) repairForward() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.p.internalStore()
+	st := p.internalStore()
 	ids := st.IDs()
 	sort.Strings(ids)
-	repaired := 0
+	var facts []serve.Fact
 	for _, id := range ids {
-		if _, ok := t.mined[id]; ok {
-			continue
-		}
-		var text, date string
-		annotated := false
+		var (
+			text, date        string
+			mined             []SubjectSentiment
+			folded, annotated bool
+		)
 		if !st.View(id, func(e *store.Entity) {
 			text, date = e.Text, e.Date
-			annotated = len(e.AnnotationsBy(MinerName)) > 0
+			if mined, folded = storedFacts(e); !folded {
+				annotated = len(e.AnnotationsBy(MinerName)) > 0
+			}
 		}) {
 			continue
 		}
-		mined, err := t.mine(id, text, nil, annotated)
-		if err != nil {
-			continue
+		if folded {
+			rec.FoldedDocs++
+		} else {
+			var err error
+			if mined, err = t.mine(id, text, nil, annotated); err != nil {
+				continue
+			}
+			rec.RepairedDocs++
 		}
-		t.agg.Apply(t.fold(nil, id, date, mined))
-		repaired++
+		facts = t.fold(facts, date, mined)
 	}
-	return repaired
+	t.agg.ApplyRecovered(facts, rec.FoldedDocs+rec.RepairedDocs)
+	t.published()
+	servingFoldedDocs.Add(int64(rec.FoldedDocs))
+	servingRepairedDocs.Add(int64(rec.RepairedDocs))
+	span.End()
+	return t, rec, nil
 }
 
 // mine is the tier's one mining step, shared by ingest and recovery:
@@ -242,16 +178,22 @@ func (t *ServingTier) mine(id, text string, toks []tokenize.Token, annotated boo
 	return mined, nil
 }
 
-// fold puts one mined document behind the watermark: its facts enter
-// the sentiment index and are appended, dated, to dst for the aggregate
-// publish.
-func (t *ServingTier) fold(dst []serve.Fact, id, date string, mined []SubjectSentiment) []serve.Fact {
+// fold serves one document's facts: they enter the sentiment index and
+// are appended, dated, to dst for the aggregate publish.
+func (t *ServingTier) fold(dst []serve.Fact, date string, mined []SubjectSentiment) []serve.Fact {
 	t.m.indexFacts(mined)
-	t.mined[id] = struct{}{}
 	for _, f := range mined {
 		dst = append(dst, aggFact(f, date))
 	}
 	return dst
+}
+
+// published reports the snapshot just published to the gauges.
+func (t *ServingTier) published() {
+	v := t.agg.View()
+	servingGeneration.Set(int64(v.Generation()))
+	servingSubjects.Set(int64(len(v.Subjects())))
+	servingEntries.Set(int64(v.Facts()))
 }
 
 // aggFact dates one mined fact for the aggregates' time-bucket dimension.
@@ -259,49 +201,14 @@ func aggFact(f SubjectSentiment, date string) serve.Fact {
 	return serve.Fact{Subject: f.Subject, Feature: f.Feature, Date: date, Positive: f.Polarity == Positive}
 }
 
-// Checkpoint persists the tier's current state — aggregate table,
-// sentiment entries and mined-document watermark — atomically into the
-// configured checkpoint directory.
-func (t *ServingTier) Checkpoint() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.checkpointLocked()
-}
+// Checkpoint does nothing: the tier keeps no files.
+//
+// Deprecated: kept for callers that still time it.
+func (t *ServingTier) Checkpoint() error { return nil }
 
-func (t *ServingTier) checkpointLocked() error {
-	if t.cfg.CheckpointDir == "" {
-		return errors.New("webfountain: serving tier has no checkpoint directory")
-	}
-	all := t.m.sidx.All()
-	entries := make([]serve.Entry, 0, len(all))
-	for _, e := range all {
-		entries = append(entries, serve.Entry{
-			Subject:  e.Subject,
-			Polarity: Polarity(e.Polarity).String(),
-			Doc:      e.DocID,
-			Sentence: e.Sentence,
-			Snippet:  e.Snippet,
-			Feature:  e.Feature,
-		})
-	}
-	ck := &serve.Checkpoint{View: t.agg.View(), Entries: entries, MinedDocs: sortedSet(t.mined)}
-	if _, err := serve.WriteCheckpoint(t.cfg.CheckpointDir, ck, t.cfg.WrapCheckpoint); err != nil {
-		servingCheckpointErrs.Inc()
-		return err
-	}
-	servingCheckpoints.Inc()
-	t.batches = 0
-	return nil
-}
-
-// Close persists a final checkpoint (graceful shutdown). A tier
-// without a checkpoint directory closes as a no-op.
-func (t *ServingTier) Close() error {
-	if t.cfg.CheckpointDir == "" {
-		return nil
-	}
-	return t.Checkpoint()
-}
+// Close does nothing: the tier keeps no files and owns no goroutine;
+// closing the platform flushes the store.
+func (t *ServingTier) Close() error { return nil }
 
 // toFacts converts mined facts to aggregate facts, resolving each
 // document's publication date for the time-bucket dimension.
@@ -355,11 +262,12 @@ func (t *ServingTier) Entries(ctx context.Context, subject string) []serve.Entry
 // Ingest implements serve.Backend's online write path: Platform's
 // ingest loop with the miner riding each document's step — stored,
 // indexed, analyzed over the index's own tokens and annotated onto the
-// entity (so the offline trend miner sees the facts too) before the
-// next document is touched. When the loop returns, the acked prefix is
-// folded in input order into the sentiment index and the aggregates —
-// the generation bump that invalidates every cached response. Batches
-// are serialized.
+// entity (so the offline trend miner sees the facts too, and a restart
+// folds them back) before the next document is touched. When the loop
+// returns, the acked prefix is folded in input order into the sentiment
+// index and the aggregates — the generation bump that invalidates every
+// cached response. Batches are serialized, and the tier itself touches
+// no file: the store's put and annotate records are all a batch writes.
 //
 // The context carries the request deadline, checked before each
 // document. A deadline that expires before document k, or a store that
@@ -368,8 +276,8 @@ func (t *ServingTier) Entries(ctx context.Context, subject string) []serve.Entry
 // unwraps to context.DeadlineExceeded or the store's error), and the
 // client resends the rest. With IngestWorkers 1 nothing past k reached
 // the store; with more, documents already claimed when the cut came
-// complete their step but stay outside the watermark (Platform.Ingest's
-// caveat) until a resend or the next boot's repair folds them in.
+// complete their step but are not served (Platform.Ingest's caveat)
+// until a resend or the next boot folds them in.
 func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -383,13 +291,13 @@ func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, i
 		}
 	}
 	mined := make([][]SubjectSentiment, len(docs))
-	ids, err := t.p.ingest(ctx, batch, func(i int, id string, toks []tokenize.Token) (err error) {
-		mined[i], err = t.mine(id, batch[i].Text, toks, false)
+	ids, err := t.p.ingest(ctx, batch, func(i int, id, text string, toks []tokenize.Token) (err error) {
+		mined[i], err = t.mine(id, text, toks, false)
 		return err
 	})
 	var facts []serve.Fact
-	for i, id := range ids {
-		facts = t.fold(facts, id, batch[i].Date, mined[i])
+	for i := range ids {
+		facts = t.fold(facts, batch[i].Date, mined[i])
 	}
 	// Publish even an empty successful batch: the corpus changed, so
 	// cached responses keyed on the old generation must re-render. A
@@ -398,35 +306,7 @@ func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, i
 	// (recovery replays documents, not failed attempts).
 	if len(ids) > 0 || err == nil {
 		t.agg.Apply(facts)
-		t.batches++
-		if t.cfg.CheckpointDir != "" && t.cfg.CheckpointEvery > 0 &&
-			t.batches >= t.cfg.CheckpointEvery {
-			// Best-effort: a failed checkpoint must not fail an acked
-			// ingest; the error counter records it and the cadence
-			// retries on the next batch.
-			t.checkpointLocked() //nolint:errcheck
-		}
+		t.published()
 	}
 	return ids, len(facts), err
-}
-
-// parsePolarity inverts Polarity.String.
-func parsePolarity(s string) int {
-	switch s {
-	case "+":
-		return int(Positive)
-	case "-":
-		return int(Negative)
-	}
-	return int(Neutral)
-}
-
-// sortedSet returns a set's keys, sorted.
-func sortedSet(set map[string]struct{}) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,9 +3,9 @@ package webfountain
 // "Acked means mined", checked against a model instead of against three
 // hand-picked scenarios: seeded random sequences of ingest batches,
 // mid-batch deadline expiry, content-addressed WAL faults, explicit
-// checkpoints and crash-without-Close recoveries drive a real durable
-// serving tier, and after every step the tier must agree with a model
-// that is nothing but two ID sets and the analyzer:
+// (no-op) checkpoints and crash-without-Close recoveries drive a real
+// durable serving tier, and after every step the tier must agree with a
+// model that is nothing but two ID sets and the analyzer:
 //
 //  1. every acked document is in the store carrying exactly the
 //     annotations of AnalyzeText(its text) — once;
@@ -16,7 +16,12 @@ package webfountain
 //  3. the published view fingerprints identically to a cube built
 //     offline from AnalyzeText over exactly the folded documents;
 //  4. resending the unacked rest of a cut batch counts each document
-//     once.
+//     once;
+//  5. a restart is invisible: recovery analyzes only the documents that
+//     were stored without sentiment annotations, a tier that served
+//     everything the store held answers Entries for every subject
+//     exactly as before the crash, and the checkpoint directory named in
+//     the config never holds a file.
 //
 // IDs never repeat, except in the resend of (4), which only ever carries
 // documents the tier has not folded: duplicate IDs, overwrite and delete
@@ -54,7 +59,7 @@ type servingModel struct {
 	docs    map[string]serve.Doc // every document ever offered, by ID
 	nextDoc int
 	acked   map[string]bool // Ingest returned the ID
-	folded  map[string]bool // behind the watermark: acked, or repaired at a boot
+	folded  map[string]bool // served: acked, or recovered at a boot
 	lastGen uint64
 }
 
@@ -76,9 +81,10 @@ func newServingModel(t *testing.T, seed int64, workers int) *servingModel {
 }
 
 // open boots (or, after a crash, re-boots) the deployment on a healthy
-// disk. Recovery repairs everything the store holds, so the folded set
-// becomes the store's ID set.
-func (sm *servingModel) open() {
+// disk. Recovery serves everything the store holds, so the folded set
+// becomes the store's ID set. It returns how many documents recovery
+// analyzed.
+func (sm *servingModel) open() (analyzed int64) {
 	sm.t.Helper()
 	st, err := store.Open(sm.dataDir, store.Options{Shards: 4, WrapFile: func(f durable.File) durable.File {
 		sm.fault = &markerFailWAL{File: f}
@@ -92,12 +98,14 @@ func (sm *servingModel) open() {
 	if sm.m, err = NewSentimentMiner(MinerConfig{}); err != nil {
 		sm.t.Fatal(err)
 	}
+	before := minedDocs.Value()
 	if sm.tier, _, err = RecoverServingTier(sm.p, sm.m, sm.cfg); err != nil {
 		sm.t.Fatal(err)
 	}
 	for _, id := range st.IDs() {
 		sm.folded[id] = true
 	}
+	return minedDocs.Value() - before
 }
 
 var modelTexts = []string{
@@ -216,12 +224,26 @@ func (sm *servingModel) stepFault() {
 	}
 }
 
-// stepCrash abandons the deployment without Close — no final
-// checkpoint — and recovers it. Every acked document must have
-// survived; afterwards the never-acked documents the crash lost for good
-// are resent.
+// stepCrash abandons the deployment without Close and recovers it
+// (invariant 5). Every acked document must have survived; afterwards the
+// never-acked documents the crash lost for good are resent.
 func (sm *servingModel) stepCrash() {
-	sm.open()
+	st := sm.p.internalStore()
+	var unannotated int64
+	servedAll := true
+	for _, id := range st.IDs() {
+		if sentimentAnnotations(st, id) == 0 {
+			unannotated++
+		}
+		servedAll = servedAll && sm.folded[id]
+	}
+	before := entryDump(sm.tier)
+	if analyzed := sm.open(); analyzed != unannotated {
+		sm.t.Fatalf("recovery analyzed %d documents, the store held %d without sentiment annotations", analyzed, unannotated)
+	}
+	if after := entryDump(sm.tier); servedAll && after != before {
+		sm.t.Fatalf("the restart changed what Entries answers:\nbefore %s\nafter  %s", before, after)
+	}
 	if g := sm.tier.View().Generation(); g < sm.lastGen {
 		sm.t.Fatalf("generation regressed across the restart: %d -> %d", sm.lastGen, g)
 	} else {
@@ -242,9 +264,11 @@ func (sm *servingModel) stepCrash() {
 	}
 }
 
-// check asserts invariants 1–3 against the live deployment.
+// check asserts invariants 1–3 against the live deployment, and that
+// the tier has written no file of its own.
 func (sm *servingModel) check(after string) {
 	sm.t.Helper()
+	assertNoRegularFile(sm.t, sm.cfg.CheckpointDir)
 	st := sm.p.internalStore()
 	for id := range sm.acked {
 		if !sm.folded[id] {
@@ -267,7 +291,7 @@ func (sm *servingModel) check(after string) {
 		for _, f := range mined {
 			facts = append(facts, aggFact(f, d.Date))
 			// The sentiment index keys subjects case-folded.
-			wantEntries = append(wantEntries, fmt.Sprintf("%s|%d|%s|%d|%s", id, f.Sentence, strings.ToLower(f.Subject), f.Polarity, f.Feature))
+			wantEntries = append(wantEntries, fmt.Sprintf("%s|%d|%s|%d|%s|%s", id, f.Sentence, strings.ToLower(f.Subject), f.Polarity, f.Feature, f.Snippet))
 		}
 	}
 	offline.Apply(facts)
@@ -277,16 +301,13 @@ func (sm *servingModel) check(after string) {
 	}
 	var gotEntries []string
 	for _, e := range sm.m.sidx.All() {
-		gotEntries = append(gotEntries, fmt.Sprintf("%s|%d|%s|%d|%s", e.DocID, e.Sentence, e.Subject, e.Polarity, e.Feature))
+		gotEntries = append(gotEntries, fmt.Sprintf("%s|%d|%s|%d|%s|%s", e.DocID, e.Sentence, e.Subject, e.Polarity, e.Feature, e.Snippet))
 	}
 	sort.Strings(gotEntries)
 	sort.Strings(wantEntries)
 	if !reflect.DeepEqual(gotEntries, wantEntries) {
 		sm.t.Fatalf("after %s: sentiment index holds %d entries, the folded documents mine %d:\n got %v\nwant %v",
 			after, len(gotEntries), len(wantEntries), gotEntries, wantEntries)
-	}
-	if len(sm.tier.mined) != len(sm.folded) {
-		sm.t.Fatalf("after %s: watermark holds %d documents, model folded %d", after, len(sm.tier.mined), len(sm.folded))
 	}
 }
 

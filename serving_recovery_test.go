@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io/fs"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"webfountain/internal/corpus"
 	"webfountain/internal/durable"
-	"webfountain/internal/faults"
 	"webfountain/internal/serve"
 	"webfountain/internal/store"
 )
@@ -19,15 +22,21 @@ import (
 // markerFailWAL fails any WAL append whose payload contains the marker
 // — a content-addressed disk fault, so the failing document is chosen
 // by the test, not by record framing details. An empty marker is a
-// healthy disk.
+// healthy disk. With tear set the first half of the failing append
+// reaches the file first: the torn record of a kill mid-append.
 type markerFailWAL struct {
 	durable.File
 	marker []byte
+	tear   bool
 }
 
 func (w *markerFailWAL) Write(p []byte) (int, error) {
 	if len(w.marker) > 0 && bytes.Contains(p, w.marker) {
-		return 0, errors.New("injected disk failure")
+		n := 0
+		if w.tear {
+			n, _ = w.File.Write(p[:len(p)/2])
+		}
+		return n, errors.New("injected disk failure")
 	}
 	return w.File.Write(p)
 }
@@ -61,8 +70,8 @@ func durableServingFixture(t *testing.T, dir string, wrap durable.Wrap, cfg Serv
 // once, mined and published already — no later step exists that would
 // finish it — and nothing past k reached the store (single worker),
 // the sentiment index or the aggregates. A refused annotate leaves
-// document k itself stored but unannotated and outside the watermark,
-// which the next boot's repair completes.
+// document k itself stored but unannotated and unserved, which the next
+// boot's recovery mines and annotates.
 func TestServingTierIngestPartialFailurePrefix(t *testing.T) {
 	docs := []serve.Doc{
 		{ID: "d1", Date: "2003-01-05", Text: "The NR70 takes excellent pictures."},
@@ -159,13 +168,13 @@ func TestServingTierIngestPartialFailurePrefix(t *testing.T) {
 				return
 			}
 
-			// Crash (no Close) and recover over a healthy disk: the cold
-			// repair mines exactly what the store holds — annotating d3
-			// where only its annotate was refused — and never resurrects
-			// a document that was not stored.
+			// Crash (no Close) and recover over a healthy disk: the
+			// annotated prefix is folded, d3 is mined and annotated where
+			// only its annotate was refused, and a document that was not
+			// stored is never resurrected.
 			p2, _, tier2, rec := durableServingFixture(t, dir, nil, ServingTierConfig{})
-			if rec.CheckpointLoaded || rec.RepairedDocs != len(c.stored) {
-				t.Fatalf("recovery %+v, want cold repair of exactly the %d stored docs", rec, len(c.stored))
+			if rec.FoldedDocs != 2 || rec.RepairedDocs != len(c.stored)-2 {
+				t.Fatalf("recovery %+v, want d1 and d2 folded and the other %d stored docs mined", rec, len(c.stored)-2)
 			}
 			if got := tier2.View().Fingerprint(); (got == preFP) != (len(c.stored) == 2) {
 				t.Errorf("recovered aggregates vs the pre-crash prefix view: equal = %v with %v stored", got == preFP, c.stored)
@@ -217,16 +226,38 @@ func (c *expireAfterCtx) Err() error {
 	return nil
 }
 
-// TestServingTierCheckpointRestartRoundTrip: a graceful shutdown's
-// checkpoint restores the tier byte-identically — same aggregates, same
-// sentiment entries, same generation — with zero repair work.
-func TestServingTierCheckpointRestartRoundTrip(t *testing.T) {
-	dataDir, ckptDir := t.TempDir(), t.TempDir()
+// assertNoRegularFile fails when dir (which may not exist) holds a file.
+func assertNoRegularFile(t *testing.T, dir string) {
+	t.Helper()
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error { //nolint:errcheck // a missing dir holds no file
+		if err == nil && d.Type().IsRegular() {
+			t.Errorf("the serving tier left %s behind; it must write no file of its own", path)
+		}
+		return nil
+	})
+}
+
+// entryDump renders Entries(subject) of every subject the view names.
+func entryDump(tier *ServingTier) string {
+	var b strings.Builder
+	for _, subject := range tier.View().Subjects() {
+		fmt.Fprintf(&b, "%s: %+v\n", subject, tier.Entries(context.Background(), subject))
+	}
+	return b.String()
+}
+
+// TestServingTierRestartRoundTrip: a restart — after a clean Close or a
+// crash without one, there is no difference — folds the stored
+// annotations back into the same aggregates and the same sentiment
+// entries, snippets and features included, without calling the tokenizer
+// or the analyzer once, and without a checkpoint file.
+func TestServingTierRestartRoundTrip(t *testing.T) {
+	dataDir, ckptDir := t.TempDir(), filepath.Join(t.TempDir(), "ckpt")
 	cfg := ServingTierConfig{CheckpointDir: ckptDir, CheckpointEvery: 2}
 
 	p1, m1, tier1, rec := durableServingFixture(t, dataDir, nil, cfg)
-	if rec.CheckpointLoaded || rec.RepairedDocs != 0 {
-		t.Fatalf("fresh boot recovery %+v, want empty", rec)
+	if rec != (ServingRecovery{}) || tier1.View().Generation() != 0 {
+		t.Fatalf("fresh boot recovery %+v at generation %d, want empty", rec, tier1.View().Generation())
 	}
 	docs := []serve.Doc{
 		{ID: "d1", Date: "2003-01-05", Text: "The NR70 takes excellent pictures."},
@@ -238,131 +269,73 @@ func TestServingTierCheckpointRestartRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := tier1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	wantFP, wantGen := tier1.View().Fingerprint(), tier1.View().Generation()
-	wantEntries := m1.sidx.All()
+	wantEntries, wantDump := m1.sidx.All(), entryDump(tier1)
 	if err := tier1.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := p1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	assertNoRegularFile(t, ckptDir)
 
+	docsBefore, factsBefore := minedDocs.Value(), minedFacts.Value()
 	_, m2, tier2, rec2 := durableServingFixture(t, dataDir, nil, cfg)
-	if !rec2.CheckpointLoaded || rec2.Quarantined != 0 {
-		t.Fatalf("restart recovery %+v, want a loaded checkpoint", rec2)
+	if rec2.FoldedDocs != 3 || rec2.RepairedDocs != 0 {
+		t.Fatalf("restart recovery %+v, want the 3 documents folded and none mined", rec2)
 	}
-	if rec2.RepairedDocs != 0 {
-		t.Errorf("repaired %d docs after a graceful shutdown, want 0", rec2.RepairedDocs)
-	}
-	if rec2.CheckpointGen != wantGen {
-		t.Errorf("checkpoint generation %d, want %d", rec2.CheckpointGen, wantGen)
+	if d, f := minedDocs.Value()-docsBefore, minedFacts.Value()-factsBefore; d != 0 || f != 0 {
+		t.Errorf("recovery of an annotated corpus analyzed %d documents (%d facts), want none", d, f)
 	}
 	v := tier2.View()
 	if v.Generation() != wantGen {
-		t.Errorf("restored generation %d, want %d", v.Generation(), wantGen)
+		t.Errorf("restored generation %d, want %d (three batches of one document)", v.Generation(), wantGen)
 	}
 	if v.Fingerprint() != wantFP {
-		t.Error("restored aggregates diverge from the shutdown state")
+		t.Error("restored aggregates diverge from the pre-restart state")
 	}
 	if got := m2.sidx.All(); !reflect.DeepEqual(got, wantEntries) {
-		t.Errorf("restored sentiment entries diverge: %d vs %d", len(got), len(wantEntries))
+		t.Errorf("restored sentiment entries diverge:\n got %+v\nwant %+v", got, wantEntries)
 	}
-	if got := tier2.Entries(context.Background(), "ZV500"); len(got) != 2 {
-		t.Errorf("ZV500 entries after restart: %d, want 2", len(got))
+	if got := entryDump(tier2); got != wantDump {
+		t.Errorf("restored Entries diverge:\n got %s\nwant %s", got, wantDump)
 	}
+	assertNoRegularFile(t, ckptDir)
 }
 
-// TestServingTierCheckpointSyncFailureKeepsPreviousGeneration: an fsync
-// failure injected on the checkpoint temp file fails that checkpoint
-// without publishing it — the previous generation stays the newest
-// loadable one, no temp file is left, the store is not degraded — and
-// the tier keeps ingesting and serving, then checkpoints again once the
-// disk recovers.
-func TestServingTierCheckpointSyncFailureKeepsPreviousGeneration(t *testing.T) {
-	dataDir, ckptDir := t.TempDir(), t.TempDir()
-	in := faults.New(faults.Config{Seed: 1, SyncFailRate: 1})
-	failing := false
-	cfg := ServingTierConfig{CheckpointDir: ckptDir, WrapCheckpoint: func(f durable.File) durable.File {
-		if failing {
-			return in.File(f)
-		}
-		return f
-	}}
-	p, _, tier, _ := durableServingFixture(t, dataDir, nil, cfg)
-	ingest := func(d serve.Doc) {
-		t.Helper()
-		if _, _, err := tier.Ingest(context.Background(), []serve.Doc{d}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ingest(serve.Doc{ID: "d1", Date: "2003-01-05", Text: "The NR70 takes excellent pictures."})
-	if err := tier.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	goodGen := tier.View().Generation()
-
-	failing = true
-	ingest(serve.Doc{ID: "d2", Date: "2003-02-10", Text: "The CLIE disappointed every reviewer."})
-	if err := tier.Checkpoint(); err == nil {
-		t.Fatal("checkpoint through a failing fsync reported success")
-	}
-	if got := in.Stats().SyncFailures; got != 1 {
-		t.Fatalf("%d injected sync failures, want exactly the checkpoint's one", got)
-	}
-	ck, quarantined, err := serve.LoadCheckpoint(ckptDir)
-	if err != nil || quarantined != 0 || ck == nil || ck.View.Generation() != goodGen {
-		t.Fatalf("after the failed checkpoint: loaded %v (quarantined %d, err %v), want generation %d", ck, quarantined, err, goodGen)
-	}
-	assertNoTempFiles(t, ckptDir)
-	if deg, reason := p.Degraded(); deg {
-		t.Fatalf("a checkpoint fault degraded the store: %s", reason)
-	}
-	if got := tier.Entries(context.Background(), "CLIE"); len(got) != 1 {
-		t.Errorf("CLIE entries while checkpoints fail: %d, want 1", len(got))
-	}
-
-	failing = false
-	ingest(serve.Doc{ID: "d3", Date: "2003-03-15", Text: "The ZV500 takes excellent pictures."})
-	if err := tier.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint after the disk recovered: %v", err)
-	}
-	if ck, _, err := serve.LoadCheckpoint(ckptDir); err != nil || ck == nil || ck.View.Generation() != tier.View().Generation() {
-		t.Fatalf("newest checkpoint %v (err %v), want the current generation %d", ck, err, tier.View().Generation())
-	}
-}
-
-// TestServingTierRecoverRepairsBeyondWatermark: documents the store
-// acked durably but the tier never published (the crash window between
-// Platform.Ingest and the aggregate publish) are repaired forward at
-// boot — mined, annotated exactly once, generation strictly past the
-// pre-crash value.
-func TestServingTierRecoverRepairsBeyondWatermark(t *testing.T) {
-	dataDir, ckptDir := t.TempDir(), t.TempDir()
-	cfg := ServingTierConfig{CheckpointDir: ckptDir, CheckpointEvery: 1}
-
-	p1, _, tier1, _ := durableServingFixture(t, dataDir, nil, cfg)
+// TestServingTierRecoverRepairsUnannotated: documents the store acked
+// durably but that carry no sentiment annotations (stored by plain
+// Platform.Ingest, or cut off between their put and annotate records)
+// are mined at boot — annotated exactly once, generation past the
+// pre-crash value — and the boot after that folds them like any other.
+func TestServingTierRecoverRepairsUnannotated(t *testing.T) {
+	dataDir := t.TempDir()
+	p1, _, tier1, _ := durableServingFixture(t, dataDir, nil, ServingTierConfig{})
 	if _, _, err := tier1.Ingest(context.Background(), []serve.Doc{
 		{ID: "d1", Date: "2003-01-05", Text: "The NR70 takes excellent pictures."},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	preGen := tier1.View().Generation()
-
-	// The crash window: durable acks that never reached the tier.
 	if _, err := p1.Ingest([]Document{
 		{ID: "x1", Date: "2003-05-01", Text: "The QX310 takes excellent pictures."},
 		{ID: "x2", Date: "2003-06-01", Text: "The QX320 disappointed every reviewer."},
+		{ID: "x3", Date: "2003-07-01", Text: "We carried the QX330 around town on Monday."},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Crash: no Close, no checkpoint of the new docs.
+	// Crash: no Close.
 
-	p2, _, tier2, rec := durableServingFixture(t, dataDir, nil, cfg)
-	if !rec.CheckpointLoaded {
-		t.Fatalf("recovery %+v, want the batch checkpoint loaded", rec)
+	docsBefore := minedDocs.Value()
+	p2, _, tier2, rec := durableServingFixture(t, dataDir, nil, ServingTierConfig{})
+	if rec.FoldedDocs != 1 || rec.RepairedDocs != 3 {
+		t.Fatalf("recovery %+v, want d1 folded and the 3 un-annotated documents mined", rec)
 	}
-	if rec.RepairedDocs != 2 {
-		t.Fatalf("repaired %d docs, want exactly the 2 past the watermark", rec.RepairedDocs)
+	if d := minedDocs.Value() - docsBefore; d != 3 {
+		t.Errorf("recovery analyzed %d documents, want exactly the 3 un-annotated ones", d)
 	}
 	v := tier2.View()
 	if v.Generation() <= preGen {
@@ -374,26 +347,179 @@ func TestServingTierRecoverRepairsBeyondWatermark(t *testing.T) {
 	if c := v.Counts("QX320"); c.Negative != 1 {
 		t.Errorf("repaired doc x2 missing from aggregates: %+v", c)
 	}
-	for _, id := range []string{"d1", "x1", "x2"} {
-		anns := 0
-		if !p2.internalStore().View(id, func(e *store.Entity) { anns = len(e.AnnotationsBy(MinerName)) }) {
-			t.Fatalf("doc %s missing from recovered store", id)
-		}
-		if anns != 1 {
-			t.Errorf("%s: %d annotations, want exactly 1 (repair must not double-annotate)", id, anns)
+	for id, want := range map[string]int{"d1": 1, "x1": 1, "x2": 1, "x3": 0} {
+		if got := sentimentAnnotations(p2.internalStore(), id); got != want {
+			t.Errorf("%s: %d sentiment annotations, want %d (repair annotates once, and only facts)", id, got, want)
 		}
 	}
-	fp, gen := v.Fingerprint(), v.Generation()
+	fp, gen, dump := v.Fingerprint(), v.Generation(), entryDump(tier2)
 
-	// A second crash straight after recovery: the post-repair checkpoint
-	// already covers everything, so the next boot repairs nothing and
-	// lands on the identical state.
-	_, _, tier3, rec3 := durableServingFixture(t, dataDir, nil, cfg)
-	if rec3.RepairedDocs != 0 {
-		t.Errorf("second recovery repaired %d docs, want 0", rec3.RepairedDocs)
+	// A second crash straight after recovery: the repaired documents now
+	// carry their facts, so the next boot mines only the sentiment-free
+	// x3 again and lands on the identical state.
+	_, _, tier3, rec3 := durableServingFixture(t, dataDir, nil, ServingTierConfig{})
+	if rec3.FoldedDocs != 3 || rec3.RepairedDocs != 1 {
+		t.Errorf("second recovery %+v, want 3 folded and only x3 mined", rec3)
 	}
-	if got := tier3.View(); got.Fingerprint() != fp || got.Generation() != gen {
+	if got := tier3.View(); got.Fingerprint() != fp || got.Generation() != gen || entryDump(tier3) != dump {
 		t.Errorf("second recovery diverged: gen %d fp %s, want gen %d fp %s",
 			got.Generation(), got.Fingerprint()[:8], gen, fp[:8])
+	}
+}
+
+// TestServingTierRecoverRemineOnUnusableAnnotations: sentiment
+// annotations that do not carry a whole fact — no span or feature, as
+// every data directory written before the annotate record carried them
+// holds; or a span outside the text — never panic and are never served:
+// the document is mined again, its annotations are left as they are (no
+// second annotate record), and the tier lands on the fingerprint the
+// corpus always had.
+func TestServingTierRecoverRemineOnUnusableAnnotations(t *testing.T) {
+	docs := []Document{
+		{ID: "d1", Date: "2003-01-05", Text: "The NR70 takes excellent pictures."},
+		{ID: "d2", Date: "2003-02-10", Text: "The CLIE disappointed every reviewer. The CLIE battery life is excellent."},
+	}
+	ref, err := NewSentimentMiner(MinerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline := serve.NewAggregates()
+	var want []serve.Fact
+	for _, d := range docs {
+		for _, f := range ref.AnalyzeText(d.Text) {
+			want = append(want, aggFact(f, d.Date))
+		}
+	}
+	offline.Apply(want)
+
+	for name, spoil := range map[string]func(a *store.Annotation, text string){
+		"written before spans were recorded": func(a *store.Annotation, _ string) { a.Start, a.End, a.Feature = 0, 0, "" },
+		"span past the end of the text":      func(a *store.Annotation, text string) { a.End = len(text) + 1 },
+		"negative start":                     func(a *store.Annotation, _ string) { a.Start = -4 },
+		"inverted span":                      func(a *store.Annotation, _ string) { a.Start, a.End = a.End, a.Start },
+		"unknown polarity":                   func(a *store.Annotation, _ string) { a.Value = "0" },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := store.Open(dir, store.Options{Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := platformOver(st, PlatformConfig{IngestWorkers: 1}.normalized())
+			if _, err := p.Ingest(docs); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range docs {
+				anns := annotationsOf(ref.AnalyzeText(d.Text))
+				for i := range anns {
+					spoil(&anns[i], d.Text)
+				}
+				if _, err := st.Annotate(d.ID, anns); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			p2, _, tier, rec := durableServingFixture(t, dir, nil, ServingTierConfig{})
+			if rec.FoldedDocs != 0 || rec.RepairedDocs != len(docs) {
+				t.Fatalf("recovery %+v, want both documents mined again", rec)
+			}
+			if got := tier.View().Fingerprint(); got != offline.View().Fingerprint() {
+				t.Errorf("recovered fingerprint %s, want the corpus's own %s", got[:12], offline.View().Fingerprint()[:12])
+			}
+			if got := tier.Entries(context.Background(), "CLIE"); len(got) != 2 || got[1].Feature != "CLIE battery life" || !strings.Contains(got[0].Snippet, "disappointed") {
+				t.Errorf("CLIE entries after the re-mine: %+v", got)
+			}
+			for _, d := range docs {
+				if got, want := sentimentAnnotations(p2.internalStore(), d.ID), len(ref.AnalyzeText(d.Text)); got != want {
+					t.Errorf("%s: %d sentiment annotations after recovery, want the original %d", d.ID, got, want)
+				}
+			}
+		})
+	}
+}
+
+// wildText is the hand-written document of the fold property: every
+// class of byte the WAL's XML encoding escapes or rewrites.
+const wildText = "The NR70 takes excellent pictures & \"video\".\r\nThe CLIE\tdisappointed every reviewer <badly>.\x01 " +
+	"The ZV500 takes excellent pictures \xff\xfe and so on. The QX10\ufffe takes excellent pictures.\n\n" +
+	"  The \xed\xa0\x80 KX77 screen is disappointing ]]> in low light.\r"
+
+// TestFoldEqualsAnalyze is the property the recovery path rests on: for
+// any document, the facts folded from the entity a reopened store
+// replays equal the facts the analyzer extracted at ingest, field by
+// field (Pattern aside, which is not stored), with byte-identical
+// snippets — over all five corpus generators and a document built from
+// the bytes XML treats specially.
+func TestFoldEqualsAnalyze(t *testing.T) {
+	var docs []Document
+	for name, gen := range map[string]func(int64, int) []corpus.Document{
+		"camera": corpus.DigitalCameraReviews, "music": corpus.MusicReviews, "petroleum": corpus.PetroleumWeb,
+		"pharma": corpus.PharmaWeb, "news": corpus.PetroleumNews,
+	} {
+		for _, d := range gen(11, 12) {
+			docs = append(docs, Document{ID: name + "-" + d.ID, Date: d.Date, Text: d.Text()})
+		}
+	}
+	docs = append(docs, Document{ID: "wild", Date: "2003-01-05", Text: wildText})
+
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := platformOver(st, PlatformConfig{IngestWorkers: 1}.normalized())
+	if _, err := p.Ingest(docs); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewSentimentMiner(MinerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyzed := map[string][]SubjectSentiment{}
+	total := 0
+	for _, d := range docs {
+		e, _ := st.Get(d.ID)
+		if want := sanitizeText(d.Text); e.Text != want {
+			t.Fatalf("%s: stored text is not the sanitised request text", d.ID)
+		}
+		facts := m.analyzeEntity(d.ID, e.Text, nil)
+		for i := range facts {
+			facts[i].Pattern = ""
+		}
+		analyzed[d.ID] = facts
+		total += len(facts)
+		if _, err := st.Annotate(d.ID, annotationsOf(facts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if total < 100 || len(analyzed["wild"]) < 4 {
+		t.Fatalf("%d facts in all, %d in the wild document: the property would be checked on next to nothing", total, len(analyzed["wild"]))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = store.Open(dir, store.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, d := range docs {
+		e, ok := st.Get(d.ID)
+		if !ok {
+			t.Fatalf("%s lost across the reopen", d.ID)
+		}
+		if want := sanitizeText(d.Text); e.Text != want {
+			t.Errorf("%s: replayed text differs from the text that was mined (%d vs %d bytes)", d.ID, len(e.Text), len(want))
+		}
+		folded, ok := storedFacts(e)
+		if want := analyzed[d.ID]; ok != (len(want) > 0) || len(folded) != len(want) {
+			t.Errorf("%s: folded %d facts (ok=%v), the analyzer extracted %d", d.ID, len(folded), ok, len(want))
+		} else if len(want) > 0 && !reflect.DeepEqual(folded, want) {
+			t.Errorf("%s: folded facts differ from the analyzer's:\n got %+v\nwant %+v", d.ID, folded, want)
+		}
 	}
 }

@@ -28,9 +28,11 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"webfountain/internal/cluster"
 	"webfountain/internal/index"
@@ -377,12 +379,13 @@ func (p *Platform) Ingest(docs []Document) ([]string, error) {
 // whole step — deadline check, store.Put, tokenize, index.Add, then
 // mine (when non-nil) on those same tokens — before claiming another,
 // so a document is either finished or was never offered to the store.
-// mine runs on the worker that ingested document i; toks is only valid
-// during the call. An expired ctx fails the document it is found at like
-// any other error: the loop stops and ids[:k] is returned with the
-// earliest failure k.
+// mine runs on the worker that ingested document i, over the text as it
+// was stored (sanitizeText) and its tokens; toks is only valid during the
+// call. An expired ctx fails the document it is found at like any other
+// error: the loop stops and ids[:k] is returned with the earliest
+// failure k.
 func (p *Platform) ingest(ctx context.Context, docs []Document,
-	mine func(i int, id string, toks []tokenize.Token) error) ([]string, error) {
+	mine func(i int, id, text string, toks []tokenize.Token) error) ([]string, error) {
 	ids := make([]string, len(docs))
 	for i := range docs {
 		if docs[i].ID != "" {
@@ -408,8 +411,10 @@ func (p *Platform) ingest(ctx context.Context, docs []Document,
 			err := ctx.Err()
 			if err != nil {
 				err = fmt.Errorf("webfountain: ingest stopped before %s (%d of %d): %w", ids[i], i+1, len(docs), err)
-			} else if err = p.ingestOne(ia, &docs[i], ids[i]); err == nil && mine != nil {
-				err = mine(i, ids[i], ia.toks)
+			} else if text, ierr := p.ingestOne(ia, &docs[i], ids[i]); ierr != nil {
+				err = ierr
+			} else if mine != nil {
+				err = mine(i, ids[i], text, ia.toks)
 			}
 			if err != nil {
 				aborted.Store(true)
@@ -441,26 +446,44 @@ func (p *Platform) ingest(ctx context.Context, docs []Document,
 	return ids[:errIdx], firstErr
 }
 
-// ingestOne stores and indexes a single document under the given ID.
-func (p *Platform) ingestOne(a *ingestArena, d *Document, id string) error {
+// sanitizeText replaces exactly what encoding/xml rewrites on the way
+// into the write-ahead log — invalid UTF-8 and the code points outside
+// XML's character range — with U+FFFD, so the text that is tokenized and
+// mined, the text that is logged and the text a restart replays are the
+// same bytes, and a byte span recorded against one holds in the others.
+// Clean text is returned as is, without a copy.
+func sanitizeText(text string) string {
+	return strings.Map(func(r rune) rune {
+		if r == 0x09 || r == 0x0A || r == 0x0D || r >= 0x20 && r <= 0xD7FF ||
+			r >= 0xE000 && r <= 0xFFFD || r >= 0x10000 && r <= 0x10FFFF {
+			return r // an invalid byte arrives as U+FFFD and is written out as one
+		}
+		return utf8.RuneError
+	}, text)
+}
+
+// ingestOne stores and indexes a single document under the given ID and
+// returns its text as stored.
+func (p *Platform) ingestOne(a *ingestArena, d *Document, id string) (string, error) {
+	text := sanitizeText(d.Text)
 	e := &store.Entity{
 		ID:     id,
 		URL:    d.URL,
 		Source: d.Source,
 		Title:  d.Title,
 		Date:   d.Date,
-		Text:   d.Text,
+		Text:   text,
 		Links:  append([]string(nil), d.Links...),
 	}
 	span := platformIngestDocNs.Start()
 	if err := p.store.Put(e); err != nil {
-		return fmt.Errorf("webfountain: ingest %s: %w", id, err)
+		return "", fmt.Errorf("webfountain: ingest %s: %w", id, err)
 	}
-	p.indexEntity(a, id, d.Text)
+	p.indexEntity(a, id, text)
 	span.End()
 	platformIngestDocs.Inc()
-	platformIngestBytes.Add(int64(len(d.Text)))
-	return nil
+	platformIngestBytes.Add(int64(len(text)))
+	return text, nil
 }
 
 // NumEntities returns the number of stored documents.
