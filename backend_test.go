@@ -116,20 +116,35 @@ func conformance(t *testing.T, name string, open func(t *testing.T) Backend) {
 	})
 }
 
+func openLocal(*testing.T) Backend { return NewPlatform(PlatformConfig{}) }
+
+func openLocalDurable(t *testing.T) Backend {
+	p, err := OpenPlatform(PlatformConfig{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// searchFirst searches a freshly opened backend, so the suite's ingests
+// feed an already-built inverted index; the plain opens leave the
+// platform's index build to the suite's first search, after ingest.
+func searchFirst(open func(*testing.T) Backend) func(*testing.T) Backend {
+	return func(t *testing.T) Backend {
+		b := open(t)
+		b.SearchAll("warm")
+		return b
+	}
+}
+
 func TestBackendConformanceLocal(t *testing.T) {
-	conformance(t, "local", func(t *testing.T) Backend {
-		return NewPlatform(PlatformConfig{})
-	})
+	conformance(t, "local", openLocal)
+	conformance(t, "local-search-first", searchFirst(openLocal))
 }
 
 func TestBackendConformanceLocalDurable(t *testing.T) {
-	conformance(t, "local-durable", func(t *testing.T) Backend {
-		p, err := OpenPlatform(PlatformConfig{DataDir: t.TempDir()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	})
+	conformance(t, "local-durable", openLocalDurable)
+	conformance(t, "local-durable-search-first", searchFirst(openLocalDurable))
 }
 
 func TestBackendConformanceDistributed(t *testing.T) {

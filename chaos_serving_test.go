@@ -93,7 +93,6 @@ func (sc *servingChaos) open(wrapWAL durable.Wrap, cfg ServingTierConfig) {
 		sc.t.Fatal(err)
 	}
 	p := platformOver(st, PlatformConfig{IngestWorkers: 1}.normalized())
-	p.reindex()
 	m, err := NewSentimentMiner(MinerConfig{})
 	if err != nil {
 		sc.t.Fatal(err)

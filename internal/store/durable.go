@@ -336,9 +336,9 @@ func (d *durability) writableLocked() error {
 // together, led by the first of them. Either way the call returns only
 // once the record is durable under the sync policy and applied, or with
 // the error that failed its batch.
-func (s *Store) logged(op byte, body []byte, apply func()) error {
+func (s *Store) logged(rec []byte, apply func()) error {
 	d := s.dur
-	req := &walReq{rec: encodeWALRecord(op, body), apply: apply}
+	req := &walReq{rec: rec, apply: apply}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.busy && len(d.next) == 0 {

@@ -3,7 +3,6 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"sort"
@@ -25,11 +24,11 @@ var ErrCorruptFrame = errors.New("store: corrupt replication frame")
 
 // EncodePutFrame renders one entity as a shippable opPut WAL frame.
 func EncodePutFrame(e *Entity) ([]byte, error) {
-	body, err := xml.Marshal(e)
+	frame, err := encodePut(e)
 	if err != nil {
 		return nil, fmt.Errorf("store: encode replication frame for %s: %w", e.ID, err)
 	}
-	return encodeWALRecord(opPut, body), nil
+	return frame, nil
 }
 
 // EncodeDeleteFrame renders one tombstone as a shippable delete frame.

@@ -226,11 +226,11 @@ func (s *Store) Put(e *Entity) error {
 		s.applyPut(e)
 		return nil
 	}
-	body, err := xml.Marshal(e)
+	rec, err := encodePut(e)
 	if err != nil {
 		return fmt.Errorf("store: encode entity %s: %w", e.ID, err)
 	}
-	return s.logged(opPut, body, func() { s.applyPut(e) })
+	return s.logged(rec, func() { s.applyPut(e) })
 }
 
 // applyPut installs a copy of the entity in its shard, bypassing the
@@ -297,7 +297,7 @@ func (s *Store) Delete(id string) error {
 		s.applyDelete(id)
 		return nil
 	}
-	return s.logged(opDelete, []byte(id), func() { s.applyDelete(id) })
+	return s.logged(encodeWALRecord(opDelete, []byte(id)), func() { s.applyDelete(id) })
 }
 
 // applyDelete removes the entity from its shard, bypassing the WAL.
@@ -320,7 +320,7 @@ func (s *Store) DeleteVersioned(id string, version uint64) error {
 		s.applyDeleteVersioned(id, version)
 		return nil
 	}
-	return s.logged(opDeleteV, encodeDeleteV(id, version), func() { s.applyDeleteVersioned(id, version) })
+	return s.logged(encodeWALRecord(opDeleteV, encodeDeleteV(id, version)), func() { s.applyDeleteVersioned(id, version) })
 }
 
 // applyDeleteVersioned is the fenced delete path, bypassing the WAL.
@@ -435,8 +435,7 @@ func (s *Store) Versions() map[string]uint64 {
 // error is non-nil when the log cannot be appended (degraded mode).
 func (s *Store) Annotate(id string, anns []Annotation) (bool, error) {
 	if len(anns) == 0 {
-		_, ok := s.Get(id)
-		return ok, nil
+		return s.View(id, func(*Entity) {}), nil // a presence check: no clone, unlike Get
 	}
 	if s.dur == nil {
 		// Inlined apply: the closure below would heap-allocate per call
@@ -462,14 +461,14 @@ func (s *Store) Annotate(id string, anns []Annotation) (bool, error) {
 	}
 	// Skip logging a record for an entity that is already gone; the
 	// existence re-check inside apply still guards the racing delete.
-	if _, ok := s.Get(id); !ok {
+	if !s.View(id, func(*Entity) {}) {
 		return false, nil
 	}
-	body, err := encodeAnnotate(id, anns)
+	rec, err := encodeAnnotate(id, anns)
 	if err != nil {
 		return false, fmt.Errorf("store: encode annotations for %s: %w", id, err)
 	}
-	if err := s.logged(opAnnotate, body, apply); err != nil {
+	if err := s.logged(rec, apply); err != nil {
 		return false, err
 	}
 	return found, nil
@@ -507,11 +506,11 @@ func (s *Store) Update(id string, fn func(*Entity)) bool {
 		return false
 	}
 	fn(e)
-	body, err := xml.Marshal(e)
+	rec, err := encodePut(e)
 	if err != nil {
 		return false
 	}
-	req := &walReq{rec: encodeWALRecord(opPut, body), apply: func() { s.applyPut(e) }}
+	req := &walReq{rec: rec, apply: func() { s.applyPut(e) }}
 	s.commitLocked([]*walReq{req})
 	return req.err == nil
 }

@@ -1,11 +1,14 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 )
 
 // The write-ahead log is a sequence of length-prefixed, checksummed
@@ -83,15 +86,56 @@ var (
 
 // encodeWALRecord frames one op into a WAL record.
 func encodeWALRecord(op byte, body []byte) []byte {
-	payload := make([]byte, 1+len(body))
-	payload[0] = op
-	copy(payload[1:], body)
-	rec := make([]byte, walHeaderSize+len(payload))
+	rec := make([]byte, walHeaderSize+1+len(body))
+	rec[walHeaderSize] = op
+	copy(rec[walHeaderSize+1:], body)
+	sealWALRecord(rec)
+	return rec
+}
+
+// xmlWriters recycles the 4 KB buffer encoding/xml would otherwise
+// allocate for every record it encodes.
+var xmlWriters = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
+
+// encodeXMLRecord frames v's XML encoding — byte for byte what
+// xml.Marshal returns — as an op record, encoding straight into the frame
+// behind its reserved header and op byte: one buffer and no copy per
+// record when sizeHint covers the body.
+func encodeXMLRecord(op byte, v any, sizeHint int) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, walHeaderSize+1, walHeaderSize+1+sizeHint))
+	bw := xmlWriters.Get().(*bufio.Writer)
+	bw.Reset(buf)
+	enc := xml.NewEncoder(bw) // adopts bw rather than wrapping it
+	err := enc.Encode(v)
+	if err == nil {
+		err = enc.Close()
+	}
+	bw.Reset(nil)
+	xmlWriters.Put(bw)
+	if err != nil {
+		return nil, err
+	}
+	rec := buf.Bytes()
+	rec[walHeaderSize] = op
+	sealWALRecord(rec)
+	return rec, nil
+}
+
+// encodePut frames an opPut record of e, its size hint allowing for XML
+// escapes in the text and for the markup around each field.
+func encodePut(e *Entity) ([]byte, error) {
+	hint := len(e.ID) + len(e.URL) + len(e.Source) + len(e.Title) + len(e.Date) +
+		len(e.Text) + len(e.Text)/8 + 64*len(e.Links) + 160*len(e.Annotations) + 128
+	return encodeXMLRecord(opPut, e, hint)
+}
+
+// sealWALRecord fills in the header of a record whose payload (op byte
+// and body) already sits behind walHeaderSize reserved bytes.
+func sealWALRecord(rec []byte) {
+	payload := rec[walHeaderSize:]
 	binary.LittleEndian.PutUint32(rec[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[0:4]))
 	binary.LittleEndian.PutUint32(rec[8:], crc32.ChecksumIEEE(payload))
-	copy(rec[walHeaderSize:], payload)
-	return rec
 }
 
 // decodeWALRecord parses the first record in data. n is the number of
@@ -128,9 +172,9 @@ type annotateRecord struct {
 	Annotations []Annotation `xml:"annotation"`
 }
 
-// encodeAnnotate renders an opAnnotate body.
+// encodeAnnotate frames an opAnnotate record.
 func encodeAnnotate(id string, anns []Annotation) ([]byte, error) {
-	return xml.Marshal(annotateRecord{ID: id, Annotations: anns})
+	return encodeXMLRecord(opAnnotate, &annotateRecord{ID: id, Annotations: anns}, len(id)+160*len(anns)+64)
 }
 
 // decodeAnnotate parses an opAnnotate body.

@@ -3,8 +3,10 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/xml"
 	"errors"
 	"hash/crc32"
+	"strings"
 	"testing"
 )
 
@@ -127,6 +129,46 @@ func TestWALRecordSequence(t *testing.T) {
 	}
 	if i != len(recs) {
 		t.Fatalf("decoded %d records, want %d", i, len(recs))
+	}
+}
+
+// TestXMLRecordMatchesMarshal pins the one-buffer encoders to the frames
+// xml.Marshal plus encodeWALRecord produce — for bodies that fit the size
+// hint and for ones that outgrow it (every apostrophe escapes to five
+// bytes).
+func TestXMLRecordMatchesMarshal(t *testing.T) {
+	anns := []Annotation{{Miner: "sentiment", Type: "polarity", Key: "nr70", Value: "+", Feature: "pictures", Start: 4, End: 40}}
+	ents := []*Entity{
+		{ID: "a", Text: "plain"},
+		{ID: "doc-000001", URL: "http://x/y", Source: "review", Title: "T & <t>", Date: "2004-03-02",
+			Text: "It's \"great\"\n\tand <bold> & more\x01\xff", Links: []string{"b", "c"}, Version: 7, Annotations: anns},
+		{ID: "quotes", Text: strings.Repeat("'", 3000)},
+	}
+	for _, e := range ents {
+		body, err := xml.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := encodePut(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeWALRecord(opPut, body); !bytes.Equal(got, want) {
+			t.Fatalf("put %s: one-buffer frame differs from Marshal's\n got %q\nwant %q", e.ID, got, want)
+		}
+	}
+	for _, a := range [][]Annotation{nil, anns, append(anns, anns...)} {
+		body, err := xml.Marshal(annotateRecord{ID: "doc-000001", Annotations: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := encodeAnnotate("doc-000001", a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeWALRecord(opAnnotate, body); !bytes.Equal(got, want) {
+			t.Fatalf("annotate: one-buffer frame differs from Marshal's\n got %q\nwant %q", got, want)
+		}
 	}
 }
 

@@ -80,8 +80,8 @@ type ServingRecovery struct {
 // may see the previous snapshot — a staleness bound of exactly one
 // batch.
 //
-// Ingest contract: one step per document — stored, indexed, mined and
-// annotated before the next document is looked at — so an acked ID is
+// Ingest contract: one step per document — stored, mined and annotated
+// before the next document is looked at — so an acked ID is
 // always fully served and an unacked one was never half-written by the
 // tier; there is no list of documents that owe a write.
 //
@@ -261,9 +261,10 @@ func (t *ServingTier) Entries(ctx context.Context, subject string) []serve.Entry
 
 // Ingest implements serve.Backend's online write path: Platform's
 // ingest loop with the miner riding each document's step — stored,
-// indexed, analyzed over the index's own tokens and annotated onto the
-// entity (so the offline trend miner sees the facts too, and a restart
-// folds them back) before the next document is touched. When the loop
+// analyzed (over the inverted index's tokens when a search has built
+// it) and annotated onto the entity (so the offline trend miner sees the
+// facts too, and a restart folds them back) before the next document is
+// touched. When the loop
 // returns, the acked prefix is folded in input order into the sentiment
 // index and the aggregates — the generation bump that invalidates every
 // cached response. Batches are serialized, and the tier itself touches

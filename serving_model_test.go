@@ -94,7 +94,6 @@ func (sm *servingModel) open() (analyzed int64) {
 		sm.t.Fatal(err)
 	}
 	sm.p = platformOver(st, PlatformConfig{IngestWorkers: sm.workers}.normalized())
-	sm.p.reindex()
 	if sm.m, err = NewSentimentMiner(MinerConfig{}); err != nil {
 		sm.t.Fatal(err)
 	}

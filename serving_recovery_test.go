@@ -50,7 +50,6 @@ func durableServingFixture(t *testing.T, dir string, wrap durable.Wrap, cfg Serv
 		t.Fatal(err)
 	}
 	p := platformOver(st, PlatformConfig{IngestWorkers: 1}.normalized())
-	p.reindex()
 	m, err := NewSentimentMiner(MinerConfig{})
 	if err != nil {
 		t.Fatal(err)

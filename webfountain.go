@@ -44,9 +44,10 @@ import (
 // Platform-level ingest metrics (the Platform.Ingest path; the
 // acquisition layer in internal/ingest has its own counters).
 var (
-	platformIngestDocs  = metrics.Default().Counter("platform.ingest.docs")
-	platformIngestBytes = metrics.Default().Counter("platform.ingest.bytes")
-	platformIngestDocNs = metrics.Default().Histogram("platform.ingest.doc.ns")
+	platformIngestDocs   = metrics.Default().Counter("platform.ingest.docs")
+	platformIngestBytes  = metrics.Default().Counter("platform.ingest.bytes")
+	platformIngestDocNs  = metrics.Default().Histogram("platform.ingest.doc.ns")
+	platformIndexBuildNs = metrics.Default().Histogram("platform.index.build.ns")
 )
 
 // Document is a unit of ingested content.
@@ -76,9 +77,18 @@ type Document struct {
 type Platform struct {
 	store   *store.Store
 	cluster *cluster.Cluster
-	index   *index.Index
 	workers int
 	nextID  atomic.Int64
+
+	// The inverted index is built from the store by the first search
+	// (searchIndex) and kept up to date by every write after that, so a
+	// platform that is never searched never builds it. Writers hold
+	// indexMu shared across their store write and index update and the
+	// build holds it exclusively, so the build sees each document exactly
+	// once.
+	indexMu     sync.RWMutex
+	index       atomic.Pointer[index.Index]
+	indexShards int
 }
 
 // PlatformConfig tunes the platform. Zero values select sensible
@@ -113,9 +123,9 @@ type PlatformConfig struct {
 	// snapshot after that many records (default 0: manual only).
 	CompactEvery int
 
-	// IngestWorkers is the number of concurrent workers Ingest and index
-	// rebuilds use to tokenize and index documents (default: GOMAXPROCS).
-	// 1 selects the serial path.
+	// IngestWorkers is the number of concurrent workers Ingest and the
+	// first search's index build use to tokenize and index documents
+	// (default: GOMAXPROCS). 1 selects the serial path.
 	IngestWorkers int
 	// IndexShards is the number of term-hashed inverted-index shards
 	// (default 16). More shards admit more concurrent ingest workers.
@@ -199,8 +209,8 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 // OpenPlatform builds a durable platform rooted at cfg.DataDir: the
 // entity store write-ahead-logs every mutation there, and opening an
 // existing directory recovers the stored corpus (latest valid snapshot
-// plus log replay) and rebuilds the inverted index from the recovered
-// entities. Call Close to flush the log before exit.
+// plus log replay); the first search builds the inverted index from it.
+// Call Close to flush the log before exit.
 func OpenPlatform(cfg PlatformConfig) (*Platform, error) {
 	if cfg.DataDir == "" {
 		return nil, &ConfigError{Field: "DataDir", Value: "", Reason: "OpenPlatform needs a data directory"}
@@ -217,14 +227,13 @@ func OpenPlatform(cfg PlatformConfig) (*Platform, error) {
 	if err != nil {
 		return nil, fmt.Errorf("webfountain: open platform: %w", err)
 	}
-	p := platformOver(st, cfg)
-	p.reindex()
-	return p, nil
+	return platformOver(st, cfg), nil
 }
 
-// platformOver assembles the runtime around a store. The caller passes a
-// normalized config; the clamps here are a second line of defense for
-// direct internal callers.
+// platformOver assembles the runtime around a store and advances the ID
+// generator past every stored generated ID, so new ingests cannot collide
+// with recovered documents. The caller passes a normalized config; the
+// clamps here are a second line of defense for direct internal callers.
 func platformOver(st *store.Store, cfg PlatformConfig) *Platform {
 	workers := cfg.IngestWorkers
 	if workers <= 0 {
@@ -234,7 +243,7 @@ func platformOver(st *store.Store, cfg PlatformConfig) *Platform {
 	if shards <= 0 {
 		shards = 16
 	}
-	return &Platform{
+	p := &Platform{
 		store: st,
 		cluster: cluster.NewWithConfig(st, cluster.Config{
 			Workers: cfg.Workers,
@@ -245,22 +254,48 @@ func platformOver(st *store.Store, cfg PlatformConfig) *Platform {
 			EntityTimeout: cfg.EntityTimeout,
 			ErrorBudget:   cfg.MinerErrorBudget,
 		}),
-		index:   index.NewSharded(shards),
-		workers: workers,
+		workers:     workers,
+		indexShards: shards,
 	}
+	var maxGen int64
+	for _, id := range st.IDs() {
+		if n, ok := parseGeneratedID(id); ok && n > maxGen {
+			maxGen = n
+		}
+	}
+	p.nextID.Store(maxGen)
+	return p
 }
 
-// indexEntity tokenizes a document body and adds it to the inverted
-// index — the one tokenize→words→Add path shared by Ingest, reindex and
-// Restore, so every route into the index produces identical postings.
-// The tokens stay in a.toks for the ingest step's miner.
-func (p *Platform) indexEntity(a *ingestArena, id, text string) {
+// indexEntity tokenizes a document body into a.toks and adds it to ix —
+// the one tokenize→words→Add path shared by Ingest, Restore and the index
+// build, so every route into the index produces identical postings.
+func indexEntity(ix *index.Index, a *ingestArena, id, text string) {
 	a.toks = a.tk.AppendTokens(a.toks[:0], text)
 	a.words = a.words[:0]
 	for i := range a.toks {
 		a.words = append(a.words, a.toks[i].Text)
 	}
-	p.index.Add(id, a.words)
+	ix.Add(id, a.words)
+}
+
+// put stores e and, once the index is built, indexes its text — the one
+// store-and-index step behind Ingest and Restore, taken under the shared
+// side of indexMu so a concurrent build neither skips e nor indexes it
+// twice. It returns the tokens it made (valid until the arena's next
+// use), nil when there is no index to feed.
+func (p *Platform) put(a *ingestArena, e *store.Entity) ([]tokenize.Token, error) {
+	p.indexMu.RLock()
+	defer p.indexMu.RUnlock()
+	if err := p.store.Put(e); err != nil {
+		return nil, err
+	}
+	ix := p.index.Load()
+	if ix == nil {
+		return nil, nil
+	}
+	indexEntity(ix, a, e.ID, e.Text)
+	return a.toks, nil
 }
 
 // ingestArena holds one ingest worker's reusable buffers: the tokenizer,
@@ -278,7 +313,7 @@ func newIngestArena() *ingestArena { return &ingestArena{tk: tokenize.New()} }
 
 // parseGeneratedID recognizes the platform's generated document IDs
 // ("doc-" followed by digits only) and returns the counter value. A
-// cheap manual parse: reindex calls it once per recovered entity, and
+// cheap manual parse: platformOver calls it once per stored ID, and
 // fmt.Sscanf's reflection-driven scanning dominated recovery profiles.
 func parseGeneratedID(id string) (int64, bool) {
 	if len(id) < 5 || id[:4] != "doc-" {
@@ -295,16 +330,30 @@ func parseGeneratedID(id string) (int64, bool) {
 	return n, true
 }
 
-// reindex rebuilds the inverted index from the store's entities, exactly
-// mirroring what Ingest indexes, so a recovered platform answers the
-// same queries as one that never crashed. Store shards are rebuilt in
-// parallel — each worker drains whole shards, the unit of parallelism
-// the shared-nothing layout provides. It also advances the ID generator
-// past every recovered generated ID so new ingests cannot collide with
-// recovered documents.
-func (p *Platform) reindex() {
-	p.index.Reset()
-	var maxGen atomic.Int64
+// searchIndex returns the inverted index, building it on first use.
+func (p *Platform) searchIndex() *index.Index {
+	if ix := p.index.Load(); ix != nil {
+		return ix
+	}
+	p.indexMu.Lock()
+	defer p.indexMu.Unlock()
+	if ix := p.index.Load(); ix != nil {
+		return ix
+	}
+	span := platformIndexBuildNs.Start()
+	ix := p.buildIndex()
+	p.index.Store(ix)
+	span.End()
+	return ix
+}
+
+// buildIndex indexes the store's entities exactly as Ingest would have,
+// so a platform searched late answers the same queries as one searched
+// before every ingest. Store shards are indexed in parallel — each worker
+// drains whole shards, the unit of parallelism the shared-nothing layout
+// provides. The caller holds indexMu exclusively.
+func (p *Platform) buildIndex() *index.Index {
+	ix := index.NewSharded(p.indexShards)
 	shards := p.store.NumShards()
 	workers := p.workers
 	if workers > shards {
@@ -322,15 +371,7 @@ func (p *Platform) reindex() {
 			ia := newIngestArena()
 			for si := range shardCh {
 				_ = p.store.ForEachInShard(si, func(e *store.Entity) error {
-					p.indexEntity(ia, e.ID, e.Text)
-					if n, ok := parseGeneratedID(e.ID); ok {
-						for {
-							cur := maxGen.Load()
-							if n <= cur || maxGen.CompareAndSwap(cur, n) {
-								break
-							}
-						}
-					}
+					indexEntity(ix, ia, e.ID, e.Text)
 					return nil
 				})
 			}
@@ -341,7 +382,7 @@ func (p *Platform) reindex() {
 	}
 	close(shardCh)
 	wg.Wait()
-	p.nextID.Store(maxGen.Load())
+	return ix
 }
 
 // Close flushes the durable store's write-ahead log and releases it. It
@@ -359,8 +400,9 @@ func (p *Platform) Degraded() (bool, string) { return p.store.Degraded() }
 // in-memory platform.
 func (p *Platform) Compact() error { return p.store.Compact() }
 
-// Ingest stores documents and indexes their tokens. Documents without an
-// ID receive a generated one, returned in the IDs slice in input order.
+// Ingest stores documents and, once a search has built the inverted
+// index, indexes their tokens. Documents without an ID receive a
+// generated one, returned in the IDs slice in input order.
 //
 // With IngestWorkers > 1 the batch is processed by a bounded worker
 // pool: each worker stores, tokenizes and indexes whole documents
@@ -376,11 +418,12 @@ func (p *Platform) Ingest(docs []Document) ([]string, error) {
 
 // ingest is the one ingest loop behind Platform.Ingest and
 // ServingTier.Ingest. Each worker claims the next document and runs its
-// whole step — deadline check, store.Put, tokenize, index.Add, then
-// mine (when non-nil) on those same tokens — before claiming another,
-// so a document is either finished or was never offered to the store.
-// mine runs on the worker that ingested document i, over the text as it
-// was stored (sanitizeText) and its tokens; toks is only valid during the
+// whole step — deadline check, store.Put, index.Add once the index is
+// built, then mine (when non-nil) — before claiming another, so a
+// document is either finished or was never offered to the store. mine
+// runs on the worker that ingested document i, over the text as it was
+// stored (sanitizeText) and the tokens the index step made, nil when it
+// made none (the miner then tokenizes); toks is only valid during the
 // call. An expired ctx fails the document it is found at like any other
 // error: the loop stops and ids[:k] is returned with the earliest
 // failure k.
@@ -411,10 +454,10 @@ func (p *Platform) ingest(ctx context.Context, docs []Document,
 			err := ctx.Err()
 			if err != nil {
 				err = fmt.Errorf("webfountain: ingest stopped before %s (%d of %d): %w", ids[i], i+1, len(docs), err)
-			} else if text, ierr := p.ingestOne(ia, &docs[i], ids[i]); ierr != nil {
+			} else if text, toks, ierr := p.ingestOne(ia, &docs[i], ids[i]); ierr != nil {
 				err = ierr
 			} else if mine != nil {
-				err = mine(i, ids[i], text, ia.toks)
+				err = mine(i, ids[i], text, toks)
 			}
 			if err != nil {
 				aborted.Store(true)
@@ -462,9 +505,10 @@ func sanitizeText(text string) string {
 	}, text)
 }
 
-// ingestOne stores and indexes a single document under the given ID and
-// returns its text as stored.
-func (p *Platform) ingestOne(a *ingestArena, d *Document, id string) (string, error) {
+// ingestOne stores (and, once the index is built, indexes) a single
+// document under the given ID and returns its text as stored plus the
+// tokens the index step made, if any.
+func (p *Platform) ingestOne(a *ingestArena, d *Document, id string) (string, []tokenize.Token, error) {
 	text := sanitizeText(d.Text)
 	e := &store.Entity{
 		ID:     id,
@@ -476,14 +520,14 @@ func (p *Platform) ingestOne(a *ingestArena, d *Document, id string) (string, er
 		Links:  append([]string(nil), d.Links...),
 	}
 	span := platformIngestDocNs.Start()
-	if err := p.store.Put(e); err != nil {
-		return "", fmt.Errorf("webfountain: ingest %s: %w", id, err)
+	toks, err := p.put(a, e)
+	if err != nil {
+		return "", nil, fmt.Errorf("webfountain: ingest %s: %w", id, err)
 	}
-	p.indexEntity(a, id, text)
 	span.End()
 	platformIngestDocs.Inc()
 	platformIngestBytes.Add(int64(len(text)))
-	return text, nil
+	return text, toks, nil
 }
 
 // NumEntities returns the number of stored documents.
@@ -506,26 +550,32 @@ func (p *Platform) Entity(id string) (Document, bool) {
 // error is non-nil only on a durable platform whose write-ahead log
 // cannot be appended (degraded read-only mode).
 func (p *Platform) Delete(id string) error {
+	p.indexMu.RLock()
+	defer p.indexMu.RUnlock()
 	if err := p.store.Delete(id); err != nil {
 		return err
 	}
-	p.index.Remove(id)
+	if ix := p.index.Load(); ix != nil {
+		ix.Remove(id)
+	}
 	return nil
 }
 
 // SearchAll returns the IDs of documents containing every given term.
+// The platform's first search builds the inverted index from the store.
 func (p *Platform) SearchAll(terms ...string) []string {
 	qs := make([]index.Query, len(terms))
 	for i, t := range terms {
 		qs[i] = index.Term(t)
 	}
-	return p.index.Search(index.And(qs...))
+	return p.searchIndex().Search(index.And(qs...))
 }
 
 // SearchPhrase returns the IDs of documents containing the words
-// consecutively.
+// consecutively. The platform's first search builds the inverted index
+// from the store.
 func (p *Platform) SearchPhrase(words ...string) []string {
-	return p.index.Search(index.Phrase(words...))
+	return p.searchIndex().Search(index.Phrase(words...))
 }
 
 // Snapshot streams every stored document to w as XML, in deterministic
@@ -545,11 +595,8 @@ func (p *Platform) Restore(r io.Reader) (int, error) {
 	}
 	ia := newIngestArena()
 	err = staging.ForEach(func(e *store.Entity) error {
-		if putErr := p.store.Put(e); putErr != nil {
-			return putErr
-		}
-		p.indexEntity(ia, e.ID, e.Text)
-		return nil
+		_, putErr := p.put(ia, e)
+		return putErr
 	})
 	return n, err
 }
