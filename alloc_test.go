@@ -19,7 +19,6 @@ import (
 
 	"webfountain/internal/corpus"
 	"webfountain/internal/spotter"
-	"webfountain/internal/store"
 	"webfountain/internal/tokenize"
 )
 
@@ -55,29 +54,6 @@ func TestAllocCeilingSpot(t *testing.T) {
 	if avg > 0 {
 		t.Fatalf("AppendSpots allocates %.1f/run, want 0", avg)
 	}
-}
-
-// TestAllocCeilingWALFrame gates the store's record framing on a put:
-// the XML body is encoded straight into the frame, so the record is one
-// buffer rather than Marshal's plus a payload copy plus a frame copy,
-// and the encoder's 4 KB write buffer is recycled. What remains is the
-// frame and encoding/xml's own per-call bookkeeping — for a 6 KB review,
-// 11 allocations and ≈ 7.5 KB where Marshal-then-frame made 16 and
-// ≈ 30 KB.
-func TestAllocCeilingWALFrame(t *testing.T) {
-	e := &store.Entity{ID: "doc-000001", Source: "review", Title: "NR70", Date: "2004-03-02", Text: benchText()}
-	frame := func() {
-		if _, err := store.EncodePutFrame(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	frame() // warm the write-buffer pool
-	avg := testing.AllocsPerRun(100, frame)
-	const ceiling = 12
-	if avg > ceiling {
-		t.Fatalf("EncodePutFrame allocates %.1f/run, ceiling %d", avg, ceiling)
-	}
-	t.Logf("EncodePutFrame: %.1f allocs/run (ceiling %d)", avg, ceiling)
 }
 
 // TestAllocCeilingMine gates the full per-document mining path through

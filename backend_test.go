@@ -2,7 +2,6 @@ package webfountain
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -16,10 +15,9 @@ func backendDocs() []Document {
 	}
 }
 
-// conformance runs the Backend contract against any implementation —
-// the single-process Platform and the replicated DistributedPlatform
-// must be indistinguishable through this interface.
-func conformance(t *testing.T, name string, open func(t *testing.T) Backend) {
+// conformance runs the document-platform contract — ingest, get, delete,
+// count, search, health — against a platform built by open.
+func conformance(t *testing.T, name string, open func(t *testing.T) *Platform) {
 	t.Run(name+"/ingest-and-get", func(t *testing.T) {
 		b := open(t)
 		defer b.Close()
@@ -116,9 +114,9 @@ func conformance(t *testing.T, name string, open func(t *testing.T) Backend) {
 	})
 }
 
-func openLocal(*testing.T) Backend { return NewPlatform(PlatformConfig{}) }
+func openLocal(*testing.T) *Platform { return NewPlatform(PlatformConfig{}) }
 
-func openLocalDurable(t *testing.T) Backend {
+func openLocalDurable(t *testing.T) *Platform {
 	p, err := OpenPlatform(PlatformConfig{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +124,11 @@ func openLocalDurable(t *testing.T) Backend {
 	return p
 }
 
-// searchFirst searches a freshly opened backend, so the suite's ingests
+// searchFirst searches a freshly opened platform, so the suite's ingests
 // feed an already-built inverted index; the plain opens leave the
 // platform's index build to the suite's first search, after ingest.
-func searchFirst(open func(*testing.T) Backend) func(*testing.T) Backend {
-	return func(t *testing.T) Backend {
+func searchFirst(open func(*testing.T) *Platform) func(*testing.T) *Platform {
+	return func(t *testing.T) *Platform {
 		b := open(t)
 		b.SearchAll("warm")
 		return b
@@ -145,149 +143,4 @@ func TestBackendConformanceLocal(t *testing.T) {
 func TestBackendConformanceLocalDurable(t *testing.T) {
 	conformance(t, "local-durable", openLocalDurable)
 	conformance(t, "local-durable-search-first", searchFirst(openLocalDurable))
-}
-
-func TestBackendConformanceDistributed(t *testing.T) {
-	conformance(t, "distributed", func(t *testing.T) Backend {
-		dp, err := NewDistributedPlatform(DistributedConfig{Nodes: 3, Replicas: 2, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dp
-	})
-}
-
-func TestBackendConformanceDistributedDurable(t *testing.T) {
-	conformance(t, "distributed-durable", func(t *testing.T) Backend {
-		dp, err := NewDistributedPlatform(DistributedConfig{
-			Nodes: 3, Replicas: 2, Seed: 42, DataDir: t.TempDir(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dp
-	})
-}
-
-// TestDistributedReplicationInvariant pins the replica-placement
-// contract: every document lands on exactly R nodes, and those nodes
-// are its ring-assigned replica set.
-func TestDistributedReplicationInvariant(t *testing.T) {
-	dp, err := NewDistributedPlatform(DistributedConfig{Nodes: 3, Replicas: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dp.Close()
-	docs := make([]Document, 60)
-	for i := range docs {
-		docs[i] = Document{Text: fmt.Sprintf("replicated doc %d", i)}
-	}
-	ids, err := dp.Ingest(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := dp.Router().Ring()
-	for _, id := range ids {
-		holders := 0
-		for _, name := range dp.NodeNames() {
-			if dp.NodeHas(name, id) {
-				if !ring.Owns(name, id) {
-					t.Fatalf("%s held by non-owner %s", id, name)
-				}
-				holders++
-			}
-		}
-		if holders != 2 {
-			t.Fatalf("%s on %d nodes, want R=2", id, holders)
-		}
-	}
-}
-
-// TestDistributedAddNodeRebalances drives the online-handoff path
-// through the Backend-level API.
-func TestDistributedAddNodeRebalances(t *testing.T) {
-	dp, err := NewDistributedPlatform(DistributedConfig{Nodes: 2, Replicas: 2, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dp.Close()
-	docs := make([]Document, 50)
-	for i := range docs {
-		docs[i] = Document{Text: fmt.Sprintf("pre-join doc %d", i)}
-	}
-	ids, err := dp.Ingest(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dp.AddNode("node-3"); err != nil {
-		t.Fatal(err)
-	}
-	if got := dp.Router().Ring().Epoch(); got != 1 {
-		t.Fatalf("epoch after join = %d, want 1", got)
-	}
-	ring := dp.Router().Ring()
-	for _, id := range ids {
-		if ring.Owns("node-3", id) && !dp.NodeHas("node-3", id) {
-			t.Fatalf("joined node missing owned %s", id)
-		}
-		if d, ok := dp.Entity(id); !ok || d.ID != id {
-			t.Fatalf("entity %s unreadable after rebalance", id)
-		}
-	}
-	if n := dp.NumEntities(); n != 50 {
-		t.Fatalf("NumEntities after join = %d, want 50", n)
-	}
-}
-
-// TestDistributedMembershipConcurrentWithReads: AddNode rebuilds the
-// node map while health checks and invariant probes read it — the
-// exact overlap online handoff creates. Run under -race this pins the
-// membership maps' synchronization.
-func TestDistributedMembershipConcurrentWithReads(t *testing.T) {
-	dp, err := NewDistributedPlatform(DistributedConfig{Nodes: 3, Replicas: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dp.Close()
-	docs := make([]Document, 40)
-	for i := range docs {
-		docs[i] = Document{Text: fmt.Sprintf("pre-join doc %d", i)}
-	}
-	ids, err := dp.Ingest(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for _, n := range dp.NodeNames() {
-					dp.NodeHas(n, ids[0])
-					dp.NodeEntityCount(n)
-				}
-				dp.Degraded()
-				dp.Entity(ids[len(ids)-1])
-			}
-		}()
-	}
-	if err := dp.AddNode("node-4"); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	wg.Wait()
-	names := dp.NodeNames()
-	if names[len(names)-1] != "node-4" {
-		t.Fatalf("node-4 missing from %v", names)
-	}
-	if n, ok := dp.NodeEntityCount("node-4"); !ok || n == 0 {
-		t.Fatalf("joined node holds %d entities (ok=%v)", n, ok)
-	}
 }

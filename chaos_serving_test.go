@@ -54,6 +54,27 @@ import (
 	"webfountain/internal/store"
 )
 
+// chaosInvariantLog returns a logger that mirrors checkpoints to the
+// CHAOS_INVARIANT_LOG file when CI sets it.
+func chaosInvariantLog(t *testing.T) func(format string, args ...any) {
+	t.Helper()
+	var f *os.File
+	if path := os.Getenv("CHAOS_INVARIANT_LOG"); path != "" {
+		var err error
+		f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatalf("open invariant log: %v", err)
+		}
+		t.Cleanup(func() { f.Close() })
+	}
+	return func(format string, args ...any) {
+		t.Logf(format, args...)
+		if f != nil {
+			fmt.Fprintf(f, format+"\n", args...)
+		}
+	}
+}
+
 // servingChaos owns one durable serving deployment plus the record of
 // everything the run acknowledged.
 type servingChaos struct {

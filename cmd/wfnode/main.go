@@ -19,32 +19,13 @@
 // index from it) instead of regenerating. SIGINT/SIGTERM trigger a
 // graceful shutdown that drains in-flight requests and flushes the log.
 //
-// With -join the node enrolls in a replicated deployment: it registers
-// the replica catch-up service, then asks the wfrouter at the given
-// address to admit it to the consistent-hash ring (online handoff:
-// dual-write, WAL-frame catch-up, epoch bump). -node-id names the node
-// in the ring; -advertise is the address the router dials back (defaults
-// to -listen, which must then be reachable from the router). Once
-// joined, -ping and /healthz report the node's shard role (primary/
-// replica) and the ring epoch, fetched live from the router, plus the
-// newest hybrid-logical-clock version the node has applied and how far
-// it runs ahead of the wall clock (the cluster skew signal).
-//
-//	wfnode -listen host:9410 -join router:9400 [-node-id n1] [-advertise host:9410]
-//
-// Client (one-shot operations against a running node or router):
+// Client (one-shot operations against a running node):
 //
 //	wfnode -connect host:9410 -get <docID>
 //	wfnode -connect host:9410 -search "battery life"
 //	wfnode -connect host:9410 -sentiment NR70
 //	wfnode -connect host:9410 -ping
 //	wfnode -connect host:9410 -metrics
-//	wfnode -connect router:9400 -replicas <docID>   (placement query)
-//
-// A router serves the same store/index/sentiment protocol, so every
-// client operation works unchanged against a wfrouter address;
-// -replicas additionally asks the topology service which nodes hold a
-// document, primary first.
 //
 // Every client run first probes the node's health service before
 // issuing operations; transport failures are retried with exponential
@@ -61,17 +42,14 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"webfountain/internal/chunk"
 	"webfountain/internal/corpus"
-	"webfountain/internal/hlc"
 	"webfountain/internal/index"
 	"webfountain/internal/ingest"
 	"webfountain/internal/metrics"
-	"webfountain/internal/router"
 	"webfountain/internal/sentiment"
 	"webfountain/internal/services"
 	"webfountain/internal/store"
@@ -94,13 +72,9 @@ func main() {
 	shedPolicy := flag.String("shed-policy", "lifo", "serve mode: admission queue order, lifo or fifo")
 	metricsAddr := flag.String("metrics-addr", "", "serve mode: HTTP address for /metrics, /metrics.json and /healthz (empty: disabled)")
 	pprofAddr := flag.String("pprof-addr", "", "serve mode: HTTP address for net/http/pprof profiling (empty: disabled)")
-	joinAddr := flag.String("join", "", "serve mode: wfrouter address to join the replicated ring through")
-	nodeID := flag.String("node-id", "", "serve mode: this node's name in the ring (default wfnode@<advertise>)")
-	advertise := flag.String("advertise", "", "serve mode: address the router dials back (default -listen)")
 	get := flag.String("get", "", "client: fetch an entity by ID")
 	search := flag.String("search", "", "client: search indexed terms (space-separated, AND)")
 	sentimentQ := flag.String("sentiment", "", "client: query a subject's sentiment")
-	replicasQ := flag.String("replicas", "", "client: ask a router which nodes hold a document, primary first")
 	ping := flag.Bool("ping", false, "client: print the node's health status")
 	showMetrics := flag.Bool("metrics", false, "client: dump the node's metrics registry")
 	retries := flag.Int("retries", 4, "client: attempts per call on transport failure")
@@ -115,14 +89,7 @@ func main() {
 		if *admissionDepth <= 0 {
 			adm = vinci.AdmissionConfig{} // zero value: admission off
 		}
-		jc := joinConfig{Router: *joinAddr, NodeID: *nodeID, Advertise: *advertise}
-		if jc.Advertise == "" {
-			jc.Advertise = *listen
-		}
-		if jc.NodeID == "" {
-			jc.NodeID = "wfnode@" + jc.Advertise
-		}
-		if err := serve(*listen, *corpusName, *docs, *seed, *dataDir, *syncEvery, *metricsAddr, *pprofAddr, adm, jc); err != nil {
+		if err := serve(*listen, *corpusName, *docs, *seed, *dataDir, *syncEvery, *metricsAddr, *pprofAddr, adm); err != nil {
 			log.Fatal(err)
 		}
 	case *connect != "":
@@ -135,7 +102,7 @@ func main() {
 				Jitter:      0.2,
 			},
 		}
-		if err := client(*connect, opts, *hedge, *ping, *showMetrics, *get, *search, *sentimentQ, *replicasQ); err != nil {
+		if err := client(*connect, opts, *hedge, *ping, *showMetrics, *get, *search, *sentimentQ); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -145,48 +112,9 @@ func main() {
 	}
 }
 
-// joinConfig is a node's ring enrollment: the router to join through,
-// the node's ring name, and the address the router dials back.
-type joinConfig struct {
-	Router    string
-	NodeID    string
-	Advertise string
-}
-
-// topoProbe fetches this node's shard roles from its router on demand
-// — health reports fold the result in, so -ping and /healthz always
-// show the live ring epoch and role. Before the join completes (or
-// when no router is configured) it reports the zero TopologyInfo,
-// which renders as role "idle" at epoch 0.
-type topoProbe struct {
-	mu     sync.Mutex
-	c      vinci.Client
-	nodeID string
-}
-
-func (tp *topoProbe) set(c vinci.Client, nodeID string) {
-	tp.mu.Lock()
-	tp.c, tp.nodeID = c, nodeID
-	tp.mu.Unlock()
-}
-
-func (tp *topoProbe) info() services.TopologyInfo {
-	tp.mu.Lock()
-	c, nodeID := tp.c, tp.nodeID
-	tp.mu.Unlock()
-	if c == nil {
-		return services.TopologyInfo{}
-	}
-	ti, err := router.TopologyClient{C: c}.Node(nodeID)
-	if err != nil {
-		return services.TopologyInfo{}
-	}
-	return ti
-}
-
 // serve loads or recovers a corpus, mines it, and serves the Vinci
 // services until the listener closes or a shutdown signal arrives.
-func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEvery int, metricsAddr, pprofAddr string, adm vinci.AdmissionConfig, jc joinConfig) error {
+func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEvery int, metricsAddr, pprofAddr string, adm vinci.AdmissionConfig) error {
 	var st *store.Store
 	if dataDir != "" {
 		var err error
@@ -294,46 +222,19 @@ func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEv
 	}
 	log.Printf("indexed %d documents, %d sentiment entries", ix.NumDocs(), sidx.Len())
 
-	// Routed writes land on the store service directly (no local ingest
-	// pipeline), so the store hooks keep the inverted index in step; the
-	// replica service speaks the WAL-frame catch-up protocol the router
-	// uses for shard handoff.
-	hooks := services.StoreHooks{OnPut: addToIndex, OnDelete: ix.Remove}
-	topo := &topoProbe{}
-	// A storage node runs no clock of its own — routers stamp versions —
-	// but it can report the newest HLC it has applied (across live
-	// entities and tombstones) and how far that runs ahead of its wall
-	// clock, which is exactly the skew signal operators scan fleets for.
-	clockInfo := func() services.ClockInfo {
-		var last uint64
-		for _, v := range st.Versions() {
-			if v > last {
-				last = v
-			}
-		}
-		for _, v := range st.TombstonesVersioned() {
-			if v > last {
-				last = v
-			}
-		}
-		ahead := hlc.Physical(last) - time.Now().UnixMilli()
-		if ahead < 0 {
-			ahead = 0
-		}
-		return services.ClockInfo{Last: last, Offset: time.Duration(ahead) * time.Millisecond}
-	}
+	// Remote puts and deletes land on the store service directly (no
+	// local ingest pipeline), so the store hooks keep the inverted index
+	// in step.
+	node := "wfnode@" + addr
 	reg := vinci.NewRegistry()
-	services.RegisterStoreWith(reg, st, hooks)
+	services.RegisterStoreWith(reg, st, services.StoreHooks{OnPut: addToIndex, OnDelete: ix.Remove})
 	services.RegisterIndex(reg, ix)
 	services.RegisterSentiment(reg, sidx)
-	services.RegisterReplica(reg, st, hooks)
 	services.RegisterHealth(reg, services.HealthOptions{
-		Node:     jc.NodeID,
+		Node:     node,
 		Registry: reg,
 		Entities: st.Len,
 		Degraded: st.Degraded,
-		Topology: topo.info,
-		Clock:    clockInfo,
 	})
 	services.RegisterMetrics(reg, metrics.Default())
 
@@ -342,14 +243,12 @@ func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEv
 		metrics.Default().RegisterHTTP(mux)
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 			deg, reason := st.Degraded()
-			ti := topo.info()
-			ci := clockInfo()
 			w.Header().Set("Content-Type", "application/json")
 			if deg {
 				w.WriteHeader(http.StatusServiceUnavailable)
 			}
-			fmt.Fprintf(w, `{"node":%q,"entities":%d,"degraded":%v,"degraded_reason":%q,"role":%q,"ring_epoch":%d,"hlc":%d,"hlc_offset_ms":%d}`+"\n",
-				jc.NodeID, st.Len(), deg, reason, ti.Role(), ti.Epoch, ci.Last, ci.Offset.Milliseconds())
+			fmt.Fprintf(w, `{"node":%q,"entities":%d,"degraded":%v,"degraded_reason":%q}`+"\n",
+				node, st.Len(), deg, reason)
 		})
 		go func() {
 			log.Printf("metrics on http://%s/metrics", metricsAddr)
@@ -373,49 +272,6 @@ func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEv
 		return err
 	}
 	log.Printf("wfnode serving %v on %s", reg.Services(), ln.Addr())
-
-	// Enroll in the ring once the listener is up — the router dials back
-	// to this node mid-join for the handoff census and catch-up, so the
-	// join must not precede serving. The router may not be up yet (or may
-	// be mid-handoff elsewhere); retry with backoff until admitted.
-	if jc.Router != "" {
-		go func() {
-			var rc vinci.Client
-			for attempt, backoff := 0, 250*time.Millisecond; ; attempt++ {
-				var err error
-				if rc == nil {
-					// Dial inside the loop: the node may well start before
-					// its router does.
-					rc, err = vinci.DialWith(jc.Router, vinci.DialOptions{
-						CallTimeout: 30 * time.Second,
-						Retry:       vinci.RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second, Jitter: 0.2},
-					})
-				}
-				if err == nil {
-					err = router.TopologyClient{C: rc}.Join(jc.NodeID, jc.Advertise)
-				}
-				if err == nil {
-					topo.set(rc, jc.NodeID)
-					ti := topo.info()
-					log.Printf("joined ring via %s as %s (%s): role %s, epoch %d",
-						jc.Router, jc.NodeID, jc.Advertise, ti.Role(), ti.Epoch)
-					return
-				}
-				if attempt >= 20 {
-					log.Printf("join %s via %s: giving up after %d attempts: %v", jc.NodeID, jc.Router, attempt+1, err)
-					if rc != nil {
-						rc.Close()
-					}
-					return
-				}
-				log.Printf("join %s via %s: %v (retrying in %v)", jc.NodeID, jc.Router, err, backoff)
-				time.Sleep(backoff)
-				if backoff < 4*time.Second {
-					backoff *= 2
-				}
-			}
-		}()
-	}
 
 	// Graceful shutdown: on SIGINT/SIGTERM drain the Vinci server (stop
 	// accepting, finish in-flight exchanges), then flush and close the
@@ -449,7 +305,7 @@ func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEv
 // client performs one-shot operations against a running node. The
 // node's health service is probed before any operation runs, so a dead
 // or half-up node is reported up front instead of failing mid-request.
-func client(addr string, opts vinci.DialOptions, hedge, ping, showMetrics bool, get, search, sentimentQ, replicasQ string) error {
+func client(addr string, opts vinci.DialOptions, hedge, ping, showMetrics bool, get, search, sentimentQ string) error {
 	raw, err := vinci.DialWith(addr, opts)
 	if err != nil {
 		return err
@@ -482,13 +338,6 @@ func client(addr string, opts vinci.DialOptions, hedge, ping, showMetrics bool, 
 			return err
 		}
 		fmt.Printf("%s: up %v, %d entities, serving %v\n", st.Node, st.Uptime, st.Entities, st.Services)
-		if ti := st.Topology; ti != nil {
-			fmt.Printf("  ring: %s at epoch %d (%d primary shards, %d replica shards)\n",
-				ti.Role(), ti.Epoch, ti.Primaries, ti.Replicas)
-		}
-		if ci := st.Clock; ci != nil {
-			fmt.Printf("  hlc: %s (offset %v ahead of wall clock)\n", hlc.Format(ci.Last), ci.Offset)
-		}
 		if st.Degraded {
 			fmt.Printf("  DEGRADED (read-only): %s\n", st.DegradedReason)
 		}
@@ -548,16 +397,8 @@ func client(addr string, opts vinci.DialOptions, hedge, ping, showMetrics bool, 
 			fmt.Printf("  [%s] %s s%d: %q\n", pol, e.DocID, e.Sentence, e.Snippet)
 		}
 	}
-	if replicasQ != "" {
-		did = true
-		set, err := router.TopologyClient{C: conn}.Place(replicasQ)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s -> %s (primary first)\n", replicasQ, strings.Join(set, ", "))
-	}
 	if !did {
-		return fmt.Errorf("client mode needs one of -ping, -metrics, -get, -search, -sentiment, -replicas")
+		return fmt.Errorf("client mode needs one of -ping, -metrics, -get, -search, -sentiment")
 	}
 	return nil
 }

@@ -11,14 +11,11 @@ import (
 // fails a whole node deterministically: killed (crashed — every call
 // refused until revived) or partitioned (unreachable — same refusal,
 // but conceptually the node is still running). In both cases the node
-// keeps its store, so a revive models crash-plus-durable-recovery and
-// the rejoin path must ship only the writes the node missed.
+// keeps its store, so a revive models crash-plus-durable-recovery.
 //
-// The gate counts traffic on both sides of the boundary, which is what
-// lets the chaos harness assert failover latency: after a kill, the
-// number of calls the router still sends at the dead node before
-// routing around it is exactly the detection cost, and must stay within
-// one probe interval's worth of attempts.
+// The gate counts traffic on both sides of the boundary, so a test can
+// assert failover cost: after a kill, the calls a client still sends at
+// the dead node before it routes around it.
 type Gate struct {
 	name string
 
@@ -106,8 +103,7 @@ func (gc *gatedClient) Call(req vinci.Request) (vinci.Response, error) {
 	gc.g.mu.Unlock()
 	if down {
 		// Transient: the node may come back, so retry layers are allowed
-		// to try again — against a live replica, if the router is doing
-		// its job.
+		// to try again, here or on another transport.
 		return vinci.Response{}, &Error{Op: "node:" + gc.g.name, Transient: true}
 	}
 	return gc.c.Call(req)

@@ -128,103 +128,6 @@ func (s *Schedule) String() string {
 	return fmt.Sprintf("schedule(seed=%d, %d phases, %v)", s.Seed, len(s.Phases), s.Total())
 }
 
-// --- cluster chaos plans ---
-
-// Cluster archetype names — the distributed failure patterns the root
-// chaos harness drives against a replicated deployment.
-const (
-	// ArchetypeNodeKill crashes a victim node mid-workload, revives it
-	// after a downtime, and rejoins it via catch-up — possibly several
-	// rounds.
-	ArchetypeNodeKill = "node-kill"
-	// ArchetypePartition cuts a victim off the network without crashing
-	// it; on heal the node has missed writes and must catch up exactly
-	// like a crashed one.
-	ArchetypePartition = "network-partition"
-	// ArchetypeKillDuringHandoff kills the victim while a shard handoff
-	// involving it is in flight: the handoff must abort without bumping
-	// the ring epoch, then converge when retried after revival.
-	ArchetypeKillDuringHandoff = "kill-during-handoff"
-	// ArchetypeQuorumPartition partitions the first-acking replica of
-	// quorum-acked (W=2) writes: every write acked before the cut must
-	// survive it, because the quorum forced a second copy before the ack.
-	ArchetypeQuorumPartition = "partition-during-quorum-write"
-	// ArchetypeRouterSplit forks two peered routers onto divergent rings
-	// (same epoch, different membership) and requires the fork to resolve
-	// deterministically, with no acked write lost on either side.
-	ArchetypeRouterSplit = "two-router-split"
-	// ArchetypeAntiEntropyRejoin revives a crashed replica WITHOUT the
-	// ring-level rejoin: the background anti-entropy sweep alone must
-	// converge the divergence — missed writes shipped, acked deletes
-	// enforced by tombstone — with the ring epoch untouched.
-	ArchetypeAntiEntropyRejoin = "anti-entropy-after-rejoin"
-)
-
-// ClusterPlan is the deterministic decision set for one distributed
-// chaos run: which node dies, when, for how long, how many times, and
-// what background network weather blows while it happens. The plan is a
-// pure function of (seed, archetype, node set) — the harness sequences
-// the events itself (kill, wait, revive, rejoin), so every timing that
-// matters for convergence is test-driven rather than wall-clock-raced,
-// and two runs of one seed make identical decisions.
-type ClusterPlan struct {
-	// Seed and Archetype generated this plan.
-	Seed      int64
-	Archetype string
-	// Victim is the node the archetype targets.
-	Victim string
-	// WarmWrites is how many acknowledged writes precede the first
-	// failure — the state the victim must prove it can recover.
-	WarmWrites int
-	// Downtime is how long the victim stays down each round.
-	Downtime time.Duration
-	// Rounds is how many kill/revive (or partition/heal) cycles run.
-	Rounds int
-	// Net is the background network fault mix active during the storm
-	// (zero for a clean-network run), applied to an Injector wrapped
-	// around the inter-node transports.
-	Net Config
-}
-
-// NewClusterPlan draws a plan for the archetype over the node set.
-func NewClusterPlan(seed int64, archetype string, nodes []string) ClusterPlan {
-	// Mix the archetype name into the seed so the three archetypes of one
-	// chaos seed make independent choices.
-	mixed := seed
-	for i := 0; i < len(archetype); i++ {
-		mixed = mixed*131 + int64(archetype[i])
-	}
-	rng := rand.New(rand.NewSource(mixed))
-	p := ClusterPlan{
-		Seed:       seed,
-		Archetype:  archetype,
-		Victim:     nodes[rng.Intn(len(nodes))],
-		WarmWrites: 20 + rng.Intn(20),
-		Downtime:   time.Duration(20+rng.Intn(30)) * time.Millisecond,
-		Rounds:     1,
-	}
-	if archetype == ArchetypeNodeKill {
-		p.Rounds = 1 + rng.Intn(2)
-	}
-	if rng.Intn(2) == 0 {
-		// Half of all plans run under flaky-network weather so failover
-		// and catch-up are exercised against drops and stalls, not just a
-		// clean victim crash.
-		p.Net = Config{
-			DropRate:  0.01 + 0.02*rng.Float64(),
-			DelayRate: 0.05 + 0.05*rng.Float64(),
-			Delay:     time.Duration(1+rng.Intn(2)) * time.Millisecond,
-		}
-	}
-	return p
-}
-
-// String renders the plan for the invariant log.
-func (p ClusterPlan) String() string {
-	return fmt.Sprintf("plan(seed=%d, %s, victim=%s, warm=%d, down=%v, rounds=%d, net-drop=%.3f)",
-		p.Seed, p.Archetype, p.Victim, p.WarmWrites, p.Downtime, p.Rounds, p.Net.DropRate)
-}
-
 // Start drives the injector through the timeline in real time: the
 // injector's config is swapped at each phase boundary, and reset to
 // quiet when the timeline ends or stop is called. stop blocks until the

@@ -8,8 +8,8 @@ import (
 	"net/http"
 	"time"
 
+	"webfountain/internal/deadline"
 	"webfountain/internal/metrics"
-	"webfountain/internal/vinci"
 )
 
 // Gateway metrics, alongside the cache and limiter counters.
@@ -176,7 +176,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // header. Zero means no deadline.
 func (g *Gateway) deadlineFor(r *http.Request) time.Duration {
 	d := g.timeout
-	if hd, ok := vinci.ParseDeadlineMS(r.Header.Get(vinci.DeadlineParam)); ok && hd > 0 && (d == 0 || hd < d) {
+	if hd, ok := deadline.ParseMS(r.Header.Get(deadline.Param)); ok && hd > 0 && (d == 0 || hd < d) {
 		d = hd
 	}
 	return d
@@ -396,7 +396,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}{ids, facts, g.backend.View().Generation()})
 }
 
-// handleHealthz mirrors wfrouter's health semantics: a healthy node
+// handleHealthz mirrors wfnode's health semantics: a healthy node
 // answers 200, a degraded one answers 503 with the reason, so a load
 // balancer rotates it out instead of sending writes at a read-only
 // store.

@@ -29,55 +29,8 @@ type HealthOptions struct {
 	// failed) and why. A degraded node still answers reads; callers use
 	// the flag to route writes and mining runs elsewhere.
 	Degraded func() (bool, string)
-	// Topology, when set, lets ping and status report the node's place
-	// in the ring: the ring epoch it is serving under and how many shard
-	// ranges it holds as primary vs replica. Operators reading a flat
-	// "ok" from a node that silently dropped out of its replica sets was
-	// exactly the blind spot this closes.
-	Topology func() TopologyInfo
-	// Clock, when set, lets ping and status report the node's hybrid
-	// logical clock: the newest version stamp it has issued or observed,
-	// and how far that runs ahead of the wall clock. A large offset
-	// flags a clock-skewed peer somewhere in the cluster before it
-	// starts winning last-writer-wins races it shouldn't.
-	Clock func() ClockInfo
 	// now overrides the clock in tests.
 	now func() time.Time
-}
-
-// ClockInfo is a node's self-reported HLC state.
-type ClockInfo struct {
-	// Last is the newest HLC timestamp issued or observed.
-	Last uint64
-	// Offset is how far the HLC's physical component runs ahead of the
-	// node's wall clock (0 when tracking real time).
-	Offset time.Duration
-}
-
-// TopologyInfo is a node's self-reported ring position.
-type TopologyInfo struct {
-	// Epoch is the ring generation the node is serving under.
-	Epoch uint64
-	// Digest is the ring's canonical placement digest.
-	Digest string
-	// Primaries and Replicas count the virtual-node ranges the node
-	// serves in each role.
-	Primaries int
-	Replicas  int
-}
-
-// Role summarizes the node's shard role for display: "primary" when it
-// owns any range as primary, "replica" when it only follows, "idle"
-// when it holds no ranges.
-func (ti TopologyInfo) Role() string {
-	switch {
-	case ti.Primaries > 0:
-		return "primary"
-	case ti.Replicas > 0:
-		return "replica"
-	default:
-		return "idle"
-	}
 }
 
 // RegisterHealth exposes node liveness: ops ping, status and uptime.
@@ -93,18 +46,7 @@ func RegisterHealth(reg *vinci.Registry, opts HealthOptions) {
 	reg.Register(HealthService, func(req vinci.Request) vinci.Response {
 		switch req.Op {
 		case "ping":
-			fields := map[string]string{"pong": "1", "node": opts.Node}
-			if opts.Topology != nil {
-				ti := opts.Topology()
-				fields["ring_epoch"] = strconv.FormatUint(ti.Epoch, 10)
-				fields["role"] = ti.Role()
-			}
-			if opts.Clock != nil {
-				ci := opts.Clock()
-				fields["hlc"] = strconv.FormatUint(ci.Last, 10)
-				fields["hlc_offset_ms"] = strconv.FormatInt(ci.Offset.Milliseconds(), 10)
-			}
-			return vinci.OKResponse(fields)
+			return vinci.OKResponse(map[string]string{"pong": "1", "node": opts.Node})
 		case "uptime":
 			up := opts.now().Sub(start)
 			return vinci.OKResponse(map[string]string{
@@ -129,19 +71,6 @@ func RegisterHealth(reg *vinci.Registry, opts HealthOptions) {
 					fields["degraded"] = "0"
 				}
 			}
-			if opts.Topology != nil {
-				ti := opts.Topology()
-				fields["ring_epoch"] = strconv.FormatUint(ti.Epoch, 10)
-				fields["ring_digest"] = ti.Digest
-				fields["role"] = ti.Role()
-				fields["shard_primaries"] = strconv.Itoa(ti.Primaries)
-				fields["shard_replicas"] = strconv.Itoa(ti.Replicas)
-			}
-			if opts.Clock != nil {
-				ci := opts.Clock()
-				fields["hlc"] = strconv.FormatUint(ci.Last, 10)
-				fields["hlc_offset_ms"] = strconv.FormatInt(ci.Offset.Milliseconds(), 10)
-			}
 			return vinci.OKResponse(fields)
 		}
 		return vinci.Errorf("health: unknown op %q", req.Op)
@@ -162,12 +91,6 @@ type NodeStatus struct {
 	// DegradedReason says why.
 	Degraded       bool
 	DegradedReason string
-	// Topology is the node's self-reported ring position, nil when the
-	// node is not part of a replicated deployment.
-	Topology *TopologyInfo
-	// Clock is the node's self-reported HLC state, nil when the node
-	// does not run a hybrid logical clock.
-	Clock *ClockInfo
 }
 
 // HealthClient is the typed client for the health service.
@@ -228,29 +151,6 @@ func (hc HealthClient) Status() (NodeStatus, error) {
 	if resp.Fields["degraded"] == "1" {
 		st.Degraded = true
 		st.DegradedReason = resp.Fields["degraded_reason"]
-	}
-	if v, ok := resp.Fields["ring_epoch"]; ok {
-		ti := &TopologyInfo{Digest: resp.Fields["ring_digest"]}
-		if epoch, err := strconv.ParseUint(v, 10, 64); err == nil {
-			ti.Epoch = epoch
-		}
-		if n, err := strconv.Atoi(resp.Fields["shard_primaries"]); err == nil {
-			ti.Primaries = n
-		}
-		if n, err := strconv.Atoi(resp.Fields["shard_replicas"]); err == nil {
-			ti.Replicas = n
-		}
-		st.Topology = ti
-	}
-	if v, ok := resp.Fields["hlc"]; ok {
-		ci := &ClockInfo{}
-		if last, err := strconv.ParseUint(v, 10, 64); err == nil {
-			ci.Last = last
-		}
-		if ms, err := strconv.ParseInt(resp.Fields["hlc_offset_ms"], 10, 64); err == nil {
-			ci.Offset = time.Duration(ms) * time.Millisecond
-		}
-		st.Clock = ci
 	}
 	return st, nil
 }

@@ -34,11 +34,10 @@ func Idempotent(service string) bool {
 
 // --- store service ---
 
-// StoreHooks observe mutations that arrive through the store service or
-// the replica service, letting a node keep derived state (its inverted
-// index) in step with writes it did not originate — the replicated
-// write path routes puts at nodes directly, not through the local
-// ingest pipeline.
+// StoreHooks observe mutations that arrive through the store service,
+// letting a node keep derived state (its inverted index) in step with
+// writes a remote client made directly, not through the local ingest
+// pipeline.
 type StoreHooks struct {
 	// OnPut runs after a put is durably applied.
 	OnPut func(e *store.Entity)
@@ -79,18 +78,7 @@ func RegisterStoreWith(reg *vinci.Registry, st *store.Store, hooks StoreHooks) {
 			}
 			return vinci.OKResponse(map[string]string{"id": e.ID})
 		case "delete":
-			// An optional version param makes the delete an HLC-fenced
-			// versioned delete (see store.DeleteVersioned); without it the
-			// delete is unconditional, preserving single-node semantics.
-			if vs := req.Param("version"); vs != "" {
-				v, err := strconv.ParseUint(vs, 10, 64)
-				if err != nil {
-					return vinci.Errorf("store: bad version %q: %v", vs, err)
-				}
-				if err := st.DeleteVersioned(req.Param("id"), v); err != nil {
-					return vinci.Errorf("store: %v", err)
-				}
-			} else if err := st.Delete(req.Param("id")); err != nil {
+			if err := st.Delete(req.Param("id")); err != nil {
 				return vinci.Errorf("store: %v", err)
 			}
 			if hooks.OnDelete != nil {
@@ -140,23 +128,6 @@ func (sc StoreClient) Put(e *store.Entity) error {
 // Delete removes an entity.
 func (sc StoreClient) Delete(id string) error {
 	resp, err := sc.C.Call(vinci.Request{Service: StoreService, Op: "delete", Params: map[string]string{"id": id}})
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("%s", resp.Error)
-	}
-	return nil
-}
-
-// DeleteVersioned removes an entity under an HLC version stamp; the
-// node fences the delete against newer held copies and records a
-// versioned tombstone (store.DeleteVersioned).
-func (sc StoreClient) DeleteVersioned(id string, version uint64) error {
-	resp, err := sc.C.Call(vinci.Request{Service: StoreService, Op: "delete", Params: map[string]string{
-		"id":      id,
-		"version": strconv.FormatUint(version, 10),
-	}})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package services
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -59,6 +60,42 @@ func TestStoreServiceErrors(t *testing.T) {
 	resp, _ := vinci.NewLocalClient(reg).Call(vinci.Request{Service: StoreService, Op: "bogus"})
 	if resp.OK || !strings.Contains(resp.Error, "unknown op") {
 		t.Errorf("resp = %+v", resp)
+	}
+}
+
+func TestStoreServiceIDsOp(t *testing.T) {
+	st := store.New(1)
+	for i := 0; i < 3; i++ {
+		if err := st.Put(&store.Entity{ID: fmt.Sprintf("doc-%06d", i), Text: "t"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := vinci.NewRegistry()
+	RegisterStore(reg, st)
+	sc := StoreClient{C: vinci.NewLocalClient(reg)}
+	ids, err := sc.IDs()
+	if err != nil || len(ids) != 3 || ids[0] != "doc-000000" {
+		t.Fatalf("ids=%v err=%v", ids, err)
+	}
+}
+
+func TestStoreServiceHooks(t *testing.T) {
+	st := store.New(1)
+	var puts, dels []string
+	reg := vinci.NewRegistry()
+	RegisterStoreWith(reg, st, StoreHooks{
+		OnPut:    func(e *store.Entity) { puts = append(puts, e.ID) },
+		OnDelete: func(id string) { dels = append(dels, id) },
+	})
+	sc := StoreClient{C: vinci.NewLocalClient(reg)}
+	if err := sc.Put(&store.Entity{ID: "doc-000001", Text: "hello"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Delete("doc-000001"); err != nil {
+		t.Fatal(err)
+	}
+	if len(puts) != 1 || len(dels) != 1 {
+		t.Fatalf("hooks: puts=%v dels=%v", puts, dels)
 	}
 }
 

@@ -281,11 +281,11 @@ func applyRecord(s *Store, op byte, body []byte) error {
 		s.applyDelete(string(body))
 		return nil
 	case opDeleteV:
-		id, v, err := decodeDeleteV(body)
+		id, err := legacyDeleteID(body)
 		if err != nil {
 			return err
 		}
-		s.applyDeleteVersioned(id, v)
+		s.applyDelete(id)
 		return nil
 	case opAnnotate:
 		rec, err := decodeAnnotate(body)

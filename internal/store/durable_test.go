@@ -833,29 +833,50 @@ func TestOpenEmptyDir(t *testing.T) {
 	}
 }
 
-func TestDurableStoreRecoversTombstones(t *testing.T) {
+// TestReplayLegacyReplicatedRecords opens a log written behind the old
+// replication tier: a put carrying a version attribute and a versioned
+// delete (opDeleteV). The put replays as a plain put and the delete as a
+// plain delete, whatever its stamp.
+func TestReplayLegacyReplicatedRecords(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(&Entity{ID: "doc-01", Text: "body"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("doc-01"); err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"doc-01", "doc-02"} {
+		if err := s.Put(&Entity{ID: id, Text: "body " + id}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// WAL replay re-runs the delete, so the tombstone survives a restart
-	// (until a compaction drops the delete record from the log).
+	stamp := []byte{0, 0, 0x01, 0x8f, 0, 0, 0, 7}
+	legacy := append(encodeWALRecord(opDeleteV, append(stamp, "doc-01"...)),
+		encodeWALRecord(opPut, []byte(`<entity id="doc-03" version="7"><text>versioned</text></entity>`))...)
+	f, err := os.OpenFile(walFiles.Path(dir, 0), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	s2, err := Open(dir, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if !s2.HasTombstone("doc-01") {
-		t.Fatal("tombstone lost across restart")
+	if ds := s2.Durability(); ds.Replayed != 4 || ds.Quarantined != 0 || ds.Degraded {
+		t.Fatalf("replay stats = %+v, want 4 records applied cleanly", ds)
+	}
+	if got := s2.IDs(); !reflect.DeepEqual(got, []string{"doc-02", "doc-03"}) {
+		t.Fatalf("ids after replay = %v, want [doc-02 doc-03]", got)
+	}
+	if e, _ := s2.Get("doc-03"); e.Text != "versioned" {
+		t.Fatalf("legacy put replayed as %+v", e)
 	}
 }

@@ -70,14 +70,6 @@ type Entity struct {
 	// Links are the IDs of entities this one links to (the hyperlink
 	// graph the page-ranking miner consumes).
 	Links []string `xml:"links>link,omitempty"`
-	// Version orders replicated writes of one ID: the routing tier stamps
-	// every Put with a monotonically increasing sequence, and replication
-	// catch-up (ApplyFrames) discards frames older than the copy a node
-	// already holds, so a frame shipped before a dual-write landed cannot
-	// roll the newer copy back. Zero on entities that never passed
-	// through a router (single-process deployments), where arrival order
-	// is write order and no comparison is needed.
-	Version uint64 `xml:"version,attr,omitempty"`
 	// Annotations are miner outputs attached to the entity.
 	Annotations []Annotation `xml:"annotations>annotation,omitempty"`
 }
@@ -154,42 +146,7 @@ type Store struct {
 	shards []*shard
 	// dur is the durability state, nil for in-memory stores.
 	dur *durability
-
-	// Tombstones: every Delete records the ID so replication catch-up can
-	// distinguish "deleted cluster-wide while you were down" (a live peer
-	// holds the tombstone) from "you hold the only surviving copy of an
-	// acked write" (nobody does). A versioned delete (DeleteVersioned)
-	// additionally records the delete's HLC version, which anti-entropy
-	// and the ApplyFrames fences compare against put versions to decide
-	// whether a delete supersedes a copy or vice versa. Retention is a
-	// bounded FIFO (maxTombstones); on a durable store the WAL replays
-	// deletes through applyDelete/applyDeleteVersioned, so tombstones
-	// younger than the last compaction survive a restart.
-	tmu       sync.Mutex
-	tombs     map[string]tombstone // id -> its newest tombstone
-	tombSeq   uint64
-	tombOrder []tombEntry
 }
-
-// tombstone is one retained delete: the FIFO admission seq plus the
-// delete's version (0 for an unversioned local delete).
-type tombstone struct {
-	seq     uint64
-	version uint64
-}
-
-// tombEntry is one FIFO slot in the tombstone retention queue. The seq
-// lets eviction skip slots that were superseded (the ID was re-deleted
-// after an intervening put, so a newer slot exists further back).
-type tombEntry struct {
-	id  string
-	seq uint64
-}
-
-// maxTombstones bounds per-store tombstone retention. Beyond it the
-// oldest tombstones are forgotten, after which catch-up treats the ID's
-// sole copies conservatively (kept, not deleted).
-const maxTombstones = 8192
 
 // New creates an in-memory store with the given number of shards
 // (minimum 1).
@@ -234,27 +191,12 @@ func (s *Store) Put(e *Entity) error {
 }
 
 // applyPut installs a copy of the entity in its shard, bypassing the
-// WAL. Versioned puts (Version > 0) are fenced: a put older than the
-// copy already held, or older than a versioned tombstone for the ID, is
-// a stale replica of a superseded write and is dropped rather than
-// installed — last-writer-wins by HLC version. Unversioned puts
-// (single-process deployments, where arrival order is write order)
-// always install.
+// WAL.
 func (s *Store) applyPut(e *Entity) {
-	if e.Version > 0 {
-		if tv, ok := s.tombstoneVersion(e.ID); ok && tv >= e.Version {
-			return
-		}
-	}
 	sh := s.shardFor(e.ID)
 	sh.mu.Lock()
-	if cur, ok := sh.entities[e.ID]; ok && e.Version > 0 && cur.Version > e.Version {
-		sh.mu.Unlock()
-		return
-	}
 	sh.entities[e.ID] = e.Clone()
 	sh.mu.Unlock()
-	s.clearTombstone(e.ID)
 }
 
 // Get returns a copy of the entity with the given ID.
@@ -306,127 +248,6 @@ func (s *Store) applyDelete(id string) {
 	sh.mu.Lock()
 	delete(sh.entities, id)
 	sh.mu.Unlock()
-	s.recordTombstone(id, 0)
-}
-
-// DeleteVersioned removes an entity under an HLC version stamp. The
-// delete is fenced: if the held copy is newer than the stamp, the
-// delete is a stale replica of a superseded operation and becomes a
-// no-op (no tombstone either — the newer put wins). An applied delete
-// records a versioned tombstone, which fences later stale puts of the
-// same ID. On a durable store the delete is write-ahead-logged first.
-func (s *Store) DeleteVersioned(id string, version uint64) error {
-	if s.dur == nil {
-		s.applyDeleteVersioned(id, version)
-		return nil
-	}
-	return s.logged(encodeWALRecord(opDeleteV, encodeDeleteV(id, version)), func() { s.applyDeleteVersioned(id, version) })
-}
-
-// applyDeleteVersioned is the fenced delete path, bypassing the WAL.
-func (s *Store) applyDeleteVersioned(id string, version uint64) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	if cur, ok := sh.entities[id]; ok && version > 0 && cur.Version > version {
-		sh.mu.Unlock()
-		return
-	}
-	delete(sh.entities, id)
-	sh.mu.Unlock()
-	s.recordTombstone(id, version)
-}
-
-// recordTombstone remembers that id was deleted (at the given version,
-// 0 for unversioned deletes), evicting the oldest tombstones past the
-// retention cap. Deletes of never-held IDs still record — a replica
-// that missed the original put but received the delete is exactly the
-// evidence catch-up needs.
-func (s *Store) recordTombstone(id string, version uint64) {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	if s.tombs == nil {
-		s.tombs = map[string]tombstone{}
-	}
-	// A re-delete never moves the ID's tombstone backwards in version:
-	// an unversioned delete refreshes retention but keeps the versioned
-	// evidence, and a stale versioned delete keeps the newer stamp.
-	if cur, ok := s.tombs[id]; ok && cur.version > version {
-		version = cur.version
-	}
-	s.tombSeq++
-	s.tombs[id] = tombstone{seq: s.tombSeq, version: version}
-	s.tombOrder = append(s.tombOrder, tombEntry{id: id, seq: s.tombSeq})
-	for len(s.tombOrder) > maxTombstones {
-		old := s.tombOrder[0]
-		s.tombOrder = s.tombOrder[1:]
-		// Only forget the ID if this slot is still its newest tombstone;
-		// a superseded slot (re-deleted later) must not evict the live one.
-		if s.tombs[old.id].seq == old.seq {
-			delete(s.tombs, old.id)
-		}
-	}
-}
-
-// clearTombstone withdraws a tombstone: the ID was re-created, so its
-// absence elsewhere no longer means "deleted".
-func (s *Store) clearTombstone(id string) {
-	s.tmu.Lock()
-	delete(s.tombs, id)
-	s.tmu.Unlock()
-}
-
-// Tombstones returns the retained deleted IDs, sorted.
-func (s *Store) Tombstones() []string {
-	s.tmu.Lock()
-	out := make([]string, 0, len(s.tombs))
-	for id := range s.tombs {
-		out = append(out, id)
-	}
-	s.tmu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// TombstonesVersioned returns the retained tombstones as id -> delete
-// version (0 for unversioned deletes).
-func (s *Store) TombstonesVersioned() map[string]uint64 {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	out := make(map[string]uint64, len(s.tombs))
-	for id, t := range s.tombs {
-		out[id] = t.version
-	}
-	return out
-}
-
-// HasTombstone reports whether a retained tombstone exists for id.
-func (s *Store) HasTombstone(id string) bool {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	_, ok := s.tombs[id]
-	return ok
-}
-
-// tombstoneVersion returns the retained delete version for id.
-func (s *Store) tombstoneVersion(id string) (uint64, bool) {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	t, ok := s.tombs[id]
-	return t.version, ok
-}
-
-// Versions returns every held entity's version keyed by ID — the
-// census anti-entropy diffs between replicas to find divergence.
-func (s *Store) Versions() map[string]uint64 {
-	out := make(map[string]uint64)
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for id, e := range sh.entities {
-			out[id] = e.Version
-		}
-		sh.mu.RUnlock()
-	}
-	return out
 }
 
 // Annotate appends annotations to a stored entity — the miner write-back

@@ -337,68 +337,3 @@ func TestHost(t *testing.T) {
 		}
 	}
 }
-
-func TestStoreTombstones(t *testing.T) {
-	s := New(2)
-	if err := s.Put(&Entity{ID: "doc-a", Text: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if s.HasTombstone("doc-a") {
-		t.Fatal("tombstone before any delete")
-	}
-	if err := s.Delete("doc-a"); err != nil {
-		t.Fatal(err)
-	}
-	if !s.HasTombstone("doc-a") {
-		t.Fatal("delete did not record a tombstone")
-	}
-	// A delete of a never-held ID still records: a replica that missed
-	// the put but received the delete is evidence catch-up needs.
-	if err := s.Delete("doc-ghost"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Tombstones(); len(got) != 2 || got[0] != "doc-a" || got[1] != "doc-ghost" {
-		t.Fatalf("tombstones = %v, want [doc-a doc-ghost]", got)
-	}
-	// Re-creating the entity withdraws the tombstone.
-	if err := s.Put(&Entity{ID: "doc-a", Text: "y"}); err != nil {
-		t.Fatal(err)
-	}
-	if s.HasTombstone("doc-a") {
-		t.Fatal("put did not withdraw the tombstone")
-	}
-}
-
-func TestStoreTombstoneRetentionCap(t *testing.T) {
-	s := New(1)
-	// "keep" gets deleted, re-created, deleted again: its first FIFO slot
-	// is superseded and must not evict the live tombstone when it ages out.
-	if err := s.Delete("keep"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(&Entity{ID: "keep", Text: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("keep"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < maxTombstones-1; i++ {
-		if err := s.Delete(fmt.Sprintf("doc-%06d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The superseded slot has been pushed out; the live one has not.
-	if !s.HasTombstone("keep") {
-		t.Fatal("superseded FIFO slot evicted a live tombstone")
-	}
-	// One more delete pushes the live "keep" slot out of retention.
-	if err := s.Delete("doc-overflow"); err != nil {
-		t.Fatal(err)
-	}
-	if s.HasTombstone("keep") {
-		t.Fatal("tombstone survived past the retention cap")
-	}
-	if !s.HasTombstone("doc-overflow") || !s.HasTombstone("doc-000000") {
-		t.Fatal("recent tombstones must survive eviction of older ones")
-	}
-}

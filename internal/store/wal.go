@@ -22,7 +22,8 @@ import (
 //	opPut      — the entity, as compact XML
 //	opDelete   — the raw entity ID
 //	opAnnotate — an <annotate id="..."> element listing annotations
-//	opDeleteV  — 8-byte big-endian HLC version, then the raw entity ID
+//	opDeleteV  — legacy, replay only: an 8-byte version stamp, then the
+//	             raw entity ID; replayed as a plain delete
 //
 // The length prefix gives resync-free sequential scanning, and the two
 // checksums split corruption into three distinguishable classes: a
@@ -40,24 +41,17 @@ const (
 	opPut      byte = 1
 	opDelete   byte = 2
 	opAnnotate byte = 3
-	opDeleteV  byte = 4
+	opDeleteV  byte = 4 // written by older versions only
 )
 
-// encodeDeleteV frames a versioned delete's body: the 8-byte version
-// stamp followed by the ID bytes.
-func encodeDeleteV(id string, version uint64) []byte {
-	body := make([]byte, 8+len(id))
-	binary.BigEndian.PutUint64(body, version)
-	copy(body[8:], id)
-	return body
-}
-
-// decodeDeleteV parses a versioned delete body.
-func decodeDeleteV(body []byte) (id string, version uint64, err error) {
+// legacyDeleteID returns the entity ID of an opDeleteV body, which
+// stores behind a replication tier wrote with the delete's version stamp
+// in front of the ID. Nothing reads the stamp any more.
+func legacyDeleteID(body []byte) (string, error) {
 	if len(body) < 8 {
-		return "", 0, fmt.Errorf("store: short versioned-delete body (%d bytes)", len(body))
+		return "", fmt.Errorf("store: short versioned-delete body (%d bytes)", len(body))
 	}
-	return string(body[8:]), binary.BigEndian.Uint64(body), nil
+	return string(body[8:]), nil
 }
 
 // walHeaderSize is the length prefix plus the header and payload

@@ -141,7 +141,7 @@ func TestXMLRecordMatchesMarshal(t *testing.T) {
 	ents := []*Entity{
 		{ID: "a", Text: "plain"},
 		{ID: "doc-000001", URL: "http://x/y", Source: "review", Title: "T & <t>", Date: "2004-03-02",
-			Text: "It's \"great\"\n\tand <bold> & more\x01\xff", Links: []string{"b", "c"}, Version: 7, Annotations: anns},
+			Text: "It's \"great\"\n\tand <bold> & more\x01\xff", Links: []string{"b", "c"}, Annotations: anns},
 		{ID: "quotes", Text: strings.Repeat("'", 3000)},
 	}
 	for _, e := range ents {

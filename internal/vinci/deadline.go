@@ -3,6 +3,8 @@ package vinci
 import (
 	"errors"
 	"time"
+
+	"webfountain/internal/deadline"
 )
 
 // DeadlineParam is the reserved request parameter that carries a
@@ -12,11 +14,7 @@ import (
 // so a handler that fans out to further services forwards only the
 // budget that is genuinely left — the paper's 500-node cluster cannot
 // afford a request queueing somewhere long after its caller gave up.
-const DeadlineParam = "x-deadline-ms"
-
-// maxDeadlineMS bounds a parsed budget (~11.5 days) so converting to a
-// time.Duration in nanoseconds can never overflow.
-const maxDeadlineMS = int64(1) << 30
+const DeadlineParam = deadline.Param
 
 // ErrDeadlineExceeded reports that a request's deadline budget was
 // already spent — on the client before (re)sending, or on the server
@@ -57,35 +55,6 @@ func IsOverloaded(err error) bool { return errors.Is(err, ErrOverloaded) }
 
 // IsDeadlineExceeded reports whether err marks a spent deadline budget.
 func IsDeadlineExceeded(err error) bool { return errors.Is(err, ErrDeadlineExceeded) }
-
-// ParseDeadlineMS parses a DeadlineParam value — the one x-deadline-ms
-// parser, shared with the HTTP gateway's header of the same name. It
-// never panics and never yields a negative budget: malformed, negative or overflowing
-// values return ok == false. Leading zeros and an optional '+' are
-// accepted; anything else non-numeric is rejected.
-func ParseDeadlineMS(s string) (time.Duration, bool) {
-	if s == "" {
-		return 0, false
-	}
-	if s[0] == '+' {
-		s = s[1:]
-		if s == "" {
-			return 0, false
-		}
-	}
-	var ms int64
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		ms = ms*10 + int64(c-'0')
-		if ms > maxDeadlineMS {
-			return 0, false
-		}
-	}
-	return time.Duration(ms) * time.Millisecond, true
-}
 
 // formatMS renders a budget as the integer-millisecond wire value,
 // rounding up so a positive sub-millisecond budget does not collapse to
@@ -130,12 +99,13 @@ func WithDeadlineBudget(req Request, budget time.Duration) Request {
 	return req
 }
 
-// DeadlineBudget extracts the deadline budget carried by the request.
-// ok reports whether a well-formed budget was present; malformed values
-// read as absent (the server treats them as "no deadline" rather than
-// failing the call — a lenient reading keeps old clients working).
+// DeadlineBudget extracts the deadline budget carried by the request
+// (deadline.ParseMS). ok reports whether a well-formed budget was
+// present; malformed values read as absent (the server treats them as
+// "no deadline" rather than failing the call — a lenient reading keeps
+// old clients working).
 func (r Request) DeadlineBudget() (time.Duration, bool) {
-	return ParseDeadlineMS(r.Params[DeadlineParam])
+	return deadline.ParseMS(r.Params[DeadlineParam])
 }
 
 // Deadline returns the absolute deadline the dispatcher computed from

@@ -8,6 +8,11 @@ import (
 	"time"
 )
 
+// parseBudget reads s the way a server reads the parameter off the wire.
+func parseBudget(s string) (time.Duration, bool) {
+	return Request{Params: map[string]string{DeadlineParam: s}}.DeadlineBudget()
+}
+
 func TestParseDeadlineMS(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -27,12 +32,12 @@ func TestParseDeadlineMS(t *testing.T) {
 		{" 7", 0, false},
 	}
 	for _, c := range cases {
-		got, ok := ParseDeadlineMS(c.in)
+		got, ok := parseBudget(c.in)
 		if ok != c.ok || got != c.want {
-			t.Errorf("ParseDeadlineMS(%q) = (%v, %v), want (%v, %v)", c.in, got, ok, c.want, c.ok)
+			t.Errorf("parse %q = (%v, %v), want (%v, %v)", c.in, got, ok, c.want, c.ok)
 		}
 		if got < 0 {
-			t.Errorf("ParseDeadlineMS(%q) yielded negative budget %v", c.in, got)
+			t.Errorf("parse %q yielded negative budget %v", c.in, got)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"webfountain/internal/deadline"
 )
 
 // frame builds a well-formed length-prefixed frame for seeding.
@@ -73,7 +75,7 @@ func FuzzDeadlineParam(f *testing.F) {
 	f.Add("-1")
 	f.Add("00000000000000000042")
 	f.Add("99999999999999999999999999")
-	f.Add("1073741824") // just past maxDeadlineMS
+	f.Add("1073741824") // just past deadline.MaxMS
 	f.Add("9223372036854775807")
 	f.Add("1e3")
 	f.Add("0x10")
@@ -82,17 +84,17 @@ func FuzzDeadlineParam(f *testing.F) {
 	f.Add("١٢٣") // non-ASCII digits must be rejected
 	f.Add("\x00")
 	f.Fuzz(func(t *testing.T, s string) {
-		budget, ok := ParseDeadlineMS(s)
+		budget, ok := parseBudget(s)
 		if budget < 0 {
-			t.Fatalf("ParseDeadlineMS(%q) yielded negative budget %v", s, budget)
+			t.Fatalf("parse %q yielded negative budget %v", s, budget)
 		}
 		if !ok && budget != 0 {
-			t.Fatalf("ParseDeadlineMS(%q) rejected input but returned %v", s, budget)
+			t.Fatalf("parse %q rejected input but returned %v", s, budget)
 		}
 
 		reg := NewRegistry()
 		reg.Register("probe", func(req Request) Response {
-			if dl, has := req.Deadline(); has && time.Until(dl) > time.Duration(maxDeadlineMS)*time.Millisecond {
+			if dl, has := req.Deadline(); has && time.Until(dl) > time.Duration(deadline.MaxMS)*time.Millisecond {
 				return Errorf("deadline beyond clamp")
 			}
 			return OKResponse(nil)
