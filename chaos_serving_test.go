@@ -39,6 +39,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
@@ -329,8 +330,9 @@ func TestChaosServingKillBetweenPutAndAnnotate(t *testing.T) {
 
 		batch := sc.nextDocs(4)
 		victim := batch[sc.rng.Intn(len(batch))].ID
-		wal.marker = []byte(fmt.Sprintf("<annotate id=%q", victim))
+		wal.arm(store.RecordPrefix(true, victim))
 		ids, _, err := sc.tier.Ingest(context.Background(), batch)
+		wal.disarm(t)
 		sc.acked = append(sc.acked, ids...)
 		if err == nil || !strings.Contains(err.Error(), "serving annotate "+victim) {
 			t.Fatalf("seed=%d: batch with %s's annotate record torn: err = %v", seed, victim, err)
@@ -387,11 +389,15 @@ func TestChaosServingAnnotateRecordBitRot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		at := bytes.Index(data, []byte(fmt.Sprintf("<annotate id=%q", victim)))
-		if at < 0 {
+		// The record's payload starts at the prefix, behind the frame's
+		// 12-byte header whose first word is the payload length; rot a
+		// byte within the payload.
+		at := bytes.Index(data, store.RecordPrefix(true, victim))
+		if at < 12 {
 			t.Fatalf("seed=%d: no annotate record for %s in the WAL", seed, victim)
 		}
-		data[at+sc.rng.Intn(40)] ^= 0x20
+		payload := int(binary.LittleEndian.Uint32(data[at-12:]))
+		data[at+sc.rng.Intn(min(40, payload))] ^= 0x20
 		if err := os.WriteFile(wals[0], data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -7,26 +7,24 @@ import (
 	"testing"
 )
 
-// TestAllocCeilingWALFrame gates the record framing on a put: the XML
-// body is encoded straight into the frame, so the record is one buffer
-// rather than Marshal's plus a payload copy plus a frame copy, and the
-// encoder's 4 KB write buffer is recycled. What remains is the frame and
-// encoding/xml's own per-call bookkeeping — for a 6 KB review, 11
-// allocations and ≈ 7.5 KB where Marshal-then-frame made 16 and ≈ 30 KB.
-// Race instrumentation adds allocations of its own, hence the build tag.
+// TestAllocCeilingWALFrame gates the record framing of a put and an
+// annotate: each binary body is sized exactly and encoded straight into
+// its frame behind the reserved header and op byte, so a record is one
+// buffer and one allocation. Race instrumentation adds allocations of
+// its own, hence the build tag.
 func TestAllocCeilingWALFrame(t *testing.T) {
 	text := strings.Repeat("The NR70 takes excellent pictures, and the battery life is great. ", 96)
-	e := &Entity{ID: "doc-000001", Source: "review", Title: "NR70", Date: "2004-03-02", Text: text}
-	frame := func() {
-		if _, err := encodePut(e); err != nil {
-			t.Fatal(err)
+	anns := []Annotation{{Miner: "sentiment", Type: "polarity", Key: "nr70", Value: "+", Feature: "pictures", Sentence: 1, Start: 66, End: 132}}
+	e := &Entity{ID: "doc-000001", Source: "review", Title: "NR70", Date: "2004-03-02", Text: text, Links: []string{"doc-000002"}, Annotations: anns}
+	const ceiling = 1
+	for name, frame := range map[string]func(){
+		"encodePut":      func() { encodePut(e) },
+		"encodeAnnotate": func() { encodeAnnotate(e.ID, anns) },
+	} {
+		avg := testing.AllocsPerRun(100, frame)
+		if avg > ceiling {
+			t.Errorf("%s allocates %.1f/run, ceiling %d", name, avg, ceiling)
 		}
+		t.Logf("%s: %.1f allocs/run (ceiling %d)", name, avg, ceiling)
 	}
-	frame() // warm the write-buffer pool
-	avg := testing.AllocsPerRun(100, frame)
-	const ceiling = 12
-	if avg > ceiling {
-		t.Fatalf("encodePut allocates %.1f/run, ceiling %d", avg, ceiling)
-	}
-	t.Logf("encodePut: %.1f allocs/run (ceiling %d)", avg, ceiling)
 }

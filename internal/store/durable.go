@@ -271,12 +271,13 @@ func (d *durability) replayWAL(s *Store, path string) error {
 func applyRecord(s *Store, op byte, body []byte) error {
 	switch op {
 	case opPut:
-		e, err := ParseEntity(body)
-		if err != nil {
-			return err
-		}
-		s.applyPut(e)
-		return nil
+		return s.replayPut(decodePut(body))
+	case opPutXML:
+		return s.replayPut(ParseEntity(body))
+	case opAnnotate:
+		return s.replayAnnotate(decodeAnnotate(body))
+	case opAnnotateXML:
+		return s.replayAnnotate(decodeXMLAnnotate(body))
 	case opDelete:
 		s.applyDelete(string(body))
 		return nil
@@ -287,23 +288,35 @@ func applyRecord(s *Store, op byte, body []byte) error {
 		}
 		s.applyDelete(id)
 		return nil
-	case opAnnotate:
-		rec, err := decodeAnnotate(body)
-		if err != nil {
-			return err
-		}
-		sh := s.shardFor(rec.ID)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		// Annotating an entity deleted later in the original timeline is
-		// impossible here (records replay in order); a missing ID means
-		// the record raced a delete at log time and is a no-op.
-		if e, ok := sh.entities[rec.ID]; ok {
-			e.Annotations = append(e.Annotations, rec.Annotations...)
-		}
-		return nil
 	}
 	return fmt.Errorf("store: unknown wal op %d", op)
+}
+
+// replayPut installs a decoded entity. It is the store's own, so it
+// goes in without the copy a live Put makes.
+func (s *Store) replayPut(e *Entity, err error) error {
+	if err != nil {
+		return err
+	}
+	s.install(e)
+	return nil
+}
+
+// replayAnnotate appends decoded annotations to their entity.
+func (s *Store) replayAnnotate(id string, anns []Annotation, err error) error {
+	if err != nil {
+		return err
+	}
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	// Annotating an entity deleted later in the original timeline is
+	// impossible here (records replay in order); a missing ID means the
+	// record raced a delete at log time and is a no-op.
+	if e, ok := sh.entities[id]; ok {
+		e.Annotations = append(e.Annotations, anns...)
+	}
+	return nil
 }
 
 // quarantine appends the raw bytes of a corrupt record to quarantine.log

@@ -76,8 +76,6 @@ func referenceAfter(t *testing.T, ops []scriptOp, n int) *Store {
 }
 
 // requireEqualStores asserts two stores hold identical entities.
-// XMLName is normalized: entities that travelled through XML carry it,
-// freshly Put ones do not, and it is not part of the data.
 func requireEqualStores(t *testing.T, label string, got, want *Store) {
 	t.Helper()
 	gotIDs, wantIDs := got.IDs(), want.IDs()
@@ -87,7 +85,6 @@ func requireEqualStores(t *testing.T, label string, got, want *Store) {
 	for _, id := range wantIDs {
 		g, _ := got.Get(id)
 		w, _ := want.Get(id)
-		g.XMLName, w.XMLName = xml.Name{}, xml.Name{}
 		if !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: entity %s = %+v, want %+v", label, id, g, w)
 		}
@@ -853,7 +850,7 @@ func TestReplayLegacyReplicatedRecords(t *testing.T) {
 	}
 	stamp := []byte{0, 0, 0x01, 0x8f, 0, 0, 0, 7}
 	legacy := append(encodeWALRecord(opDeleteV, append(stamp, "doc-01"...)),
-		encodeWALRecord(opPut, []byte(`<entity id="doc-03" version="7"><text>versioned</text></entity>`))...)
+		encodeWALRecord(opPutXML, []byte(`<entity id="doc-03" version="7"><text>versioned</text></entity>`))...)
 	f, err := os.OpenFile(walFiles.Path(dir, 0), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -879,4 +876,90 @@ func TestReplayLegacyReplicatedRecords(t *testing.T) {
 	if e, _ := s2.Get("doc-03"); e.Text != "versioned" {
 		t.Fatalf("legacy put replayed as %+v", e)
 	}
+}
+
+// legacyXMLRecord frames a put or annotate script op as the XML-bodied
+// record older versions logged for it.
+func legacyXMLRecord(t *testing.T, op scriptOp) []byte {
+	t.Helper()
+	var (
+		v    any
+		code byte
+	)
+	switch op.kind {
+	case "put":
+		v, code = op.e, opPutXML
+	case "ann":
+		v, code = xmlAnnotateRecord{ID: op.id, Annotations: op.anns}, opAnnotateXML
+	default:
+		t.Fatalf("no XML record for %q", op.kind)
+	}
+	body, err := xml.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeWALRecord(code, body)
+}
+
+// TestReplayMixedXMLAndBinaryLog replays a log whose puts and
+// annotates alternate between the legacy XML bodies and the binary ones,
+// with deletes between them: after every record it must hold exactly
+// the entities the log the store writes itself holds after the same op,
+// and new records appended behind it must replay too.
+func TestReplayMixedXMLAndBinaryLog(t *testing.T) {
+	binLog, binEnds := runScript(t, t.TempDir())
+	var mixedLog []byte
+	var mixedEnds []int
+	seen := map[string]int{}
+	for _, op := range crashScript() {
+		legacy := op.kind != "del" && seen[op.kind]%2 == 0
+		seen[op.kind]++
+		switch {
+		case legacy:
+			mixedLog = append(mixedLog, legacyXMLRecord(t, op)...)
+		case op.kind == "put":
+			mixedLog = append(mixedLog, encodePut(op.e)...)
+		case op.kind == "ann":
+			mixedLog = append(mixedLog, encodeAnnotate(op.id, op.anns)...)
+		default:
+			mixedLog = append(mixedLog, encodeWALRecord(opDelete, []byte(op.id))...)
+		}
+		mixedEnds = append(mixedEnds, len(mixedLog))
+	}
+
+	open := func(dir string, records int) *Store {
+		s, err := Open(dir, Options{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		if ds := s.Durability(); ds.Replayed != records || ds.Quarantined != 0 || ds.Degraded {
+			t.Fatalf("replay stats %+v, want %d records applied cleanly", ds, records)
+		}
+		return s
+	}
+	logDir := func(log []byte) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(walFiles.Path(dir, 0), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	var binDir, mixedDir string
+	for n := range crashScript() {
+		binDir, mixedDir = logDir(binLog[:binEnds[n]]), logDir(mixedLog[:mixedEnds[n]])
+		requireEqualStores(t, fmt.Sprintf("mixed-format log through op %d", n), open(mixedDir, n+1), open(binDir, n+1))
+	}
+
+	for _, dir := range []string{binDir, mixedDir} {
+		s := open(dir, len(crashScript()))
+		if _, err := s.Annotate("e3", []Annotation{{Miner: "sentiment", Key: "d100", Value: "+", Sentence: 4, Start: 1, End: 5}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := len(crashScript()) + 1
+	requireEqualStores(t, "mixed-format log after an append", open(mixedDir, n), open(binDir, n))
 }

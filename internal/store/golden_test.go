@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/hex"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,11 +13,11 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
-// goldenStore builds the fixed corpus behind testdata/snapshot.golden:
-// entities exercising every field that must survive a snapshot byte-
-// identically — annotations, links, dates, URLs and XML-hostile text.
-func goldenStore(shards int) *Store {
-	s := New(shards)
+// goldenEntities is the fixed corpus behind the golden files: entities
+// exercising every field that must survive a snapshot or a WAL record
+// byte-identically — annotations, links, dates, URLs and XML-hostile
+// text.
+func goldenEntities() []*Entity {
 	e1 := &Entity{
 		ID: "doc-01", URL: "http://reviews.example/nr70", Source: "review",
 		Title: "Review of the NR70", Date: "2004-06-01",
@@ -30,7 +32,13 @@ func goldenStore(shards int) *Store {
 	}
 	e2.Annotate(Annotation{Miner: "sentiment", Type: "polarity", Key: "battery life", Value: "-", Sentence: 0, Start: 0, End: 2})
 	e3 := &Entity{ID: "doc-03", Source: "news", Title: "Untitled", Text: "plain body, no annotations"}
-	for _, e := range []*Entity{e1, e2, e3} {
+	return []*Entity{e1, e2, e3}
+}
+
+// goldenStore holds the golden entities, for testdata/snapshot.golden.
+func goldenStore(shards int) *Store {
+	s := New(shards)
+	for _, e := range goldenEntities() {
 		if err := s.Put(e); err != nil {
 			panic(err)
 		}
@@ -61,6 +69,52 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("snapshot differs from golden file:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+	}
+}
+
+// goldenRecord is one WAL record of testdata/wal.golden.
+type goldenRecord struct {
+	name string
+	rec  []byte
+}
+
+// goldenRecords are the WAL records behind testdata/wal.golden: a put of
+// each golden entity, an annotate carrying a feature and a negative
+// sentence, and a delete.
+func goldenRecords() []goldenRecord {
+	var out []goldenRecord
+	for _, e := range goldenEntities() {
+		out = append(out, goldenRecord{"put " + e.ID, encodePut(e)})
+	}
+	rec := encodeAnnotate("doc-03", []Annotation{
+		{Miner: "sentiment", Type: "polarity", Key: "d100", Value: "-", Feature: "battery life", Sentence: 2, Start: 130, End: 171},
+		{Miner: "geo", Type: "region", Key: "asia", Sentence: -1},
+	})
+	out = append(out, goldenRecord{"annotate doc-03", rec})
+	return append(out, goldenRecord{"delete doc-02", encodeWALRecord(opDelete, []byte("doc-02"))})
+}
+
+// TestWALRecordGolden pins the WAL's put, annotate and delete record
+// bytes, frame included, to testdata/wal.golden (a hex dump; regenerate
+// with -update-golden). A change here is a log format change: logs
+// already on disk must still replay.
+func TestWALRecordGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, r := range goldenRecords() {
+		fmt.Fprintf(&buf, "== %s (%d bytes)\n%s", r.name, len(r.rec), hex.Dump(r.rec))
+	}
+	golden := filepath.Join("testdata", "wal.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden: %v (regenerate with go test -run TestWALRecordGolden -update-golden ./internal/store)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("WAL records differ from golden file:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
 	}
 }
 

@@ -183,19 +183,21 @@ func (s *Store) Put(e *Entity) error {
 		s.applyPut(e)
 		return nil
 	}
-	rec, err := encodePut(e)
-	if err != nil {
-		return fmt.Errorf("store: encode entity %s: %w", e.ID, err)
-	}
-	return s.logged(rec, func() { s.applyPut(e) })
+	return s.logged(encodePut(e), func() { s.applyPut(e) })
 }
 
 // applyPut installs a copy of the entity in its shard, bypassing the
 // WAL.
-func (s *Store) applyPut(e *Entity) {
+func (s *Store) applyPut(e *Entity) { s.install(e.Clone()) }
+
+// install puts e itself in its shard. Its XMLName is cleared, so a
+// stored entity is the same value however it arrived (a put, a parsed
+// XML entity, a replayed record of either format).
+func (s *Store) install(e *Entity) {
+	e.XMLName = xml.Name{}
 	sh := s.shardFor(e.ID)
 	sh.mu.Lock()
-	sh.entities[e.ID] = e.Clone()
+	sh.entities[e.ID] = e
 	sh.mu.Unlock()
 }
 
@@ -285,11 +287,7 @@ func (s *Store) Annotate(id string, anns []Annotation) (bool, error) {
 	if !s.View(id, func(*Entity) {}) {
 		return false, nil
 	}
-	rec, err := encodeAnnotate(id, anns)
-	if err != nil {
-		return false, fmt.Errorf("store: encode annotations for %s: %w", id, err)
-	}
-	if err := s.logged(rec, apply); err != nil {
+	if err := s.logged(encodeAnnotate(id, anns), apply); err != nil {
 		return false, err
 	}
 	return found, nil
@@ -327,11 +325,7 @@ func (s *Store) Update(id string, fn func(*Entity)) bool {
 		return false
 	}
 	fn(e)
-	rec, err := encodePut(e)
-	if err != nil {
-		return false
-	}
-	req := &walReq{rec: rec, apply: func() { s.applyPut(e) }}
+	req := &walReq{rec: encodePut(e), apply: func() { s.applyPut(e) }}
 	s.commitLocked([]*walReq{req})
 	return req.err == nil
 }

@@ -1,14 +1,12 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
+	"math"
 )
 
 // The write-ahead log is a sequence of length-prefixed, checksummed
@@ -19,11 +17,31 @@ import (
 //
 // where payload is one op byte followed by the op body:
 //
-//	opPut      — the entity, as compact XML
-//	opDelete   — the raw entity ID
-//	opAnnotate — an <annotate id="..."> element listing annotations
-//	opDeleteV  — legacy, replay only: an 8-byte version stamp, then the
-//	             raw entity ID; replayed as a plain delete
+//	opPut         — the entity, as a binary put body (below)
+//	opDelete      — the raw entity ID
+//	opAnnotate    — the entity ID and the annotations to append, as a
+//	                binary annotate body (below)
+//	opPutXML      — legacy, replay only: the entity as compact XML
+//	opAnnotateXML — legacy, replay only: an <annotate id="..."> element
+//	                listing annotations
+//	opDeleteV     — legacy, replay only: an 8-byte version stamp, then
+//	                the raw entity ID; replayed as a plain delete
+//
+// The binary bodies are byte-exact: a string is its uvarint byte length
+// and then its bytes, a count is a uvarint, and nothing is escaped.
+//
+//	put        ID URL Source Title Date Text
+//	           count(Links) Link…  count(Annotations) Annotation…
+//	annotate   ID count(Annotations) Annotation…
+//	Annotation Miner Type Key Value Feature
+//	           Sentence, Start, End−Start (zigzag varints)
+//
+// The span is a delta and the integers are signed, so every annotation
+// an in-memory store can hold round-trips, spoiled spans included (the
+// serving tier's recovery is built to meet them).
+//
+// Both bodies open with the entity ID, so a put or annotate record of
+// one entity starts with a payload prefix of its own (RecordPrefix).
 //
 // The length prefix gives resync-free sequential scanning, and the two
 // checksums split corruption into three distinguishable classes: a
@@ -38,10 +56,12 @@ import (
 
 // WAL op codes.
 const (
-	opPut      byte = 1
-	opDelete   byte = 2
-	opAnnotate byte = 3
-	opDeleteV  byte = 4 // written by older versions only
+	opPutXML      byte = 1 // written by older versions only
+	opDelete      byte = 2
+	opAnnotateXML byte = 3 // written by older versions only
+	opDeleteV     byte = 4 // written by older versions only
+	opPut         byte = 5
+	opAnnotate    byte = 6
 )
 
 // legacyDeleteID returns the entity ID of an opDeleteV body, which
@@ -87,42 +107,6 @@ func encodeWALRecord(op byte, body []byte) []byte {
 	return rec
 }
 
-// xmlWriters recycles the 4 KB buffer encoding/xml would otherwise
-// allocate for every record it encodes.
-var xmlWriters = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
-
-// encodeXMLRecord frames v's XML encoding — byte for byte what
-// xml.Marshal returns — as an op record, encoding straight into the frame
-// behind its reserved header and op byte: one buffer and no copy per
-// record when sizeHint covers the body.
-func encodeXMLRecord(op byte, v any, sizeHint int) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, walHeaderSize+1, walHeaderSize+1+sizeHint))
-	bw := xmlWriters.Get().(*bufio.Writer)
-	bw.Reset(buf)
-	enc := xml.NewEncoder(bw) // adopts bw rather than wrapping it
-	err := enc.Encode(v)
-	if err == nil {
-		err = enc.Close()
-	}
-	bw.Reset(nil)
-	xmlWriters.Put(bw)
-	if err != nil {
-		return nil, err
-	}
-	rec := buf.Bytes()
-	rec[walHeaderSize] = op
-	sealWALRecord(rec)
-	return rec, nil
-}
-
-// encodePut frames an opPut record of e, its size hint allowing for XML
-// escapes in the text and for the markup around each field.
-func encodePut(e *Entity) ([]byte, error) {
-	hint := len(e.ID) + len(e.URL) + len(e.Source) + len(e.Title) + len(e.Date) +
-		len(e.Text) + len(e.Text)/8 + 64*len(e.Links) + 160*len(e.Annotations) + 128
-	return encodeXMLRecord(opPut, e, hint)
-}
-
 // sealWALRecord fills in the header of a record whose payload (op byte
 // and body) already sits behind walHeaderSize reserved bytes.
 func sealWALRecord(rec []byte) {
@@ -159,23 +143,251 @@ func decodeWALRecord(data []byte) (op byte, body []byte, n int, err error) {
 	return payload[0], payload[1:], total, nil
 }
 
-// annotateRecord is the XML body of an opAnnotate record.
-type annotateRecord struct {
+// RecordPrefix returns the first payload bytes of the WAL record that
+// Put (annotate false) or Annotate (annotate true) logs for the entity
+// id: the op byte and the length-prefixed ID. Fault-injection tests
+// match appends against it to fail one chosen record.
+func RecordPrefix(annotate bool, id string) []byte {
+	op := opPut
+	if annotate {
+		op = opAnnotate
+	}
+	return appendString([]byte{op}, id)
+}
+
+// encodePut frames an opPut record of e in one exactly sized buffer.
+func encodePut(e *Entity) []byte {
+	n := stringSize(e.ID) + stringSize(e.URL) + stringSize(e.Source) + stringSize(e.Title) +
+		stringSize(e.Date) + stringSize(e.Text) + uvarintSize(uint64(len(e.Links))) + annotationsSize(e.Annotations)
+	for _, l := range e.Links {
+		n += stringSize(l)
+	}
+	rec := make([]byte, walHeaderSize+1, walHeaderSize+1+n)
+	rec[walHeaderSize] = opPut
+	rec = appendPutBody(rec, e)
+	sealWALRecord(rec)
+	return rec
+}
+
+// encodeAnnotate frames an opAnnotate record in one exactly sized
+// buffer.
+func encodeAnnotate(id string, anns []Annotation) []byte {
+	rec := make([]byte, walHeaderSize+1, walHeaderSize+1+stringSize(id)+annotationsSize(anns))
+	rec[walHeaderSize] = opAnnotate
+	rec = appendAnnotations(appendString(rec, id), anns)
+	sealWALRecord(rec)
+	return rec
+}
+
+func appendPutBody(b []byte, e *Entity) []byte {
+	for _, s := range [...]string{e.ID, e.URL, e.Source, e.Title, e.Date, e.Text} {
+		b = appendString(b, s)
+	}
+	b = binary.AppendUvarint(b, uint64(len(e.Links)))
+	for _, l := range e.Links {
+		b = appendString(b, l)
+	}
+	return appendAnnotations(b, e.Annotations)
+}
+
+func appendAnnotations(b []byte, anns []Annotation) []byte {
+	b = binary.AppendUvarint(b, uint64(len(anns)))
+	for i := range anns {
+		a := &anns[i]
+		for _, s := range [...]string{a.Miner, a.Type, a.Key, a.Value, a.Feature} {
+			b = appendString(b, s)
+		}
+		b = binary.AppendVarint(b, int64(a.Sentence))
+		b = binary.AppendVarint(b, int64(a.Start))
+		b = binary.AppendVarint(b, int64(a.End-a.Start))
+	}
+	return b
+}
+
+func annotationsSize(anns []Annotation) int {
+	n := uvarintSize(uint64(len(anns)))
+	for i := range anns {
+		a := &anns[i]
+		n += stringSize(a.Miner) + stringSize(a.Type) + stringSize(a.Key) + stringSize(a.Value) +
+			stringSize(a.Feature) + varintSize(int64(a.Sentence)) + varintSize(int64(a.Start)) + varintSize(int64(a.End-a.Start))
+	}
+	return n
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func stringSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
+
+func uvarintSize(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// varintSize is the length of binary.AppendVarint's encoding of x: the
+// uvarint of its zigzag mapping.
+func varintSize(x int64) int { return uvarintSize(uint64(x<<1) ^ uint64(x>>63)) }
+
+// Smallest encodings of one link and one annotation: the count check
+// in bodyReader.count uses them to refuse a count the remaining bytes
+// cannot hold before allocating for it.
+const (
+	minLinkSize       = 1
+	minAnnotationSize = 8
+)
+
+// decodePut parses an opPut body. Every string field of the entity is a
+// substring of one copy of the body.
+func decodePut(body []byte) (*Entity, error) {
+	r := bodyReader{s: string(body)}
+	e := &Entity{ID: r.string(), URL: r.string(), Source: r.string(), Title: r.string(), Date: r.string(), Text: r.string()}
+	if n := r.count(minLinkSize); n > 0 {
+		e.Links = make([]string, n)
+		for i := range e.Links {
+			e.Links[i] = r.string()
+		}
+	}
+	e.Annotations = r.annotations()
+	if err := r.end("put"); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// decodeAnnotate parses an opAnnotate body.
+func decodeAnnotate(body []byte) (id string, anns []Annotation, err error) {
+	r := bodyReader{s: string(body)}
+	id, anns = r.string(), r.annotations()
+	if err = r.end("annotate"); err != nil {
+		return "", nil, err
+	}
+	return id, anns, nil
+}
+
+// bodyReader decodes a binary put or annotate body. The first error
+// sticks: later reads return zero values, and end reports it. Every
+// varint must be in its shortest form and every length and count must
+// fit in the bytes left, so an accepted body re-encodes to exactly its
+// own bytes.
+type bodyReader struct {
+	s   string
+	off int
+	err error
+}
+
+func (r *bodyReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%s at byte %d", what, r.off)
+	}
+}
+
+func (r *bodyReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	var x uint64
+	for i, shift := r.off, uint(0); i < len(r.s); i, shift = i+1, shift+7 {
+		b := r.s[i]
+		if shift == 63 && b > 1 {
+			r.fail("varint overflows 64 bits")
+			return 0
+		}
+		x |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			if b == 0 && i > r.off {
+				r.fail("varint not in shortest form")
+				return 0
+			}
+			r.off = i + 1
+			return x
+		}
+	}
+	r.fail("truncated varint")
+	return 0
+}
+
+// int reads a zigzag varint that must fit in an int.
+func (r *bodyReader) int() int {
+	u := r.uvarint()
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	if x < math.MinInt || x > math.MaxInt {
+		r.fail("value out of range")
+		return 0
+	}
+	return int(x)
+}
+
+func (r *bodyReader) string() string {
+	n := r.uvarint()
+	if r.err != nil {
+		return ""
+	}
+	if n > uint64(len(r.s)-r.off) {
+		r.fail("string runs past the body")
+		return ""
+	}
+	s := r.s[r.off : r.off+int(n)]
+	r.off += int(n)
+	return s
+}
+
+// count reads an element count, refusing one whose elements, at minSize
+// bytes each, cannot fit in what is left of the body.
+func (r *bodyReader) count(minSize int) int {
+	n := r.uvarint()
+	if n > uint64((len(r.s)-r.off)/minSize) {
+		r.fail("count runs past the body")
+		return 0
+	}
+	return int(n)
+}
+
+func (r *bodyReader) annotations() []Annotation {
+	n := r.count(minAnnotationSize)
+	if n == 0 {
+		return nil
+	}
+	anns := make([]Annotation, n)
+	for i := range anns {
+		a := &anns[i]
+		a.Miner, a.Type, a.Key, a.Value, a.Feature = r.string(), r.string(), r.string(), r.string(), r.string()
+		a.Sentence, a.Start = r.int(), r.int()
+		a.End = a.Start + r.int() // wraps back exactly as the encoder's End-Start wrapped
+	}
+	return anns
+}
+
+// end reports the first decoding error, or trailing bytes after a
+// complete body.
+func (r *bodyReader) end(kind string) error {
+	if r.err == nil && r.off != len(r.s) {
+		r.fail("trailing bytes")
+	}
+	if r.err != nil {
+		return fmt.Errorf("store: decode %s record: %w", kind, r.err)
+	}
+	return nil
+}
+
+// xmlAnnotateRecord is the body of a legacy opAnnotateXML record.
+type xmlAnnotateRecord struct {
 	XMLName     xml.Name     `xml:"annotate"`
 	ID          string       `xml:"id,attr"`
 	Annotations []Annotation `xml:"annotation"`
 }
 
-// encodeAnnotate frames an opAnnotate record.
-func encodeAnnotate(id string, anns []Annotation) ([]byte, error) {
-	return encodeXMLRecord(opAnnotate, &annotateRecord{ID: id, Annotations: anns}, len(id)+160*len(anns)+64)
-}
-
-// decodeAnnotate parses an opAnnotate body.
-func decodeAnnotate(body []byte) (annotateRecord, error) {
-	var rec annotateRecord
+// decodeXMLAnnotate parses a legacy opAnnotateXML body.
+func decodeXMLAnnotate(body []byte) (id string, anns []Annotation, err error) {
+	var rec xmlAnnotateRecord
 	if err := xml.Unmarshal(body, &rec); err != nil {
-		return rec, fmt.Errorf("store: decode annotate record: %w", err)
+		return "", nil, fmt.Errorf("store: decode annotate record: %w", err)
 	}
-	return rec, nil
+	return rec.ID, rec.Annotations, nil
 }

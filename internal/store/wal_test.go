@@ -3,9 +3,10 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/xml"
 	"errors"
 	"hash/crc32"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,9 +16,9 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		op   byte
 		body string
 	}{
-		{opPut, "<entity id=\"a\"><text>hello</text></entity>"},
+		{opPutXML, "<entity id=\"a\"><text>hello</text></entity>"},
 		{opDelete, "doc-000042"},
-		{opAnnotate, "<annotate id=\"a\"></annotate>"},
+		{opAnnotateXML, "<annotate id=\"a\"></annotate>"},
 		{opPut, ""},
 		{opDelete, "\x00\xff binary \xfe"},
 	}
@@ -108,8 +109,8 @@ func TestWALRecordSequence(t *testing.T) {
 		op   byte
 		body string
 	}{
-		{opPut, "<entity id=\"a\"></entity>"},
-		{opAnnotate, "<annotate id=\"a\"></annotate>"},
+		{opPutXML, "<entity id=\"a\"></entity>"},
+		{opAnnotateXML, "<annotate id=\"a\"></annotate>"},
 		{opDelete, "a"},
 	}
 	for _, r := range recs {
@@ -132,54 +133,17 @@ func TestWALRecordSequence(t *testing.T) {
 	}
 }
 
-// TestXMLRecordMatchesMarshal pins the one-buffer encoders to the frames
-// xml.Marshal plus encodeWALRecord produce — for bodies that fit the size
-// hint and for ones that outgrow it (every apostrophe escapes to five
-// bytes).
-func TestXMLRecordMatchesMarshal(t *testing.T) {
-	anns := []Annotation{{Miner: "sentiment", Type: "polarity", Key: "nr70", Value: "+", Feature: "pictures", Start: 4, End: 40}}
-	ents := []*Entity{
-		{ID: "a", Text: "plain"},
-		{ID: "doc-000001", URL: "http://x/y", Source: "review", Title: "T & <t>", Date: "2004-03-02",
-			Text: "It's \"great\"\n\tand <bold> & more\x01\xff", Links: []string{"b", "c"}, Annotations: anns},
-		{ID: "quotes", Text: strings.Repeat("'", 3000)},
-	}
-	for _, e := range ents {
-		body, err := xml.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := encodePut(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := encodeWALRecord(opPut, body); !bytes.Equal(got, want) {
-			t.Fatalf("put %s: one-buffer frame differs from Marshal's\n got %q\nwant %q", e.ID, got, want)
-		}
-	}
-	for _, a := range [][]Annotation{nil, anns, append(anns, anns...)} {
-		body, err := xml.Marshal(annotateRecord{ID: "doc-000001", Annotations: a})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := encodeAnnotate("doc-000001", a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := encodeWALRecord(opAnnotate, body); !bytes.Equal(got, want) {
-			t.Fatalf("annotate: one-buffer frame differs from Marshal's\n got %q\nwant %q", got, want)
-		}
-	}
-}
-
 // FuzzWALRecord asserts the codec never panics on arbitrary bytes, and
 // that anything it accepts re-encodes to the exact bytes it consumed.
 func FuzzWALRecord(f *testing.F) {
-	f.Add(encodeWALRecord(opPut, []byte("<entity id=\"a\"><text>t</text></entity>")))
+	f.Add(encodeWALRecord(opPutXML, []byte("<entity id=\"a\"><text>t</text></entity>")))
 	f.Add(encodeWALRecord(opDelete, []byte("doc-000001")))
-	f.Add(encodeWALRecord(opAnnotate, []byte("<annotate id=\"x\"></annotate>")))
+	f.Add(encodeWALRecord(opAnnotateXML, []byte("<annotate id=\"x\"></annotate>")))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	for _, rec := range goldenRecords() {
+		f.Add(rec.rec)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		op, body, n, err := decodeWALRecord(data)
 		if n < 0 || n > len(data) {
@@ -193,6 +157,127 @@ func FuzzWALRecord(f *testing.F) {
 		}
 		if !bytes.Equal(encodeWALRecord(op, body), data[:n]) {
 			t.Fatalf("accepted record does not re-encode to its input")
+		}
+	})
+}
+
+// TestBinaryBodyRoundTrip: a put or annotate decoded from its record is
+// the value a live store holds for it — empty slices come back nil,
+// negative, inverted and extreme spans survive, and nothing is escaped.
+func TestBinaryBodyRoundTrip(t *testing.T) {
+	anns := []Annotation{
+		{Miner: "sentiment", Type: "polarity", Key: "nr70", Value: "+", Feature: "pictures", Sentence: 3, Start: 4, End: 40},
+		{Type: "region", Key: "asia", Sentence: -1},
+		{Miner: "m", Sentence: math.MinInt, Start: math.MaxInt, End: math.MaxInt},
+		{Sentence: math.MaxInt, Start: math.MinInt, End: math.MaxInt},
+		{Key: "spoiled", Start: -4, End: 34},
+		{Key: "inverted", Start: 34, End: 0},
+	}
+	ents := []*Entity{
+		{ID: "a"},
+		{ID: "empty-slices", Text: "t", Links: []string{}, Annotations: []Annotation{}},
+		{ID: "doc-000001", URL: "http://x/y", Source: "review", Title: "T & <t>", Date: "2004-03-02",
+			Text: "It's \"great\"\n\tand <bold> & more\x01\xff\x00", Links: []string{"b", "", "c"}, Annotations: anns},
+		{ID: "long", Text: strings.Repeat("'", 3000)},
+	}
+	for _, e := range ents {
+		live := New(1)
+		if err := live.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := live.Get(e.ID)
+		rec := encodePut(e)
+		if cap(rec) != len(rec) {
+			t.Errorf("put %s: record buffer sized %d for %d bytes", e.ID, cap(rec), len(rec))
+		}
+		op, body, _, err := decodeWALRecord(rec)
+		if err != nil || op != opPut {
+			t.Fatalf("put %s: op %d, err %v", e.ID, op, err)
+		}
+		got, err := decodePut(body)
+		if err != nil {
+			t.Fatalf("put %s: %v", e.ID, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("put %s replays as\n%+v\nwant\n%+v", e.ID, got, want)
+		}
+	}
+	for _, a := range [][]Annotation{nil, anns[:1], anns} {
+		rec := encodeAnnotate("doc-000001", a)
+		if cap(rec) != len(rec) {
+			t.Errorf("annotate: record buffer sized %d for %d bytes", cap(rec), len(rec))
+		}
+		op, body, _, err := decodeWALRecord(rec)
+		if err != nil || op != opAnnotate {
+			t.Fatalf("annotate: op %d, err %v", op, err)
+		}
+		id, got, err := decodeAnnotate(body)
+		if err != nil || id != "doc-000001" || !reflect.DeepEqual(got, a) {
+			t.Errorf("annotate of %d replays as %q %+v (err %v)", len(a), id, got, err)
+		}
+		if !bytes.HasPrefix(rec[walHeaderSize:], RecordPrefix(true, "doc-000001")) {
+			t.Errorf("annotate record does not start with RecordPrefix")
+		}
+	}
+}
+
+// TestBinaryBodyDecodeErrors: truncations, trailing bytes, overlong
+// varints and counts or lengths past the end are refused, never
+// decoded as something else.
+func TestBinaryBodyDecodeErrors(t *testing.T) {
+	rec := encodePut(&Entity{ID: "doc", Text: "text", Links: []string{"x"},
+		Annotations: []Annotation{{Miner: "m", Key: "k", Start: 1, End: 3}}})
+	body := rec[walHeaderSize+1:]
+	for l := 0; l < len(body); l++ {
+		if _, err := decodePut(body[:l]); err == nil {
+			t.Errorf("truncated put body (%d of %d bytes) accepted", l, len(body))
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"trailing byte":    append(append([]byte(nil), body...), 0),
+		"overlong varint":  append([]byte{0x83, 0x00}, body[1:]...),
+		"string past end":  {0x7f, 'd'},
+		"varint overflow":  {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		"huge link count":  {0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"annotation count": {1, 'd', 0x09, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		if _, err := decodePut(bad); err == nil {
+			t.Errorf("%s: put body accepted", name)
+		}
+		if _, _, err := decodeAnnotate(bad); err == nil {
+			t.Errorf("%s: annotate body accepted", name)
+		}
+	}
+}
+
+// FuzzWALBody asserts the binary body decoders never panic on arbitrary
+// bytes, and that a body they accept re-encodes to exactly the bytes it
+// was decoded from — nothing read past a length, nothing left over.
+func FuzzWALBody(f *testing.F) {
+	for _, rec := range goldenRecords() {
+		if op := rec.rec[walHeaderSize]; op == opPut || op == opAnnotate {
+			f.Add(op == opAnnotate, rec.rec[walHeaderSize+1:])
+		}
+	}
+	f.Add(false, []byte{})
+	f.Add(true, []byte{0x01, 'x', 0x80})
+	f.Fuzz(func(t *testing.T, annotate bool, body []byte) {
+		var rec []byte
+		if annotate {
+			id, anns, err := decodeAnnotate(body)
+			if err != nil {
+				return
+			}
+			rec = encodeAnnotate(id, anns)
+		} else {
+			e, err := decodePut(body)
+			if err != nil {
+				return
+			}
+			rec = encodePut(e)
+		}
+		if !bytes.Equal(rec[walHeaderSize+1:], body) {
+			t.Fatalf("accepted body does not re-encode to its input\n got %x\nwant %x", rec[walHeaderSize+1:], body)
 		}
 	})
 }

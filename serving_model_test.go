@@ -200,13 +200,9 @@ func (sm *servingModel) stepFault() {
 	batch := sm.nextDocs(2 + sm.rng.Intn(5))
 	k := sm.rng.Intn(len(batch))
 	annotate := sm.rng.Intn(2) == 1 && len(sm.ref.AnalyzeText(batch[k].Text)) > 0
-	if annotate {
-		sm.fault.marker = []byte(fmt.Sprintf("<annotate id=%q", batch[k].ID))
-	} else {
-		sm.fault.marker = []byte(fmt.Sprintf("<entity id=%q", batch[k].ID))
-	}
+	sm.fault.arm(store.RecordPrefix(annotate, batch[k].ID))
 	cut, err := sm.ingest(context.Background(), batch, k)
-	sm.fault.marker = nil
+	sm.fault.disarm(sm.t)
 	if err == nil {
 		sm.t.Fatalf("batch with a failing WAL write at %d reported no error", k)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -19,19 +20,36 @@ import (
 	"webfountain/internal/store"
 )
 
-// markerFailWAL fails any WAL append whose payload contains the marker
-// — a content-addressed disk fault, so the failing document is chosen
-// by the test, not by record framing details. An empty marker is a
-// healthy disk. With tear set the first half of the failing append
-// reaches the file first: the torn record of a kill mid-append.
+// markerFailWAL fails any WAL append that contains the marker — a
+// content-addressed disk fault, so the failing document is chosen by the
+// test, not by record framing details. Markers come from
+// store.RecordPrefix, so one names one record. An empty marker is a
+// healthy disk. hits counts the appends the marker failed. With tear set
+// the first half of the failing append reaches the file first: the torn
+// record of a kill mid-append.
 type markerFailWAL struct {
 	durable.File
 	marker []byte
 	tear   bool
+	hits   int
+}
+
+// arm fails the appends holding marker from now on, counting from zero.
+func (w *markerFailWAL) arm(marker []byte) { w.marker, w.hits = marker, 0 }
+
+// disarm heals the disk, failing the test unless the armed marker failed
+// exactly one append: a marker that matches nothing tests nothing.
+func (w *markerFailWAL) disarm(t testing.TB) {
+	t.Helper()
+	if w.hits != 1 {
+		t.Fatalf("fault marker %q failed %d WAL appends, want exactly 1", w.marker, w.hits)
+	}
+	w.marker = nil
 }
 
 func (w *markerFailWAL) Write(p []byte) (int, error) {
 	if len(w.marker) > 0 && bytes.Contains(p, w.marker) {
+		w.hits++
 		n := 0
 		if w.tear {
 			n, _ = w.File.Write(p[:len(p)/2])
@@ -80,7 +98,7 @@ func TestServingTierIngestPartialFailurePrefix(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name     string
-		marker   string // WAL payload that fails its write ("" for a healthy disk)
+		marker   []byte // WAL record that fails its write (nil for a healthy disk)
 		ctx      context.Context
 		wantErr  string
 		stored   []string // what the store holds after the cut
@@ -88,26 +106,32 @@ func TestServingTierIngestPartialFailurePrefix(t *testing.T) {
 	}{
 		{name: "deadline before d3", ctx: &expireAfterCtx{Context: context.Background(), allow: 2},
 			wantErr: "stopped before d3", stored: []string{"d1", "d2"}},
-		{name: "put of d3 refused", marker: "KABOOM", ctx: context.Background(),
+		{name: "put of d3 refused", marker: store.RecordPrefix(false, "d3"), ctx: context.Background(),
 			wantErr: "ingest d3", stored: []string{"d1", "d2"}, degraded: true},
-		{name: "annotate of d3 refused", marker: `<annotate id="d3"`, ctx: context.Background(),
+		{name: "annotate of d3 refused", marker: store.RecordPrefix(true, "d3"), ctx: context.Background(),
 			wantErr: "serving annotate d3", stored: []string{"d1", "d2", "d3"}, degraded: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
+			wal := &markerFailWAL{}
 			wrap := func(w durable.File) durable.File {
-				return &markerFailWAL{File: w, marker: []byte(c.marker)}
+				wal.File = w
+				wal.arm(c.marker)
+				return wal
 			}
 			p, m, tier, _ := durableServingFixture(t, dir, wrap, ServingTierConfig{})
 
 			ids, _, err := tier.Ingest(c.ctx, docs)
+			if c.marker != nil {
+				wal.disarm(t)
+			}
 			if !reflect.DeepEqual(ids, []string{"d1", "d2"}) {
 				t.Fatalf("acked ids %v, want the serial prefix [d1 d2]", ids)
 			}
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("error = %v, want one naming %q", err, c.wantErr)
 			}
-			if isDeadline := errors.Is(err, context.DeadlineExceeded); isDeadline != (c.marker == "") {
+			if isDeadline := errors.Is(err, context.DeadlineExceeded); isDeadline != (c.marker == nil) {
 				t.Errorf("errors.Is(err, DeadlineExceeded) = %v for %v", isDeadline, err)
 			}
 			if deg, _ := p.Degraded(); deg != c.degraded {
@@ -521,4 +545,101 @@ func TestFoldEqualsAnalyze(t *testing.T) {
 			t.Errorf("%s: folded facts differ from the analyzer's:\n got %+v\nwant %+v", d.ID, folded, want)
 		}
 	}
+}
+
+// legacyWALBatches is the history behind testdata/legacy-xml-wal: nine
+// camera reviews and the wild document, ingested through a durable
+// serving tier four documents at a time. The log there was written by
+// the XML record format (ops 1 and 3) that the binary bodies replaced;
+// legacyWALFingerprint is the fingerprint that tier served at shutdown.
+func legacyWALBatches() [][]serve.Doc {
+	var docs []serve.Doc
+	for _, d := range corpus.DigitalCameraReviews(5, 9) {
+		docs = append(docs, serve.Doc{ID: d.ID, Source: d.Source, Title: d.Title, Date: d.Date, Text: d.Text()})
+	}
+	docs = append(docs, serve.Doc{ID: "wild", Date: "2003-01-05", Text: wildText})
+	var batches [][]serve.Doc
+	for len(docs) > 0 {
+		n := min(4, len(docs))
+		batches, docs = append(batches, docs[:n]), docs[n:]
+	}
+	return batches
+}
+
+const legacyWALFingerprint = "2875eaccbed119afdc4a1f4251417e4f737f5aa3a423fc4155d7aeb4bc79a6b1"
+
+// TestServingTierRecoversXMLWrittenLog: a data directory whose log was
+// written in the XML record format recovers to the tier it served when
+// it was written, and to the tier a log of today's binary records for
+// the same history recovers to: same fingerprint, same entries for every
+// subject, same stored entities. New binary records appended behind the
+// XML ones replay with them.
+func TestServingTierRecoversXMLWrittenLog(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-xml-wal", "wal-00000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(legacy, []byte(`<entity id="wild"`)) || !bytes.Contains(legacy, []byte(`<annotate id="wild"`)) {
+		t.Fatal("testdata/legacy-xml-wal holds no XML records")
+	}
+	xmlDir, binDir := t.TempDir(), t.TempDir()
+	if err := os.WriteFile(filepath.Join(xmlDir, "wal-00000000.log"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, _, tier, _ := durableServingFixture(t, binDir, nil, ServingTierConfig{})
+	for _, b := range legacyWALBatches() {
+		if _, _, err := tier.Ingest(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Each call boots both directories afresh: a first boot that had to
+	// mine what the XML log failed to deliver would show in recovery.
+	compare := func(label string) (fingerprint string) {
+		t.Helper()
+		pX, _, tierX, recX := durableServingFixture(t, xmlDir, nil, ServingTierConfig{})
+		pB, _, tierB, recB := durableServingFixture(t, binDir, nil, ServingTierConfig{})
+		defer pX.Close()
+		defer pB.Close()
+		if recX != recB || recX.FoldedDocs == 0 {
+			t.Fatalf("%s: recovery %+v from the XML log, %+v from the binary one", label, recX, recB)
+		}
+		fingerprint = tierX.View().Fingerprint()
+		if fb := tierB.View().Fingerprint(); fingerprint != fb {
+			t.Fatalf("%s: fingerprint %s from the XML log, %s from the binary one", label, fingerprint[:12], fb[:12])
+		}
+		if dx, db := entryDump(tierX), entryDump(tierB); dx != db {
+			t.Fatalf("%s: entries differ\n--- XML log ---\n%s\n--- binary log ---\n%s", label, dx, db)
+		}
+		sx, sb := pX.internalStore(), pB.internalStore()
+		if !reflect.DeepEqual(sx.IDs(), sb.IDs()) {
+			t.Fatalf("%s: stored IDs %v from the XML log, %v from the binary one", label, sx.IDs(), sb.IDs())
+		}
+		for _, id := range sb.IDs() {
+			ex, _ := sx.Get(id)
+			eb, _ := sb.Get(id)
+			if !reflect.DeepEqual(ex, eb) {
+				t.Fatalf("%s: %s is\n%+v\nfrom the XML log, and\n%+v\nfrom the binary one", label, id, ex, eb)
+			}
+		}
+		return fingerprint
+	}
+	if got := compare("as written"); got != legacyWALFingerprint {
+		t.Fatalf("both logs recover to fingerprint %s, want the %s the XML log was written with", got[:12], legacyWALFingerprint[:12])
+	}
+
+	more := []serve.Doc{{ID: "after", Date: "2004-01-02", Text: "The Minolta takes excellent pictures. The CLIE screen is disappointing."}}
+	for _, dir := range []string{xmlDir, binDir} {
+		p, _, tier, _ := durableServingFixture(t, dir, nil, ServingTierConfig{})
+		if _, _, err := tier.Ingest(context.Background(), more); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compare("after a binary append")
 }
