@@ -3,14 +3,16 @@ package webfountain
 // The serving-tier chaos suite: seeded disk faults and hard kills
 // against the serving tier, whose only durable state is the store's
 // write-ahead log. Three archetypes cover the crash windows of the
-// one-step ingest:
+// analyze-then-commit ingest:
 //
 //   - kill mid-ingest-batch — a WAL fault degrades the store inside a
-//     batch, the process dies with durably-acked documents never
-//     published to the aggregates;
-//   - kill between put and annotate — a document's annotate record is
-//     torn mid-append and the process dies: the document is stored
-//     un-annotated, and is mined and annotated exactly once at boot;
+//     batch's commit, and the process dies with documents on disk that
+//     were never acked or published to the aggregates;
+//   - kill between put and annotate — a batch's commit is torn inside a
+//     document's annotate record and the process dies: nothing of the
+//     batch was acked, the documents before it come back folded, and it
+//     comes back stored un-annotated, mined and annotated exactly once
+//     at boot;
 //   - annotate-record bit rot — a committed annotate record is corrupted
 //     on disk: the WAL quarantines it and the document is mined again.
 //
@@ -312,11 +314,14 @@ func TestChaosServingKillMidIngestBatch(t *testing.T) {
 	})
 }
 
-// TestChaosServingKillBetweenPutAndAnnotate: the process dies while one
-// document's annotate record is being appended — the record is torn, the
-// put before it is durable. The document comes back stored and
-// un-annotated, is mined and annotated exactly once at boot, and the
-// boot after that folds it like every other document.
+// TestChaosServingKillBetweenPutAndAnnotate: the process dies while a
+// batch's one commit is being appended, torn just inside one document's
+// annotate record — the records before the tear are on disk, the put
+// before it included, and nothing of the batch was acked or applied.
+// Recovery folds the batch's earlier documents (unacked, but on disk
+// with their annotate records), mines and annotates the victim exactly
+// once, never sees the documents after it, and the boot after that
+// folds the victim like every other document.
 func TestChaosServingKillBetweenPutAndAnnotate(t *testing.T) {
 	runTwiceDeterministic(t, "kill-between-put-and-annotate", func(t *testing.T, seed int64) string {
 		logf := chaosInvariantLog(t)
@@ -329,13 +334,16 @@ func TestChaosServingKillBetweenPutAndAnnotate(t *testing.T) {
 		sc.ingestBatches(6, 2)
 
 		batch := sc.nextDocs(4)
-		victim := batch[sc.rng.Intn(len(batch))].ID
+		v := sc.rng.Intn(len(batch))
+		victim := batch[v].ID
 		wal.arm(store.RecordPrefix(true, victim))
 		ids, _, err := sc.tier.Ingest(context.Background(), batch)
 		wal.disarm(t)
-		sc.acked = append(sc.acked, ids...)
-		if err == nil || !strings.Contains(err.Error(), "serving annotate "+victim) {
-			t.Fatalf("seed=%d: batch with %s's annotate record torn: err = %v", seed, victim, err)
+		if len(ids) != 0 || err == nil || !strings.Contains(err.Error(), "ingest commit of "+batch[0].ID) {
+			t.Fatalf("seed=%d: batch with %s's annotate record torn: acked %v, err = %v", seed, victim, ids, err)
+		}
+		if n := sc.p.NumEntities(); n != len(sc.acked) {
+			t.Fatalf("seed=%d: the torn commit applied %d documents", seed, n-len(sc.acked))
 		}
 		sc.crash()
 
@@ -344,13 +352,20 @@ func TestChaosServingKillBetweenPutAndAnnotate(t *testing.T) {
 		if torn := st.Durability().TruncatedBytes; torn == 0 {
 			t.Fatalf("seed=%d: no torn tail was truncated; the scenario exercised nothing", seed)
 		}
-		if sc.rec.RepairedDocs != 1 || sc.rec.FoldedDocs != len(sc.acked) {
-			t.Fatalf("seed=%d: recovery %+v, want the %d acked documents folded and only %s mined", seed, sc.rec, len(sc.acked), victim)
+		if sc.rec.RepairedDocs != 1 || sc.rec.FoldedDocs != len(sc.acked)+v {
+			t.Fatalf("seed=%d: recovery %+v, want the %d acked and %d earlier batch documents folded and only %s mined",
+				seed, sc.rec, len(sc.acked), v, victim)
+		}
+		for _, d := range batch[v+1:] {
+			if _, found := sc.p.Entity(d.ID); found {
+				t.Fatalf("seed=%d: %s, past the tear, recovered", seed, d.ID)
+			}
 		}
 		if n := sentimentAnnotations(st, victim); n != 1 {
 			t.Fatalf("seed=%d: %s carries %d sentiment annotations after the repair, want exactly 1", seed, victim, n)
 		}
-		logf("kill-between-put-and-annotate seed=%d: %s stored un-annotated, mined and annotated at boot", seed, victim)
+		logf("kill-between-put-and-annotate seed=%d: commit torn at %s's annotate record; %d earlier documents folded, %s mined and annotated at boot",
+			seed, victim, v, victim)
 		digest := sc.verifyRecovered(logf, "kill-between-put-and-annotate", seed)
 
 		// The repair's own annotate record is durable: a second kill and

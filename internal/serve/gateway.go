@@ -53,10 +53,11 @@ type Backend interface {
 	// Ingest stores, indexes and mines new documents online, folds the
 	// extracted facts into the aggregates and bumps the generation. It
 	// returns the assigned IDs and the number of facts mined. A batch
-	// cut short — the context's request deadline expired, the store
-	// refused a write — returns the prefix that is stored, mined and
-	// visible together with the error (context.DeadlineExceeded for a
-	// deadline); the rest of the batch is the client's to resend.
+	// cut short by the context's request deadline returns the prefix
+	// that is stored, mined and visible together with an error wrapping
+	// context.DeadlineExceeded; the rest of the batch is the client's to
+	// resend. A batch whose write the store refuses returns no IDs and
+	// the store's error: none of it was stored.
 	Ingest(ctx context.Context, docs []Doc) (ids []string, facts int, err error)
 	// Degraded reports the store's degraded read-only mode.
 	Degraded() (bool, string)

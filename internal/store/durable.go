@@ -67,13 +67,13 @@ type DurabilityStats struct {
 	// TruncatedBytes is the torn-tail byte count dropped at recovery.
 	TruncatedBytes int
 	// Appended is the number of records logged since open or the last
-	// compaction.
+	// compaction (a PutBatch commit counts each of its records).
 	Appended int
 	// Syncs is the number of WAL syncs since open.
 	Syncs int
 	// Batches is the number of WAL commits since open: each is one
 	// append covering the writers that arrived during the commit before
-	// it, so Appended/Batches is the coalescing rate.
+	// it, so Appended/Batches is the records-per-write rate.
 	Batches int
 	// Degraded reports read-only mode; Reason says why.
 	Degraded bool
@@ -116,9 +116,11 @@ type durability struct {
 	closed   bool
 }
 
-// walReq is one writer's record waiting for, or riding, a commit.
+// walReq is one writer's records waiting for, or riding, a commit: n
+// framed records in rec, applied together by apply.
 type walReq struct {
 	rec   []byte
+	n     int
 	apply func()
 	done  bool
 	err   error
@@ -343,15 +345,16 @@ func (d *durability) writableLocked() error {
 	return nil
 }
 
-// logged makes one mutation durable and then applies it. A writer that
+// logged makes one writer's n records durable and then applies them
+// (apply runs once, after the sync). A writer that
 // finds the WAL free commits at once — a lone writer is a batch of one —
 // and writers that arrive while a commit is in flight ride the next one
 // together, led by the first of them. Either way the call returns only
 // once the record is durable under the sync policy and applied, or with
 // the error that failed its batch.
-func (s *Store) logged(rec []byte, apply func()) error {
+func (s *Store) logged(rec []byte, n int, apply func()) error {
 	d := s.dur
-	req := &walReq{rec: rec, apply: apply}
+	req := &walReq{rec: rec, n: n, apply: apply}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.busy && len(d.next) == 0 {
@@ -388,11 +391,12 @@ func (s *Store) commitLocked(batch []*walReq) {
 	d.next = nil
 	err := d.writableLocked()
 	if err == nil {
-		buf := batch[0].rec
+		buf, records := batch[0].rec, batch[0].n
 		for _, r := range batch[1:] {
 			buf = append(buf, r.rec...)
+			records += r.n
 		}
-		wal, doSync := d.wal, d.sinceSync+len(batch) >= d.opts.SyncEvery
+		wal, doSync := d.wal, d.sinceSync+records >= d.opts.SyncEvery
 		d.busy = true
 		d.mu.Unlock()
 		reason := appendWAL(wal, buf, doSync)
@@ -402,11 +406,11 @@ func (s *Store) commitLocked(batch []*walReq) {
 			d.degrade(reason)
 			err = d.writableLocked()
 		} else {
-			walAppends.Add(int64(len(batch)))
-			walBatchRecords.Observe(int64(len(batch)))
-			d.appended += len(batch)
+			walAppends.Add(int64(records))
+			walBatchRecords.Observe(int64(records))
+			d.appended += records
 			d.batches++
-			d.sinceSync += len(batch)
+			d.sinceSync += records
 			if doSync {
 				walSyncs.Inc()
 				d.syncs++

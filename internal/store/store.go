@@ -174,16 +174,46 @@ func (s *Store) shardFor(id string) *shard {
 // mutations of the caller's value do not leak in. On a durable store the
 // entity is appended to the write-ahead log before it becomes visible;
 // a Put that returns nil is recoverable after a crash (subject to the
-// sync policy).
-func (s *Store) Put(e *Entity) error {
-	if e == nil || e.ID == "" {
-		return fmt.Errorf("store: entity must have an ID")
+// sync policy). It is a PutBatch of one.
+func (s *Store) Put(e *Entity) error { return s.PutBatch([]*Entity{e}, nil) }
+
+// PutBatch stores (or replaces) entities, each followed by the
+// annotations anns[i] appends to it (anns may be nil, and an empty
+// anns[i] appends none), as one commit — the ingest path's write. The
+// store keeps its own copies. On a durable store the batch is logged as
+// each entity's put record and then its annotate record, in input
+// order and byte for byte what Put and Annotate log, in one WAL write
+// under one sync; nothing is applied until the records are durable, and
+// a refused commit applies none of them (the store degrades). A nil
+// error means every entity and annotation of the batch is visible and
+// recoverable after a crash (subject to the sync policy).
+func (s *Store) PutBatch(ents []*Entity, anns [][]Annotation) error {
+	if anns != nil && len(anns) != len(ents) {
+		return fmt.Errorf("store: put batch of %d entities with %d annotation lists", len(ents), len(anns))
 	}
-	if s.dur == nil {
-		s.applyPut(e)
+	for _, e := range ents {
+		if e == nil || e.ID == "" {
+			return fmt.Errorf("store: entity must have an ID")
+		}
+	}
+	if len(ents) == 0 {
 		return nil
 	}
-	return s.logged(encodePut(e), func() { s.applyPut(e) })
+	apply := func() {
+		for i, e := range ents {
+			c := e.Clone()
+			if anns != nil {
+				c.Annotations = append(c.Annotations, anns[i]...)
+			}
+			s.install(c)
+		}
+	}
+	if s.dur == nil {
+		apply()
+		return nil
+	}
+	rec, n := encodeBatch(ents, anns)
+	return s.logged(rec, n, apply)
 }
 
 // applyPut installs a copy of the entity in its shard, bypassing the
@@ -241,7 +271,7 @@ func (s *Store) Delete(id string) error {
 		s.applyDelete(id)
 		return nil
 	}
-	return s.logged(encodeWALRecord(opDelete, []byte(id)), func() { s.applyDelete(id) })
+	return s.logged(encodeWALRecord(opDelete, []byte(id)), 1, func() { s.applyDelete(id) })
 }
 
 // applyDelete removes the entity from its shard, bypassing the WAL.
@@ -287,7 +317,7 @@ func (s *Store) Annotate(id string, anns []Annotation) (bool, error) {
 	if !s.View(id, func(*Entity) {}) {
 		return false, nil
 	}
-	if err := s.logged(encodeAnnotate(id, anns), apply); err != nil {
+	if err := s.logged(encodeAnnotate(id, anns), 1, apply); err != nil {
 		return false, err
 	}
 	return found, nil
@@ -325,7 +355,7 @@ func (s *Store) Update(id string, fn func(*Entity)) bool {
 		return false
 	}
 	fn(e)
-	req := &walReq{rec: encodePut(e), apply: func() { s.applyPut(e) }}
+	req := &walReq{rec: encodePut(e), n: 1, apply: func() { s.applyPut(e) }}
 	s.commitLocked([]*walReq{req})
 	return req.err == nil
 }

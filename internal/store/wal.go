@@ -157,26 +157,65 @@ func RecordPrefix(annotate bool, id string) []byte {
 
 // encodePut frames an opPut record of e in one exactly sized buffer.
 func encodePut(e *Entity) []byte {
-	n := stringSize(e.ID) + stringSize(e.URL) + stringSize(e.Source) + stringSize(e.Title) +
-		stringSize(e.Date) + stringSize(e.Text) + uvarintSize(uint64(len(e.Links))) + annotationsSize(e.Annotations)
-	for _, l := range e.Links {
-		n += stringSize(l)
-	}
-	rec := make([]byte, walHeaderSize+1, walHeaderSize+1+n)
-	rec[walHeaderSize] = opPut
-	rec = appendPutBody(rec, e)
-	sealWALRecord(rec)
-	return rec
+	return appendPutRecord(make([]byte, 0, walHeaderSize+1+putBodySize(e)), e)
 }
 
 // encodeAnnotate frames an opAnnotate record in one exactly sized
 // buffer.
 func encodeAnnotate(id string, anns []Annotation) []byte {
-	rec := make([]byte, walHeaderSize+1, walHeaderSize+1+stringSize(id)+annotationsSize(anns))
-	rec[walHeaderSize] = opAnnotate
-	rec = appendAnnotations(appendString(rec, id), anns)
-	sealWALRecord(rec)
-	return rec
+	return appendAnnotateRecord(make([]byte, 0, walHeaderSize+1+stringSize(id)+annotationsSize(anns)), id, anns)
+}
+
+// encodeBatch frames, in one exactly sized buffer, the records PutBatch
+// logs: each entity's put record and then, when anns[i] is not empty,
+// its annotate record — byte for byte what Put and Annotate would have
+// logged one call at a time. It returns the buffer and its record count.
+func encodeBatch(ents []*Entity, anns [][]Annotation) ([]byte, int) {
+	n, records := 0, 0
+	for i, e := range ents {
+		n += walHeaderSize + 1 + putBodySize(e)
+		records++
+		if i < len(anns) && len(anns[i]) > 0 {
+			n += walHeaderSize + 1 + stringSize(e.ID) + annotationsSize(anns[i])
+			records++
+		}
+	}
+	buf := make([]byte, 0, n)
+	for i, e := range ents {
+		buf = appendPutRecord(buf, e)
+		if i < len(anns) && len(anns[i]) > 0 {
+			buf = appendAnnotateRecord(buf, e.ID, anns[i])
+		}
+	}
+	return buf, records
+}
+
+// appendPutRecord appends a sealed opPut record of e to b.
+func appendPutRecord(b []byte, e *Entity) []byte {
+	start := len(b)
+	b = append(append(b, make([]byte, walHeaderSize)...), opPut)
+	b = appendPutBody(b, e)
+	sealWALRecord(b[start:])
+	return b
+}
+
+// appendAnnotateRecord appends a sealed opAnnotate record to b.
+func appendAnnotateRecord(b []byte, id string, anns []Annotation) []byte {
+	start := len(b)
+	b = append(append(b, make([]byte, walHeaderSize)...), opAnnotate)
+	b = appendAnnotations(appendString(b, id), anns)
+	sealWALRecord(b[start:])
+	return b
+}
+
+// putBodySize is the exact length of appendPutBody's encoding of e.
+func putBodySize(e *Entity) int {
+	n := stringSize(e.ID) + stringSize(e.URL) + stringSize(e.Source) + stringSize(e.Title) +
+		stringSize(e.Date) + stringSize(e.Text) + uvarintSize(uint64(len(e.Links))) + annotationsSize(e.Annotations)
+	for _, l := range e.Links {
+		n += stringSize(l)
+	}
+	return n
 }
 
 func appendPutBody(b []byte, e *Entity) []byte {

@@ -16,7 +16,14 @@ package tokenize
 import (
 	"strings"
 	"unicode"
+
+	"webfountain/internal/metrics"
 )
+
+// textsTokenized counts the texts tokenized: one per Tokenize or
+// AppendTokens call, so a document that is analyzed and indexed but
+// tokenized once moves it by one.
+var textsTokenized = metrics.Default().Counter("tokenize.texts")
 
 // Kind classifies a token's surface form.
 type Kind int
@@ -141,6 +148,7 @@ func (tk *Tokenizer) Tokenize(text string) []Token {
 // slice. Callers that retain dst across documents (resetting with dst[:0])
 // amortize token storage to zero steady-state allocations.
 func (tk *Tokenizer) AppendTokens(dst []Token, text string) []Token {
+	textsTokenized.Inc()
 	tokens := dst
 	n := len(text)
 	i := 0

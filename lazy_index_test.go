@@ -16,6 +16,9 @@ import (
 // indexAdds is internal/index's count of documents added to any index.
 var indexAdds = metrics.Default().Counter("index.adds")
 
+// textsTokenized is internal/tokenize's count of texts tokenized.
+var textsTokenized = metrics.Default().Counter("tokenize.texts")
+
 // servingBatch is ingestBatch as serving-tier documents (no IDs, so the
 // platform generates them).
 func servingBatch(seed int64, n int) []serve.Doc {
@@ -173,6 +176,53 @@ func TestIndexBuildRacesIngest(t *testing.T) {
 	}
 	if got, want := searchAnswers(p), searchAnswers(ref); !reflect.DeepEqual(got, want) {
 		t.Fatalf("index built mid-ingest answers\n%v\nwant\n%v", got, want)
+	}
+}
+
+// TestServedDocumentTokenizedOnce: a document the serving tier ingests
+// is tokenized exactly once, whether the inverted index is built or not.
+// Before the first search only the miner tokenizes and nothing is
+// indexed; after it, the ingest step's tokens feed both the miner and
+// the commit's index add, so every served document is also indexed once
+// and searches answer as on a platform that never served.
+func TestServedDocumentTokenizedOnce(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			p := NewPlatform(PlatformConfig{IngestWorkers: workers})
+			m, err := NewSentimentMiner(MinerConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tier := NewServingTier(p, m, nil)
+			ingest := func(batch []serve.Doc, wantAdds int64) {
+				t.Helper()
+				texts, adds := textsTokenized.Value(), indexAdds.Value()
+				ids, _, err := tier.Ingest(context.Background(), batch)
+				if err != nil || len(ids) != len(batch) {
+					t.Fatalf("ingest: %d of %d acked, err %v", len(ids), len(batch), err)
+				}
+				if d := textsTokenized.Value() - texts; d != int64(len(batch)) {
+					t.Fatalf("%d served documents tokenized %d times, want once each", len(batch), d)
+				}
+				if d := indexAdds.Value() - adds; d != wantAdds {
+					t.Fatalf("%d index adds for %d served documents, want %d", d, len(batch), wantAdds)
+				}
+			}
+			first, second := servingBatch(31, 12), servingBatch(32, 12)
+			ingest(first, 0)
+			p.SearchAll("battery") // builds the index
+			ingest(second, int64(len(second)))
+
+			ref := NewPlatform(PlatformConfig{})
+			for _, b := range [][]serve.Doc{first, second} {
+				if _, err := ref.Ingest(platformDocs(b)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := searchAnswers(p), searchAnswers(ref); !reflect.DeepEqual(got, want) {
+				t.Fatalf("served platform answers\n%v\nwant\n%v", got, want)
+			}
+		})
 	}
 }
 

@@ -1,12 +1,17 @@
 package webfountain
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"webfountain/internal/corpus"
+	"webfountain/internal/store"
+	"webfountain/internal/tokenize"
 )
 
 // ingestBatch converts a generated corpus into an ingest batch.
@@ -235,5 +240,110 @@ func TestReindexAdvancesIDGeneratorPastRecovered(t *testing.T) {
 	// The recovered index must answer queries over both generations.
 	if len(rec.SearchAll("camera")) == 0 {
 		t.Fatal("recovered index answers nothing")
+	}
+}
+
+// TestIngestLendsOneP: while any ingest runs, the process has exactly one
+// P more than it had before the first of them entered, however many run
+// at once, and the last one to leave gives it back.
+func TestIngestLendsOneP(t *testing.T) {
+	before := runtime.GOMAXPROCS(0)
+	p := NewPlatform(PlatformConfig{IngestWorkers: 1})
+	inside, release := make(chan int), make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			docs := []Document{{ID: fmt.Sprintf("lend-%d", c), Text: "The NR70 is great."}}
+			_, err := p.ingest(context.Background(), docs, func(int, string, string, []tokenize.Token) []store.Annotation {
+				inside <- runtime.GOMAXPROCS(0)
+				<-release
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}(c)
+	}
+	for c := 0; c < 3; c++ {
+		if got := <-inside; got != before+1 {
+			t.Errorf("GOMAXPROCS %d inside ingest, want %d", got, before+1)
+		}
+	}
+	close(release)
+	wg.Wait()
+	if got := runtime.GOMAXPROCS(0); got != before {
+		t.Fatalf("GOMAXPROCS %d after every ingest left, want %d back", got, before)
+	}
+	if n := p.NumEntities(); n != 3 {
+		t.Fatalf("%d documents stored, want 3", n)
+	}
+}
+
+// raceCtx passes the first two document checks and fails every check
+// after them, except that the third check waits for the fourth and the
+// fourth passes. With two workers document 0 always passes and the cut
+// falls at 1, 2 or 3; when the third check is not the last of the three
+// documents to pass, the batch is cut with documents after the cut
+// already analyzed.
+type raceCtx struct {
+	context.Context
+	mu     sync.Mutex
+	calls  int
+	passed chan struct{}
+}
+
+func (c *raceCtx) Err() error {
+	c.mu.Lock()
+	n := c.calls
+	c.calls++
+	c.mu.Unlock()
+	switch {
+	case n < 2:
+		return nil
+	case n == 2:
+		<-c.passed
+	case n == 3:
+		close(c.passed)
+		return nil
+	}
+	return context.DeadlineExceeded
+}
+
+// TestParallelIngestStoresNothingPastTheCut: with several workers a
+// deadline cut can find documents after it already analyzed; they are
+// dropped with the rest, so the store holds exactly the acked prefix.
+func TestParallelIngestStoresNothingPastTheCut(t *testing.T) {
+	pastCut := 0
+	for round := 0; round < 32; round++ {
+		p := NewPlatform(PlatformConfig{IngestWorkers: 2})
+		docs := ingestBatch(int64(round), 6)
+		for i := range docs {
+			docs[i].ID = fmt.Sprintf("r%d-%d", round, i)
+		}
+		var mu sync.Mutex
+		analyzed := map[int]bool{}
+		ids, err := p.ingest(&raceCtx{Context: context.Background(), passed: make(chan struct{})}, docs,
+			func(i int, _, _ string, _ []tokenize.Token) []store.Annotation {
+				mu.Lock()
+				analyzed[i] = true
+				mu.Unlock()
+				return []store.Annotation{{Miner: MinerName, Type: "polarity", Key: "x", Value: "+"}}
+			})
+		if !errors.Is(err, context.DeadlineExceeded) || len(ids) < 1 || len(ids) > 3 {
+			t.Fatalf("round %d: acked %v, err %v; want a cut at 1, 2 or 3", round, ids, err)
+		}
+		for i := len(ids); i < len(docs); i++ {
+			if analyzed[i] {
+				pastCut++
+			}
+		}
+		if got := p.internalStore().IDs(); !sameStrings(got, ids) {
+			t.Fatalf("round %d: store holds %v, acked %v", round, got, ids)
+		}
+	}
+	if pastCut == 0 {
+		t.Fatal("no round analyzed a document past its cut; the test exercised nothing")
 	}
 }

@@ -2,7 +2,6 @@ package webfountain
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -80,16 +79,19 @@ type ServingRecovery struct {
 // may see the previous snapshot — a staleness bound of exactly one
 // batch.
 //
-// Ingest contract: one step per document — stored, mined and annotated
-// before the next document is looked at — so an acked ID is
-// always fully served and an unacked one was never half-written by the
-// tier; there is no list of documents that owe a write.
+// Ingest contract: analyze, then commit once — every document of the
+// acked prefix is mined first, and the prefix is then stored with its
+// annotations as one store commit, durable before it is applied — so an
+// acked ID is always durable and fully served, an unacked one is not in
+// the store, and there is no list of documents that owe a write.
 //
 // Durability contract: the tier has no files of its own. A document's
 // annotate record carries its whole facts, so the store's write-ahead
 // log is the only durable copy and RecoverServingTier rebuilds the tier
-// from it; a crash between a document's put and annotate records leaves
-// it stored un-annotated, and recovery mines it.
+// from it. A crash that tears a commit leaves on disk a prefix of its
+// records — unacked, never applied before the crash: recovery folds the
+// documents that came with their annotate records and mines one stored
+// without it.
 type ServingTier struct {
 	mu  sync.Mutex // serializes ingest batches
 	p   *Platform
@@ -115,11 +117,11 @@ func NewServingTier(p *Platform, m *SentimentMiner, facts []SubjectSentiment) *S
 // pass over its documents in sorted-ID order (so two recoveries of one
 // store are identical): a document stored with its facts is folded —
 // the facts are read back from its annotations, nothing is mined — and
-// any other document goes through ingest's own mine step, which
-// annotates it only if it carries no sentiment annotations yet. One
-// aggregate publish follows, its generation advanced by the number of
-// documents recovered. A document whose annotate is refused (degraded
-// store) stays out, for the next boot, exactly as at ingest. The config
+// any other document is analyzed and, only if it carries no sentiment
+// annotations yet, annotated. One aggregate publish follows, its
+// generation advanced by the number of documents recovered. A document
+// whose annotate is refused (degraded store) stays out, for the next
+// boot. The config
 // is ignored and the error is always nil; both remain for existing
 // callers.
 func RecoverServingTier(p *Platform, m *SentimentMiner, _ ServingTierConfig) (*ServingTier, ServingRecovery, error) {
@@ -147,9 +149,11 @@ func RecoverServingTier(p *Platform, m *SentimentMiner, _ ServingTierConfig) (*S
 		if folded {
 			rec.FoldedDocs++
 		} else {
-			var err error
-			if mined, err = t.mine(id, text, nil, annotated); err != nil {
-				continue
+			mined = m.analyzeEntity(id, text, nil)
+			if len(mined) > 0 && !annotated {
+				if _, err := st.Annotate(id, annotationsOf(mined)); err != nil {
+					continue
+				}
 			}
 			rec.RepairedDocs++
 		}
@@ -161,21 +165,6 @@ func RecoverServingTier(p *Platform, m *SentimentMiner, _ ServingTierConfig) (*S
 	servingRepairedDocs.Add(int64(rec.RepairedDocs))
 	span.End()
 	return t, rec, nil
-}
-
-// mine is the tier's one mining step, shared by ingest and recovery:
-// analyze the document (over the caller's tokens, when it has them) and
-// write the facts back onto the stored entity as annotations, unless it
-// already carries them. A refused annotate (degraded store) fails the
-// document.
-func (t *ServingTier) mine(id, text string, toks []tokenize.Token, annotated bool) ([]SubjectSentiment, error) {
-	mined := t.m.analyzeEntity(id, text, toks)
-	if len(mined) > 0 && !annotated {
-		if _, err := t.p.internalStore().Annotate(id, annotationsOf(mined)); err != nil {
-			return nil, fmt.Errorf("webfountain: serving annotate %s: %w", id, err)
-		}
-	}
-	return mined, nil
 }
 
 // fold serves one document's facts: they enter the sentiment index and
@@ -260,25 +249,26 @@ func (t *ServingTier) Entries(ctx context.Context, subject string) []serve.Entry
 }
 
 // Ingest implements serve.Backend's online write path: Platform's
-// ingest loop with the miner riding each document's step — stored,
-// analyzed (over the inverted index's tokens when a search has built
-// it) and annotated onto the entity (so the offline trend miner sees the
-// facts too, and a restart folds them back) before the next document is
-// touched. When the loop
-// returns, the acked prefix is folded in input order into the sentiment
-// index and the aggregates — the generation bump that invalidates every
-// cached response. Batches are serialized, and the tier itself touches
-// no file: the store's put and annotate records are all a batch writes.
+// ingest loop with the miner riding each document's analysis step —
+// sanitized, analyzed (over the inverted index's tokens when a search
+// has built it) and turned into the annotations that carry its facts —
+// and then the acked prefix stored with those annotations as one store
+// commit (one write-ahead-log sync for the batch). Once the commit is
+// durable and applied, the prefix is folded in input order into the
+// sentiment index and the aggregates — the generation bump that
+// invalidates every cached response. Batches are serialized, and the
+// tier itself touches no file: the store's put and annotate records
+// are all a batch writes.
 //
 // The context carries the request deadline, checked before each
-// document. A deadline that expires before document k, or a store that
-// refuses document k's put or annotate, ends the batch there: ids[:k]
-// are stored, mined and visible, the error names document k (and
-// unwraps to context.DeadlineExceeded or the store's error), and the
-// client resends the rest. With IngestWorkers 1 nothing past k reached
-// the store; with more, documents already claimed when the cut came
-// complete their step but are not served (Platform.Ingest's caveat)
-// until a resend or the next boot folds them in.
+// document. A deadline that expires before document k ends the batch
+// there: ids[:k] are stored, mined and visible, the error names document
+// k and unwraps to context.DeadlineExceeded, nothing past k reached the
+// store, and the client resends the rest. A refused commit (degraded
+// store) acks nothing: no ID is returned, nothing of the batch is stored
+// or served, and the error unwraps to the store's. The tier then equals
+// an offline fold of the store after every batch, whatever the number
+// of ingest workers.
 func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -292,9 +282,9 @@ func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, i
 		}
 	}
 	mined := make([][]SubjectSentiment, len(docs))
-	ids, err := t.p.ingest(ctx, batch, func(i int, id, text string, toks []tokenize.Token) (err error) {
-		mined[i], err = t.mine(id, text, toks, false)
-		return err
+	ids, err := t.p.ingest(ctx, batch, func(i int, id, text string, toks []tokenize.Token) []store.Annotation {
+		mined[i] = t.m.analyzeEntity(id, text, toks)
+		return annotationsOf(mined[i])
 	})
 	var facts []serve.Fact
 	for i := range ids {

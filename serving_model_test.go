@@ -2,26 +2,34 @@ package webfountain
 
 // "Acked means mined", checked against a model instead of against three
 // hand-picked scenarios: seeded random sequences of ingest batches,
-// mid-batch deadline expiry, content-addressed WAL faults, explicit
+// mid-batch deadline expiry, content-addressed WAL faults (a refused or
+// torn commit write, or a commit written but never synced), explicit
 // (no-op) checkpoints and crash-without-Close recoveries drive a real
 // durable serving tier, and after every step the tier must agree with a
 // model that is nothing but two ID sets and the analyzer:
 //
 //  1. every acked document is in the store carrying exactly the
 //     annotations of AnalyzeText(its text) — once;
-//  2. no document outside the folded set is in the sentiment index or
-//     the aggregates, and with one ingest worker no unacked document of
-//     a cut batch is in the store either (the one exception the
-//     contract names: a document whose own annotate was refused);
+//  2. the live store holds exactly the folded set, whatever the number
+//     of ingest workers: nothing past a deadline cut and nothing of a
+//     refused commit is stored, and no unfolded document is in the
+//     sentiment index or the aggregates;
 //  3. the published view fingerprints identically to a cube built
-//     offline from AnalyzeText over exactly the folded documents;
+//     offline from AnalyzeText over exactly the folded documents — so
+//     with 2, the tier equals an offline fold of the store;
 //  4. resending the unacked rest of a cut batch counts each document
 //     once;
-//  5. a restart is invisible: recovery analyzes only the documents that
-//     were stored without sentiment annotations, a tier that served
-//     everything the store held answers Entries for every subject
-//     exactly as before the crash, and the checkpoint directory named in
-//     the config never holds a file.
+//  5. a restart is invisible: every acked document is recovered, the
+//     tier then equals an offline fold of the recovered store, recovery
+//     analyzes only the documents the disk held without sentiment
+//     annotations, a tier that served everything the disk held answers
+//     Entries for every subject exactly as before the crash, and the
+//     checkpoint directory named in the config never holds a file.
+//
+// The crash points are: between batches, after a refused commit (its
+// write failed, or tore inside the marked record), and after a commit's
+// write before its sync — the last two leave unacked records on disk,
+// which recovery serves.
 //
 // IDs never repeat, except in the resend of (4), which only ever carries
 // documents the tier has not folded: duplicate IDs, overwrite and delete
@@ -32,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -61,6 +70,7 @@ type servingModel struct {
 	acked   map[string]bool // Ingest returned the ID
 	folded  map[string]bool // served: acked, or recovered at a boot
 	lastGen uint64
+	steps   map[string]int // steps taken, by kind
 }
 
 func newServingModel(t *testing.T, seed int64, workers int) *servingModel {
@@ -75,6 +85,7 @@ func newServingModel(t *testing.T, seed int64, workers int) *servingModel {
 		dataDir: filepath.Join(base, "data"),
 		cfg:     ServingTierConfig{CheckpointDir: filepath.Join(base, "ckpt"), CheckpointEvery: 3},
 		docs:    map[string]serve.Doc{}, acked: map[string]bool{}, folded: map[string]bool{},
+		steps: map[string]int{},
 	}
 	sm.open()
 	return sm
@@ -170,9 +181,9 @@ func (sm *servingModel) ingest(ctx context.Context, batch []serve.Doc, wantCut i
 }
 
 // stepDeadline cuts a batch with a request deadline that expires before
-// some document, then resends the unacked rest (invariant 4): whatever
-// part of it an extra worker had already stored is put again, annotated
-// once and counted once.
+// some document, then resends the unacked rest (invariant 4): nothing of
+// it was stored, whatever an extra worker had already analyzed, so it is
+// stored, annotated and counted once.
 func (sm *servingModel) stepDeadline() {
 	batch := sm.nextDocs(2 + sm.rng.Intn(5))
 	k := sm.rng.Intn(len(batch))
@@ -180,61 +191,102 @@ func (sm *servingModel) stepDeadline() {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		sm.t.Fatalf("deadline cut at %d: err = %v, want DeadlineExceeded", k, err)
 	}
-	if sm.workers == 1 {
-		for _, d := range batch[cut:] {
-			if _, found := sm.p.Entity(d.ID); found {
-				sm.t.Fatalf("single worker stored %s past the deadline cut", d.ID)
-			}
-		}
-	}
+	sm.assertUnstored(batch[cut:], "past the deadline cut")
 	sm.check("deadline cut")
 	if _, err := sm.ingest(context.Background(), batch[cut:], -1); err != nil {
 		sm.t.Fatalf("resend of the unacked rest: %v", err)
 	}
 }
 
-// stepFault fails the WAL write of one document's put or annotate
-// record: the batch is cut there and the store degrades until the next
-// boot.
-func (sm *servingModel) stepFault() {
-	batch := sm.nextDocs(2 + sm.rng.Intn(5))
-	k := sm.rng.Intn(len(batch))
-	annotate := sm.rng.Intn(2) == 1 && len(sm.ref.AnalyzeText(batch[k].Text)) > 0
-	sm.fault.arm(store.RecordPrefix(annotate, batch[k].ID))
-	cut, err := sm.ingest(context.Background(), batch, k)
-	sm.fault.disarm(sm.t)
-	if err == nil {
-		sm.t.Fatalf("batch with a failing WAL write at %d reported no error", k)
-	}
-	if deg, _ := sm.p.Degraded(); !deg {
-		sm.t.Fatal("a failed WAL write left the store writable")
-	}
-	if sm.workers == 1 {
-		for i, d := range batch[cut:] {
-			_, found := sm.p.Entity(d.ID)
-			if want := annotate && i == 0; found != want {
-				sm.t.Fatalf("single worker, fault at %s (annotate=%v): %s stored = %v", batch[k].ID, annotate, d.ID, found)
-			}
+// assertUnstored fails when any of docs is in the live store.
+func (sm *servingModel) assertUnstored(docs []serve.Doc, why string) {
+	sm.t.Helper()
+	for _, d := range docs {
+		if _, found := sm.p.Entity(d.ID); found {
+			sm.t.Fatalf("%d workers stored %s %s", sm.workers, d.ID, why)
 		}
 	}
 }
 
+// refuse runs a batch whose one commit the disk refuses — the append
+// holding one document's put or annotate record fails (torn inside that
+// record, when tear is set), or with unsynced it lands and its sync
+// fails — and checks that nothing was acked, applied or served and that
+// the store degraded until the next boot.
+func (sm *servingModel) refuse(batch []serve.Doc, tear, unsynced bool) {
+	sm.t.Helper()
+	k := sm.rng.Intn(len(batch))
+	annotate := sm.rng.Intn(2) == 1 && len(sm.ref.AnalyzeText(batch[k].Text)) > 0
+	sm.fault.tear, sm.fault.unsynced = tear, unsynced
+	sm.fault.arm(store.RecordPrefix(annotate, batch[k].ID))
+	cut, err := sm.ingest(context.Background(), batch, 0)
+	sm.fault.disarm(sm.t)
+	sm.fault.tear, sm.fault.unsynced = false, false
+	if err == nil || cut != 0 || !errors.Is(err, store.ErrReadOnly) {
+		sm.t.Fatalf("refused commit (fault at %s): acked %d, err = %v; want nothing acked and ErrReadOnly", batch[k].ID, cut, err)
+	}
+	if deg, _ := sm.p.Degraded(); !deg {
+		sm.t.Fatal("a refused commit left the store writable")
+	}
+	sm.assertUnstored(batch, "of a refused commit")
+}
+
+// stepFault fails (or tears) the WAL write of a batch's commit.
+func (sm *servingModel) stepFault() {
+	sm.refuse(sm.nextDocs(2+sm.rng.Intn(5)), sm.rng.Intn(2) == 1, false)
+}
+
+// stepUnsynced crashes after a commit's write, before its sync: the sync
+// fails, so nothing is acked, applied or served, and the process dies
+// with the whole batch in the log — which recovery then serves.
+func (sm *servingModel) stepUnsynced() {
+	batch := sm.nextDocs(1 + sm.rng.Intn(6))
+	sm.refuse(batch, false, true)
+	sm.check("unsynced commit")
+	sm.crashRecover()
+	for _, d := range batch {
+		if !sm.folded[d.ID] {
+			sm.t.Fatalf("%s was written before the crash but not recovered", d.ID)
+		}
+	}
+	sm.resendLost()
+}
+
 // stepCrash abandons the deployment without Close and recovers it
-// (invariant 5). Every acked document must have survived; afterwards the
-// never-acked documents the crash lost for good are resent.
+// (invariant 5); afterwards the never-acked documents the crash lost for
+// good are resent.
 func (sm *servingModel) stepCrash() {
-	st := sm.p.internalStore()
+	sm.crashRecover()
+	sm.resendLost()
+}
+
+// crashRecover abandons the deployment without Close and recovers it
+// (invariant 5). What the disk held is read first, from a copy of the
+// data directory: the live store plus whatever records a refused commit
+// left there.
+func (sm *servingModel) crashRecover() {
+	sm.t.Helper()
+	disk, err := store.Open(copyDir(sm.t, sm.dataDir), store.Options{Shards: 4})
+	if err != nil {
+		sm.t.Fatal(err)
+	}
 	var unannotated int64
 	servedAll := true
-	for _, id := range st.IDs() {
-		if sentimentAnnotations(st, id) == 0 {
+	for _, id := range disk.IDs() {
+		if sentimentAnnotations(disk, id) == 0 {
 			unannotated++
 		}
 		servedAll = servedAll && sm.folded[id]
 	}
+	disk.Close()
 	before := entryDump(sm.tier)
 	if analyzed := sm.open(); analyzed != unannotated {
-		sm.t.Fatalf("recovery analyzed %d documents, the store held %d without sentiment annotations", analyzed, unannotated)
+		sm.t.Fatalf("recovery analyzed %d documents, the disk held %d without sentiment annotations", analyzed, unannotated)
+	}
+	for id := range sm.acked {
+		if _, found := sm.p.Entity(id); !found {
+			sm.t.Fatalf("acked %s lost across the crash", id)
+		}
 	}
 	if after := entryDump(sm.tier); servedAll && after != before {
 		sm.t.Fatalf("the restart changed what Entries answers:\nbefore %s\nafter  %s", before, after)
@@ -245,6 +297,12 @@ func (sm *servingModel) stepCrash() {
 		sm.lastGen = g
 	}
 	sm.check("recovery")
+}
+
+// resendLost resends, as one batch, every offered document that is not
+// folded.
+func (sm *servingModel) resendLost() {
+	sm.t.Helper()
 	var lost []serve.Doc
 	for id, d := range sm.docs {
 		if !sm.folded[id] {
@@ -259,6 +317,30 @@ func (sm *servingModel) stepCrash() {
 	}
 }
 
+// copyDir copies the regular files of dir into a fresh temporary
+// directory and returns its path.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
 // check asserts invariants 1–3 against the live deployment, and that
 // the tier has written no file of its own.
 func (sm *servingModel) check(after string) {
@@ -269,6 +351,11 @@ func (sm *servingModel) check(after string) {
 		if !sm.folded[id] {
 			sm.t.Fatalf("after %s: acked %s is not folded", after, id)
 		}
+	}
+	// Every folded document is in the store (below), so equal sizes
+	// mean the store holds nothing else.
+	if n := st.Len(); n != len(sm.folded) {
+		sm.t.Fatalf("after %s: the store holds %d documents, the tier serves %d", after, n, len(sm.folded))
 	}
 	offline := serve.NewAggregates()
 	var facts []serve.Fact
@@ -309,8 +396,9 @@ func (sm *servingModel) check(after string) {
 func (sm *servingModel) run(steps int) {
 	for i := 0; i < steps; i++ {
 		deg, _ := sm.p.Degraded()
-		switch r := sm.rng.Intn(10); {
-		case r >= 8 || deg && r < 5: // a degraded store refuses every write until the next boot
+		switch r := sm.rng.Intn(11); {
+		case r >= 9 || deg && r < 5: // a degraded store refuses every write until the next boot
+			sm.steps["crash"]++
 			sm.stepCrash()
 			sm.check("recovery resend")
 		case r == 7:
@@ -327,13 +415,25 @@ func (sm *servingModel) run(steps int) {
 			sm.ingest(context.Background(), batch, want) //nolint:errcheck // a degraded store refuses; ingest checked the shape
 			sm.check("ingest")
 		case r < 6:
+			sm.steps["deadline"]++
 			sm.stepDeadline()
 			sm.check("deadline resend")
-		default:
+		case r == 6:
+			sm.steps["fault"]++
 			sm.stepFault()
 			sm.check("WAL fault")
+		default:
+			sm.steps["unsynced"]++
+			sm.stepUnsynced()
+			sm.check("unsynced-commit resend")
 		}
 	}
+	for _, kind := range []string{"crash", "deadline", "fault", "unsynced"} {
+		if sm.steps[kind] == 0 {
+			sm.t.Fatalf("the run took no %s step: %v", kind, sm.steps)
+		}
+	}
+	sm.t.Logf("steps: %v", sm.steps)
 	sm.stepCrash()
 	sm.check("final recovery")
 	if len(sm.folded) != len(sm.docs) {
@@ -342,7 +442,8 @@ func (sm *servingModel) run(steps int) {
 }
 
 // TestServingModelAckedMeansMined runs the model on three seeds with a
-// serial ingest loop and with a four-worker pool.
+// serial ingest loop and with a four-worker pool; every invariant holds
+// for both.
 func TestServingModelAckedMeansMined(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, seed := range []int64{1, 7, 42} {

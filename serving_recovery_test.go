@@ -25,13 +25,18 @@ import (
 // test, not by record framing details. Markers come from
 // store.RecordPrefix, so one names one record. An empty marker is a
 // healthy disk. hits counts the appends the marker failed. With tear set
-// the first half of the failing append reaches the file first: the torn
-// record of a kill mid-append.
+// the failing append reaches the file up to the marked record's payload
+// (its frame header included): the torn record of a kill mid-append.
+// With unsynced set the append itself succeeds and the sync after it
+// fails instead: the cut of a crash after a commit's write, before its
+// sync.
 type markerFailWAL struct {
 	durable.File
-	marker []byte
-	tear   bool
-	hits   int
+	marker   []byte
+	tear     bool
+	unsynced bool
+	hits     int
+	failSync bool // the next Sync fails: an unsynced append is pending
 }
 
 // arm fails the appends holding marker from now on, counting from zero.
@@ -48,15 +53,31 @@ func (w *markerFailWAL) disarm(t testing.TB) {
 }
 
 func (w *markerFailWAL) Write(p []byte) (int, error) {
-	if len(w.marker) > 0 && bytes.Contains(p, w.marker) {
-		w.hits++
-		n := 0
-		if w.tear {
-			n, _ = w.File.Write(p[:len(p)/2])
-		}
-		return n, errors.New("injected disk failure")
+	at := -1
+	if len(w.marker) > 0 {
+		at = bytes.Index(p, w.marker)
 	}
-	return w.File.Write(p)
+	if at < 0 {
+		return w.File.Write(p)
+	}
+	w.hits++
+	if w.unsynced {
+		w.failSync = true
+		return w.File.Write(p)
+	}
+	n := 0
+	if w.tear {
+		n, _ = w.File.Write(p[:at])
+	}
+	return n, errors.New("injected disk failure")
+}
+
+func (w *markerFailWAL) Sync() error {
+	if w.failSync {
+		w.failSync = false
+		return errors.New("injected sync failure")
+	}
+	return w.File.Sync()
 }
 
 // durableServingFixture opens a durable single-worker platform over dir
@@ -79,16 +100,18 @@ func durableServingFixture(t *testing.T, dir string, wrap durable.Wrap, cfg Serv
 	return p, m, tier, rec
 }
 
-// TestServingTierIngestPartialFailurePrefix pins the one-step ingest
-// contract for every way a batch can be cut before document k: the
-// request deadline expires, the store refuses k's put, the store
-// refuses k's annotate. In each case Ingest returns ids[:k] and an error
-// naming the cause; the prefix is stored, indexed, annotated exactly
-// once, mined and published already — no later step exists that would
-// finish it — and nothing past k reached the store (single worker),
-// the sentiment index or the aggregates. A refused annotate leaves
-// document k itself stored but unannotated and unserved, which the next
-// boot's recovery mines and annotates.
+// TestServingTierIngestPartialFailurePrefix pins the analyze-then-commit
+// contract for every way a batch can be cut or refused. A request
+// deadline that expires before document k acks ids[:k]: the prefix is
+// stored, annotated exactly once, mined and published already, and
+// nothing past k reached the store, the sentiment index or the
+// aggregates. A refused commit — a failed write of any document's put
+// or annotate record, a torn write, a failed sync — acks nothing,
+// leaves nothing stored or served, and degrades the store. A crash then
+// recovers what the failed commit left on disk, none of it acked: a
+// failed write left nothing, a torn one the records before the tear (a
+// document stored without its annotate record is mined at boot), and a
+// failed sync the whole batch.
 func TestServingTierIngestPartialFailurePrefix(t *testing.T) {
 	docs := []serve.Doc{
 		{ID: "d1", Date: "2003-01-05", Text: "The NR70 takes excellent pictures."},
@@ -97,86 +120,93 @@ func TestServingTierIngestPartialFailurePrefix(t *testing.T) {
 		{ID: "d4", Date: "2003-04-20", Text: "The ZV500 takes excellent pictures."},
 	}
 	for _, c := range []struct {
-		name     string
-		marker   []byte // WAL record that fails its write (nil for a healthy disk)
-		ctx      context.Context
-		wantErr  string
-		stored   []string // what the store holds after the cut
-		degraded bool
+		name      string
+		marker    []byte // WAL record whose append fails (nil for a healthy disk)
+		tear      bool
+		unsynced  bool
+		ctx       context.Context
+		wantErr   string
+		acked     []string
+		recovered []string // what the store holds after a crash and reboot
+		repaired  int      // of which recovery mined (stored without annotations)
 	}{
 		{name: "deadline before d3", ctx: &expireAfterCtx{Context: context.Background(), allow: 2},
-			wantErr: "stopped before d3", stored: []string{"d1", "d2"}},
-		{name: "put of d3 refused", marker: store.RecordPrefix(false, "d3"), ctx: context.Background(),
-			wantErr: "ingest d3", stored: []string{"d1", "d2"}, degraded: true},
-		{name: "annotate of d3 refused", marker: store.RecordPrefix(true, "d3"), ctx: context.Background(),
-			wantErr: "serving annotate d3", stored: []string{"d1", "d2", "d3"}, degraded: true},
+			wantErr: "stopped before d3", acked: []string{"d1", "d2"}, recovered: []string{"d1", "d2"}},
+		{name: "put of d3 refused", marker: store.RecordPrefix(false, "d3"),
+			wantErr: "ingest commit of d1", recovered: nil},
+		{name: "annotate of d3 refused", marker: store.RecordPrefix(true, "d3"),
+			wantErr: "ingest commit of d1", recovered: nil},
+		{name: "commit torn at d3's annotate", marker: store.RecordPrefix(true, "d3"), tear: true,
+			wantErr: "ingest commit of d1", recovered: []string{"d1", "d2", "d3"}, repaired: 1},
+		{name: "sync of the commit refused", marker: store.RecordPrefix(false, "d1"), unsynced: true,
+			wantErr: "ingest commit of d1", recovered: []string{"d1", "d2", "d3", "d4"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			wal := &markerFailWAL{}
+			wal := &markerFailWAL{tear: c.tear, unsynced: c.unsynced}
 			wrap := func(w durable.File) durable.File {
 				wal.File = w
 				wal.arm(c.marker)
 				return wal
 			}
 			p, m, tier, _ := durableServingFixture(t, dir, wrap, ServingTierConfig{})
+			ctx := c.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
 
-			ids, _, err := tier.Ingest(c.ctx, docs)
+			ids, _, err := tier.Ingest(ctx, docs)
 			if c.marker != nil {
 				wal.disarm(t)
 			}
-			if !reflect.DeepEqual(ids, []string{"d1", "d2"}) {
-				t.Fatalf("acked ids %v, want the serial prefix [d1 d2]", ids)
+			if !sameStrings(ids, c.acked) || len(ids) != len(c.acked) {
+				t.Fatalf("acked ids %v, want %v", ids, c.acked)
 			}
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("error = %v, want one naming %q", err, c.wantErr)
 			}
-			if isDeadline := errors.Is(err, context.DeadlineExceeded); isDeadline != (c.marker == nil) {
+			refused := c.marker != nil
+			if isDeadline := errors.Is(err, context.DeadlineExceeded); isDeadline == refused {
 				t.Errorf("errors.Is(err, DeadlineExceeded) = %v for %v", isDeadline, err)
 			}
-			if deg, _ := p.Degraded(); deg != c.degraded {
-				t.Errorf("store degraded = %v, want %v", deg, c.degraded)
+			if isReadOnly := errors.Is(err, store.ErrReadOnly); isReadOnly != refused {
+				t.Errorf("errors.Is(err, store.ErrReadOnly) = %v for %v", isReadOnly, err)
+			}
+			if deg, _ := p.Degraded(); deg != refused {
+				t.Errorf("store degraded = %v, want %v", deg, refused)
 			}
 
-			// The prefix is complete now; the suffix is nowhere.
+			// The acked prefix is complete now; nothing else is anywhere.
 			st := p.internalStore()
-			if got := st.IDs(); !sameStrings(got, c.stored) {
-				t.Errorf("store holds %v, want %v", got, c.stored)
+			if got := st.IDs(); !sameStrings(got, c.acked) {
+				t.Errorf("store holds %v, want exactly the acked %v", got, c.acked)
 			}
-			for _, id := range []string{"d1", "d2"} {
+			for _, id := range c.acked {
 				if n := sentimentAnnotations(st, id); n != 1 {
 					t.Errorf("%s: %d sentiment annotations when Ingest returned, want exactly 1", id, n)
 				}
 			}
-			if n := sentimentAnnotations(st, "d3"); n != 0 {
-				t.Errorf("unacked d3 carries %d sentiment annotations", n)
-			}
 			v := tier.View()
-			if v.Generation() != 1 {
-				t.Errorf("generation %d, want 1 (one published batch)", v.Generation())
+			if published := len(c.acked) > 0; (v.Generation() == 1) != published || v.Generation() > 1 {
+				t.Errorf("generation %d, want one publish exactly when something was acked", v.Generation())
 			}
-			if c := v.Counts("NR70"); c.Positive != 1 {
-				t.Errorf("NR70 counts %+v, want the prefix fact published", c)
+			if v.Facts() != len(c.acked) {
+				t.Errorf("%d facts published, want one per acked document", v.Facts())
 			}
-			if c := v.Counts("CLIE"); c.Negative != 1 {
-				t.Errorf("CLIE counts %+v, want the prefix fact published", c)
-			}
-			for _, ghost := range []string{"KABOOM", "ZV500"} {
-				if c := v.Counts(ghost); c.Total() != 0 {
-					t.Errorf("%s leaked into the aggregates: %+v", ghost, c)
+			for i, d := range []string{"NR70", "CLIE", "KABOOM", "ZV500"} {
+				served := i < len(c.acked)
+				if c := v.Counts(d); (c.Total() == 1) != served || c.Total() > 1 {
+					t.Errorf("%s counts %+v, want served = %v", d, c, served)
 				}
-				if facts := m.Query(ghost); len(facts) != 0 {
-					t.Errorf("%s leaked into the sentiment index: %d facts", ghost, len(facts))
+				if facts := m.Query(d); (len(facts) == 1) != served || len(facts) > 1 {
+					t.Errorf("%s: %d facts in the sentiment index, want served = %v", d, len(facts), served)
 				}
-			}
-			if len(m.Query("NR70")) != 1 || len(m.Query("CLIE")) != 1 {
-				t.Error("prefix facts missing from the sentiment index")
 			}
 			preFP := v.Fingerprint()
 
 			// Nothing is owed: on a healthy store the next batch publishes
 			// its own document and nothing else.
-			if !c.degraded {
+			if !refused {
 				ids, _, err := tier.Ingest(context.Background(), []serve.Doc{
 					{ID: "d5", Date: "2003-05-01", Text: "The QX310 takes excellent pictures."},
 				})
@@ -190,25 +220,31 @@ func TestServingTierIngestPartialFailurePrefix(t *testing.T) {
 				}
 				return
 			}
+			if err := st.Put(&store.Entity{ID: "late", Text: "x"}); !errors.Is(err, store.ErrReadOnly) {
+				t.Fatalf("write after a refused commit: %v, want ErrReadOnly", err)
+			}
 
-			// Crash (no Close) and recover over a healthy disk: the
-			// annotated prefix is folded, d3 is mined and annotated where
-			// only its annotate was refused, and a document that was not
-			// stored is never resurrected.
+			// Crash (no Close) and recover over a healthy disk: recovery
+			// serves whatever part of the refused commit reached the disk
+			// — folded where the annotate record came with it, mined and
+			// annotated where only the put did — and nothing else.
 			p2, _, tier2, rec := durableServingFixture(t, dir, nil, ServingTierConfig{})
-			if rec.FoldedDocs != 2 || rec.RepairedDocs != len(c.stored)-2 {
-				t.Fatalf("recovery %+v, want d1 and d2 folded and the other %d stored docs mined", rec, len(c.stored)-2)
+			if got := p2.internalStore().IDs(); !sameStrings(got, c.recovered) {
+				t.Fatalf("recovered store holds %v, want %v", got, c.recovered)
 			}
-			if got := tier2.View().Fingerprint(); (got == preFP) != (len(c.stored) == 2) {
-				t.Errorf("recovered aggregates vs the pre-crash prefix view: equal = %v with %v stored", got == preFP, c.stored)
+			if rec.RepairedDocs != c.repaired || rec.FoldedDocs != len(c.recovered)-c.repaired {
+				t.Fatalf("recovery %+v, want %d folded and %d mined", rec, len(c.recovered)-c.repaired, c.repaired)
 			}
-			for _, id := range c.stored {
+			if torn := p2.internalStore().Durability().TruncatedBytes; (torn > 0) != c.tear {
+				t.Errorf("recovery truncated %d torn bytes, tear = %v", torn, c.tear)
+			}
+			if got := tier2.View().Fingerprint(); (got == preFP) != (len(c.recovered) == 0) {
+				t.Errorf("recovered aggregates vs the pre-crash view: equal = %v with %v recovered", got == preFP, c.recovered)
+			}
+			for _, id := range c.recovered {
 				if n := sentimentAnnotations(p2.internalStore(), id); n != 1 {
 					t.Errorf("%s: %d sentiment annotations after recovery, want exactly 1", id, n)
 				}
-			}
-			if _, found := p2.Entity("d4"); found {
-				t.Error("unacked doc d4 resurrected by recovery")
 			}
 		})
 	}

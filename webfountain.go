@@ -44,10 +44,10 @@ import (
 // Platform-level ingest metrics (the Platform.Ingest path; the
 // acquisition layer in internal/ingest has its own counters).
 var (
-	platformIngestDocs   = metrics.Default().Counter("platform.ingest.docs")
-	platformIngestBytes  = metrics.Default().Counter("platform.ingest.bytes")
-	platformIngestDocNs  = metrics.Default().Histogram("platform.ingest.doc.ns")
-	platformIndexBuildNs = metrics.Default().Histogram("platform.index.build.ns")
+	platformIngestDocs     = metrics.Default().Counter("platform.ingest.docs")
+	platformIngestBytes    = metrics.Default().Counter("platform.ingest.bytes")
+	platformIngestCommitNs = metrics.Default().Histogram("platform.ingest.commit.ns")
+	platformIndexBuildNs   = metrics.Default().Histogram("platform.index.build.ns")
 )
 
 // Document is a unit of ingested content.
@@ -116,16 +116,19 @@ type PlatformConfig struct {
 	// directory and recovered by OpenPlatform after a crash. NewPlatform
 	// ignores it — use OpenPlatform for a durable platform.
 	DataDir string
-	// SyncEvery syncs the write-ahead log after every Nth record
-	// (default 1: every record). See store.Options.SyncEvery.
+	// SyncEvery syncs the write-ahead log once at least that many
+	// records have been appended since the last sync (default 1: every
+	// commit, and an ingest call is one commit). See
+	// store.Options.SyncEvery.
 	SyncEvery int
 	// CompactEvery, when positive, compacts the log into a checksummed
 	// snapshot after that many records (default 0: manual only).
 	CompactEvery int
 
-	// IngestWorkers is the number of concurrent workers Ingest and the
-	// first search's index build use to tokenize and index documents
-	// (default: GOMAXPROCS). 1 selects the serial path.
+	// IngestWorkers is the number of concurrent workers Ingest uses to
+	// analyze documents before their one store commit, and the first
+	// search's index build uses to index the store (default: GOMAXPROCS,
+	// read when the platform is built). 1 selects the serial path.
 	IngestWorkers int
 	// IndexShards is the number of term-hashed inverted-index shards
 	// (default 16). More shards admit more concurrent ingest workers.
@@ -268,41 +271,47 @@ func platformOver(st *store.Store, cfg PlatformConfig) *Platform {
 }
 
 // indexEntity tokenizes a document body into a.toks and adds it to ix —
-// the one tokenize→words→Add path shared by Ingest, Restore and the index
-// build, so every route into the index produces identical postings.
+// the one tokenize→words→Add path of the index build and of a commit
+// that finds the index built after its documents were analyzed, so
+// every route into the index produces identical postings.
 func indexEntity(ix *index.Index, a *ingestArena, id, text string) {
 	a.toks = a.tk.AppendTokens(a.toks[:0], text)
-	a.words = a.words[:0]
-	for i := range a.toks {
-		a.words = append(a.words, a.toks[i].Text)
-	}
-	ix.Add(id, a.words)
+	ix.Add(id, a.appendWords(a.words[:0]))
 }
 
-// put stores e and, once the index is built, indexes its text — the one
-// store-and-index step behind Ingest and Restore, taken under the shared
-// side of indexMu so a concurrent build neither skips e nor indexes it
-// twice. It returns the tokens it made (valid until the arena's next
-// use), nil when there is no index to feed.
-func (p *Platform) put(a *ingestArena, e *store.Entity) ([]tokenize.Token, error) {
+// commit stores ents, each with anns[i] appended, as one store commit
+// (store.PutBatch) and then, once a search has built the index, indexes
+// them: ents[i] from words[i] when its analysis tokenized it (words[i]
+// non-nil), by tokenizing it here otherwise. It is the one write step
+// behind Ingest and Restore, taken under the shared side of indexMu so
+// a concurrent build neither skips a document nor indexes it twice.
+func (p *Platform) commit(ents []*store.Entity, anns [][]store.Annotation, words [][]string) error {
 	p.indexMu.RLock()
 	defer p.indexMu.RUnlock()
-	if err := p.store.Put(e); err != nil {
-		return nil, err
+	if err := p.store.PutBatch(ents, anns); err != nil {
+		return err
 	}
 	ix := p.index.Load()
 	if ix == nil {
-		return nil, nil
+		return nil
 	}
-	indexEntity(ix, a, e.ID, e.Text)
-	return a.toks, nil
+	var ia *ingestArena
+	for i, e := range ents {
+		if words != nil && words[i] != nil {
+			ix.Add(e.ID, words[i])
+			continue
+		}
+		if ia == nil {
+			ia = newIngestArena()
+		}
+		indexEntity(ix, ia, e.ID, e.Text)
+	}
+	return nil
 }
 
 // ingestArena holds one ingest worker's reusable buffers: the tokenizer,
 // its token output and the word slice handed to the index. Every worker
-// owns its arena outright — no cross-worker pool to contend on — so the
-// steady-state ingest path allocates nothing per document beyond what
-// the index retains.
+// owns its arena outright — no cross-worker pool to contend on.
 type ingestArena struct {
 	tk    *tokenize.Tokenizer
 	toks  []tokenize.Token
@@ -310,6 +319,14 @@ type ingestArena struct {
 }
 
 func newIngestArena() *ingestArena { return &ingestArena{tk: tokenize.New()} }
+
+// appendWords appends the text of a.toks to dst.
+func (a *ingestArena) appendWords(dst []string) []string {
+	for i := range a.toks {
+		dst = append(dst, a.toks[i].Text)
+	}
+	return dst
+}
 
 // parseGeneratedID recognizes the platform's generated document IDs
 // ("doc-" followed by digits only) and returns the counter value. A
@@ -402,33 +419,44 @@ func (p *Platform) Compact() error { return p.store.Compact() }
 
 // Ingest stores documents and, once a search has built the inverted
 // index, indexes their tokens. Documents without an ID receive a
-// generated one, returned in the IDs slice in input order.
+// generated one, returned in the IDs slice in input order. The batch is
+// one store commit: on a durable platform every document is durable,
+// with one write-ahead-log sync for the batch, before Ingest returns,
+// and a refused commit stores none of them.
 //
-// With IngestWorkers > 1 the batch is processed by a bounded worker
-// pool: each worker stores, tokenizes and indexes whole documents
-// concurrently (the store and the index are both sharded, so workers
-// rarely contend). The returned IDs are always in input order, and on
-// failure the error wraps the earliest failing document with every
-// earlier document ingested — exactly the serial contract, except that
-// documents after the failing one may also have been stored before the
-// pool drained.
+// With IngestWorkers > 1 the documents are prepared by a bounded worker
+// pool before the commit; the returned IDs are in input order either
+// way.
 func (p *Platform) Ingest(docs []Document) ([]string, error) {
 	return p.ingest(context.Background(), docs, nil)
 }
 
 // ingest is the one ingest loop behind Platform.Ingest and
-// ServingTier.Ingest. Each worker claims the next document and runs its
-// whole step — deadline check, store.Put, index.Add once the index is
-// built, then mine (when non-nil) — before claiming another, so a
-// document is either finished or was never offered to the store. mine
-// runs on the worker that ingested document i, over the text as it was
-// stored (sanitizeText) and the tokens the index step made, nil when it
-// made none (the miner then tokenizes); toks is only valid during the
-// call. An expired ctx fails the document it is found at like any other
-// error: the loop stops and ids[:k] is returned with the earliest
-// failure k.
+// ServingTier.Ingest: analyze, then commit once.
+//
+// Its workers claim documents in input order and run each one's step
+// without touching the store — deadline check, sanitizeText, tokenize
+// when a search has built the index, then mine (when non-nil), which
+// returns the annotations to store with the document. mine runs on the
+// worker that claimed document i, over the text as it will be stored
+// and the tokens the index will get, nil when there is no index yet
+// (the miner then tokenizes); toks is only valid during the call. An
+// expired ctx fails the document it is found at: the workers stop, and
+// the earliest failure k cuts the batch.
+//
+// The prefix ids[:k] is then written as one store commit (commit): every
+// put record with its annotate record, one write and one sync, applied
+// only once durable. ingest returns ids[:k] with the cut's error, or —
+// when the commit is refused — no IDs and the commit's error, having
+// stored nothing. Either way nothing past the cut is stored.
+//
+// While any ingest runs, the process has one more P than it had before
+// the first of them entered (lendP), and every worker yields its thread
+// between documents, so the network poller gets to run queries on a
+// single-CPU server while ingest keeps the CPU busy.
 func (p *Platform) ingest(ctx context.Context, docs []Document,
-	mine func(i int, id, text string, toks []tokenize.Token) error) ([]string, error) {
+	mine func(i int, id, text string, toks []tokenize.Token) []store.Annotation) ([]string, error) {
+	defer lendP()()
 	ids := make([]string, len(docs))
 	for i := range docs {
 		if docs[i].ID != "" {
@@ -438,12 +466,21 @@ func (p *Platform) ingest(ctx context.Context, docs []Document,
 		}
 	}
 	var (
-		next     atomic.Int64 // work dispenser: next input index to claim
-		aborted  atomic.Bool
-		mu       sync.Mutex
-		errIdx   = len(docs)
-		firstErr error
+		ents    = make([]*store.Entity, len(docs))
+		anns    [][]store.Annotation
+		words   [][]string
+		next    atomic.Int64 // work dispenser: next input index to claim
+		aborted atomic.Bool
+		mu      sync.Mutex
+		errIdx  = len(docs)
+		cutErr  error
 	)
+	if mine != nil {
+		anns = make([][]store.Annotation, len(docs))
+	}
+	if p.index.Load() != nil {
+		words = make([][]string, len(docs))
+	}
 	work := func() {
 		ia := newIngestArena()
 		for !aborted.Load() {
@@ -451,23 +488,31 @@ func (p *Platform) ingest(ctx context.Context, docs []Document,
 			if i >= len(docs) {
 				return
 			}
-			err := ctx.Err()
-			if err != nil {
-				err = fmt.Errorf("webfountain: ingest stopped before %s (%d of %d): %w", ids[i], i+1, len(docs), err)
-			} else if text, toks, ierr := p.ingestOne(ia, &docs[i], ids[i]); ierr != nil {
-				err = ierr
-			} else if mine != nil {
-				err = mine(i, ids[i], text, toks)
-			}
-			if err != nil {
+			if err := ctx.Err(); err != nil {
 				aborted.Store(true)
 				mu.Lock()
 				if i < errIdx {
-					errIdx, firstErr = i, err
+					errIdx = i
+					cutErr = fmt.Errorf("webfountain: ingest stopped before %s (%d of %d): %w", ids[i], i+1, len(docs), err)
 				}
 				mu.Unlock()
 				return
 			}
+			d := &docs[i]
+			text := sanitizeText(d.Text)
+			ents[i] = &store.Entity{ // PutBatch stores a copy, Links included
+				ID: ids[i], URL: d.URL, Source: d.Source, Title: d.Title, Date: d.Date, Text: text, Links: d.Links,
+			}
+			var toks []tokenize.Token
+			if words != nil {
+				ia.toks = ia.tk.AppendTokens(ia.toks[:0], text)
+				toks = ia.toks
+				words[i] = ia.appendWords(make([]string, 0, len(toks)))
+			}
+			if mine != nil {
+				anns[i] = mine(i, ids[i], text, toks)
+			}
+			yieldThread()
 		}
 	}
 	if workers := min(p.workers, len(docs)); workers <= 1 {
@@ -484,9 +529,61 @@ func (p *Platform) ingest(ctx context.Context, docs []Document,
 		wg.Wait()
 	}
 	// Indices are claimed monotonically and every claimed document runs
-	// to completion, so everything before the earliest failure was
-	// ingested — the serial prefix guarantee.
-	return ids[:errIdx], firstErr
+	// to completion, so everything before the earliest cut was analyzed;
+	// whatever a worker finished past it is dropped here.
+	k := errIdx
+	if k == 0 {
+		return ids[:0], cutErr
+	}
+	ents = ents[:k]
+	if anns != nil {
+		anns = anns[:k]
+	}
+	if words != nil {
+		words = words[:k]
+	}
+	span := platformIngestCommitNs.Start()
+	if err := p.commit(ents, anns, words); err != nil {
+		return ids[:0], fmt.Errorf("webfountain: ingest commit of %s (%d documents): %w", ids[0], k, err)
+	}
+	span.End()
+	platformIngestDocs.Add(int64(k))
+	for _, e := range ents {
+		platformIngestBytes.Add(int64(len(e.Text)))
+	}
+	return ids[:k], cutErr
+}
+
+// lent counts the ingest calls in flight. The first to enter raises
+// GOMAXPROCS by one and the last to leave restores it: the extra P's
+// thread waits in the network poller, so on a server with one CPU a
+// query arriving mid-ingest is accepted and answered at the next yield
+// instead of after the batch. Lent only while ingest runs — a spare P
+// kept always costs idle queries a spinning second thread.
+var lent struct {
+	sync.Mutex
+	calls int
+	procs int // GOMAXPROCS before the first call entered
+}
+
+// lendP lends the network a P for the duration of one ingest call and
+// returns the function that gives it back.
+func lendP() (giveBack func()) {
+	lent.Lock()
+	if lent.calls == 0 {
+		lent.procs = runtime.GOMAXPROCS(0)
+		runtime.GOMAXPROCS(lent.procs + 1)
+	}
+	lent.calls++
+	lent.Unlock()
+	return func() {
+		lent.Lock()
+		lent.calls--
+		if lent.calls == 0 {
+			runtime.GOMAXPROCS(lent.procs)
+		}
+		lent.Unlock()
+	}
 }
 
 // sanitizeText replaces exactly what encoding/xml rewrites on the way
@@ -503,31 +600,6 @@ func sanitizeText(text string) string {
 		}
 		return utf8.RuneError
 	}, text)
-}
-
-// ingestOne stores (and, once the index is built, indexes) a single
-// document under the given ID and returns its text as stored plus the
-// tokens the index step made, if any.
-func (p *Platform) ingestOne(a *ingestArena, d *Document, id string) (string, []tokenize.Token, error) {
-	text := sanitizeText(d.Text)
-	e := &store.Entity{
-		ID:     id,
-		URL:    d.URL,
-		Source: d.Source,
-		Title:  d.Title,
-		Date:   d.Date,
-		Text:   text,
-		Links:  append([]string(nil), d.Links...),
-	}
-	span := platformIngestDocNs.Start()
-	toks, err := p.put(a, e)
-	if err != nil {
-		return "", nil, fmt.Errorf("webfountain: ingest %s: %w", id, err)
-	}
-	span.End()
-	platformIngestDocs.Inc()
-	platformIngestBytes.Add(int64(len(text)))
-	return text, toks, nil
 }
 
 // NumEntities returns the number of stored documents.
@@ -585,20 +657,24 @@ func (p *Platform) Snapshot(w io.Writer) error {
 }
 
 // Restore loads a snapshot produced by Snapshot, replacing same-ID
-// documents and indexing the restored text. It returns the number of
-// documents restored.
+// documents and indexing the restored text, as one store commit (one
+// write-ahead-log sync on a durable platform; a refused commit restores
+// nothing). It returns the number of documents restored.
 func (p *Platform) Restore(r io.Reader) (int, error) {
 	staging := store.New(p.store.NumShards())
 	n, err := staging.Restore(r)
 	if err != nil {
 		return n, fmt.Errorf("webfountain: restore: %w", err)
 	}
-	ia := newIngestArena()
-	err = staging.ForEach(func(e *store.Entity) error {
-		_, putErr := p.put(ia, e)
-		return putErr
+	ents := make([]*store.Entity, 0, n)
+	staging.ForEach(func(e *store.Entity) error { //nolint:errcheck // fn never fails
+		ents = append(ents, e)
+		return nil
 	})
-	return n, err
+	if err := p.commit(ents, nil, nil); err != nil {
+		return 0, fmt.Errorf("webfountain: restore: %w", err)
+	}
+	return n, nil
 }
 
 // internalStore exposes the store to sibling files of this package.
