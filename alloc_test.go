@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"webfountain/internal/corpus"
+	"webfountain/internal/pos"
 	"webfountain/internal/spotter"
 	"webfountain/internal/tokenize"
 )
@@ -76,4 +77,27 @@ func TestAllocCeilingMine(t *testing.T) {
 		t.Fatalf("AnalyzeText allocates %.1f/run, ceiling %d", avg, ceiling)
 	}
 	t.Logf("AnalyzeText: %.1f allocs/run (ceiling %d)", avg, ceiling)
+}
+
+// TestAllocCeilingTag gates POS tagging: with a reused destination
+// buffer, tagging every sentence of twenty ingest_bulk-shaped documents
+// must not allocate. The linking-verb test compares lemmas in parts, so
+// no "-ies"/"-ied" or "-e"-restoring lemma is built.
+func TestAllocCeilingTag(t *testing.T) {
+	tk := tokenize.New()
+	tg := pos.NewTagger()
+	var sents []tokenize.Sentence
+	for _, text := range bulkTexts(20) {
+		sents = append(sents, tk.Sentences(text)...)
+	}
+	var buf []pos.TaggedToken
+	tagAll := func() {
+		for _, s := range sents {
+			buf = tg.AppendTags(buf[:0], s.Tokens)
+		}
+	}
+	tagAll() // warm: grow the buffer once
+	if avg := testing.AllocsPerRun(20, tagAll); avg > 0 {
+		t.Fatalf("AppendTags allocates %.1f per %d sentences, want 0", avg, len(sents))
+	}
 }

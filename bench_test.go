@@ -264,6 +264,50 @@ func BenchmarkMinerAnalyzeText(b *testing.B) {
 	}
 }
 
+// bulkTexts returns n documents shaped like the ingest_bulk workload's:
+// each joins five alternating camera and music reviews, about 6.7 KB.
+func bulkTexts(n int) []string {
+	const join = 5
+	half := (n*join + 1) / 2
+	camera := corpus.DigitalCameraReviews(benchSeed, half)
+	music := corpus.MusicReviews(benchSeed, half)
+	out := make([]string, n)
+	for i := range out {
+		parts := make([]string, 0, join)
+		for k := i * join; k < (i+1)*join; k++ {
+			if k%2 == 0 {
+				parts = append(parts, camera[k/2].Text())
+			} else {
+				parts = append(parts, music[k/2].Text())
+			}
+		}
+		out[i] = strings.Join(parts, " ")
+	}
+	return out
+}
+
+// BenchmarkMinerAnalyzeBulk measures one document's analysis in the mode
+// wfserver runs (named entities), over ingest_bulk-shaped documents:
+// tokenize, split, spot, tag, chunk and analyze, as the ingest step runs
+// it. It reports microseconds per document.
+func BenchmarkMinerAnalyzeBulk(b *testing.B) {
+	m, err := NewSentimentMiner(MinerConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	texts := bulkTexts(20)
+	size := 0
+	for _, t := range texts {
+		size += len(t)
+	}
+	b.SetBytes(int64(size / len(texts)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.analyzeEntity("", texts[i%len(texts)], nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/doc")
+}
+
 // BenchmarkMinerRun measures end-to-end parallel mining over a platform.
 func BenchmarkMinerRun(b *testing.B) {
 	generated := corpus.DigitalCameraReviews(benchSeed, 50)

@@ -187,25 +187,23 @@ func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEv
 		if !indexed {
 			addToIndex(e)
 		}
-		span := stageTokenize.Start()
+		// One sample per document and stage, as the library's miner
+		// records them: laps sum each stage over the sentences.
+		var tok, spot, tag, chunk, analyze time.Duration
+		laps := metrics.StartLaps()
 		sentences := tk.Sentences(e.Text)
-		span.End()
+		laps.Lap(&tok)
 		for _, s := range sentences {
-			span = stageSpot.Start()
 			entities := nesp.SpotTokens(s.Tokens)
-			span.End()
+			laps.Lap(&spot)
 			if len(entities) == 0 {
 				continue
 			}
-			span = stagePOS.Start()
 			tagged := tagger.TagSentence(s)
-			span.End()
-			span = stageChunk.Start()
+			laps.Lap(&tag)
 			clauses := ck.Clauses(tagged)
-			span.End()
-			span = stageSentiment.Start()
+			laps.Lap(&chunk)
 			assignments := an.AnalyzeClauses(clauses)
-			span.End()
 			for _, ent := range entities {
 				for _, h := range sentiment.ForSpan(assignments, ent.Start, ent.End) {
 					sidx.Add(index.SentimentEntry{
@@ -214,7 +212,13 @@ func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEv
 					})
 				}
 			}
+			laps.Lap(&analyze)
 		}
+		stageTokenize.ObserveDuration(tok)
+		stageSpot.ObserveDuration(spot)
+		stagePOS.ObserveDuration(tag)
+		stageChunk.ObserveDuration(chunk)
+		stageSentiment.ObserveDuration(analyze)
 		return nil
 	})
 	if err != nil {

@@ -256,3 +256,22 @@ func TestStageHistogramNames(t *testing.T) {
 		t.Errorf("stage histogram missing: %v", s.Histograms)
 	}
 }
+
+// TestLapsPartitionElapsed: laps never overlap or leave gaps, so the
+// stages they close sum to the elapsed time, however often a stage is
+// re-entered.
+func TestLapsPartitionElapsed(t *testing.T) {
+	var a, b time.Duration
+	l := StartLaps()
+	for i := 0; i < 3; i++ {
+		time.Sleep(time.Millisecond)
+		l.Lap(&a)
+		l.Lap(&b)
+	}
+	if a < 3*time.Millisecond || b < 0 {
+		t.Fatalf("laps a=%v b=%v, want a >= 3ms and b >= 0", a, b)
+	}
+	if a+b != l.Elapsed() {
+		t.Fatalf("laps sum to %v, elapsed %v", a+b, l.Elapsed())
+	}
+}

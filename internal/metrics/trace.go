@@ -60,9 +60,34 @@ func (s Span) End() time.Duration {
 // ObserveDuration records a pre-measured duration.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
+// Laps times consecutive stages of one unit of work with one clock read
+// per stage boundary: each Lap closes the running stage, adding its time
+// to the caller's accumulator, and opens the next. A stage entered many
+// times — once per sentence of a document — sums its laps and is
+// recorded once, so no histogram is touched inside the loop.
+type Laps struct {
+	start time.Time
+	last  time.Duration // offset of the latest read from start
+}
+
+// StartLaps opens the first stage.
+func StartLaps() Laps { return Laps{start: time.Now()} }
+
+// Lap closes the running stage, adds its duration to acc and opens the
+// next stage.
+func (l *Laps) Lap(acc *time.Duration) {
+	now := time.Since(l.start)
+	*acc += now - l.last
+	l.last = now
+}
+
+// Elapsed returns the time from StartLaps to the latest Lap.
+func (l *Laps) Elapsed() time.Duration { return l.last }
+
 // Pipeline stage names, in document order. Each stage has a latency
 // histogram named "pipeline.stage.<stage>.ns" in the registry; the
-// miner stamps every document's trip through them.
+// miner records one sample per document in each stage it runs, the sum
+// of that stage's per-sentence time.
 const (
 	StageTokenize  = "tokenize"
 	StagePOS       = "pos"

@@ -73,40 +73,49 @@ func isConsonant(c byte) bool {
 // stemmed with suffix-stripping rules; words that are not inflections are
 // returned unchanged (lower-cased).
 func VerbLemma(w string) string {
-	lw := strings.ToLower(w)
+	stem, suffix := lemmaParts(strings.ToLower(w))
+	if suffix == "" {
+		return stem
+	}
+	return stem + suffix
+}
+
+// lemmaParts returns the lemma of the lower-cased inflection lw as
+// stem+suffix: stem is an irregular base or a prefix of lw, and suffix
+// the "y" or "e" a rule restores, or "". A caller that only compares the
+// lemma need not build it.
+func lemmaParts(lw string) (stem, suffix string) {
 	if base, ok := irregularLemmas[lw]; ok {
-		return base
+		return base, ""
 	}
 	switch {
 	case strings.HasSuffix(lw, "ies") && len(lw) > 4:
-		return lw[:len(lw)-3] + "y"
+		return lw[:len(lw)-3], "y"
 	case strings.HasSuffix(lw, "sses"), strings.HasSuffix(lw, "shes"),
 		strings.HasSuffix(lw, "ches"), strings.HasSuffix(lw, "xes"),
 		strings.HasSuffix(lw, "zes"):
-		return lw[:len(lw)-2]
+		return lw[:len(lw)-2], ""
 	case strings.HasSuffix(lw, "oes") && len(lw) > 3:
-		return lw[:len(lw)-2]
+		return lw[:len(lw)-2], ""
 	case strings.HasSuffix(lw, "s") && !strings.HasSuffix(lw, "ss") && len(lw) > 3:
-		return lw[:len(lw)-1]
+		return lw[:len(lw)-1], ""
 	case strings.HasSuffix(lw, "ied") && len(lw) > 4:
-		return lw[:len(lw)-3] + "y"
+		return lw[:len(lw)-3], "y"
 	case strings.HasSuffix(lw, "ing") && len(lw) > 5:
-		stem := undouble(lw[:len(lw)-3])
-		return restoreE(stem)
+		return restoreE(undouble(lw[:len(lw)-3]))
 	case strings.HasSuffix(lw, "ed") && len(lw) > 4:
-		stem := undouble(lw[:len(lw)-2])
-		return restoreE(stem)
+		return restoreE(undouble(lw[:len(lw)-2]))
 	}
-	return lw
+	return lw, ""
 }
 
-// restoreE adds back a dropped final "e" for stems like "impress" (no) vs.
-// "lov" -> "love". Heuristic: consonant + single vowel + consonant stems of
+// restoreE returns the "e" to add back to stems like "lov" -> "love" (but
+// not "impress"). Heuristic: consonant + single vowel + consonant stems of
 // length <= 5 and stems ending in typical e-dropping clusters get the e.
-func restoreE(stem string) string {
+func restoreE(stem string) (string, string) {
 	n := len(stem)
 	if n == 0 {
-		return stem
+		return stem, ""
 	}
 	// Stems ending in these clusters nearly always had a trailing e.
 	for _, suf := range []string{"at", "iz", "is", "us", "as", "os", "ang", "ast",
@@ -117,10 +126,10 @@ func restoreE(stem string) string {
 		if strings.HasSuffix(stem, suf) {
 			// "g" exception: "-ng" stays ("hang"), "-gg" handled by undouble.
 			if suf == "g" && strings.HasSuffix(stem, "ng") {
-				return stem
+				return stem, ""
 			}
-			return stem + "e"
+			return stem, "e"
 		}
 	}
-	return stem
+	return stem, ""
 }

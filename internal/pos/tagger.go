@@ -34,8 +34,8 @@ func (tg *Tagger) Tag(tokens []tokenize.Token) []TaggedToken {
 // caller can tag several sentences into one reused buffer.
 func (tg *Tagger) AppendTags(dst []TaggedToken, tokens []tokenize.Token) []TaggedToken {
 	base := len(dst)
-	for i, tok := range tokens {
-		dst = append(dst, TaggedToken{Token: tok, Tag: tg.lexical(tok, i == 0)})
+	for _, tok := range tokens {
+		dst = append(dst, TaggedToken{Token: tok, Tag: tg.lexical(tok)})
 	}
 	applyContextRules(dst[base:])
 	return dst
@@ -96,8 +96,53 @@ func (tg *Tagger) TagSentence(s tokenize.Sentence) []TaggedToken {
 	return tg.Tag(s.Tokens)
 }
 
-// lexical assigns the context-free most likely tag for a token.
-func (tg *Tagger) lexical(tok tokenize.Token, first bool) Tag {
+// lexEntry is a word's context-free tag in lexTable; be marks the forms
+// of "be", which outrank Tagger.Extra.
+type lexEntry struct {
+	tag Tag
+	be  bool
+}
+
+// lexTable merges every word list the lexical pass consults — the
+// be-forms, the closed classes, the wh-words, the irregular verbs and
+// the open-class lexicon — into one map, so a token costs one fold and
+// one probe. Lists are added in the order of their precedence, and a
+// word held by several keeps the tag of the first.
+var lexTable = func() map[string]lexEntry {
+	m := make(map[string]lexEntry, len(lexicon)+len(irregularVerbs)+256)
+	add := func(w string, t Tag, be bool) {
+		if _, ok := m[w]; !ok {
+			m[w] = lexEntry{tag: t, be: be}
+		}
+	}
+	for w, t := range beForms {
+		add(w, t, true)
+	}
+	for _, set := range []struct {
+		words map[string]bool
+		tag   Tag
+	}{
+		{determiners, DT}, {modals, MD}, {possessivePronouns, PRPS},
+		{pronouns, PRP}, {conjunctions, CC}, {prepositions, IN},
+	} {
+		for w, in := range set.words {
+			if in {
+				add(w, set.tag, false)
+			}
+		}
+	}
+	for _, tags := range []map[string]Tag{whWords, irregularVerbs, lexicon} {
+		for w, t := range tags {
+			add(w, t, false)
+		}
+	}
+	return m
+}()
+
+// lexical assigns the context-free most likely tag for a token. The
+// precedence is: the "'s" clitic, the be-forms, Extra, "to" and
+// "there", then every other list in lexTable, then morphology.
+func (tg *Tagger) lexical(tok tokenize.Token) Tag {
 	switch tok.Kind {
 	case tokenize.Number:
 		return CD
@@ -112,42 +157,26 @@ func (tg *Tagger) lexical(tok tokenize.Token, first bool) Tag {
 	if foldEq(w, "'s") {
 		return POS
 	}
-	if t, ok := foldProbe(beForms, w); ok {
-		return t
+	// One fold serves both maps; the string(key) conversions in the map
+	// indexes do not allocate.
+	var buf [64]byte
+	key := tokenize.Fold(buf[:0], w)
+	e, known := lexTable[string(key)]
+	if known && e.be {
+		return e.tag
 	}
-
 	if tg.Extra != nil {
-		if t, ok := foldProbe(tg.Extra, w); ok {
+		if t, ok := tg.Extra[string(key)]; ok {
 			return t
 		}
 	}
-
 	switch {
 	case foldEq(w, "to"):
 		return TO
 	case foldEq(w, "there"):
 		return EX // repaired to RB contextually when not followed by be
-	case probe(determiners, w):
-		return DT
-	case probe(modals, w):
-		return MD
-	case probe(possessivePronouns, w):
-		return PRPS
-	case probe(pronouns, w):
-		return PRP
-	case probe(conjunctions, w):
-		return CC
-	case probe(prepositions, w):
-		return IN
-	}
-	if t, ok := foldProbe(whWords, w); ok {
-		return t
-	}
-	if t, ok := foldProbe(irregularVerbs, w); ok {
-		return t
-	}
-	if t, ok := foldProbe(lexicon, w); ok {
-		return t
+	case known:
+		return e.tag
 	}
 
 	// Unknown word: capitalized non-sentence-initial words are proper
@@ -160,12 +189,6 @@ func (tg *Tagger) lexical(tok tokenize.Token, first bool) Tag {
 		return NNP
 	}
 	return suffixTag(w)
-}
-
-// probe is foldProbe for set-style bool maps, dropping the ok result.
-func probe(m map[string]bool, s string) bool {
-	v, _ := foldProbe(m, s)
-	return v
 }
 
 // suffixTag guesses a tag for an unknown word from morphology. Suffix
@@ -350,7 +373,8 @@ func dtChainBefore(ts []TaggedToken, i int) bool {
 }
 
 // isLinkingLike reports whether the token at position j is a be-form or a
-// linking verb ("seem", "look", "feel", "taste", "smell", ...).
+// linking verb ("seem", "look", "feel", "taste", "smell", ...). The tag
+// is tested before the lemma, so only verbs are lemmatized.
 func isLinkingLike(ts []TaggedToken, j int) bool {
 	if j < 0 || j >= len(ts) {
 		return false
@@ -358,12 +382,25 @@ func isLinkingLike(ts []TaggedToken, j int) bool {
 	if _, ok := foldProbe(beForms, ts[j].Text); ok {
 		return true
 	}
-	// Mid-sentence verbs are already lower-case, so this ToLower is
-	// normally a no-op that returns its input without allocating.
-	switch VerbLemma(strings.ToLower(ts[j].Text)) {
-	case "seem", "look", "feel", "taste", "smell", "appear", "sound",
-		"remain", "stay", "become", "get", "turn", "prove", "grow":
-		return ts[j].Tag.IsVerb()
+	return ts[j].Tag.IsVerb() && isLinkingVerb(ts[j].Text)
+}
+
+// linkingVerbs are the lemmas isLinkingLike accepts.
+var linkingVerbs = []string{
+	"seem", "look", "feel", "taste", "smell", "appear", "sound",
+	"remain", "stay", "become", "get", "turn", "prove", "grow",
+}
+
+// isLinkingVerb reports whether VerbLemma(w) is one of linkingVerbs
+// without building the lemma: it is compared in the two parts
+// lemmaParts returns, and the lower-cased word lives on the stack.
+func isLinkingVerb(w string) bool {
+	var buf [32]byte
+	stem, suffix := lemmaParts(string(tokenize.Fold(buf[:0], w)))
+	for _, v := range linkingVerbs {
+		if len(v) == len(stem)+len(suffix) && v[:len(stem)] == stem && v[len(stem):] == suffix {
+			return true
+		}
 	}
 	return false
 }

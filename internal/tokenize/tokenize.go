@@ -147,24 +147,37 @@ func (tk *Tokenizer) Tokenize(text string) []Token {
 // AppendTokens appends the tokens of text to dst and returns the extended
 // slice. Callers that retain dst across documents (resetting with dst[:0])
 // amortize token storage to zero steady-state allocations.
+//
+// Each byte's class comes from one table load, and the costly lookaheads
+// run only where they can succeed: a URL only at a byte that can start
+// one ('h', 'f' or 'w' in either case), an e-mail address only while an
+// '@' lies ahead, and the contraction split only in a word that holds an
+// apostrophe.
 func (tk *Tokenizer) AppendTokens(dst []Token, text string) []Token {
 	textsTokenized.Inc()
 	tokens := dst
 	n := len(text)
+	// nextAt is the offset of the first '@' at or after i, or n when the
+	// rest of the text has none; it moves only when i passes it.
+	nextAt := atOrEnd(text, 0)
 	i := 0
 	for i < n {
 		c := text[i]
+		class := byteClass[c]
+		if i > nextAt {
+			nextAt = atOrEnd(text, i)
+		}
 		switch {
-		case isSpaceByte(c):
+		case class&classSpace != 0:
 			i++
-		case isDigitByte(c):
+		case class&classDigit != 0:
 			j := i + 1
 			for j < n && (isDigitByte(text[j]) || (text[j] == '.' && j+1 < n && isDigitByte(text[j+1])) || text[j] == ',') {
 				j++
 			}
 			tokens = append(tokens, Token{Text: text[i:j], Start: i, End: j, Kind: Number})
 			i = j
-		case hasURLPrefix(text[i:]):
+		case class&classURLStart != 0 && hasURLPrefix(text[i:]):
 			j := i
 			for j < n && !isSpaceByte(text[j]) {
 				j++
@@ -176,7 +189,7 @@ func (tk *Tokenizer) AppendTokens(dst []Token, text string) []Token {
 			}
 			tokens = append(tokens, Token{Text: text[i:j], Start: i, End: j, Kind: Symbol})
 			i = j
-		case isEmailAhead(text, i):
+		case nextAt < n && isEmailAhead(text, i):
 			j := i
 			for j < n && (isLetterByte(text[j]) || isDigitByte(text[j]) ||
 				text[j] == '.' || text[j] == '@' || text[j] == '-' || text[j] == '_') {
@@ -187,12 +200,22 @@ func (tk *Tokenizer) AppendTokens(dst []Token, text string) []Token {
 			}
 			tokens = append(tokens, Token{Text: text[i:j], Start: i, End: j, Kind: Symbol})
 			i = j
-		case isLetterByte(c):
+		case class&classLetter != 0:
 			j := i + 1
-			for j < n && (isLetterByte(text[j]) || isDigitByte(text[j]) ||
-				(text[j] == '-' && j+1 < n && isLetterByte(text[j+1])) ||
-				(text[j] == '\'' && j+1 < n && isLetterByte(text[j+1])) ||
-				(text[j] == '.' && j+1 < n && isLetterByte(text[j+1]) && looksLikeAbbrevSoFar(text[i:j+1]))) {
+			apostrophe := false
+			for j < n {
+				d := text[j]
+				if byteClass[d]&(classLetter|classDigit) != 0 {
+					j++
+					continue
+				}
+				// '-', '\'' and an abbreviation's '.' stay inside a word
+				// when a letter follows.
+				if j+1 >= n || byteClass[text[j+1]]&classLetter == 0 ||
+					!(d == '-' || d == '\'' || d == '.' && looksLikeAbbrevSoFar(text[i:j+1])) {
+					break
+				}
+				apostrophe = apostrophe || d == '\''
 				j++
 			}
 			// Trailing period kept only for known abbreviations, so that
@@ -200,7 +223,11 @@ func (tk *Tokenizer) AppendTokens(dst []Token, text string) []Token {
 			if j < n && text[j] == '.' && isAbbreviation(text[i:j+1]) {
 				j++
 			}
-			tokens = appendWordTokens(tokens, text[i:j], i)
+			if apostrophe {
+				tokens = appendWordTokens(tokens, text[i:j], i)
+			} else {
+				tokens = append(tokens, Token{Text: text[i:j], Start: i, End: j, Kind: Word})
+			}
 			i = j
 		default:
 			// Single-character punctuation or symbol token. Collapse runs
@@ -224,6 +251,45 @@ func (tk *Tokenizer) AppendTokens(dst []Token, text string) []Token {
 	}
 	return tokens
 }
+
+// atOrEnd returns the offset of the first '@' in text at or after i, or
+// len(text) when there is none.
+func atOrEnd(text string, i int) int {
+	if k := strings.IndexByte(text[i:], '@'); k >= 0 {
+		return i + k
+	}
+	return len(text)
+}
+
+// Byte classes of the tokenizer's main loop, one table load per byte.
+const (
+	classSpace    = 1 << iota // isSpaceByte
+	classDigit                // isDigitByte
+	classLetter               // isLetterByte: ASCII letters and every byte >= 0x80
+	classURLStart             // a byte hasURLPrefix can match first
+)
+
+// byteClass is built from the byte predicates, so the table and the
+// predicates the lookaheads use cannot disagree.
+var byteClass = func() (t [256]uint8) {
+	for i := range t {
+		c := byte(i)
+		if isSpaceByte(c) {
+			t[i] |= classSpace
+		}
+		if isDigitByte(c) {
+			t[i] |= classDigit
+		}
+		if isLetterByte(c) {
+			t[i] |= classLetter
+		}
+		switch c | 0x20 {
+		case 'h', 'f', 'w':
+			t[i] |= classURLStart
+		}
+	}
+	return t
+}()
 
 // looksLikeAbbrevSoFar reports whether a partial word containing an
 // internal period could still be an abbreviation like "e.g" or "U.S":
@@ -270,9 +336,9 @@ func isAbbreviation(s string) bool {
 	return abbreviations[string(buf[:len(s)])]
 }
 
-// appendWordTokens appends a word to dst, splitting possessives and
-// contractions off the end. The pieces share the byte span boundaries of
-// the original word.
+// appendWordTokens appends a word that holds an apostrophe to dst,
+// splitting possessives and contractions off the end. The pieces share
+// the byte span boundaries of the original word.
 func appendWordTokens(dst []Token, word string, start int) []Token {
 	for _, suf := range contractionSuffixes {
 		if len(word) > len(suf) && equalFoldASCII(word[len(word)-len(suf):], suf) {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"webfountain/internal/chunk"
 	"webfountain/internal/cluster"
@@ -23,10 +24,12 @@ import (
 )
 
 // Per-stage latency histograms of the mining pipeline, resolved once.
-// Mode 2 (named entities) exercises every stage separately; mode 1
-// (predefined subjects) folds POS tagging and chunking into the
-// sentiment stage, because its analyzer tags and chunks internally per
-// subject context.
+// Each takes one sample per document: the sum of that stage's time over
+// the document's sentences, measured with one clock read per stage
+// boundary (metrics.Laps). Mode 2 (named entities) exercises every stage
+// separately; mode 1 (predefined subjects) folds POS tagging and
+// chunking into the sentiment stage, because its analyzer tags and
+// chunks internally per subject context.
 var (
 	stageTokenize  = metrics.Default().Stage(metrics.StageTokenize)
 	stagePOS       = metrics.Default().Stage(metrics.StagePOS)
@@ -230,21 +233,22 @@ func (m *SentimentMiner) AnalyzeText(text string) []SubjectSentiment {
 func (m *SentimentMiner) analyzeEntity(docID, text string, toks []tokenize.Token) []SubjectSentiment {
 	a := m.arena()
 	defer m.arenas.Put(a)
-	doc := docPipelineNs.Start()
-	tok := stageTokenize.Start()
+	laps := metrics.StartLaps()
 	if toks == nil {
 		a.tokens = m.tk.AppendTokens(a.tokens[:0], text)
 		toks = a.tokens
 	}
 	a.sents = m.tk.AppendSentences(a.sents[:0], toks)
-	tok.End()
+	var tok time.Duration
+	laps.Lap(&tok)
+	stageTokenize.ObserveDuration(tok)
 	var out []SubjectSentiment
 	if m.spot != nil {
-		out = m.mineWithSubjects(a, toks, docID, text)
+		out = m.mineWithSubjects(a, &laps, toks, docID, text)
 	} else {
-		out = m.mineEntities(a, docID, text)
+		out = m.mineEntities(a, &laps, docID, text)
 	}
-	doc.End()
+	docPipelineNs.ObserveDuration(laps.Elapsed())
 	minedDocs.Inc()
 	minedFacts.Add(int64(len(out)))
 	return out
@@ -252,8 +256,11 @@ func (m *SentimentMiner) analyzeEntity(docID, text string, toks []tokenize.Token
 
 // mineWithSubjects is mode 1: spot subjects, disambiguate, build a
 // sentiment context per spot and analyze it.
-func (m *SentimentMiner) mineWithSubjects(a *pipelineArena, toks []tokenize.Token, docID, text string) []SubjectSentiment {
-	var out []SubjectSentiment
+func (m *SentimentMiner) mineWithSubjects(a *pipelineArena, laps *metrics.Laps, toks []tokenize.Token, docID, text string) []SubjectSentiment {
+	var (
+		out                   []SubjectSentiment
+		spot, disamb, analyze time.Duration
+	)
 	// Sentences partition the document token stream, so a running offset
 	// turns sentence-local token indices into document-level ones for the
 	// disambiguator's local window.
@@ -261,11 +268,10 @@ func (m *SentimentMiner) mineWithSubjects(a *pipelineArena, toks []tokenize.Toke
 	for _, s := range a.sents {
 		sentOffset := offset
 		offset += len(s.Tokens)
-		sspan := stageSpot.Start()
 		a.spots = m.spot.AppendSpots(a.spots[:0], s.Tokens, -1)
 		spotter.Sort(a.spots)
 		a.keep = maximalInto(a.keep[:0], a.spots)
-		sspan.End()
+		laps.Lap(&spot)
 		clear(a.seen)
 		for _, sp := range a.keep {
 			if a.seen[sp.SetID] {
@@ -273,68 +279,63 @@ func (m *SentimentMiner) mineWithSubjects(a *pipelineArena, toks []tokenize.Toke
 			}
 			a.seen[sp.SetID] = true
 			if d, ok := m.disamb[sp.SetID]; ok {
-				dspan := stageDisambig.Start()
 				a.one[0] = spotter.Spot{
 					SetID: sp.SetID, Term: sp.Term,
 					Start: sentOffset + sp.Start, End: sentOffset + sp.End,
 				}
 				kept := d.Filter(toks, a.one[:])
-				dspan.End()
+				laps.Lap(&disamb)
 				if len(kept) == 0 {
 					continue
 				}
 			}
-			span := stageSentiment.Start()
 			ctx := sentiment.BuildContext(a.sents, s.Index, m.cfg.ContextWindow, sp.Start, sp.End)
-			hits, ok := m.analyzer.SubjectSentimentInto(&a.sa, m.tagger, ctx)
-			span.End()
-			if !ok {
-				continue
+			if hits, ok := m.analyzer.SubjectSentimentInto(&a.sa, m.tagger, ctx); ok {
+				for _, h := range hits {
+					out = append(out, SubjectSentiment{
+						Subject:  sp.SetID,
+						Polarity: h.Polarity,
+						DocID:    docID,
+						Sentence: s.Index,
+						Snippet:  text[s.Start:s.End], // verbatim span: no render
+						Start:    s.Start,
+						End:      s.End,
+						Pattern:  h.Pattern,
+						Feature:  h.Target,
+					})
+				}
 			}
-			for _, h := range hits {
-				out = append(out, SubjectSentiment{
-					Subject:  sp.SetID,
-					Polarity: h.Polarity,
-					DocID:    docID,
-					Sentence: s.Index,
-					Snippet:  text[s.Start:s.End], // verbatim span: no render
-					Start:    s.Start,
-					End:      s.End,
-					Pattern:  h.Pattern,
-					Feature:  h.Target,
-				})
-			}
+			laps.Lap(&analyze)
 		}
 	}
+	stageSpot.ObserveDuration(spot)
+	if len(m.disamb) > 0 {
+		stageDisambig.ObserveDuration(disamb)
+	}
+	stageSentiment.ObserveDuration(analyze)
 	return out
 }
 
 // mineEntities is mode 2's analysis half: named entities become subjects;
 // every sentiment-bearing sentence contributes (entity, polarity) facts.
-func (m *SentimentMiner) mineEntities(a *pipelineArena, docID, text string) []SubjectSentiment {
-	var out []SubjectSentiment
+func (m *SentimentMiner) mineEntities(a *pipelineArena, laps *metrics.Laps, docID, text string) []SubjectSentiment {
+	var (
+		out                       []SubjectSentiment
+		spot, tag, chunk, analyze time.Duration
+	)
 	for _, s := range a.sents {
-		sspan := stageSpot.Start()
 		a.ents = m.nespot.AppendEntities(a.ents[:0], s.Tokens, -1)
-		sspan.End()
+		laps.Lap(&spot)
 		if len(a.ents) == 0 {
 			continue
 		}
-		pspan := stagePOS.Start()
 		a.tagged = m.tagger.AppendTags(a.tagged[:0], s.Tokens)
-		pspan.End()
-		cspan := stageChunk.Start()
+		laps.Lap(&tag)
 		clauses := a.ck.ClausesInto(&a.cs, a.tagged)
-		cspan.End()
-		aspan := stageSentiment.Start()
+		laps.Lap(&chunk)
 		a.assigns = m.analyzer.AppendAssignments(a.assigns[:0], clauses)
-		aspan.End()
-		assignments := a.assigns
-		if len(assignments) == 0 {
-			continue
-		}
 		for _, e := range a.ents {
-			a.hits = sentiment.AppendForSpan(a.hits[:0], assignments, e.Start, e.End)
+			a.hits = sentiment.AppendForSpan(a.hits[:0], a.assigns, e.Start, e.End)
 			for _, h := range a.hits {
 				out = append(out, SubjectSentiment{
 					Subject:  e.Text,
@@ -349,7 +350,12 @@ func (m *SentimentMiner) mineEntities(a *pipelineArena, docID, text string) []Su
 				})
 			}
 		}
+		laps.Lap(&analyze)
 	}
+	stageSpot.ObserveDuration(spot)
+	stagePOS.ObserveDuration(tag)
+	stageChunk.ObserveDuration(chunk)
+	stageSentiment.ObserveDuration(analyze)
 	return out
 }
 

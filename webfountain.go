@@ -591,15 +591,31 @@ func lendP() (giveBack func()) {
 // XML's character range — with U+FFFD, so the text that is tokenized and
 // mined, the text that is logged and the text a restart replays are the
 // same bytes, and a byte span recorded against one holds in the others.
-// Clean text is returned as is, without a copy.
+// Clean text is returned as is, without a copy: a byte scan passes
+// printable ASCII, tab, LF and CR, and the rune mapping runs only from
+// the first other byte.
 func sanitizeText(text string) string {
-	return strings.Map(func(r rune) rune {
+	i := 0
+	for i < len(text) {
+		if c := text[i]; c >= 0x80 || c < 0x20 && c != '\t' && c != '\n' && c != '\r' {
+			break
+		}
+		i++
+	}
+	if i == len(text) {
+		return text
+	}
+	tail := strings.Map(func(r rune) rune {
 		if r == 0x09 || r == 0x0A || r == 0x0D || r >= 0x20 && r <= 0xD7FF ||
 			r >= 0xE000 && r <= 0xFFFD || r >= 0x10000 && r <= 0x10FFFF {
 			return r // an invalid byte arrives as U+FFFD and is written out as one
 		}
 		return utf8.RuneError
-	}, text)
+	}, text[i:])
+	if tail == text[i:] {
+		return text
+	}
+	return text[:i] + tail
 }
 
 // NumEntities returns the number of stored documents.

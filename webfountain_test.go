@@ -3,6 +3,8 @@ package webfountain
 import (
 	"strings"
 	"testing"
+
+	"webfountain/internal/metrics"
 )
 
 func TestPlatformIngestAndSearch(t *testing.T) {
@@ -47,6 +49,38 @@ func TestMinerAdHocTextEntityMode(t *testing.T) {
 	}
 	if bysubj["CLIE"] != Negative {
 		t.Errorf("CLIE = %v (%+v)", bysubj["CLIE"], facts)
+	}
+}
+
+// TestStageHistogramsOnePerDocument: every stage histogram takes one
+// sample per analyzed document, however many sentences reach the stage,
+// in both modes.
+func TestStageHistogramsOnePerDocument(t *testing.T) {
+	text := "The NR70 takes excellent pictures. The CLIE disappointed every reviewer. The NR70 has a great screen."
+	for _, c := range []struct {
+		cfg    MinerConfig
+		stages []*metrics.Histogram
+	}{
+		{MinerConfig{}, []*metrics.Histogram{stageTokenize, stageSpot, stagePOS, stageChunk, stageSentiment, docPipelineNs}},
+		{MinerConfig{Subjects: []Subject{{Canonical: "NR70"}, {Canonical: "CLIE", OnTopic: []string{"reviewer"}}}},
+			[]*metrics.Histogram{stageTokenize, stageSpot, stageDisambig, stageSentiment, docPipelineNs}},
+	} {
+		m, err := NewSentimentMiner(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := make([]int64, len(c.stages))
+		for i, h := range c.stages {
+			before[i] = h.Count()
+		}
+		if facts := m.AnalyzeText(text); len(facts) < 2 {
+			t.Fatalf("%d facts from three sentiment-bearing sentences", len(facts))
+		}
+		for i, h := range c.stages {
+			if got := h.Count() - before[i]; got != 1 {
+				t.Errorf("subjects mode %v: stage %d took %d samples for one document, want 1", len(c.cfg.Subjects) > 0, i, got)
+			}
+		}
 	}
 }
 
