@@ -12,8 +12,12 @@ package webfountain
 // numbers.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +30,7 @@ import (
 	"webfountain/internal/miners"
 	"webfountain/internal/pos"
 	"webfountain/internal/sentiment"
+	"webfountain/internal/serve"
 	"webfountain/internal/services"
 	"webfountain/internal/spotter"
 	storepkg "webfountain/internal/store"
@@ -306,6 +311,55 @@ func BenchmarkMinerAnalyzeBulk(b *testing.B) {
 		m.analyzeEntity("", texts[i%len(texts)], nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/doc")
+}
+
+// BenchmarkGatewayIngestBulk measures the whole server-side ingest path
+// of cmd/wfserver in process: the gateway reads and decodes a
+// 32-document bulk body, the serving tier analyzes each document and
+// folds its facts, and the durable store commits the batch (one WAL
+// write and fsync, in a temporary directory). It reports microseconds
+// per document.
+func BenchmarkGatewayIngestBulk(b *testing.B) {
+	const batch = 32
+	p, err := OpenPlatform(PlatformConfig{DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	m, err := NewSentimentMiner(MinerConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tier, _, err := RecoverServingTier(p, m, ServingTierConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := NewServingGateway(tier, ServingGatewayConfig{TenantRate: 1e9, TenantBurst: 1 << 30})
+	texts := bulkTexts(2 * batch)
+	var bodies [][]byte
+	for i := 0; i < len(texts); i += batch {
+		var req struct {
+			Docs []serve.Doc `json:"docs"`
+		}
+		for k, text := range texts[i : i+batch] {
+			req.Docs = append(req.Docs, serve.Doc{Source: "review", Title: fmt.Sprintf("bulk %d", i+k), Date: "2004-03-02", Text: text})
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	b.SetBytes(int64(len(bodies[0])))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/ingest", bytes.NewReader(bodies[i%len(bodies)])))
+		if w.Code != http.StatusOK {
+			b.Fatalf("ingest: status %d: %s", w.Code, w.Body)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/doc")
 }
 
 // BenchmarkMinerRun measures end-to-end parallel mining over a platform.

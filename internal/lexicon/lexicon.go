@@ -61,7 +61,7 @@ func (p Polarity) Flip() Polarity { return -p }
 type Entry struct {
 	// Term is the lower-cased lexical entry, possibly multi-word.
 	Term string
-	// POS is the required part-of-speech tag. An empty POS matches any tag.
+	// POS is the required part-of-speech tag. The zero POS matches any tag.
 	POS pos.Tag
 	// Pol is the sentiment category.
 	Pol Polarity
@@ -152,7 +152,7 @@ func (lx *Lexicon) Len() int { return len(lx.entries) }
 func (lx *Lexicon) MaxWords() int { return lx.maxWords }
 
 // Lookup returns the polarity of term under the given POS tag. A tag-less
-// entry (POS == "") matches any tag; noun-tag entries match all noun tags,
+// entry (POS == 0) matches any tag; noun-tag entries match all noun tags,
 // adjective entries all adjective grades, and verb entries all inflections,
 // mirroring how the paper's tagger-agnostic entries behave.
 func (lx *Lexicon) Lookup(term string, tag pos.Tag) (Polarity, bool) {
@@ -169,7 +169,7 @@ func (lx *Lexicon) lookupLower(term string, tag pos.Tag) (Polarity, bool) {
 	var wildcard *Entry
 	for i := range list {
 		e := &list[i]
-		if e.POS == "" {
+		if e.POS == 0 {
 			wildcard = e
 			continue
 		}
@@ -296,35 +296,35 @@ func (lx *Lexicon) phraseTrie() *phraseTrie {
 	return t
 }
 
-// lookupPhraseCands bounds the per-call match stack: one candidate per
-// length, so it caps the longest usable entry. Embedded entries top out
-// at a few words; anything longer falls back to the allocating scan.
+// lookupPhraseCands is how many candidates LookupPhrase keeps on the
+// stack: one per matched length. Past that, append moves them to the
+// heap.
 const lookupPhraseCands = 16
+
+// phraseCand is one entry term the walk matched at the start position.
+type phraseCand struct{ pattern, length int32 }
 
 // LookupPhrase scans tagged tokens [i, len) for the longest lexicon entry
 // starting at i. It returns the polarity, the number of tokens consumed,
 // and whether a match was found.
 //
-// The scan walks the shared phrase automaton, so it allocates nothing:
-// candidate terms are resolved to interned entry keys instead of being
-// built with ToLower+Join per length per position.
+// The scan walks the shared phrase automaton, so it allocates nothing
+// while no entry is longer than lookupPhraseCands words: candidate terms
+// are resolved to interned entry keys instead of being built with
+// ToLower+Join per length per position.
 func (lx *Lexicon) LookupPhrase(tokens []pos.TaggedToken, i int) (Polarity, int, bool) {
-	if lx.maxWords > lookupPhraseCands {
-		return lx.lookupPhraseSlow(tokens, i)
-	}
 	t := lx.phraseTrie()
-	var pats, lens [lookupPhraseCands]int32
-	n := 0
+	var stack [lookupPhraseCands]phraseCand
+	cands := stack[:0] // append moves longer lists to the heap
 	t.m.WalkAt(len(tokens), i,
 		func(j int) uint32 { return t.m.Sym(tokens[j].Text) },
 		func(pattern, length int) bool {
-			pats[n], lens[n] = int32(pattern), int32(length)
-			n++
+			cands = append(cands, phraseCand{int32(pattern), int32(length)})
 			return true
 		})
-	for k := n - 1; k >= 0; k-- { // longest first
-		term := t.terms[pats[k]]
-		l := int(lens[k])
+	for k := len(cands) - 1; k >= 0; k-- { // longest first
+		term := t.terms[cands[k].pattern]
+		l := int(cands[k].length)
 		if pol, ok := lx.lookupLower(term, tokens[i].Tag); ok {
 			return pol, l, true
 		}
@@ -332,31 +332,7 @@ func (lx *Lexicon) LookupPhrase(tokens []pos.TaggedToken, i int) (Polarity, int,
 		// under exactly one reading, a POS mismatch is almost always the
 		// tagger misjudging an unknown word ("grimy" guessed as a noun),
 		// not a genuine sense distinction — accept the lone reading.
-		if list := lx.entries[term]; len(list) == 1 && tokens[i].Tag != "" {
-			return list[0].Pol, l, true
-		}
-	}
-	return Neutral, 0, false
-}
-
-// lookupPhraseSlow is the pre-automaton candidate scan, kept as the
-// fallback for absurdly long entries and as the reference implementation
-// the differential test checks the trie walk against.
-func (lx *Lexicon) lookupPhraseSlow(tokens []pos.TaggedToken, i int) (Polarity, int, bool) {
-	maxLen := lx.maxWords
-	if rem := len(tokens) - i; maxLen > rem {
-		maxLen = rem
-	}
-	for l := maxLen; l >= 1; l-- {
-		parts := make([]string, l)
-		for k := 0; k < l; k++ {
-			parts[k] = strings.ToLower(tokens[i+k].Text)
-		}
-		term := strings.Join(parts, " ")
-		if pol, ok := lx.Lookup(term, tokens[i].Tag); ok {
-			return pol, l, true
-		}
-		if list := lx.entries[term]; len(list) == 1 && tokens[i].Tag != "" {
+		if list := lx.entries[term]; len(list) == 1 && tokens[i].Tag != 0 {
 			return list[0].Pol, l, true
 		}
 	}
@@ -421,7 +397,8 @@ func parseLine(line string) (Entry, error) {
 	default:
 		return Entry{}, fmt.Errorf("bad polarity %q (want + or -)", fields[1])
 	}
-	return Entry{Term: strings.ToLower(term), POS: pos.Tag(fields[0]), Pol: pol}, nil
+	tag, _ := pos.ParseTag(fields[0]) // an unknown name matches no token
+	return Entry{Term: strings.ToLower(term), POS: tag, Pol: pol}, nil
 }
 
 // Load parses entries from r and adds them to the lexicon.

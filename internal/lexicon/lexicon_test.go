@@ -171,6 +171,54 @@ func TestAddOverride(t *testing.T) {
 	}
 }
 
+// TestEntryTagSemantics pins what the string-typed tag gave for free:
+// an entry whose POS is the zero tag ("" in the line format's days) is a
+// wildcard that matches every tag, and an entry whose POS name is not a
+// Penn tag ("XYZ", or lower-case "jj") parses and matches no token under
+// Lookup.
+func TestEntryTagSemantics(t *testing.T) {
+	lx := Default()
+	lx.Add(Entry{Term: "zorpy", Pol: Positive})
+	if err := lx.Load(strings.NewReader("\"glorbish\" XYZ +\nsnarfy jj -\n")); err != nil {
+		t.Fatal(err)
+	}
+	tags := []pos.Tag{0}
+	for i := 1; ; i++ {
+		tag, ok := pos.ParseTag(pos.Tag(i).String())
+		if !ok {
+			break
+		}
+		tags = append(tags, tag)
+	}
+	if len(tags) < 30 {
+		t.Fatalf("only %d tags enumerated", len(tags))
+	}
+	for _, tag := range tags {
+		if pol, ok := lx.Lookup("zorpy", tag); !ok || pol != Positive {
+			t.Errorf("wildcard entry under %q: (%v, %v), want (+, true)", tag, pol, ok)
+		}
+		for _, term := range []string{"glorbish", "snarfy"} {
+			if pol, ok := lx.Lookup(term, tag); ok {
+				t.Errorf("entry with an unknown POS matched %q: %v", tag, pol)
+			}
+		}
+	}
+	if pol, ok := lx.Lookup("excellent", pos.JJ); !ok || pol != Positive {
+		t.Errorf("embedded entry lost: (%v, %v)", pol, ok)
+	}
+	// LookupPhrase's single-reading fallback accepts a lone reading
+	// whatever its POS, so an unknown-POS entry is found there under any
+	// real tag, and never under the zero tag.
+	toks := []pos.TaggedToken{{Token: tokenize.Token{Text: "Glorbish"}, Tag: pos.NN}}
+	if pol, l, ok := lx.LookupPhrase(toks, 0); !ok || l != 1 || pol != Positive {
+		t.Errorf("single-reading fallback: (%v, %d, %v)", pol, l, ok)
+	}
+	toks[0].Tag = 0
+	if _, _, ok := lx.LookupPhrase(toks, 0); ok {
+		t.Error("untagged token matched an unknown-POS entry")
+	}
+}
+
 func TestNoContradictoryDefaultEntries(t *testing.T) {
 	seen := map[string]Polarity{}
 	for _, e := range defaultEntries() {

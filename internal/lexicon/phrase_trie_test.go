@@ -25,15 +25,89 @@ func vocabWords(lx *Lexicon) []string {
 	return words
 }
 
+// lookupPhraseSlow is the pre-automaton candidate scan: for each length
+// from the longest entry's down to one, build the ToLower+Join term and
+// look it up. It is the reference the trie walk is checked against.
+func (lx *Lexicon) lookupPhraseSlow(tokens []pos.TaggedToken, i int) (Polarity, int, bool) {
+	maxLen := lx.maxWords
+	if rem := len(tokens) - i; maxLen > rem {
+		maxLen = rem
+	}
+	for l := maxLen; l >= 1; l-- {
+		parts := make([]string, l)
+		for k := 0; k < l; k++ {
+			parts[k] = strings.ToLower(tokens[i+k].Text)
+		}
+		term := strings.Join(parts, " ")
+		if pol, ok := lx.Lookup(term, tokens[i].Tag); ok {
+			return pol, l, true
+		}
+		if list := lx.entries[term]; len(list) == 1 && tokens[i].Tag != 0 {
+			return list[0].Pol, l, true
+		}
+	}
+	return Neutral, 0, false
+}
+
 // TestLookupPhraseMatchesSlowPath drives the trie walk and the original
 // ToLower+Join candidate scan over random token streams drawn from the
 // lexicon's own vocabulary (plus noise) and requires identical results at
 // every position.
 func TestLookupPhraseMatchesSlowPath(t *testing.T) {
 	lx := Default()
+	checkLookupPhraseMatchesSlowPath(t, lx)
+}
+
+// TestLookupPhraseLongEntry: an entry with more words than the walk
+// keeps on the stack is still found, longest first, exactly where the
+// reference scan finds it, prefixes and all.
+func TestLookupPhraseLongEntry(t *testing.T) {
+	lx := Default()
+	long := strings.Fields("the battery died after one week and the shop said " +
+		"the warranty does not cover a battery that stopped working")
+	if len(long) != 20 {
+		t.Fatalf("long entry has %d words, want 20", len(long))
+	}
+	lx.Add(Entry{Term: strings.Join(long, " "), POS: pos.DT, Pol: Negative})
+	lx.Add(Entry{Term: strings.Join(long[:17], " "), POS: pos.DT, Pol: Positive})
+	if lx.MaxWords() <= lookupPhraseCands {
+		t.Fatalf("MaxWords %d does not exceed the %d stack candidates", lx.MaxWords(), lookupPhraseCands)
+	}
+	var toks []pos.TaggedToken
+	for _, w := range append([]string{"Frankly", ","}, long...) {
+		toks = append(toks, pos.TaggedToken{Token: tokenize.Token{Text: strings.ToUpper(w)}, Tag: pos.DT})
+	}
+	for _, tc := range []struct {
+		toks     []pos.TaggedToken
+		pol      Polarity
+		consumed int
+	}{
+		{toks, Negative, 20},
+		{toks[:21], Positive, 17}, // one word short of the long entry
+		{toks[:19], Positive, 17},
+		{toks[:18], Neutral, 0},
+	} {
+		pol, l, ok := lx.LookupPhrase(tc.toks, 2)
+		if pol != tc.pol || l != tc.consumed || ok != (tc.consumed > 0) {
+			t.Errorf("%d tokens: got (%v,%d,%v), want (%v,%d)", len(tc.toks), pol, l, ok, tc.pol, tc.consumed)
+		}
+		for i := range tc.toks {
+			gp, gl, gok := lx.LookupPhrase(tc.toks, i)
+			wp, wl, wok := lx.lookupPhraseSlow(tc.toks, i)
+			if gp != wp || gl != wl || gok != wok {
+				t.Fatalf("%d tokens, pos %d: trie (%v,%d,%v) != slow (%v,%d,%v)",
+					len(tc.toks), i, gp, gl, gok, wp, wl, wok)
+			}
+		}
+	}
+	checkLookupPhraseMatchesSlowPath(t, lx)
+}
+
+func checkLookupPhraseMatchesSlowPath(t *testing.T, lx *Lexicon) {
+	t.Helper()
 	words := vocabWords(lx)
 	noise := []string{"the", "a", "zzz", "Frobnicate", ",", ".", "it"}
-	tags := []pos.Tag{pos.NN, pos.NNS, pos.JJ, pos.JJR, pos.VB, pos.VBN, pos.RB, pos.DT, ""}
+	tags := []pos.Tag{pos.NN, pos.NNS, pos.JJ, pos.JJR, pos.VB, pos.VBN, pos.RB, pos.DT, 0}
 
 	for _, seed := range []int64{1, 42, 20050405} {
 		rng := rand.New(rand.NewSource(seed))

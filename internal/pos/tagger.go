@@ -239,7 +239,7 @@ func applyContextRules(ts []TaggedToken) {
 	n := len(ts)
 	at := func(i int) Tag {
 		if i < 0 || i >= n {
-			return ""
+			return 0
 		}
 		return ts[i].Tag
 	}

@@ -72,7 +72,7 @@ func TestTagContractedNegation(t *testing.T) {
 	tagged := tagOf(t, "The menu doesn't respond.")
 	joined := ""
 	for _, tt := range tagged {
-		joined += string(tt.Tag) + " "
+		joined += tt.Tag.String() + " "
 	}
 	if !strings.Contains(joined, "RB") {
 		t.Errorf("expected RB for n't in %s", joined)
@@ -218,6 +218,41 @@ func TestTagIsNounIsVerbHelpers(t *testing.T) {
 	}
 }
 
+// TestTagNamesRoundTrip: every tag renders its Penn Treebank name and
+// ParseTag reads it back; the zero Tag renders "" and parses from it,
+// and a name outside the tagset parses to a tag no constant holds.
+func TestTagNamesRoundTrip(t *testing.T) {
+	names := map[Tag]string{
+		CC: "CC", CD: "CD", DT: "DT", EX: "EX", FW: "FW", IN: "IN",
+		JJ: "JJ", JJR: "JJR", JJS: "JJS", MD: "MD", NN: "NN", NNS: "NNS",
+		NNP: "NNP", NNPS: "NNPS", PDT: "PDT", POS: "POS", PRP: "PRP",
+		PRPS: "PRP$", RB: "RB", RBR: "RBR", RBS: "RBS", RP: "RP", TO: "TO",
+		UH: "UH", VB: "VB", VBD: "VBD", VBG: "VBG", VBN: "VBN", VBP: "VBP",
+		VBZ: "VBZ", WDT: "WDT", WP: "WP", WRB: "WRB", SYM: "SYM", PCT: ".",
+		0: "",
+	}
+	if len(names) != int(unknownTag) {
+		t.Fatalf("table names %d tags, the tagset has %d", len(names), unknownTag)
+	}
+	for tag, name := range names {
+		if got := tag.String(); got != name {
+			t.Errorf("Tag(%d).String() = %q, want %q", uint8(tag), got, name)
+		}
+		if got, ok := ParseTag(name); !ok || got != tag {
+			t.Errorf("ParseTag(%q) = %d, %v; want %d", name, uint8(got), ok, uint8(tag))
+		}
+	}
+	for _, name := range []string{"XYZ", "jj", "nn", "PRPS", " JJ", "?"} {
+		got, ok := ParseTag(name)
+		if ok {
+			t.Errorf("ParseTag(%q) accepted it as %q", name, got)
+		}
+		if _, known := names[got]; known {
+			t.Errorf("ParseTag(%q) = %q, a tag the tagger emits", name, got)
+		}
+	}
+}
+
 // Benchmark-quality accuracy check on a fixed mini-treebank of sentences in
 // the style of the corpora. Requires >= 95% token accuracy.
 func TestTagAccuracyOnMiniTreebank(t *testing.T) {
@@ -278,7 +313,7 @@ func TestQuickOneTagPerToken(t *testing.T) {
 			return false
 		}
 		for _, tt := range tagged {
-			if tt.Tag == "" {
+			if tt.Tag == 0 {
 				return false
 			}
 		}

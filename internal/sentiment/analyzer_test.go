@@ -291,9 +291,9 @@ func TestBuildContextClampsWindow(t *testing.T) {
 
 func TestCustomLexiconAndPatterns(t *testing.T) {
 	lx := lexicon.New()
-	// POS "" is the wildcard: it matches any tag, which is what a user
+	// POS 0 is the wildcard: it matches any tag, which is what a user
 	// wants for invented vocabulary the tagger cannot classify.
-	lx.Add(lexicon.Entry{Term: "zorpy", POS: "", Pol: lexicon.Positive})
+	lx.Add(lexicon.Entry{Term: "zorpy", POS: 0, Pol: lexicon.Positive})
 	db := patterns.NewDB()
 	if err := db.Load(strings.NewReader("be CP SP")); err != nil {
 		t.Fatal(err)

@@ -89,6 +89,9 @@ type GatewayConfig struct {
 	MaxIngestBytes int64
 }
 
+// defaultMaxIngestBytes is GatewayConfig.MaxIngestBytes's default.
+const defaultMaxIngestBytes = 8 << 20
+
 // Gateway is the HTTP/JSON query API of the live serving tier:
 //
 //	GET  /api/subjects        — subject list with counts and share
@@ -121,7 +124,7 @@ func NewGateway(b Backend, cfg GatewayConfig) *Gateway {
 	}
 	maxIngest := cfg.MaxIngestBytes
 	if maxIngest == 0 {
-		maxIngest = 8 << 20
+		maxIngest = defaultMaxIngestBytes
 	}
 	g := &Gateway{
 		backend: b,
@@ -351,27 +354,26 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("store degraded (read-only): %s", reason))
 		return
 	}
-	if g.maxIngest > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, g.maxIngest)
+	body, err := readIngestBody(r.Body, r.ContentLength, g.maxIngest)
+	if errors.Is(err, errTooLarge) {
+		jsonError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", g.maxIngest))
+		return
 	}
-	var req struct {
-		Docs []Doc `json:"docs"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			jsonError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
+	if err != nil {
 		jsonError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if len(req.Docs) == 0 {
+	docs, err := decodeIngest(body)
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	if len(docs) == 0 {
 		jsonError(w, http.StatusBadRequest, "no documents")
 		return
 	}
-	ids, facts, err := g.backend.Ingest(r.Context(), req.Docs)
+	ids, facts, err := g.backend.Ingest(r.Context(), docs)
 	gwIngested.Add(int64(len(ids)))
 	w.Header().Set("Content-Type", "application/json")
 	if err != nil {

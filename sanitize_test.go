@@ -19,10 +19,13 @@ func refSanitizeText(text string) string {
 	}, text)
 }
 
-// TestSanitizeTextMatchesMap: the byte scan plus a mapped tail returns
-// what mapping the whole text returns, for every single byte after a
-// clean prefix, for invalid and out-of-range UTF-8, and for random
-// strings; and clean text comes back without an allocation.
+// TestSanitizeTextMatchesMap: the word-and-byte scan plus a mapped tail
+// returns what mapping the whole text returns, for every single byte
+// after a clean prefix, for each class of byte the scan must stop at (or
+// pass) at every offset after a clean run of 0 to 16 bytes, so that it
+// lands in the first word, the second word and the tail, for invalid and
+// out-of-range UTF-8, and for random strings; and clean text comes back
+// without an allocation.
 func TestSanitizeTextMatchesMap(t *testing.T) {
 	inputs := []string{
 		"", "plain text.\tTabs\r\nand newlines", "café", "naïve \x00 nul",
@@ -31,6 +34,19 @@ func TestSanitizeTextMatchesMap(t *testing.T) {
 	}
 	for c := 0; c < 256; c++ {
 		inputs = append(inputs, "clean prefix "+string([]byte{byte(c)})+" rest")
+	}
+	classes := []string{
+		"\x00", "\x1f", "\x7f", " ", "~", "\t", "\n", "\r", // controls, allowed and not, and ASCII edges
+		"\x80", "\xbf", "\xc3", "\xff", // stray and truncated bytes
+		"é", "€", "\U0001F600", // valid UTF-8 the scan must hand to the map
+		"\xed\xa0\x80", "\xef\xbf\xbe", "\xef\xbf\xbd", // surrogate, U+FFFE, U+FFFD
+	}
+	for n := 0; n <= 16; n++ {
+		for _, bad := range classes {
+			for _, rest := range []string{"", "x", "tail run", "a longer clean tail run"} {
+				inputs = append(inputs, strings.Repeat("a", n)+bad+rest)
+			}
+		}
 	}
 	for _, in := range inputs {
 		if got, want := sanitizeText(in), refSanitizeText(in); got != want {

@@ -591,16 +591,28 @@ func lendP() (giveBack func()) {
 // XML's character range — with U+FFFD, so the text that is tokenized and
 // mined, the text that is logged and the text a restart replays are the
 // same bytes, and a byte span recorded against one holds in the others.
-// Clean text is returned as is, without a copy: a byte scan passes
-// printable ASCII, tab, LF and CR, and the rune mapping runs only from
-// the first other byte.
+// Clean text is returned as is, without a copy: a scan passes printable
+// ASCII, tab, LF and CR, eight bytes at a time while a whole word is
+// printable ASCII, and the rune mapping runs only from the first other
+// byte.
 func sanitizeText(text string) string {
 	i := 0
+scan:
 	for i < len(text) {
-		if c := text[i]; c >= 0x80 || c < 0x20 && c != '\t' && c != '\n' && c != '\r' {
-			break
+		// A word is clean when no byte has its top bit set or lies below
+		// 0x20: subtracting 0x20 from every byte borrows into the top bit
+		// of the lowest byte that does.
+		if i+8 <= len(text) {
+			if w := load64(text[i:]); (w|(w-0x2020202020202020))&0x8080808080808080 == 0 {
+				i += 8
+				continue
+			}
 		}
-		i++
+		for end := min(i+8, len(text)); i < end; i++ {
+			if c := text[i]; c >= 0x80 || c < 0x20 && c != '\t' && c != '\n' && c != '\r' {
+				break scan
+			}
+		}
 	}
 	if i == len(text) {
 		return text
@@ -616,6 +628,14 @@ func sanitizeText(text string) string {
 		return text
 	}
 	return text[:i] + tail
+}
+
+// load64 returns s[:8] as a little-endian word; the compiler merges the
+// eight byte loads into one.
+func load64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // NumEntities returns the number of stored documents.
