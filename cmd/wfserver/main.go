@@ -1,10 +1,11 @@
 // Command wfserver hosts the sentiment mining results as a Web service —
 // the equivalent of the WebFountain application server behind Figures 4
 // and 5 of the paper. It ingests a generated corpus at startup and then
-// serves it live: queries come off incrementally-maintained materialized
-// aggregates behind a bounded result cache, and new documents POSTed to
-// the ingest endpoint are mined online, with the cache invalidated on
-// every batch.
+// serves it live: every page and query, HTML and JSON alike, renders
+// from one snapshot (View) of incrementally-maintained materialized
+// aggregates and their sentiment entries, the JSON behind a bounded
+// result cache, and new documents POSTed to the ingest endpoint are
+// mined online, with the cache invalidated on every batch.
 //
 //	GET  /                      — HTML overview: sentiment per subject
 //	GET  /subject?name=X        — HTML listing of sentiment-bearing
@@ -95,8 +96,8 @@ var subjectTmpl = template.Must(template.New("subject").Parse(`<!DOCTYPE html>
 <p><a href="/">back</a> — {{.Pos}} positive, {{.Neg}} negative</p>
 <ul>
 {{range .Entries}}
-<li class="{{if eq .Polarity 1}}plus{{else}}minus{{end}}">
-[{{if eq .Polarity 1}}+{{else}}−{{end}}] <b>{{.DocID}}</b> s{{.Sentence}}: {{.Snippet}}</li>
+<li class="{{if eq .Polarity "+"}}plus{{else}}minus{{end}}">
+[{{if eq .Polarity "+"}}+{{else}}−{{end}}] <b>{{.Doc}}</b> s{{.Sentence}}: {{.Snippet}}</li>
 {{end}}
 </ul></body></html>`))
 
@@ -121,12 +122,12 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound for draining in-flight requests")
 	flag.Parse()
 
-	miner, platform, tier, err := boot(*corpusName, *docs, *seed, *dataDir)
+	platform, tier, err := boot(*corpusName, *docs, *seed, *dataDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	mux := newMux(miner, platform, tier, serve.GatewayConfig{
+	mux := newMux(tier, serve.GatewayConfig{
 		CacheEntries:   *cacheEntries,
 		TenantRate:     *tenantRate,
 		TenantBurst:    *tenantBurst,
@@ -191,19 +192,19 @@ func main() {
 // same step as live ones. A store that already holds documents, or
 // -docs 0, seeds nothing.
 func boot(corpusName string, docs int, seed int64, dataDir string) (
-	*webfountain.SentimentMiner, *webfountain.Platform, *webfountain.ServingTier, error) {
+	*webfountain.Platform, *webfountain.ServingTier, error) {
 	var platform *webfountain.Platform
 	if dataDir == "" {
 		platform = webfountain.NewPlatform(webfountain.PlatformConfig{})
 	} else {
 		var err error
 		if platform, err = webfountain.OpenPlatform(webfountain.PlatformConfig{DataDir: dataDir}); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
-	fail := func(err error) (*webfountain.SentimentMiner, *webfountain.Platform, *webfountain.ServingTier, error) {
+	fail := func(err error) (*webfountain.Platform, *webfountain.ServingTier, error) {
 		platform.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	miner, err := webfountain.NewSentimentMiner(webfountain.MinerConfig{})
 	if err != nil {
@@ -227,16 +228,16 @@ func boot(corpusName string, docs int, seed int64, dataDir string) (
 			}
 		}
 	}
-	return miner, platform, tier, nil
+	return platform, tier, nil
 }
 
-// newMux wires the HTML views over the mined platform and mounts the
-// serving-tier gateway for the JSON API, the health probe and ingest.
-// The gateway handles its own caching, rate limiting and degraded-mode
-// semantics; backend is the serving tier (an indirection the tests use
-// to fake degraded mode).
-func newMux(miner *webfountain.SentimentMiner, platform *webfountain.Platform,
-	backend serve.Backend, cfg serve.GatewayConfig) *http.ServeMux {
+// newMux mounts the serving-tier gateway for the JSON API, the health
+// probe and ingest, and the HTML views beside it. The gateway handles
+// its own caching, rate limiting and degraded-mode semantics; each HTML
+// page renders from one View of the same backend, so it shows exactly
+// what the JSON API serves. backend is the serving tier (an indirection
+// the tests use to fake degraded mode).
+func newMux(backend serve.Backend, cfg serve.GatewayConfig) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		type row struct {
@@ -244,19 +245,16 @@ func newMux(miner *webfountain.SentimentMiner, platform *webfountain.Platform,
 			Pos, Neg int
 			Share    int
 		}
+		v := backend.View()
 		var rows []row
-		facts := 0
-		for _, s := range miner.Subjects() {
-			p, n := miner.Counts(s)
-			facts += p + n
-			// Rounded, not floored: a 99.9% share reads 100, not 99.
-			// One helper shared with the aggregate layer (serve.Counts).
-			rows = append(rows, row{Subject: s, Pos: p, Neg: n, Share: serve.SharePercent(p, n)})
+		for _, s := range v.Subjects() {
+			c := v.Counts(s)
+			rows = append(rows, row{Subject: s, Pos: c.Positive, Neg: c.Negative, Share: c.Share()})
 		}
 		data := struct {
 			Docs, Facts int
 			Rows        []row
-		}{platform.NumEntities(), facts, rows}
+		}{backend.NumDocs(), v.Facts(), rows}
 		if err := overviewTmpl.Execute(w, data); err != nil {
 			log.Print(err)
 		}
@@ -267,12 +265,13 @@ func newMux(miner *webfountain.SentimentMiner, platform *webfountain.Platform,
 			http.Error(w, "missing name parameter", http.StatusBadRequest)
 			return
 		}
-		p, n := miner.Counts(name)
+		v := backend.View()
+		c := v.Counts(name)
 		data := struct {
 			Name     string
 			Pos, Neg int
-			Entries  []webfountain.SubjectSentiment
-		}{name, p, n, miner.Query(name)}
+			Entries  []serve.Entry
+		}{name, c.Positive, c.Negative, v.Entries(name)}
 		if err := subjectTmpl.Execute(w, data); err != nil {
 			log.Print(err)
 		}

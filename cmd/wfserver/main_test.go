@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"html/template"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -26,13 +28,13 @@ func (d *degradable) Degraded() (bool, string) { return d.degraded, d.reason }
 
 func testServerCfg(t *testing.T, cfg serve.GatewayConfig) (*httptest.Server, *degradable) {
 	t.Helper()
-	miner, platform, tier, err := boot("pharma", 25, 3, "")
+	platform, tier, err := boot("pharma", 25, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { platform.Close() })
 	backend := &degradable{ServingTier: tier}
-	srv := httptest.NewServer(newMux(miner, platform, backend, cfg))
+	srv := httptest.NewServer(newMux(backend, cfg))
 	t.Cleanup(srv.Close)
 	return srv, backend
 }
@@ -72,7 +74,7 @@ func getCached(t *testing.T, url string) (int, string, string) {
 }
 
 func TestBootRejectsUnknownCorpus(t *testing.T) {
-	if _, _, _, err := boot("bogus", 5, 1, ""); err == nil {
+	if _, _, err := boot("bogus", 5, 1, ""); err == nil {
 		t.Error("unknown corpus should fail")
 	}
 }
@@ -86,7 +88,7 @@ func TestBootRejectsUnknownCorpus(t *testing.T) {
 // is a no-op: no publish, no generation.
 func TestBootSeedsFreshDurableStoreThroughTier(t *testing.T) {
 	dataDir := t.TempDir()
-	_, platform, tier, err := boot("pharma", 25, 3, dataDir)
+	platform, tier, err := boot("pharma", 25, 3, dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestBootSeedsFreshDurableStoreThroughTier(t *testing.T) {
 		t.Fatalf("seeded boot: %d docs, generation %d, %d facts; want 25 docs in one publish",
 			platform.NumEntities(), v.Generation(), v.Facts())
 	}
-	_, memory, memTier, err := boot("pharma", 25, 3, "")
+	memory, memTier, err := boot("pharma", 25, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestBootSeedsFreshDurableStoreThroughTier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, platform2, tier2, err := boot("camera", 99, 4, dataDir)
+	platform2, tier2, err := boot("camera", 99, 4, dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestBootSeedsFreshDurableStoreThroughTier(t *testing.T) {
 			platform2.NumEntities(), v2.Generation(), v2.Fingerprint() == v.Fingerprint())
 	}
 
-	_, empty, emptyTier, err := boot("pharma", 0, 3, t.TempDir())
+	empty, emptyTier, err := boot("pharma", 0, 3, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +303,9 @@ func TestAPIOverview(t *testing.T) {
 // TestAPICacheInvalidationOnIngest: a repeated query hits the cache; an
 // ingest batch bumps the generation, so the next query misses, re-renders
 // against the new snapshot and includes the new batch's subject — the
-// response is never staler than one ingest batch.
+// response is never staler than one ingest batch. The HTML pages serve
+// the same snapshot: the new subject's page lists its snippet, and every
+// row of the overview carries the counts /api/subjects serves.
 func TestAPICacheInvalidationOnIngest(t *testing.T) {
 	srv, _ := testServerCfg(t, serve.GatewayConfig{})
 
@@ -340,6 +344,27 @@ func TestAPICacheInvalidationOnIngest(t *testing.T) {
 	}
 	if _, _, xc := getCached(t, srv.URL+"/api/subjects"); xc != "hit" {
 		t.Fatalf("re-query after invalidation X-Cache = %q, want hit", xc)
+	}
+	if _, page := get(t, srv.URL+"/subject?name=zx900"); !strings.Contains(page, "s0: The ZX900 takes excellent pictures.</li>") {
+		t.Errorf("subject page lacks the ingested snippet: %.600s", page)
+	}
+	var rows []struct {
+		Subject                   string
+		Positive, Negative, Share int
+	}
+	if err := json.Unmarshal([]byte(body), &rows); err != nil {
+		t.Fatal(err)
+	}
+	_, page := get(t, srv.URL+"/")
+	for _, r := range rows {
+		want := fmt.Sprintf(">%s</a></td>\n<td>%d</td><td>%d</td>\n<td><span class=\"bar\" style=\"width:%dpx\"></span> %d%%</td></tr>",
+			template.HTMLEscapeString(r.Subject), r.Positive, r.Negative, r.Share, r.Share)
+		if !strings.Contains(page, want) {
+			t.Errorf("overview row for %q does not carry %+v", r.Subject, r)
+		}
+	}
+	if n := strings.Count(page, "<tr><td>"); n != len(rows) || n == 0 {
+		t.Errorf("overview lists %d subjects, /api/subjects %d", n, len(rows))
 	}
 }
 

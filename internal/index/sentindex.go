@@ -65,10 +65,10 @@ func (si *SentimentIndex) Add(e SentimentEntry) {
 }
 
 // Query returns all entries for a subject, ordered by (DocID, Sentence,
-// Polarity, Snippet). The sort is stable and the key total, so entries
-// that tie on document and sentence — the same subject twice in one
-// sentence — come back in the same order regardless of whether they were
-// mined serially or in parallel.
+// Polarity, Feature, Snippet). The sort is stable and the key total, so
+// entries that tie on document and sentence — the same subject twice in
+// one sentence — come back in the same order regardless of whether they
+// were mined serially or in parallel.
 func (si *SentimentIndex) Query(subject string) []SentimentEntry {
 	si.mu.RLock()
 	entries := si.bySubject[strings.ToLower(subject)]

@@ -9,8 +9,8 @@ import (
 
 // Fact is one extracted sentiment mention, the unit the aggregate layer
 // consumes at ingest: who it is about, which feature phrase the
-// sentiment was directed at, when the document was published and which
-// way the sentiment points.
+// sentiment was directed at, when the document was published, which way
+// the sentiment points and where it was found.
 type Fact struct {
 	// Subject is the subject the sentiment is about (case-insensitive;
 	// normalized to lower case on apply).
@@ -25,6 +25,11 @@ type Fact struct {
 	Date string
 	// Positive is the polarity (false = negative).
 	Positive bool
+	// Doc, Sentence and Snippet locate the mention: the document ID, the
+	// sentence index within it and the sentence text, for display.
+	Doc      string
+	Sentence int
+	Snippet  string
 }
 
 // Bucket is one month of a subject's materialized sentiment series.
@@ -42,17 +47,24 @@ type AspectCount struct {
 }
 
 // subjectAgg is one subject's cells: the polarity totals, the per-month
-// time buckets and the per-feature aspect tallies. Once published in a
-// View it is immutable — Apply clones touched subjects before mutating.
+// time buckets, the per-feature aspect tallies and the served entries.
+// Once published in a View it is immutable — Apply clones touched
+// subjects before mutating. The clone shares the entries' backing array:
+// entries are append-only, and a View reads only the length it was
+// published with, so a later append never changes what an older View
+// serves. Anything that removes or rewrites an entry must copy the
+// slice first.
 type subjectAgg struct {
 	total   Counts
 	months  map[string]Counts
 	aspects map[string]Counts
+	entries []Entry
 }
 
 func (s *subjectAgg) clone() *subjectAgg {
 	c := &subjectAgg{
 		total:   s.total,
+		entries: s.entries,
 		months:  make(map[string]Counts, len(s.months)),
 		aspects: make(map[string]Counts, len(s.aspects)),
 	}
@@ -112,6 +124,35 @@ func (v *View) Series(subject string) []Bucket {
 		out = append(out, Bucket{Month: m, Counts: c})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Month < out[j].Month })
+	return out
+}
+
+// Entries returns a subject's sentiment-bearing mentions, ordered by
+// document, sentence, polarity ("+" first), feature and snippet — a total
+// key, so the order does not depend on the order of ingest. The slice is
+// the caller's.
+func (v *View) Entries(subject string) []Entry {
+	s := v.subjects[strings.ToLower(subject)]
+	if s == nil {
+		return nil
+	}
+	out := append([]Entry(nil), s.entries...)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		if a.Doc != b.Doc {
+			return a.Doc < b.Doc
+		}
+		if a.Sentence != b.Sentence {
+			return a.Sentence < b.Sentence
+		}
+		if a.Polarity != b.Polarity {
+			return a.Polarity < b.Polarity
+		}
+		if a.Feature != b.Feature {
+			return a.Feature < b.Feature
+		}
+		return a.Snippet < b.Snippet
+	})
 	return out
 }
 
@@ -205,6 +246,10 @@ func (a *Aggregates) publish(facts []Fact, advance uint64) uint64 {
 			next.subjects[key] = s
 			cloned[key] = true
 		}
+		pol := "-"
+		if f.Positive {
+			pol = "+"
+		}
 		bump := func(c *Counts) {
 			if f.Positive {
 				c.Positive++
@@ -224,6 +269,8 @@ func (a *Aggregates) publish(facts []Fact, advance uint64) uint64 {
 			bump(&ac)
 			s.aspects[strings.ToLower(f.Feature)] = ac
 		}
+		s.entries = append(s.entries, Entry{Subject: key, Polarity: pol, Doc: f.Doc,
+			Sentence: f.Sentence, Snippet: f.Snippet, Feature: f.Feature})
 	}
 	if added {
 		next.names = make([]string, 0, len(next.subjects))

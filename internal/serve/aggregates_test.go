@@ -21,8 +21,8 @@ func TestSharePercentRounds(t *testing.T) {
 		{1, 2, 33},
 	}
 	for _, c := range cases {
-		if got := SharePercent(c.pos, c.neg); got != c.want {
-			t.Errorf("SharePercent(%d, %d) = %d, want %d", c.pos, c.neg, got, c.want)
+		if got := (Counts{c.pos, c.neg}).Share(); got != c.want {
+			t.Errorf("Counts{%d, %d}.Share() = %d, want %d", c.pos, c.neg, got, c.want)
 		}
 	}
 }
@@ -139,7 +139,7 @@ func TestAggregatesApplyRecovered(t *testing.T) {
 func TestAggregatesSnapshotImmutable(t *testing.T) {
 	a := NewAggregates()
 	a.Apply([]Fact{{Subject: "s", Feature: "f", Date: "2004-01-02", Positive: true}})
-	old := a.View()
+	old, oldEntries := a.View(), a.View().Entries("s")
 	a.Apply([]Fact{
 		{Subject: "s", Feature: "f", Date: "2004-01-03", Positive: false},
 		{Subject: "t", Positive: true},
@@ -153,6 +153,23 @@ func TestAggregatesSnapshotImmutable(t *testing.T) {
 	}
 	if c := a.View().Counts("s"); c != (Counts{Positive: 1, Negative: 1}) {
 		t.Fatalf("new snapshot Counts(s) = %+v", c)
+	}
+	// Entries are append-only on a backing array the views share: a
+	// later Apply to the same subject never changes an older view's.
+	a.Apply([]Fact{{Subject: "S", Doc: "d2"}})
+	mid, midEntries := a.View(), a.View().Entries("s")
+	a.Apply([]Fact{{Subject: "s", Doc: "d1", Positive: true}})
+	if &a.View().subjects["s"].entries[0] != &mid.subjects["s"].entries[0] {
+		t.Fatal("the last Apply copied the entries; the shared-array case went unchecked")
+	}
+	if got := old.Entries("s"); !reflect.DeepEqual(got, oldEntries) || len(got) != 1 {
+		t.Fatalf("old snapshot Entries(s) = %+v, want %+v", got, oldEntries)
+	}
+	if got := mid.Entries("s"); !reflect.DeepEqual(got, midEntries) || len(got) != 3 {
+		t.Fatalf("older snapshot Entries(s) = %+v, want %+v", got, midEntries)
+	}
+	if got := a.View().Entries("s"); len(got) != 4 || got[0].Polarity != "+" || got[2].Doc != "d1" || got[3].Doc != "d2" {
+		t.Fatalf("new snapshot Entries(s) = %+v, want 4 sorted by document", got)
 	}
 }
 

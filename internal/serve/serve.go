@@ -6,9 +6,10 @@
 // The package holds four pieces, composed by the HTTP gateway:
 //
 //   - Aggregates: incrementally-maintained materialized sentiment
-//     aggregates (per subject × feature × polarity × time bucket),
-//     updated online at ingest and read through immutable lock-free
-//     snapshots, so no query ever re-scans the corpus.
+//     aggregates (per subject × feature × polarity × time bucket) and
+//     each subject's sentiment entries, updated online at ingest and
+//     read through immutable lock-free snapshots, so no query ever
+//     re-scans the corpus.
 //   - Cache: a bounded LRU over rendered responses, invalidated on
 //     ingest through the aggregate generation number.
 //   - Limiter: per-tenant token-bucket rate limiting, layered in front
@@ -30,19 +31,14 @@ type Counts struct {
 // Total returns the number of polar mentions.
 func (c Counts) Total() int { return c.Positive + c.Negative }
 
-// Share returns the rounded positive share as a percentage. See
-// SharePercent.
-func (c Counts) Share() int { return SharePercent(c.Positive, c.Negative) }
-
-// SharePercent returns the positive share of a mention tally as a
-// rounded percentage (0 when empty). Rounding matters at the margins:
-// integer flooring renders a 99.9% share as 99 and a 0.1% negative
-// share as a spotless 100 — the overview page and the aggregate layer
-// share this one helper so they can never disagree.
-func SharePercent(positive, negative int) int {
-	total := positive + negative
-	if total == 0 {
+// Share returns the positive share as a rounded percentage (0 when
+// empty). Rounding matters at the margins: integer flooring renders a
+// 99.9% share as 99 and a 0.1% negative share as a spotless 100 — the
+// overview page and the aggregate layer share this one method so they
+// can never disagree.
+func (c Counts) Share() int {
+	if c.Total() == 0 {
 		return 0
 	}
-	return int(math.Round(100 * float64(positive) / float64(total)))
+	return int(math.Round(100 * float64(c.Positive) / float64(c.Total())))
 }

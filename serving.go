@@ -121,9 +121,8 @@ func NewServingTier(p *Platform, m *SentimentMiner, facts []SubjectSentiment) *S
 // annotations yet, annotated. One aggregate publish follows, its
 // generation advanced by the number of documents recovered. A document
 // whose annotate is refused (degraded store) stays out, for the next
-// boot. The config
-// is ignored and the error is always nil; both remain for existing
-// callers.
+// boot. The config is ignored and the error is always nil; both remain
+// for existing callers.
 func RecoverServingTier(p *Platform, m *SentimentMiner, _ ServingTierConfig) (*ServingTier, ServingRecovery, error) {
 	span := servingRecoverNs.Start()
 	t := newServingTier(p, m)
@@ -157,7 +156,7 @@ func RecoverServingTier(p *Platform, m *SentimentMiner, _ ServingTierConfig) (*S
 			}
 			rec.RepairedDocs++
 		}
-		facts = t.fold(facts, date, mined)
+		facts = fold(facts, date, mined)
 	}
 	t.agg.ApplyRecovered(facts, rec.FoldedDocs+rec.RepairedDocs)
 	t.published()
@@ -167,10 +166,9 @@ func RecoverServingTier(p *Platform, m *SentimentMiner, _ ServingTierConfig) (*S
 	return t, rec, nil
 }
 
-// fold serves one document's facts: they enter the sentiment index and
-// are appended, dated, to dst for the aggregate publish.
-func (t *ServingTier) fold(dst []serve.Fact, date string, mined []SubjectSentiment) []serve.Fact {
-	t.m.indexFacts(mined)
+// fold appends one document's facts, dated, to dst for the aggregate
+// publish.
+func fold(dst []serve.Fact, date string, mined []SubjectSentiment) []serve.Fact {
 	for _, f := range mined {
 		dst = append(dst, aggFact(f, date))
 	}
@@ -187,7 +185,8 @@ func (t *ServingTier) published() {
 
 // aggFact dates one mined fact for the aggregates' time-bucket dimension.
 func aggFact(f SubjectSentiment, date string) serve.Fact {
-	return serve.Fact{Subject: f.Subject, Feature: f.Feature, Date: date, Positive: f.Polarity == Positive}
+	return serve.Fact{Subject: f.Subject, Feature: f.Feature, Date: date, Positive: f.Polarity == Positive,
+		Doc: f.DocID, Sentence: f.Sentence, Snippet: f.Snippet}
 }
 
 // Checkpoint does nothing: the tier keeps no files.
@@ -227,25 +226,9 @@ func (t *ServingTier) NumDocs() int { return t.p.NumEntities() }
 func (t *ServingTier) Degraded() (bool, string) { return t.p.Degraded() }
 
 // Entries returns a subject's sentiment-bearing mentions from the
-// query-time sentiment index (serve.Backend). An already-expired
-// request deadline short-circuits to an empty answer.
-func (t *ServingTier) Entries(ctx context.Context, subject string) []serve.Entry {
-	if ctx != nil && ctx.Err() != nil {
-		return nil
-	}
-	facts := t.m.Query(subject)
-	out := make([]serve.Entry, 0, len(facts))
-	for _, f := range facts {
-		out = append(out, serve.Entry{
-			Subject:  f.Subject,
-			Polarity: f.Polarity.String(),
-			Doc:      f.DocID,
-			Sentence: f.Sentence,
-			Snippet:  f.Snippet,
-			Feature:  f.Feature,
-		})
-	}
-	return out
+// current snapshot: View().Entries(subject). The context is unused.
+func (t *ServingTier) Entries(_ context.Context, subject string) []serve.Entry {
+	return t.agg.View().Entries(subject)
 }
 
 // Ingest implements serve.Backend's online write path: Platform's
@@ -255,7 +238,7 @@ func (t *ServingTier) Entries(ctx context.Context, subject string) []serve.Entry
 // and then the acked prefix stored with those annotations as one store
 // commit (one write-ahead-log sync for the batch). Once the commit is
 // durable and applied, the prefix is folded in input order into the
-// sentiment index and the aggregates — the generation bump that
+// aggregates, entries included — one publish, the generation bump that
 // invalidates every cached response. Batches are serialized, and the
 // tier itself touches no file: the store's put and annotate records
 // are all a batch writes.
@@ -288,7 +271,7 @@ func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, i
 	})
 	var facts []serve.Fact
 	for i := range ids {
-		facts = t.fold(facts, batch[i].Date, mined[i])
+		facts = fold(facts, batch[i].Date, mined[i])
 	}
 	// Publish even an empty successful batch: the corpus changed, so
 	// cached responses keyed on the old generation must re-render. A

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"webfountain/internal/corpus"
@@ -158,7 +159,7 @@ func TestServingTierMaterializedSeriesMatchesTrendMiner(t *testing.T) {
 // facts are visible — generation bumped, subject present, entries
 // served — proving a post-ingest query is never staler than one batch.
 func TestServingTierIngestFreshness(t *testing.T) {
-	tier, _, m := newServingFixture(t, 10)
+	tier, _, _ := newServingFixture(t, 10)
 	for i := 0; i < 5; i++ {
 		subject := fmt.Sprintf("ZX%d00", i+1) // a fresh model name per batch
 		text := fmt.Sprintf("The %s takes excellent pictures. The %s is disappointing in low light.",
@@ -187,8 +188,8 @@ func TestServingTierIngestFreshness(t *testing.T) {
 		if len(tier.Entries(context.Background(), subject)) == 0 {
 			t.Fatalf("batch %d: no entries for %s after ack", i, subject)
 		}
-		if pos, neg := m.Counts(subject); pos != c.Positive || neg != c.Negative {
-			t.Fatalf("batch %d: view %+v != index (%d, %d)", i, c, pos, neg)
+		if n := len(v.Entries(subject)); n != c.Total() {
+			t.Fatalf("batch %d: view counts %+v but lists %d entries", i, c, n)
 		}
 		if len(v.Series(subject)) == 0 {
 			t.Fatalf("batch %d: no time bucket for dated doc", i)
@@ -244,4 +245,64 @@ func TestServingTierConcurrentReadsDuringIngest(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestServingEntriesMatchTheirGeneration: Entries answers from the
+// published snapshot, so a reader that sees one generation on both sides
+// of the call gets exactly the entries that generation counts — never
+// part of a batch the View has not published yet.
+func TestServingEntriesMatchTheirGeneration(t *testing.T) {
+	const subject = "dvd"
+	m, err := NewSentimentMiner(MinerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier := NewServingTier(NewPlatform(PlatformConfig{}), m, nil)
+	var docs []serve.Doc
+	for _, d := range corpus.DigitalCameraReviews(11, 1200) {
+		docs = append(docs, serve.Doc{ID: d.ID, Date: d.Date, Text: d.Text()})
+	}
+	var (
+		wg          sync.WaitGroup
+		stop        = make(chan struct{})
+		reads, torn atomic.Int64
+	)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := tier.View()
+				n := len(tier.Entries(context.Background(), subject))
+				if tier.View().Generation() == v.Generation() {
+					reads.Add(1)
+					if n != v.Counts(subject).Total() {
+						torn.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	for len(docs) > 0 {
+		k := min(16, len(docs))
+		if _, _, err := tier.Ingest(context.Background(), docs[:k]); err != nil {
+			t.Error(err)
+			break
+		}
+		docs = docs[k:]
+	}
+	close(stop)
+	wg.Wait()
+	if reads.Load() == 0 || tier.View().Counts(subject).Total() == 0 {
+		t.Fatalf("%d reads at one generation, %d %q facts: nothing was checked", reads.Load(), tier.View().Counts(subject).Total(), subject)
+	}
+	if torn.Load() > 0 {
+		t.Errorf("%d of %d reads at one generation listed a different number of %q entries than that generation counts",
+			torn.Load(), reads.Load(), subject)
+	}
 }
