@@ -35,7 +35,7 @@ func main() {
 	trend := flag.String("trend", "", "print the monthly sentiment trend for a subject")
 	flag.Parse()
 
-	gen, subjects, err := pickCorpus(*corpusName)
+	gen, subjects, err := corpus.Named(*corpusName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -157,24 +157,4 @@ func main() {
 		}
 		fmt.Printf("%-24s %9d %9d %9.0f%%\n", r.subject, r.pos, r.neg, share)
 	}
-}
-
-func pickCorpus(name string) (func(int64, int) []corpus.Document, []string, error) {
-	switch name {
-	case "camera":
-		subjects := append(append([]string{}, corpus.CameraProducts...), corpus.CameraFeatures...)
-		return corpus.DigitalCameraReviews, subjects, nil
-	case "music":
-		subjects := append(append([]string{}, corpus.MusicAlbums...), corpus.MusicFeatures...)
-		return corpus.MusicReviews, subjects, nil
-	case "petroleum":
-		return corpus.PetroleumWeb, corpus.PetroleumCompanies, nil
-	case "pharma":
-		return corpus.PharmaWeb, corpus.PharmaCompanies, nil
-	case "news":
-		return corpus.PetroleumNews, corpus.PetroleumCompanies, nil
-	case "bboard":
-		return corpus.BulletinBoard, corpus.CameraProducts, nil
-	}
-	return nil, nil, fmt.Errorf("unknown corpus %q (want camera, music, petroleum, pharma, news or bboard)", name)
 }

@@ -2,11 +2,16 @@ package main
 
 import (
 	"testing"
+
+	"webfountain/internal/corpus"
 )
+
+// The command resolves -corpus through corpus.Named; these pin the
+// names it accepts.
 
 func TestPickCorpusKnownNames(t *testing.T) {
 	for _, name := range []string{"camera", "music", "petroleum", "pharma", "news", "bboard"} {
-		gen, subjects, err := pickCorpus(name)
+		gen, subjects, err := corpus.Named(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -21,7 +26,7 @@ func TestPickCorpusKnownNames(t *testing.T) {
 }
 
 func TestPickCorpusUnknown(t *testing.T) {
-	if _, _, err := pickCorpus("nope"); err == nil {
+	if _, _, err := corpus.Named("nope"); err == nil {
 		t.Error("unknown corpus should fail")
 	}
 }

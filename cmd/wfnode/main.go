@@ -14,10 +14,19 @@
 // -pprof-addr exposes net/http/pprof on a separate listener. The same
 // registry is always available over Vinci via the "metrics" service.
 //
+// The node boots, ingests and serves through the same pipeline as
+// cmd/wfserver: the generated corpus is ingested through the serving
+// tier, which mines each document once into the store; a remote store-
+// service put is one more tier ingest, so it is mined, indexed and
+// served; the sentiment service answers from the tier's View, the
+// snapshot /api/sentiment renders; and the index service searches the
+// platform's inverted index, built by the first search.
+//
 // With -data-dir the store is durable: every mutation is write-ahead-
-// logged there, and a restart recovers the corpus (and rebuilds the
-// index from it) instead of regenerating. SIGINT/SIGTERM trigger a
-// graceful shutdown that drains in-flight requests and flushes the log.
+// logged there, and a restart recovers the corpus and its sentiment
+// facts from the store instead of regenerating. SIGINT/SIGTERM trigger
+// a graceful shutdown that drains in-flight requests and flushes the
+// log.
 //
 // Client (one-shot operations against a running node):
 //
@@ -45,19 +54,11 @@ import (
 	"syscall"
 	"time"
 
-	"webfountain/internal/chunk"
+	"webfountain"
 	"webfountain/internal/corpus"
-	"webfountain/internal/index"
-	"webfountain/internal/ingest"
 	"webfountain/internal/metrics"
-	"webfountain/internal/sentiment"
 	"webfountain/internal/services"
-	"webfountain/internal/store"
-	"webfountain/internal/tokenize"
 	"webfountain/internal/vinci"
-
-	"webfountain/internal/ne"
-	"webfountain/internal/pos"
 )
 
 func main() {
@@ -112,147 +113,27 @@ func main() {
 	}
 }
 
-// serve loads or recovers a corpus, mines it, and serves the Vinci
-// services until the listener closes or a shutdown signal arrives.
+// serve boots the node (boot) and serves its Vinci services (registry)
+// until the listener closes or a shutdown signal arrives.
 func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEvery int, metricsAddr, pprofAddr string, adm vinci.AdmissionConfig) error {
-	var st *store.Store
-	if dataDir != "" {
-		var err error
-		st, err = store.Open(dataDir, store.Options{Shards: 16, SyncEvery: syncEvery})
-		if err != nil {
-			return err
-		}
-		if ds := st.Durability(); ds.Replayed > 0 || ds.SnapshotLoaded || ds.Quarantined > 0 {
-			log.Printf("recovered %d entities from %s (gen %d, %d wal records replayed, %d quarantined, %d torn bytes truncated)",
-				st.Len(), dataDir, ds.Generation, ds.Replayed, ds.Quarantined, ds.TruncatedBytes)
-		}
-	} else {
-		st = store.New(16)
-	}
-
-	ix := index.New()
-	tk := tokenize.New()
-	addToIndex := func(e *store.Entity) {
-		toks := tk.Tokenize(e.Text)
-		words := make([]string, len(toks))
-		for i, t := range toks {
-			words[i] = t.Text
-		}
-		ix.Add(e.ID, words)
-	}
-
-	// Fresh corpora are indexed in the same worker pass that stores
-	// them (the index is sharded, so concurrent workers do not
-	// serialize); a recovered corpus is indexed by the sweep below.
-	indexed := false
-	if st.Len() == 0 {
-		var generated []corpus.Document
-		switch corpusName {
-		case "camera":
-			generated = corpus.DigitalCameraReviews(seed, docs)
-		case "music":
-			generated = corpus.MusicReviews(seed, docs)
-		case "petroleum":
-			generated = corpus.PetroleumWeb(seed, docs)
-		case "pharma":
-			generated = corpus.PharmaWeb(seed, docs)
-		case "news":
-			generated = corpus.PetroleumNews(seed, docs)
-		default:
-			return fmt.Errorf("unknown corpus %q", corpusName)
-		}
-		ing := ingest.New(st, 4).WithIndexer(addToIndex)
-		stats, err := ing.Run(ingest.FromCorpus(corpusName, generated))
-		if err != nil {
-			return err
-		}
-		indexed = true
-		log.Printf("ingested and indexed %d documents (%d bytes)", stats.Documents, stats.Bytes)
-	}
-
-	// Mine sentiment for the query service; index too when the corpus
-	// was recovered from disk rather than freshly ingested.
-	sidx := index.NewSentimentIndex()
-	tagger := pos.NewTagger()
-	an := sentiment.New(nil, nil)
-	nesp := ne.New()
-	ck := chunk.New()
-	reg0 := metrics.Default()
-	stageTokenize := reg0.Stage(metrics.StageTokenize)
-	stagePOS := reg0.Stage(metrics.StagePOS)
-	stageChunk := reg0.Stage(metrics.StageChunk)
-	stageSpot := reg0.Stage(metrics.StageSpot)
-	stageSentiment := reg0.Stage(metrics.StageSentiment)
-	err := st.ForEach(func(e *store.Entity) error {
-		if !indexed {
-			addToIndex(e)
-		}
-		// One sample per document and stage, as the library's miner
-		// records them: laps sum each stage over the sentences.
-		var tok, spot, tag, chunk, analyze time.Duration
-		laps := metrics.StartLaps()
-		sentences := tk.Sentences(e.Text)
-		laps.Lap(&tok)
-		for _, s := range sentences {
-			entities := nesp.SpotTokens(s.Tokens)
-			laps.Lap(&spot)
-			if len(entities) == 0 {
-				continue
-			}
-			tagged := tagger.TagSentence(s)
-			laps.Lap(&tag)
-			clauses := ck.Clauses(tagged)
-			laps.Lap(&chunk)
-			assignments := an.AnalyzeClauses(clauses)
-			for _, ent := range entities {
-				for _, h := range sentiment.ForSpan(assignments, ent.Start, ent.End) {
-					sidx.Add(index.SentimentEntry{
-						DocID: e.ID, Sentence: s.Index, Subject: ent.Text,
-						Polarity: int(h.Polarity), Snippet: s.Text(),
-					})
-				}
-			}
-			laps.Lap(&analyze)
-		}
-		stageTokenize.ObserveDuration(tok)
-		stageSpot.ObserveDuration(spot)
-		stagePOS.ObserveDuration(tag)
-		stageChunk.ObserveDuration(chunk)
-		stageSentiment.ObserveDuration(analyze)
-		return nil
-	})
+	platform, tier, err := boot(corpusName, docs, seed, dataDir, syncEvery)
 	if err != nil {
 		return err
 	}
-	log.Printf("indexed %d documents, %d sentiment entries", ix.NumDocs(), sidx.Len())
-
-	// Remote puts and deletes land on the store service directly (no
-	// local ingest pipeline), so the store hooks keep the inverted index
-	// in step.
 	node := "wfnode@" + addr
-	reg := vinci.NewRegistry()
-	services.RegisterStoreWith(reg, st, services.StoreHooks{OnPut: addToIndex, OnDelete: ix.Remove})
-	services.RegisterIndex(reg, ix)
-	services.RegisterSentiment(reg, sidx)
-	services.RegisterHealth(reg, services.HealthOptions{
-		Node:     node,
-		Registry: reg,
-		Entities: st.Len,
-		Degraded: st.Degraded,
-	})
-	services.RegisterMetrics(reg, metrics.Default())
+	reg := registry(node, platform, tier)
 
 	if metricsAddr != "" {
 		mux := http.NewServeMux()
 		metrics.Default().RegisterHTTP(mux)
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			deg, reason := st.Degraded()
+			deg, reason := platform.Degraded()
 			w.Header().Set("Content-Type", "application/json")
 			if deg {
 				w.WriteHeader(http.StatusServiceUnavailable)
 			}
 			fmt.Fprintf(w, `{"node":%q,"entities":%d,"degraded":%v,"degraded_reason":%q}`+"\n",
-				node, st.Len(), deg, reason)
+				node, platform.NumEntities(), deg, reason)
 		})
 		go func() {
 			log.Printf("metrics on http://%s/metrics", metricsAddr)
@@ -273,14 +154,15 @@ func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEv
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		platform.Close()
 		return err
 	}
 	log.Printf("wfnode serving %v on %s", reg.Services(), ln.Addr())
 
 	// Graceful shutdown: on SIGINT/SIGTERM drain the Vinci server (stop
-	// accepting, finish in-flight exchanges), then flush and close the
-	// store's write-ahead log so every acknowledged write survives the
-	// restart.
+	// accepting, finish in-flight exchanges), then close the platform,
+	// flushing the store's write-ahead log so every acknowledged write
+	// survives the restart.
 	srv := vinci.NewServerWith(reg, vinci.ServerOptions{Admission: adm})
 	if adm.Depth > 0 {
 		log.Printf("admission control on: queue depth %d, %s shedding", adm.Depth, adm.Policy)
@@ -295,15 +177,66 @@ func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEv
 		}
 	}()
 	err = srv.Serve(ln)
-	if cerr := st.Close(); cerr != nil {
-		log.Printf("store close: %v", cerr)
+	if cerr := platform.Close(); cerr != nil {
+		log.Printf("platform close: %v", cerr)
 		if err == nil {
 			err = cerr
 		}
-	} else if st.Durable() {
+	} else if dataDir != "" {
 		log.Printf("write-ahead log flushed and closed")
 	}
 	return err
+}
+
+// boot opens the node through the same root-package boot as cmd/wfserver
+// (webfountain.OpenServing): the platform, durable under dataDir when it
+// is set, its serving tier recovered from the store, and an empty store
+// seeded with the generated corpus through the tier's own ingest.
+func boot(corpusName string, docs int, seed int64, dataDir string, syncEvery int) (
+	*webfountain.Platform, *webfountain.ServingTier, error) {
+	platform, tier, rec, err := webfountain.OpenServing(
+		webfountain.PlatformConfig{DataDir: dataDir, SyncEvery: syncEvery},
+		func() ([]webfountain.ServingDoc, error) {
+			gen, _, err := corpus.Named(corpusName)
+			if err != nil {
+				return nil, err
+			}
+			generated := gen(seed, docs)
+			pub := make([]webfountain.ServingDoc, len(generated))
+			for i := range generated {
+				pub[i] = webfountain.ServingDoc{
+					ID: generated[i].ID, Source: generated[i].Source, Title: generated[i].Title,
+					Date: generated[i].Date, Text: generated[i].Text(),
+				}
+			}
+			return pub, nil
+		})
+	if err != nil {
+		return nil, nil, err
+	}
+	log.Printf("serving recovery: folded=%d repaired=%d docs; %d documents, %d sentiment facts served",
+		rec.FoldedDocs, rec.RepairedDocs, platform.NumEntities(), tier.View().Facts())
+	return platform, tier, nil
+}
+
+// registry builds the node's Vinci services over a booted platform and
+// its tier. The store service reads the platform's store and writes
+// through the tier, so a remote put is mined, indexed and served; the
+// index service searches the platform's inverted index, built by the
+// first search; the sentiment service answers from the tier's View.
+func registry(node string, platform *webfountain.Platform, tier *webfountain.ServingTier) *vinci.Registry {
+	reg := vinci.NewRegistry()
+	services.RegisterStore(reg, tier.Store())
+	services.RegisterIndex(reg, platform.InvertedIndex)
+	services.RegisterSentiment(reg, tier)
+	services.RegisterHealth(reg, services.HealthOptions{
+		Node:     node,
+		Registry: reg,
+		Entities: platform.NumEntities,
+		Degraded: platform.Degraded,
+	})
+	services.RegisterMetrics(reg, metrics.Default())
+	return reg
 }
 
 // client performs one-shot operations against a running node. The
@@ -394,11 +327,7 @@ func client(addr string, opts vinci.DialOptions, hedge, ping, showMetrics bool, 
 				fmt.Printf("  ... %d more\n", len(entries)-10)
 				break
 			}
-			pol := "+"
-			if e.Polarity < 0 {
-				pol = "-"
-			}
-			fmt.Printf("  [%s] %s s%d: %q\n", pol, e.DocID, e.Sentence, e.Snippet)
+			fmt.Printf("  [%s] %s s%d: %q\n", e.Polarity, e.Doc, e.Sentence, e.Snippet)
 		}
 	}
 	if !did {

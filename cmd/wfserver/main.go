@@ -103,7 +103,7 @@ var subjectTmpl = template.Must(template.New("subject").Parse(`<!DOCTYPE html>
 
 func main() {
 	addr := flag.String("addr", ":8085", "listen address")
-	corpusName := flag.String("corpus", "pharma", "corpus: camera, music, petroleum, pharma, news")
+	corpusName := flag.String("corpus", "pharma", "corpus: camera, music, petroleum, pharma, news, bboard")
 	docs := flag.Int("docs", 120, "documents to mine at startup")
 	seed := flag.Int64("seed", 7, "corpus seed")
 	dataDir := flag.String("data-dir", "", "durable store root (empty: in-memory, corpus is lost on exit)")
@@ -183,51 +183,21 @@ func main() {
 	}
 }
 
-// boot assembles the platform, the miner and the serving tier. The
-// tier is recovered first — folded from the annotations the durable
-// store holds, with un-annotated documents mined; over an in-memory
-// platform or a fresh data dir that is an empty tier — and an empty
-// store is then seeded with the generated corpus through the tier's own
-// ingest, as one batch, so seed documents are mined and annotated by the
-// same step as live ones. A store that already holds documents, or
-// -docs 0, seeds nothing.
+// boot opens the platform and its serving tier through
+// webfountain.OpenServing — recovered from the store, an empty store
+// seeded with the generated corpus as one tier ingest batch — and logs
+// what recovery did. A store that already holds documents, or -docs 0,
+// seeds nothing.
 func boot(corpusName string, docs int, seed int64, dataDir string) (
 	*webfountain.Platform, *webfountain.ServingTier, error) {
-	var platform *webfountain.Platform
-	if dataDir == "" {
-		platform = webfountain.NewPlatform(webfountain.PlatformConfig{})
-	} else {
-		var err error
-		if platform, err = webfountain.OpenPlatform(webfountain.PlatformConfig{DataDir: dataDir}); err != nil {
-			return nil, nil, err
-		}
-	}
-	fail := func(err error) (*webfountain.Platform, *webfountain.ServingTier, error) {
-		platform.Close()
+	start := time.Now()
+	platform, tier, rec, err := webfountain.OpenServing(webfountain.PlatformConfig{DataDir: dataDir},
+		func() ([]serve.Doc, error) { return buildCorpus(corpusName, docs, seed) })
+	if err != nil {
 		return nil, nil, err
 	}
-	miner, err := webfountain.NewSentimentMiner(webfountain.MinerConfig{})
-	if err != nil {
-		return fail(err)
-	}
-	start := time.Now()
-	tier, rec, err := webfountain.RecoverServingTier(platform, miner, webfountain.ServingTierConfig{})
-	if err != nil {
-		return fail(err)
-	}
-	log.Printf("serving recovery: folded=%d repaired=%d docs in %v, generation %d",
+	log.Printf("serving recovery: folded=%d repaired=%d docs; booted in %v, generation %d",
 		rec.FoldedDocs, rec.RepairedDocs, time.Since(start).Round(time.Microsecond), tier.View().Generation())
-	if platform.NumEntities() == 0 {
-		seedDocs, err := buildCorpus(corpusName, docs, seed)
-		if err != nil {
-			return fail(err)
-		}
-		if len(seedDocs) > 0 {
-			if _, _, err := tier.Ingest(context.Background(), seedDocs); err != nil {
-				return fail(err)
-			}
-		}
-	}
 	return platform, tier, nil
 }
 
@@ -285,21 +255,11 @@ func newMux(backend serve.Backend, cfg serve.GatewayConfig) *http.ServeMux {
 
 // buildCorpus generates the named corpus as ingestable documents.
 func buildCorpus(corpusName string, docs int, seed int64) ([]serve.Doc, error) {
-	var generated []corpus.Document
-	switch corpusName {
-	case "camera":
-		generated = corpus.DigitalCameraReviews(seed, docs)
-	case "music":
-		generated = corpus.MusicReviews(seed, docs)
-	case "petroleum":
-		generated = corpus.PetroleumWeb(seed, docs)
-	case "pharma":
-		generated = corpus.PharmaWeb(seed, docs)
-	case "news":
-		generated = corpus.PetroleumNews(seed, docs)
-	default:
-		return nil, fmt.Errorf("unknown corpus %q", corpusName)
+	gen, _, err := corpus.Named(corpusName)
+	if err != nil {
+		return nil, err
 	}
+	generated := gen(seed, docs)
 	pub := make([]serve.Doc, len(generated))
 	for i := range generated {
 		pub[i] = serve.Doc{

@@ -13,9 +13,7 @@ import (
 
 	"webfountain"
 	"webfountain/internal/corpus"
-	"webfountain/internal/index"
 	"webfountain/internal/services"
-	"webfountain/internal/store"
 	"webfountain/internal/vinci"
 )
 
@@ -76,18 +74,14 @@ func main() {
 		fmt.Printf("  momentum: %+.2f\n", momentum)
 	}
 
-	// 4. Remote access: serve the sentiment index over Vinci and query it
-	// through the network path, as a remote application component would.
-	sidx := index.NewSentimentIndex()
-	for _, f := range facts {
-		sidx.Add(index.SentimentEntry{
-			DocID: f.DocID, Sentence: f.Sentence, Subject: f.Subject,
-			Polarity: int(f.Polarity), Snippet: f.Snippet,
-		})
-	}
+	// 4. Remote access: serve the mined facts over Vinci and query them
+	// through the network path, as a remote application component
+	// would. The serving tier holds them as one snapshot; its store
+	// surface reads the platform's store and writes through the tier.
+	tier := webfountain.NewServingTier(platform, miner, facts)
 	reg := vinci.NewRegistry()
-	services.RegisterSentiment(reg, sidx)
-	services.RegisterStore(reg, store.New(1)) // empty remote store, for show
+	services.RegisterSentiment(reg, tier)
+	services.RegisterStore(reg, tier.Store())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -201,3 +201,24 @@ func chance(r *rand.Rand, p float64) bool { return r.Float64() < p }
 func docID(domain, source string, i int) string {
 	return fmt.Sprintf("%s-%s-%04d", domain, source, i)
 }
+
+// Named returns the generator of the corpus a command line names —
+// camera, music, petroleum, pharma, news or bboard — and the canonical
+// subjects its documents are written about.
+func Named(name string) (gen func(seed int64, n int) []Document, subjects []string, err error) {
+	switch name {
+	case "camera":
+		return DigitalCameraReviews, append(append([]string{}, CameraProducts...), CameraFeatures...), nil
+	case "music":
+		return MusicReviews, append(append([]string{}, MusicAlbums...), MusicFeatures...), nil
+	case "petroleum":
+		return PetroleumWeb, PetroleumCompanies, nil
+	case "pharma":
+		return PharmaWeb, PharmaCompanies, nil
+	case "news":
+		return PetroleumNews, PetroleumCompanies, nil
+	case "bboard":
+		return BulletinBoard, CameraProducts, nil
+	}
+	return nil, nil, fmt.Errorf("unknown corpus %q (want camera, music, petroleum, pharma, news or bboard)", name)
+}

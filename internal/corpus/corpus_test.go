@@ -221,3 +221,38 @@ func TestBulletinBoardCorpus(t *testing.T) {
 		}
 	}
 }
+
+func TestNamed(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		gen      func(int64, int) []Document
+		subjects []string
+	}{
+		{"camera", DigitalCameraReviews, append(append([]string{}, CameraProducts...), CameraFeatures...)},
+		{"music", MusicReviews, append(append([]string{}, MusicAlbums...), MusicFeatures...)},
+		{"petroleum", PetroleumWeb, PetroleumCompanies},
+		{"pharma", PharmaWeb, PharmaCompanies},
+		{"news", PetroleumNews, PetroleumCompanies},
+		{"bboard", BulletinBoard, CameraProducts},
+	} {
+		gen, subjects, err := Named(c.name)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, want := gen(3, 4), c.gen(3, 4)
+		if len(got) != 4 || len(want) != 4 {
+			t.Fatalf("%s: %d documents, want 4", c.name, len(got))
+		}
+		for i := range got {
+			if got[i].ID != want[i].ID || got[i].Text() != want[i].Text() {
+				t.Errorf("%s: document %d is %s, want %s", c.name, i, got[i].ID, want[i].ID)
+			}
+		}
+		if strings.Join(subjects, "|") != strings.Join(c.subjects, "|") {
+			t.Errorf("%s: subjects %v, want %v", c.name, subjects, c.subjects)
+		}
+	}
+	if gen, subjects, err := Named("bogus"); err == nil || gen != nil || subjects != nil {
+		t.Error("an unknown corpus name must fail")
+	}
+}

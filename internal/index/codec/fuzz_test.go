@@ -10,12 +10,12 @@ import (
 // declared count far beyond the data — iteration must terminate without
 // panicking, and any block handed out must decode within bounds.
 func FuzzReader(f *testing.F) {
-	f.Add([]byte{})                               // empty
-	f.Add(AppendBlock(nil, 0, nil))               // single doc, no positions
+	f.Add([]byte{})                                // empty
+	f.Add(AppendBlock(nil, 0, nil))                // single doc, no positions
 	f.Add(AppendBlock(nil, 1<<63, []int{1 << 62})) // max-gap varints
 	full := AppendBlock(nil, 3, []int{1, 4, 4000})
-	f.Add(full[:len(full)-1]) // truncated final delta
-	f.Add([]byte{0x80})       // truncated varint
+	f.Add(full[:len(full)-1])                                        // truncated final delta
+	f.Add([]byte{0x80})                                              // truncated varint
 	f.Add(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<40)) // absurd count
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)

@@ -208,7 +208,7 @@ func (b *docBuilder) build(tokens []string, nshards uint32) {
 	off := 0
 	for i := range b.entries {
 		e := &b.entries[i]
-		e.pos = backing[off:off : off+e.count]
+		e.pos = backing[off : off : off+e.count]
 		off += e.count
 	}
 	for i, idx := range b.tokIdx {

@@ -19,10 +19,10 @@ func scanAll(m *Matcher, words []string) []Match {
 
 func TestScanBasics(t *testing.T) {
 	b := NewBuilder()
-	b.Add([]string{"clie"})                  // 0
-	b.Add([]string{"sony", "clie"})          // 1
-	b.Add([]string{"t", "series", "clies"})  // 2
-	b.Add([]string{"series"})                // 3
+	b.Add([]string{"clie"})                 // 0
+	b.Add([]string{"sony", "clie"})         // 1
+	b.Add([]string{"t", "series", "clies"}) // 2
+	b.Add([]string{"series"})               // 3
 	m := b.Compile()
 
 	words := strings.Fields("the Sony CLIE beats the T series CLIEs hands down")
@@ -80,10 +80,10 @@ func TestCaseFolding(t *testing.T) {
 
 func TestWalkAtLongest(t *testing.T) {
 	b := NewBuilder()
-	b.Add([]string{"battery"})                  // 0
-	b.Add([]string{"battery", "life"})          // 1
-	b.Add([]string{"battery", "life", "woes"})  // 2
-	b.Add([]string{"life"})                     // 3
+	b.Add([]string{"battery"})                 // 0
+	b.Add([]string{"battery", "life"})         // 1
+	b.Add([]string{"battery", "life", "woes"}) // 2
+	b.Add([]string{"life"})                    // 3
 	m := b.Compile()
 	words := []string{"the", "battery", "life", "woes", "continue"}
 	sym := func(i int) uint32 { return m.Sym(words[i]) }

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"webfountain/internal/index"
+	"webfountain/internal/serve"
 	"webfountain/internal/store"
 	"webfountain/internal/vinci"
 )
@@ -34,25 +35,20 @@ func Idempotent(service string) bool {
 
 // --- store service ---
 
-// StoreHooks observe mutations that arrive through the store service,
-// letting a node keep derived state (its inverted index) in step with
-// writes a remote client made directly, not through the local ingest
-// pipeline.
-type StoreHooks struct {
-	// OnPut runs after a put is durably applied.
-	OnPut func(e *store.Entity)
-	// OnDelete runs after a delete is applied.
-	OnDelete func(id string)
+// Store is what the store service serves. *store.Store is one; a
+// serving node passes webfountain.ServingStore, whose puts are mined
+// and indexed through its serving tier.
+type Store interface {
+	Get(id string) (*store.Entity, bool)
+	Put(e *store.Entity) error
+	Delete(id string) error
+	Len() int
+	IDs() []string
 }
 
 // RegisterStore exposes an entity store: ops get, put, delete, count,
 // ids. Entities travel as XML (the store's native representation).
-func RegisterStore(reg *vinci.Registry, st *store.Store) {
-	RegisterStoreWith(reg, st, StoreHooks{})
-}
-
-// RegisterStoreWith is RegisterStore with mutation hooks.
-func RegisterStoreWith(reg *vinci.Registry, st *store.Store, hooks StoreHooks) {
+func RegisterStore(reg *vinci.Registry, st Store) {
 	reg.Register(StoreService, func(req vinci.Request) vinci.Response {
 		switch req.Op {
 		case "get":
@@ -73,16 +69,10 @@ func RegisterStoreWith(reg *vinci.Registry, st *store.Store, hooks StoreHooks) {
 			if err := st.Put(e); err != nil {
 				return vinci.Errorf("store: %v", err)
 			}
-			if hooks.OnPut != nil {
-				hooks.OnPut(e)
-			}
 			return vinci.OKResponse(map[string]string{"id": e.ID})
 		case "delete":
 			if err := st.Delete(req.Param("id")); err != nil {
 				return vinci.Errorf("store: %v", err)
-			}
-			if hooks.OnDelete != nil {
-				hooks.OnDelete(req.Param("id"))
 			}
 			return vinci.OKResponse(nil)
 		case "count":
@@ -167,12 +157,14 @@ func (sc StoreClient) Count() (int, error) {
 // --- index service ---
 
 // RegisterIndex exposes an inverted index: ops search (mode=all|any|
-// phrase over space-separated terms), docfreq and numdocs. The service
-// is read-only and registered idempotent, so clients may hedge it; a
-// search carrying a deadline budget is evaluated under that deadline
-// and shed with a deadline-exceeded response when it cannot finish in
-// time.
-func RegisterIndex(reg *vinci.Registry, ix *index.Index) {
+// phrase over space-separated terms), docfreq and numdocs. Every call
+// reads the index that ix returns, so a platform's lazily built index
+// (webfountain.Platform.InvertedIndex) is built by the first call, as by
+// its first search. The service is read-only and registered idempotent,
+// so clients may hedge it; a search carrying a deadline budget is
+// evaluated under that deadline and shed with a deadline-exceeded
+// response when it cannot finish in time.
+func RegisterIndex(reg *vinci.Registry, ix func() *index.Index) {
 	reg.RegisterIdempotent(IndexService, func(req vinci.Request) vinci.Response {
 		switch req.Op {
 		case "search":
@@ -200,7 +192,7 @@ func RegisterIndex(reg *vinci.Registry, ix *index.Index) {
 				return vinci.Errorf("index: unknown mode %q", mode)
 			}
 			deadline, _ := req.Deadline()
-			ids, err := ix.SearchWithDeadline(q, deadline)
+			ids, err := ix().SearchWithDeadline(q, deadline)
 			if err != nil {
 				return vinci.DeadlineExceededResponse("index: search shed: " + err.Error())
 			}
@@ -209,9 +201,9 @@ func RegisterIndex(reg *vinci.Registry, ix *index.Index) {
 				"count": strconv.Itoa(len(ids)),
 			})
 		case "docfreq":
-			return vinci.OKResponse(map[string]string{"count": strconv.Itoa(ix.DocFreq(req.Param("term")))})
+			return vinci.OKResponse(map[string]string{"count": strconv.Itoa(ix().DocFreq(req.Param("term")))})
 		case "numdocs":
-			return vinci.OKResponse(map[string]string{"count": strconv.Itoa(ix.NumDocs())})
+			return vinci.OKResponse(map[string]string{"count": strconv.Itoa(ix().NumDocs())})
 		}
 		return vinci.Errorf("index: unknown op %q", req.Op)
 	})
@@ -252,10 +244,12 @@ func (ic IndexClient) DocFreq(term string) (int, error) {
 
 // --- sentiment service ---
 
-// RegisterSentiment exposes a sentiment index: ops query and counts.
-// Entries travel as JSON inside one response field. Both ops are pure
-// reads, so the service is registered idempotent and safe to hedge.
-func RegisterSentiment(reg *vinci.Registry, sidx *index.SentimentIndex) {
+// RegisterSentiment exposes the sentiment served from src's current
+// View: ops query (the subject's entries, as JSON inside one response
+// field — the JSON of /api/sentiment) and counts. Each call reads one
+// View. Both ops are pure reads, so the service is registered
+// idempotent and safe to hedge.
+func RegisterSentiment(reg *vinci.Registry, src interface{ View() *serve.View }) {
 	reg.RegisterIdempotent(SentimentService, func(req vinci.Request) vinci.Response {
 		subject := req.Param("subject")
 		if subject == "" {
@@ -263,14 +257,17 @@ func RegisterSentiment(reg *vinci.Registry, sidx *index.SentimentIndex) {
 		}
 		switch req.Op {
 		case "query":
-			entries := sidx.Query(subject)
+			entries := src.View().Entries(subject)
+			if entries == nil {
+				entries = []serve.Entry{}
+			}
 			data, err := json.Marshal(entries)
 			if err != nil {
 				return vinci.Errorf("sentiment: encode: %v", err)
 			}
 			return vinci.OKResponse(map[string]string{"entries": string(data)})
 		case "counts":
-			c := sidx.Counts(subject)
+			c := src.View().Counts(subject)
 			return vinci.OKResponse(map[string]string{
 				"positive": strconv.Itoa(c.Positive),
 				"negative": strconv.Itoa(c.Negative),
@@ -283,8 +280,8 @@ func RegisterSentiment(reg *vinci.Registry, sidx *index.SentimentIndex) {
 // SentimentClient is the typed client for the sentiment service.
 type SentimentClient struct{ C vinci.Client }
 
-// Query fetches a subject's indexed sentiment entries.
-func (sc SentimentClient) Query(subject string) ([]index.SentimentEntry, error) {
+// Query fetches a subject's served sentiment entries.
+func (sc SentimentClient) Query(subject string) ([]serve.Entry, error) {
 	resp, err := sc.C.Call(vinci.Request{Service: SentimentService, Op: "query", Params: map[string]string{"subject": subject}})
 	if err != nil {
 		return nil, err
@@ -292,7 +289,7 @@ func (sc SentimentClient) Query(subject string) ([]index.SentimentEntry, error) 
 	if !resp.OK {
 		return nil, fmt.Errorf("%s", resp.Error)
 	}
-	var entries []index.SentimentEntry
+	var entries []serve.Entry
 	if err := json.Unmarshal([]byte(resp.Fields["entries"]), &entries); err != nil {
 		return nil, fmt.Errorf("sentiment: decode: %w", err)
 	}

@@ -8,19 +8,20 @@ import (
 	"time"
 
 	"webfountain/internal/index"
+	"webfountain/internal/serve"
 	"webfountain/internal/store"
 	"webfountain/internal/vinci"
 )
 
-func localSetup() (*vinci.Registry, *store.Store, *index.Index, *index.SentimentIndex) {
+func localSetup() (*vinci.Registry, *store.Store, *index.Index, *serve.Aggregates) {
 	reg := vinci.NewRegistry()
 	st := store.New(4)
 	ix := index.New()
-	sidx := index.NewSentimentIndex()
+	agg := serve.NewAggregates()
 	RegisterStore(reg, st)
-	RegisterIndex(reg, ix)
-	RegisterSentiment(reg, sidx)
-	return reg, st, ix, sidx
+	RegisterIndex(reg, func() *index.Index { return ix })
+	RegisterSentiment(reg, agg)
+	return reg, st, ix, agg
 }
 
 func TestStoreServiceRoundTrip(t *testing.T) {
@@ -79,26 +80,6 @@ func TestStoreServiceIDsOp(t *testing.T) {
 	}
 }
 
-func TestStoreServiceHooks(t *testing.T) {
-	st := store.New(1)
-	var puts, dels []string
-	reg := vinci.NewRegistry()
-	RegisterStoreWith(reg, st, StoreHooks{
-		OnPut:    func(e *store.Entity) { puts = append(puts, e.ID) },
-		OnDelete: func(id string) { dels = append(dels, id) },
-	})
-	sc := StoreClient{C: vinci.NewLocalClient(reg)}
-	if err := sc.Put(&store.Entity{ID: "doc-000001", Text: "hello"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Delete("doc-000001"); err != nil {
-		t.Fatal(err)
-	}
-	if len(puts) != 1 || len(dels) != 1 {
-		t.Fatalf("hooks: puts=%v dels=%v", puts, dels)
-	}
-}
-
 func TestIndexService(t *testing.T) {
 	reg, _, ix, _ := localSetup()
 	ix.Add("d1", strings.Fields("excellent camera zoom"))
@@ -135,16 +116,18 @@ func TestIndexService(t *testing.T) {
 }
 
 func TestSentimentService(t *testing.T) {
-	reg, _, _, sidx := localSetup()
-	sidx.Add(index.SentimentEntry{DocID: "d1", Sentence: 0, Subject: "nr70", Polarity: 1, Snippet: "great"})
-	sidx.Add(index.SentimentEntry{DocID: "d2", Sentence: 3, Subject: "nr70", Polarity: -1, Snippet: "bad"})
+	reg, _, _, agg := localSetup()
+	agg.Apply([]serve.Fact{
+		{Subject: "nr70", Positive: true, Doc: "d1", Sentence: 0, Snippet: "great"},
+		{Subject: "nr70", Positive: false, Doc: "d2", Sentence: 3, Snippet: "bad"},
+	})
 	c := SentimentClient{C: vinci.NewLocalClient(reg)}
 
 	entries, err := c.Query("NR70")
 	if err != nil || len(entries) != 2 {
 		t.Fatalf("entries = %+v, %v", entries, err)
 	}
-	if entries[0].Snippet != "great" || entries[1].Polarity != -1 {
+	if entries[0].Snippet != "great" || entries[1].Polarity != "-" {
 		t.Errorf("entries = %+v", entries)
 	}
 	pos, neg, err := c.Counts("nr70")
@@ -159,9 +142,9 @@ func TestSentimentService(t *testing.T) {
 // TestServicesOverTCP exercises the full remote path: the same typed
 // clients over a real network connection.
 func TestServicesOverTCP(t *testing.T) {
-	reg, _, ix, sidx := localSetup()
+	reg, _, ix, agg := localSetup()
 	ix.Add("d1", strings.Fields("remote access works"))
-	sidx.Add(index.SentimentEntry{DocID: "d1", Subject: "platform", Polarity: 1, Snippet: "works"})
+	agg.Apply([]serve.Fact{{Subject: "platform", Positive: true, Doc: "d1", Snippet: "works"}})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

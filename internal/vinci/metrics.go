@@ -83,9 +83,9 @@ var (
 	// that died with a spent budget, shed responses observed, hedges
 	// fired and hedges whose second attempt won. Server side: requests
 	// rejected before dispatch because they arrived with no budget.
-	clientExpired  = metrics.Default().Counter("vinci.client.expired")
-	clientShedSeen = metrics.Default().Counter("vinci.client.shed.seen")
-	clientHedges   = metrics.Default().Counter("vinci.client.hedges")
+	clientExpired   = metrics.Default().Counter("vinci.client.expired")
+	clientShedSeen  = metrics.Default().Counter("vinci.client.shed.seen")
+	clientHedges    = metrics.Default().Counter("vinci.client.hedges")
 	clientHedgeWins = metrics.Default().Counter("vinci.client.hedge.wins")
-	serverExpired  = metrics.Default().Counter("vinci.server.expired")
+	serverExpired   = metrics.Default().Counter("vinci.server.expired")
 )

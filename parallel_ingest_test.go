@@ -186,8 +186,8 @@ func TestParseGeneratedID(t *testing.T) {
 		{fmt.Sprintf("doc-%06d", 987654), 987654, true},
 		{"doc-", 0, false},
 		{"doc", 0, false},
-		{"doc-12x", 0, false},  // trailing junk: not a generated ID
-		{"doc-1 2", 0, false},  // embedded space
+		{"doc-12x", 0, false}, // trailing junk: not a generated ID
+		{"doc-1 2", 0, false}, // embedded space
 		{"review-12", 0, false},
 		{"", 0, false},
 	}

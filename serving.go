@@ -2,6 +2,7 @@ package webfountain
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"sort"
 	"sync"
@@ -101,6 +102,50 @@ type ServingTier struct {
 
 func newServingTier(p *Platform, m *SentimentMiner) *ServingTier {
 	return &ServingTier{p: p, m: m, agg: serve.NewAggregates()}
+}
+
+// OpenServing boots a serving node, the one boot behind cmd/wfserver and
+// cmd/wfnode: the platform (durable under cfg.DataDir when it is set,
+// in memory otherwise), the default sentiment miner, and the tier
+// recovered from what the store holds (RecoverServingTier). An empty
+// store is then seeded with seed's documents through the tier's own
+// ingest, as one batch, so seed documents are mined and annotated by the
+// same step as live ones; seed is called only then, and may be nil. On
+// error nothing is left open.
+func OpenServing(cfg PlatformConfig, seed func() ([]ServingDoc, error)) (*Platform, *ServingTier, ServingRecovery, error) {
+	var p *Platform
+	if cfg.DataDir == "" {
+		p = NewPlatform(cfg)
+	} else {
+		var err error
+		if p, err = OpenPlatform(cfg); err != nil {
+			return nil, nil, ServingRecovery{}, err
+		}
+	}
+	fail := func(err error) (*Platform, *ServingTier, ServingRecovery, error) {
+		p.Close()
+		return nil, nil, ServingRecovery{}, err
+	}
+	m, err := NewSentimentMiner(MinerConfig{})
+	if err != nil {
+		return fail(err)
+	}
+	t, rec, err := RecoverServingTier(p, m, ServingTierConfig{})
+	if err != nil {
+		return fail(err)
+	}
+	if p.NumEntities() == 0 && seed != nil {
+		docs, err := seed()
+		if err != nil {
+			return fail(err)
+		}
+		if len(docs) > 0 {
+			if _, _, err := t.Ingest(context.Background(), docs); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	return p, t, rec, nil
 }
 
 // NewServingTier builds the tier over a platform and a miner that has
@@ -253,18 +298,24 @@ func (t *ServingTier) Entries(_ context.Context, subject string) []serve.Entry {
 // an offline fold of the store after every batch, whatever the number
 // of ingest workers.
 func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	batch := make([]Document, len(docs))
 	for i, d := range docs {
 		batch[i] = Document{
 			ID: d.ID, Source: d.Source, Title: d.Title, Date: d.Date, Text: d.Text,
 		}
 	}
-	mined := make([][]SubjectSentiment, len(docs))
+	return t.ingest(ctx, batch)
+}
+
+// ingest is Ingest over platform documents: the loop behind the gateway
+// and the node's store service alike.
+func (t *ServingTier) ingest(ctx context.Context, batch []Document) ([]string, int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	mined := make([][]SubjectSentiment, len(batch))
 	ids, err := t.p.ingest(ctx, batch, func(i int, id, text string, toks []tokenize.Token) []store.Annotation {
 		mined[i] = t.m.analyzeEntity(id, text, toks)
 		return annotationsOf(mined[i])
@@ -284,3 +335,39 @@ func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, i
 	}
 	return ids, len(facts), err
 }
+
+// ServingStore is the entity-store surface of a serving node, as a
+// remote store service serves it: reads come from the platform's store,
+// annotations included, and writes go through the tier, so what a
+// remote client puts is mined, indexed and served like any other
+// ingest.
+type ServingStore struct{ t *ServingTier }
+
+// Store returns the tier's entity-store surface.
+func (t *ServingTier) Store() ServingStore { return ServingStore{t} }
+
+// Get returns a stored entity with its annotations.
+func (s ServingStore) Get(id string) (*store.Entity, bool) { return s.t.p.store.Get(id) }
+
+// Put ingests one entity through the tier as a one-document batch. Its
+// annotations are dropped: the stored ones are the miner's. A put of an
+// ID already stored behaves as a resend to the tier's Ingest does.
+func (s ServingStore) Put(e *store.Entity) error {
+	if e.ID == "" {
+		return errors.New("webfountain: put of an entity without an ID")
+	}
+	_, _, err := s.t.ingest(context.Background(), []Document{{
+		ID: e.ID, URL: e.URL, Source: e.Source, Title: e.Title, Date: e.Date, Links: e.Links, Text: e.Text,
+	}})
+	return err
+}
+
+// Delete removes a document from the store and the index
+// (Platform.Delete). Its served entries stay in the aggregates.
+func (s ServingStore) Delete(id string) error { return s.t.p.Delete(id) }
+
+// Len returns the number of stored documents.
+func (s ServingStore) Len() int { return s.t.p.NumEntities() }
+
+// IDs returns every stored document ID, sorted.
+func (s ServingStore) IDs() []string { return s.t.p.store.IDs() }

@@ -41,8 +41,8 @@ import (
 	"webfountain/internal/tokenize"
 )
 
-// Platform-level ingest metrics (the Platform.Ingest path; the
-// acquisition layer in internal/ingest has its own counters).
+// Platform-level ingest metrics: every ingest, Platform.Ingest's and the
+// serving tier's alike, runs the one ingest loop that records them.
 var (
 	platformIngestDocs     = metrics.Default().Counter("platform.ingest.docs")
 	platformIngestBytes    = metrics.Default().Counter("platform.ingest.bytes")
@@ -81,7 +81,7 @@ type Platform struct {
 	nextID  atomic.Int64
 
 	// The inverted index is built from the store by the first search
-	// (searchIndex) and kept up to date by every write after that, so a
+	// (InvertedIndex) and kept up to date by every write after that, so a
 	// platform that is never searched never builds it. Writers hold
 	// indexMu shared across their store write and index update and the
 	// build holds it exclusively, so the build sees each document exactly
@@ -347,8 +347,10 @@ func parseGeneratedID(id string) (int64, bool) {
 	return n, true
 }
 
-// searchIndex returns the inverted index, building it on first use.
-func (p *Platform) searchIndex() *index.Index {
+// InvertedIndex returns the platform's inverted index, building it from
+// the store on first use — the one index every search reads, kept up to
+// date by every ingest and delete after that.
+func (p *Platform) InvertedIndex() *index.Index {
 	if ix := p.index.Load(); ix != nil {
 		return ix
 	}
@@ -676,14 +678,14 @@ func (p *Platform) SearchAll(terms ...string) []string {
 	for i, t := range terms {
 		qs[i] = index.Term(t)
 	}
-	return p.searchIndex().Search(index.And(qs...))
+	return p.InvertedIndex().Search(index.And(qs...))
 }
 
 // SearchPhrase returns the IDs of documents containing the words
 // consecutively. The platform's first search builds the inverted index
 // from the store.
 func (p *Platform) SearchPhrase(words ...string) []string {
-	return p.searchIndex().Search(index.Phrase(words...))
+	return p.InvertedIndex().Search(index.Phrase(words...))
 }
 
 // Snapshot streams every stored document to w as XML, in deterministic
