@@ -142,11 +142,32 @@ var negationAdverbs = map[string]bool{
 	"little": true, "neither": true, "nor": true,
 }
 
-// IsNegationAdverb reports whether the word reverses polarity; the check
-// folds case without allocating.
-func IsNegationAdverb(w string) bool {
-	v, _ := tokenize.FoldProbe(negationAdverbs, w)
-	return v
+// Negates reports whether the token is a negation adverb: a class bit
+// of its term, probed on first use.
+func Negates(t *pos.TaggedToken) bool { return classOf(t)&classNegation != 0 }
+
+// Word classes of the chunker's lists, one bit each.
+const (
+	classNegation uint8 = 1 << iota
+	classBe
+	classLinking
+)
+
+var termClass = tokenize.Classes(
+	tokenize.WordList{Words: negationAdverbs, Class: classNegation},
+	tokenize.WordList{Words: beFormSet, Class: classBe},
+	tokenize.WordList{Words: linkingVerbs, Class: classLinking},
+)
+
+func classOf(t *pos.TaggedToken) uint8 { return tokenize.ClassOf(termClass, &t.Token) }
+
+// lowerWord returns the token's text lower-cased: the interned word of a
+// vocabulary term, so the common preposition costs no fold.
+func lowerWord(t *pos.TaggedToken) string {
+	if w := tokenize.TermWord(t.TermID()); w != "" {
+		return w
+	}
+	return strings.ToLower(t.Text)
 }
 
 // Chunker groups tagged tokens into phrases and clauses. The zero value is
@@ -186,7 +207,7 @@ func (c *Chunker) AppendPhrases(dst []Phrase, ts []pos.TaggedToken) []Phrase {
 					Tokens: ts[i:j],
 					Start:  i, End: j,
 					Head: 0,
-					Prep: strings.ToLower(ts[i].Text),
+					Prep: lowerWord(&ts[i]),
 				})
 				_ = np
 				i = j
@@ -487,11 +508,13 @@ func analyzeClause(sc *Scratch, phrases []Phrase) Clause {
 	// Negation and passivity from every VP in the chain.
 	sawBe := false
 	for i := vpIdx; i <= lastVP; i++ {
-		for _, t := range phrases[i].Tokens {
-			if t.Tag.IsAdverb() && IsNegationAdverb(t.Text) {
+		toks := phrases[i].Tokens
+		for k := range toks {
+			c := classOf(&toks[k])
+			if toks[k].Tag.IsAdverb() && c&classNegation != 0 {
 				cl.Negated = true
 			}
-			if isBeForm(t.Text) {
+			if c&classBe != 0 {
 				sawBe = true
 			}
 		}
@@ -511,7 +534,7 @@ func analyzeClause(sc *Scratch, phrases []Phrase) Clause {
 	// Post-verbal phrases: first NP is the object, first ADJP is the
 	// complement; an NP directly after a copular main verb is also a
 	// complement ("is a great product").
-	copular := isBeForm(cl.MainVerb.Text) || isLinkingVerb(cl.MainVerb.Text)
+	copular := classOf(&cl.MainVerb)&(classBe|classLinking) != 0
 	ppStart := len(sc.pps)
 	for i := lastVP + 1; i < len(phrases); i++ {
 		switch phrases[i].Type {
@@ -549,13 +572,6 @@ var beFormSet = map[string]bool{
 	"'m": true,
 }
 
-// isBeForm reports whether the word is a form of "be", folding case
-// without allocating.
-func isBeForm(w string) bool {
-	v, _ := tokenize.FoldProbe(beFormSet, w)
-	return v
-}
-
 // linkingVerbs lists copular verbs other than be whose post-verbal
 // adjective describes the subject.
 var linkingVerbs = map[string]bool{
@@ -568,9 +584,4 @@ var linkingVerbs = map[string]bool{
 	"get": true, "gets": true, "got": true, "turn": true, "turns": true,
 	"turned": true, "prove": true, "proves": true, "proved": true,
 	"taste": true, "tastes": true, "smell": true, "smells": true,
-}
-
-func isLinkingVerb(w string) bool {
-	v, _ := tokenize.FoldProbe(linkingVerbs, w)
-	return v
 }

@@ -232,12 +232,15 @@ func TestVerblessClauseHasNoPredicate(t *testing.T) {
 }
 
 func TestIsNegationAdverb(t *testing.T) {
+	negates := func(w string) bool {
+		return Negates(&pos.TaggedToken{Token: tokenize.Token{Text: w, Kind: tokenize.Word}})
+	}
 	for _, w := range []string{"not", "n't", "never", "hardly", "seldom", "NOT"} {
-		if !IsNegationAdverb(w) {
-			t.Errorf("IsNegationAdverb(%q) = false", w)
+		if !negates(w) {
+			t.Errorf("Negates(%q) = false", w)
 		}
 	}
-	if IsNegationAdverb("very") {
+	if negates("very") {
 		t.Error("very is not a negation adverb")
 	}
 }

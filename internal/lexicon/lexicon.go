@@ -156,12 +156,13 @@ func (lx *Lexicon) MaxWords() int { return lx.maxWords }
 // adjective entries all adjective grades, and verb entries all inflections,
 // mirroring how the paper's tagger-agnostic entries behave.
 func (lx *Lexicon) Lookup(term string, tag pos.Tag) (Polarity, bool) {
-	return lx.lookupLower(strings.ToLower(term), tag)
+	return lx.LookupLower(strings.ToLower(term), tag)
 }
 
-// lookupLower is Lookup for a term that is already lower-cased (entry
-// keys and trie terms are), skipping the ToLower scan on the hot path.
-func (lx *Lexicon) lookupLower(term string, tag pos.Tag) (Polarity, bool) {
+// LookupLower is Lookup for a term that is already lower-cased (entry
+// keys, trie terms and verb lemmas are), skipping the ToLower scan on the
+// hot path.
+func (lx *Lexicon) LookupLower(term string, tag pos.Tag) (Polarity, bool) {
 	list, ok := lx.entries[term]
 	if !ok {
 		return Neutral, false
@@ -325,7 +326,7 @@ func (lx *Lexicon) LookupPhrase(tokens []pos.TaggedToken, i int) (Polarity, int,
 	for k := len(cands) - 1; k >= 0; k-- { // longest first
 		term := t.terms[cands[k].pattern]
 		l := int(cands[k].length)
-		if pol, ok := lx.lookupLower(term, tokens[i].Tag); ok {
+		if pol, ok := lx.LookupLower(term, tokens[i].Tag); ok {
 			return pol, l, true
 		}
 		// Single-reading fallback: when the term exists in the lexicon

@@ -79,6 +79,26 @@ var stopwords = map[string]bool{
 	"two": true, "three": true, "four": true, "five": true,
 }
 
+// Word classes of the lists above, one bit each.
+const (
+	classStop uint8 = 1 << iota
+	classConnector
+	classSplitter
+	classTitle
+)
+
+// termClass holds each vocabulary term's word classes: a token's classes
+// are one probe of its text, done at most once (Token.TermID), and read
+// as bits after.
+var termClass = tokenize.Classes(
+	tokenize.WordList{Words: stopwords, Class: classStop},
+	tokenize.WordList{Words: connectors, Class: classConnector},
+	tokenize.WordList{Words: splitters, Class: classSplitter},
+	tokenize.WordList{Words: titles, Class: classTitle},
+)
+
+func classOf(t *tokenize.Token) uint8 { return tokenize.ClassOf(termClass, t) }
+
 // Spotter detects named entities in token streams. The zero value is ready
 // to use.
 type Spotter struct{}
@@ -105,7 +125,9 @@ func (sp *Spotter) SpotSentences(sents []tokenize.Sentence) []Entity {
 
 // AppendEntities scans tokens and appends the detected entities to dst,
 // marking them with the given sentence index (-1 for whole-document
-// scans). All lookups fold case without allocating.
+// scans). Only tokens whose class a rule asks for are probed — the
+// capitalized ones and the words right after a candidate — and each
+// stores its term in Token.Term, so later stages do not probe it again.
 func (sp *Spotter) AppendEntities(dst []Entity, tokens []tokenize.Token, sentence int) []Entity {
 	i := 0
 	for i < len(tokens) {
@@ -118,16 +140,16 @@ func (sp *Spotter) AppendEntities(dst []Entity, tokens []tokenize.Token, sentenc
 		// possessive clitics.
 		j := i + 1
 		for j < len(tokens) {
-			t := tokens[j]
+			t := &tokens[j]
 			if isCapWord(t) {
 				j++
 				continue
 			}
-			if isConnector(t) && j+1 < len(tokens) && isCapWord(tokens[j+1]) {
+			if isConnector(t) && j+1 < len(tokens) && isCapWord(&tokens[j+1]) {
 				j += 2
 				continue
 			}
-			if isPossessive(t) && j+1 < len(tokens) && isCapWord(tokens[j+1]) {
+			if isPossessive(t) && j+1 < len(tokens) && isCapWord(&tokens[j+1]) {
 				j += 2
 				continue
 			}
@@ -141,7 +163,7 @@ func (sp *Spotter) AppendEntities(dst []Entity, tokens []tokenize.Token, sentenc
 
 // isCandidateStart reports whether a candidate name may begin at i.
 func isCandidateStart(tokens []tokenize.Token, i int) bool {
-	t := tokens[i]
+	t := &tokens[i]
 	if !isCapWord(t) {
 		return false
 	}
@@ -151,27 +173,20 @@ func isCandidateStart(tokens []tokenize.Token, i int) bool {
 	// A capitalized stopword can still start an entity when directly
 	// followed by another capitalized word ("The Beatles") — but only
 	// mid-sentence starts are trustworthy; we accept the lookahead form.
-	return i+1 < len(tokens) && isCapWord(tokens[i+1]) && !isStopword(tokens[i+1])
+	return i+1 < len(tokens) && isCapWord(&tokens[i+1]) && !isStopword(&tokens[i+1])
 }
 
-func isConnector(t tokenize.Token) bool {
-	v, _ := tokenize.FoldProbe(connectors, t.Text)
-	return v
-}
+func isConnector(t *tokenize.Token) bool { return classOf(t)&classConnector != 0 }
 
-func isStopword(t tokenize.Token) bool {
-	v, _ := tokenize.FoldProbe(stopwords, t.Text)
-	return v
-}
+func isStopword(t *tokenize.Token) bool { return classOf(t)&classStop != 0 }
 
-func isSplitter(t tokenize.Token) bool {
-	v, _ := tokenize.FoldProbe(splitters, t.Text)
-	return v
-}
+func isSplitter(t *tokenize.Token) bool { return classOf(t)&classSplitter != 0 }
 
-func isPossessive(t tokenize.Token) bool { return tokenize.EqualFold(t.Text, "'s") }
+func isTitle(t *tokenize.Token) bool { return classOf(t)&classTitle != 0 }
 
-func isCapWord(t tokenize.Token) bool {
+func isPossessive(t *tokenize.Token) bool { return tokenize.EqualFold(t.Text, "'s") }
+
+func isCapWord(t *tokenize.Token) bool {
 	if t.Kind != tokenize.Word {
 		return false
 	}
@@ -190,24 +205,24 @@ func splitCandidate(dst []Entity, tokens []tokenize.Token, i, j, sentence int) [
 		}
 		// Trim leading/trailing connectors and stopword-only entities.
 		s, e := start, end
-		for s < e && (isConnector(tokens[s]) || isStopword(tokens[s]) && s == start && e-s > 1 && !isTitle(tokens[s])) {
-			if isConnector(tokens[s]) {
+		for s < e && (isConnector(&tokens[s]) || isStopword(&tokens[s]) && s == start && e-s > 1 && !isTitle(&tokens[s])) {
+			if isConnector(&tokens[s]) {
 				s++
 				continue
 			}
-			if isStopword(tokens[s]) && !isTitle(tokens[s]) {
+			if isStopword(&tokens[s]) && !isTitle(&tokens[s]) {
 				s++
 				continue
 			}
 			break
 		}
-		for e > s && (isConnector(tokens[e-1]) || isPossessive(tokens[e-1])) {
+		for e > s && (isConnector(&tokens[e-1]) || isPossessive(&tokens[e-1])) {
 			e--
 		}
 		if e <= s {
 			return
 		}
-		if e-s == 1 && isStopword(tokens[s]) {
+		if e-s == 1 && isStopword(&tokens[s]) {
 			return
 		}
 		text := tokens[s].Text // single-token entity: no string build
@@ -234,19 +249,19 @@ func splitCandidate(dst []Entity, tokens []tokenize.Token, i, j, sentence int) [
 		})
 	}
 	for k := i; k < j; k++ {
-		if isSplitter(tokens[k]) {
+		if isSplitter(&tokens[k]) {
 			// "of" after a title phrase splits ("Prof. Wilson of American
 			// University"); a leading "of" inside an org name like "Bank
 			// of America" does not when the left side is a single
 			// non-title capitalized word.
-			if tokenize.EqualFold(tokens[k].Text, "of") && k-start == 1 && !isTitle(tokens[start]) {
+			if tokens[k].Term == termOf && k-start == 1 && !isTitle(&tokens[start]) {
 				continue // keep "Bank of America" together
 			}
 			flush(k)
 			start = k + 1
 			continue
 		}
-		if isPossessive(tokens[k]) {
+		if isPossessive(&tokens[k]) {
 			flush(k)
 			start = k + 1
 		}
@@ -255,7 +270,5 @@ func splitCandidate(dst []Entity, tokens []tokenize.Token, i, j, sentence int) [
 	return dst
 }
 
-func isTitle(t tokenize.Token) bool {
-	v, _ := tokenize.FoldProbe(titles, t.Text)
-	return v
-}
+// termOf is the term of "of", which an isSplitter test has just probed.
+var termOf = tokenize.Intern("of")

@@ -146,6 +146,12 @@ func (db *DB) Lookup(lemma string) []Pattern {
 	return db.byPredicate[strings.ToLower(lemma)]
 }
 
+// LookupLower is Lookup for a lemma that is already lower-case, as
+// pos.VerbLemma returns it: it skips the fold.
+func (db *DB) LookupLower(lemma string) []Pattern {
+	return db.byPredicate[lemma]
+}
+
 // Len returns the number of predicates with at least one pattern.
 func (db *DB) Len() int { return len(db.byPredicate) }
 

@@ -109,6 +109,25 @@ func lemmaParts(lw string) (stem, suffix string) {
 	return lw, ""
 }
 
+// eDroppingSuffixes are stem endings that nearly always had a trailing
+// e, in the order restoreE tries them.
+var eDroppingSuffixes = []string{"at", "iz", "is", "us", "as", "os", "ang", "ast",
+	"vid", "cid", "sid",
+	"uc", "ac", "ic", "nc", "rc", "g", "v", "u", "ir", "ur", "or",
+	"ibl", "abl", "pl", "cl", "bl", "dl", "tl", "gl", "fl", "kl", "sl", "zl",
+	"quir", "par", "car", "tur"}
+
+// eDroppingByLast groups eDroppingSuffixes by their last byte, keeping
+// their order: only the group of the stem's last byte can match, so a
+// stem is compared with a few suffixes instead of all of them.
+var eDroppingByLast = func() (t [256][]string) {
+	for _, suf := range eDroppingSuffixes {
+		c := suf[len(suf)-1]
+		t[c] = append(t[c], suf)
+	}
+	return t
+}()
+
 // restoreE returns the "e" to add back to stems like "lov" -> "love" (but
 // not "impress"). Heuristic: consonant + single vowel + consonant stems of
 // length <= 5 and stems ending in typical e-dropping clusters get the e.
@@ -118,11 +137,7 @@ func restoreE(stem string) (string, string) {
 		return stem, ""
 	}
 	// Stems ending in these clusters nearly always had a trailing e.
-	for _, suf := range []string{"at", "iz", "is", "us", "as", "os", "ang", "ast",
-		"vid", "cid", "sid",
-		"uc", "ac", "ic", "nc", "rc", "g", "v", "u", "ir", "ur", "or",
-		"ibl", "abl", "pl", "cl", "bl", "dl", "tl", "gl", "fl", "kl", "sl", "zl",
-		"quir", "par", "car", "tur"} {
+	for _, suf := range eDroppingByLast[stem[n-1]] {
 		if strings.HasSuffix(stem, suf) {
 			// "g" exception: "-ng" stays ("hang"), "-gg" handled by undouble.
 			if suf == "g" && strings.HasSuffix(stem, "ng") {

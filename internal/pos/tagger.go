@@ -1,6 +1,7 @@
 package pos
 
 import (
+	"slices"
 	"strings"
 
 	"webfountain/internal/tokenize"
@@ -31,41 +32,24 @@ func (tg *Tagger) Tag(tokens []tokenize.Token) []TaggedToken {
 
 // AppendTags appends one TaggedToken per token to dst and returns the
 // extended slice. Context repair runs over the appended region only, so a
-// caller can tag several sentences into one reused buffer.
+// caller can tag several sentences into one reused buffer. Each word is
+// probed at most once: a token an earlier stage probed keeps its term,
+// and a word probed here stores its term back into tokens, so a sentence
+// tagged again is not probed again.
 func (tg *Tagger) AppendTags(dst []TaggedToken, tokens []tokenize.Token) []TaggedToken {
 	base := len(dst)
-	for _, tok := range tokens {
-		dst = append(dst, TaggedToken{Token: tok, Tag: tg.lexical(tok)})
+	dst = slices.Grow(dst, len(tokens))[:base+len(tokens)]
+	for i := range tokens {
+		tok := &tokens[i]
+		if tok.Kind == tokenize.Word {
+			tok.TermID()
+		}
+		d := &dst[base+i]
+		d.Token = *tok
+		d.Tag = tg.lexical(*tok)
 	}
 	applyContextRules(dst[base:])
 	return dst
-}
-
-// foldProbe probes an ASCII-keyed map with the case-folded form of s
-// without allocating: the string(buf) conversion in a map index is elided
-// by the compiler.
-func foldProbe[V any](m map[string]V, s string) (V, bool) {
-	if len(s) <= 32 {
-		ascii := true
-		var buf [32]byte
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			if c >= 0x80 {
-				ascii = false
-				break
-			}
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			buf[i] = c
-		}
-		if ascii {
-			v, ok := m[string(buf[:len(s)])]
-			return v, ok
-		}
-	}
-	v, ok := m[strings.ToLower(s)]
-	return v, ok
 }
 
 // foldEq reports whether s equals lower under ASCII case folding; lower
@@ -96,27 +80,56 @@ func (tg *Tagger) TagSentence(s tokenize.Sentence) []TaggedToken {
 	return tg.Tag(s.Tokens)
 }
 
-// lexEntry is a word's context-free tag in lexTable; be marks the forms
-// of "be", which outrank Tagger.Extra.
-type lexEntry struct {
-	tag Tag
-	be  bool
+// Terms the lexical pass and the context rules compare tokens with.
+var (
+	termPossessive = tokenize.Intern("'s")
+	termTo         = tokenize.Intern("to")
+	termThere      = tokenize.Intern("there")
+	termHas        = tokenize.Intern("has")
+	termHave       = tokenize.Intern("have")
+	termHad        = tokenize.Intern("had")
+	termDo         = tokenize.Intern("do")
+	termDoes       = tokenize.Intern("does")
+	termDid        = tokenize.Intern("did")
+	termBy         = tokenize.Intern("by")
+	termWith       = tokenize.Intern("with")
+	termLike       = tokenize.Intern("like")
+	termThat       = tokenize.Intern("that")
+)
+
+// termInfo is what the tagger knows of one vocabulary term.
+type termInfo struct {
+	tag     Tag    // the context-free tag, when known
+	known   bool   // some word list holds the term
+	be      bool   // a form of "be", which outranks Tagger.Extra
+	linking bool   // the term's lemma is a linking verb (isLinkingVerb)
+	plural  Tag    // pluralAsVerb's verb tag, or 0
+	lemma   string // VerbLemma of the term
 }
 
-// lexTable merges every word list the lexical pass consults — the
+// termInfos merges every word list the lexical pass consults — the
 // be-forms, the closed classes, the wh-words, the irregular verbs and
-// the open-class lexicon — into one map, so a token costs one fold and
-// one probe. Lists are added in the order of their precedence, and a
-// word held by several keeps the tag of the first.
-var lexTable = func() map[string]lexEntry {
-	m := make(map[string]lexEntry, len(lexicon)+len(irregularVerbs)+256)
-	add := func(w string, t Tag, be bool) {
-		if _, ok := m[w]; !ok {
-			m[w] = lexEntry{tag: t, be: be}
+// the open-class lexicon — into one table indexed by term, so a token
+// costs at most one probe. Lists are added in the order of their
+// precedence, and a word held by several keeps the tag of the first.
+// Every term interned before the table is built gets its lemma and
+// linking bit; a term interned later has no entry (infoOf).
+var termInfos = func() []termInfo {
+	var t []termInfo
+	at := func(w string) *termInfo {
+		id := tokenize.Intern(w)
+		for int(id) >= len(t) {
+			t = append(t, termInfo{})
+		}
+		return &t[id]
+	}
+	add := func(w string, tag Tag, be bool) {
+		if e := at(w); !e.known {
+			e.tag, e.known, e.be = tag, true, be
 		}
 	}
-	for w, t := range beForms {
-		add(w, t, true)
+	for w, tag := range beForms {
+		add(w, tag, true)
 	}
 	for _, set := range []struct {
 		words map[string]bool
@@ -132,16 +145,54 @@ var lexTable = func() map[string]lexEntry {
 		}
 	}
 	for _, tags := range []map[string]Tag{whWords, irregularVerbs, lexicon} {
-		for w, t := range tags {
-			add(w, t, false)
+		for w, tag := range tags {
+			add(w, tag, false)
 		}
 	}
-	return m
+	for w, tag := range pluralAsVerb {
+		at(w).plural = tag
+	}
+	for len(t) < tokenize.VocabSize() {
+		t = append(t, termInfo{})
+	}
+	for id := range t {
+		if w := tokenize.TermWord(uint32(id)); w != "" {
+			t[id].linking = isLinkingVerb(w)
+			t[id].lemma = VerbLemma(w)
+		}
+	}
+	return t
 }()
+
+// infoOf returns the table entry of a term that list membership is
+// decided by (tokenize.ClassTerm), and whether the table has one: a
+// reserved ID or a term interned after the table was built has none, and
+// its lemma and linking bit must come from the text.
+func infoOf(id uint32) (termInfo, bool) {
+	if tokenize.IsVocabTerm(id) && int(id) < len(termInfos) {
+		return termInfos[id], true
+	}
+	return termInfo{}, false
+}
+
+// classInfo is infoOf for a tagged token, probing it on first use.
+func classInfo(t *TaggedToken) (termInfo, bool) {
+	return infoOf(tokenize.ClassTerm(t.TermID(), t.Text))
+}
+
+// TermLemma returns VerbLemma(text) for a token whose term is id, from
+// the per-term table when the term has an entry: the lemma of a word the
+// tagger knows is built once, at initialization, not once per use.
+func TermLemma(id uint32, text string) string {
+	if info, ok := infoOf(id); ok {
+		return info.lemma
+	}
+	return VerbLemma(text)
+}
 
 // lexical assigns the context-free most likely tag for a token. The
 // precedence is: the "'s" clitic, the be-forms, Extra, "to" and
-// "there", then every other list in lexTable, then morphology.
+// "there", then every other list, then morphology.
 func (tg *Tagger) lexical(tok tokenize.Token) Tag {
 	switch tok.Kind {
 	case tokenize.Number:
@@ -150,32 +201,33 @@ func (tg *Tagger) lexical(tok tokenize.Token) Tag {
 		return PCT
 	}
 	w := tok.Text
+	id := tok.Term
+	if id == tokenize.TermUnprobed {
+		id = tokenize.Probe(w)
+	}
 
 	// Possessive clitic from the tokenizer ("camera" + "'s"). Verbal "'s"
 	// (= is) is repaired contextually when followed by an adjective or
 	// determiner; default to POS after nouns, which the context rules use.
-	if foldEq(w, "'s") {
+	if id == termPossessive {
 		return POS
 	}
-	// One fold serves both maps; the string(key) conversions in the map
-	// indexes do not allocate.
-	var buf [64]byte
-	key := tokenize.Fold(buf[:0], w)
-	e, known := lexTable[string(key)]
-	if known && e.be {
+	e, _ := infoOf(tokenize.ClassTerm(id, w))
+	if e.be {
 		return e.tag
 	}
 	if tg.Extra != nil {
-		if t, ok := tg.Extra[string(key)]; ok {
+		var buf [64]byte
+		if t, ok := tg.Extra[string(tokenize.Fold(buf[:0], w))]; ok {
 			return t
 		}
 	}
 	switch {
-	case foldEq(w, "to"):
+	case id == termTo:
 		return TO
-	case foldEq(w, "there"):
+	case id == termThere:
 		return EX // repaired to RB contextually when not followed by be
-	case known:
+	case e.known:
 		return e.tag
 	}
 
@@ -243,8 +295,8 @@ func applyContextRules(ts []TaggedToken) {
 		}
 		return ts[i].Tag
 	}
-	wordIs := func(i int, lower string) bool {
-		return i >= 0 && i < n && foldEq(ts[i].Text, lower)
+	wordIs := func(i int, term uint32) bool {
+		return i >= 0 && i < n && ts[i].TermID() == term
 	}
 
 	for i := 0; i < n; i++ {
@@ -291,7 +343,7 @@ func applyContextRules(ts []TaggedToken) {
 		// view"), which must stay verbal for the PP(by;with) patterns.
 		case (cur == VBN || cur == VBG) && isLinkingLike(ts, i-1) &&
 			!(next.IsNoun() || next == DT || next == PRPS) &&
-			!wordIs(i+1, "by") && !wordIs(i+1, "with"):
+			!wordIs(i+1, termBy) && !wordIs(i+1, termWith):
 			ts[i].Tag = JJ
 
 		// Existential "there" only before forms of be.
@@ -322,13 +374,13 @@ func applyContextRules(ts []TaggedToken) {
 
 		// Prepositional "like/unlike" stay IN; verbal "like" after PRP:
 		// "I like the camera."
-		case cur == IN && wordIs(i, "like") && (prev == PRP || prev == NNS || prev == NNP) && (next == DT || next == PRPS || next == NNP):
+		case cur == IN && wordIs(i, termLike) && (prev == PRP || prev == NNS || prev == NNP) && (next == DT || next == PRPS || next == NNP):
 			ts[i].Tag = VBP
 
 		// "that" as complementizer after a verb: keep IN; as determiner
 		// before a noun: DT (already lexical); as relative pronoun after a
 		// noun and before a verb: WDT.
-		case cur == DT && wordIs(i, "that") && prev.IsNoun() && (next.IsVerb() || next == MD):
+		case cur == DT && wordIs(i, termThat) && prev.IsNoun() && (next.IsVerb() || next == MD):
 			ts[i].Tag = WDT
 		}
 	}
@@ -340,8 +392,8 @@ func applyContextRules(ts []TaggedToken) {
 	// earnings"): NNS followed by JJ+NN with a nominal before it.
 	for i := 1; i < n-1; i++ {
 		if ts[i].Tag == NNS && at(i-1).IsNoun() && (at(i+1) == JJ || at(i+1) == DT) {
-			if vb, ok := foldProbe(pluralAsVerb, ts[i].Text); ok {
-				ts[i].Tag = vb
+			if info, _ := classInfo(&ts[i]); info.plural != 0 {
+				ts[i].Tag = info.plural
 			}
 		}
 	}
@@ -374,15 +426,23 @@ func dtChainBefore(ts []TaggedToken, i int) bool {
 
 // isLinkingLike reports whether the token at position j is a be-form or a
 // linking verb ("seem", "look", "feel", "taste", "smell", ...). The tag
-// is tested before the lemma, so only verbs are lemmatized.
+// is tested before the lemma, so only verbs outside the table are
+// lemmatized.
 func isLinkingLike(ts []TaggedToken, j int) bool {
 	if j < 0 || j >= len(ts) {
 		return false
 	}
-	if _, ok := foldProbe(beForms, ts[j].Text); ok {
+	info, ok := classInfo(&ts[j])
+	if info.be {
 		return true
 	}
-	return ts[j].Tag.IsVerb() && isLinkingVerb(ts[j].Text)
+	if !ts[j].Tag.IsVerb() {
+		return false
+	}
+	if ok {
+		return info.linking
+	}
+	return isLinkingVerb(ts[j].Text)
 }
 
 // linkingVerbs are the lemmas isLinkingLike accepts.
@@ -415,8 +475,8 @@ func followsDoSupport(ts []TaggedToken, i int) bool {
 		case MD:
 			return true
 		case VB, VBZ, VBP, VBD:
-			w := ts[j].Text
-			return foldEq(w, "do") || foldEq(w, "does") || foldEq(w, "did")
+			id := ts[j].TermID()
+			return id == termDo || id == termDoes || id == termDid
 		default:
 			return false
 		}
@@ -432,12 +492,11 @@ func hasAuxBefore(ts []TaggedToken, i int) bool {
 		case RB, RBR, RBS:
 			continue
 		case MD, VBZ, VBP, VBD, VB:
-			w := ts[j].Text
-			if _, isBe := foldProbe(beForms, w); isBe ||
-				foldEq(w, "has") || foldEq(w, "have") || foldEq(w, "had") {
+			if info, _ := classInfo(&ts[j]); info.be {
 				return true
 			}
-			return false
+			id := ts[j].TermID()
+			return id == termHas || id == termHave || id == termHad
 		default:
 			return false
 		}

@@ -123,9 +123,14 @@ func (a *Analyzer) analyzeClause(dst []Assignment, cl chunk.Clause) []Assignment
 		chain = one[:]
 	}
 
+	// Each chain verb is lemmatized once, from the per-term table.
+	var lemmaBuf [4]string
+	lemmas := lemmaBuf[:0]
+	for k := range chain {
+		lemmas = append(lemmas, pos.TermLemma(chain[k].TermID(), chain[k].Text))
+	}
 	for k := len(chain) - 1; k >= 0; k-- {
-		lemma := pos.VerbLemma(chain[k].Text)
-		pat, ok := a.bestPattern(lemma, cl)
+		pat, ok := a.bestPattern(lemmas[k], cl)
 		if !ok {
 			continue
 		}
@@ -149,7 +154,7 @@ func (a *Analyzer) analyzeClause(dst []Assignment, cl chunk.Clause) []Assignment
 		}
 		negated := false
 		for j := 0; j < k; j++ {
-			if reversalVerbs[pos.VerbLemma(chain[j].Text)] {
+			if reversalVerbs[lemmas[j]] {
 				pol = pol.Flip()
 			}
 		}
@@ -176,7 +181,7 @@ func (a *Analyzer) analyzeClause(dst []Assignment, cl chunk.Clause) []Assignment
 	// Fallback: a chain verb may be a sentiment word even without a
 	// pattern entry ("the drums dazzle" with dazzle in the lexicon).
 	for k := len(chain) - 1; k >= 0; k-- {
-		lemma := pos.VerbLemma(chain[k].Text)
+		lemma := lemmas[k]
 		if lemma == "be" || lemma == "do" || lemma == "have" {
 			continue
 		}
@@ -196,7 +201,8 @@ func (a *Analyzer) analyzeClause(dst []Assignment, cl chunk.Clause) []Assignment
 func (a *Analyzer) bestPattern(lemma string, cl chunk.Clause) (patterns.Pattern, bool) {
 	var best patterns.Pattern
 	bestScore := -1
-	for _, p := range a.db.Lookup(lemma) {
+	candidates := a.db.LookupLower(lemma)
+	for _, p := range candidates {
 		if a.opts.DisableTransVerbs && p.IsTrans() {
 			continue
 		}
@@ -219,7 +225,7 @@ func (a *Analyzer) bestPattern(lemma string, cl chunk.Clause) (patterns.Pattern,
 				score += 2 // "I am impressed by X" prefers the PP pattern
 			}
 			score++ // a matching restricted PP is strong evidence
-		} else if p.Target.Role == chunk.RoleSP && cl.Passive && hasPPTargetPattern(a.db.Lookup(lemma)) {
+		} else if p.Target.Role == chunk.RoleSP && cl.Passive && hasPPTargetPattern(candidates) {
 			// In a passive clause the surface subject is the experiencer,
 			// not the sentiment target; penalize SP-target readings.
 			score--
@@ -318,7 +324,7 @@ func (a *Analyzer) contrastAssignments(dst []Assignment, cl chunk.Clause, target
 // when the subject is a first/third-person opinion holder, otherwise to
 // the subject.
 func (a *Analyzer) lexiconVerbFallback(dst []Assignment, cl chunk.Clause, lemma string) []Assignment {
-	pol, ok := a.lex.Lookup(lemma, pos.VB)
+	pol, ok := a.lex.LookupLower(lemma, pos.VB)
 	if !ok || pol == lexicon.Neutral {
 		return dst
 	}
@@ -394,11 +400,13 @@ var opinionHolders = map[string]bool{
 	"patient": true, "patients": true, "investor": true, "investors": true,
 }
 
+var opinionHolderTerms = tokenize.Classes(tokenize.WordList{Words: opinionHolders, Class: 1})
+
 // isOpinionHolder reports whether the subject phrase denotes a person
 // expressing an opinion (pronouns, reviewers, critics...).
 func isOpinionHolder(p chunk.Phrase) bool {
-	v, _ := tokenize.FoldProbe(opinionHolders, p.HeadToken().Text)
-	return v
+	head := p.HeadToken()
+	return tokenize.ClassOf(opinionHolderTerms, &head.Token) != 0
 }
 
 // comparativeAssignments handles "X is better than Y": when the matched
@@ -450,8 +458,7 @@ func (a *Analyzer) PhrasePolarity(p chunk.Phrase) lexicon.Polarity {
 	score := 0
 	neg := false
 	for i := 0; i < len(p.Tokens); {
-		tok := p.Tokens[i]
-		if chunk.IsNegationAdverb(tok.Text) && !a.opts.DisableNegation {
+		if chunk.Negates(&p.Tokens[i]) && !a.opts.DisableNegation {
 			neg = true
 			i++
 			continue

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"webfountain/internal/tokenize"
 )
 
 // Fact is one extracted sentiment mention, the unit the aggregate layer
@@ -55,6 +57,8 @@ type AspectCount struct {
 // serves. Anything that removes or rewrites an entry must copy the
 // slice first.
 type subjectAgg struct {
+	key     string // the lower-cased subject, its key in View.subjects
+	gen     uint64 // the generation that created this copy
 	total   Counts
 	months  map[string]Counts
 	aspects map[string]Counts
@@ -63,6 +67,7 @@ type subjectAgg struct {
 
 func (s *subjectAgg) clone() *subjectAgg {
 	c := &subjectAgg{
+		key:     s.key,
 		total:   s.total,
 		entries: s.entries,
 		months:  make(map[string]Counts, len(s.months)),
@@ -230,21 +235,24 @@ func (a *Aggregates) publish(facts []Fact, advance uint64) uint64 {
 	for k, v := range old.subjects {
 		next.subjects[k] = v
 	}
-	cloned := map[string]bool{}
 	added := false
 	for _, f := range facts {
-		key := strings.ToLower(f.Subject)
-		s := next.subjects[key]
+		// The subject is found through a key folded on the stack; only a
+		// new subject allocates its key. A subject copied for this
+		// publish carries its generation, so it is cloned once however
+		// many facts touch it.
+		var buf [64]byte
+		s := next.subjects[string(tokenize.Fold(buf[:0], f.Subject))]
 		switch {
 		case s == nil:
-			s = &subjectAgg{months: map[string]Counts{}, aspects: map[string]Counts{}}
+			key := strings.ToLower(f.Subject)
+			s = &subjectAgg{key: key, gen: next.gen, months: map[string]Counts{}, aspects: map[string]Counts{}}
 			next.subjects[key] = s
-			cloned[key] = true
 			added = true
-		case !cloned[key]:
+		case s.gen != next.gen:
 			s = s.clone()
-			next.subjects[key] = s
-			cloned[key] = true
+			s.gen = next.gen
+			next.subjects[s.key] = s
 		}
 		pol := "-"
 		if f.Positive {
@@ -265,11 +273,12 @@ func (a *Aggregates) publish(facts []Fact, advance uint64) uint64 {
 			s.months[m] = mc
 		}
 		if f.Feature != "" {
-			ac := s.aspects[strings.ToLower(f.Feature)]
+			feature := strings.ToLower(f.Feature)
+			ac := s.aspects[feature]
 			bump(&ac)
-			s.aspects[strings.ToLower(f.Feature)] = ac
+			s.aspects[feature] = ac
 		}
-		s.entries = append(s.entries, Entry{Subject: key, Polarity: pol, Doc: f.Doc,
+		s.entries = append(s.entries, Entry{Subject: s.key, Polarity: pol, Doc: f.Doc,
 			Sentence: f.Sentence, Snippet: f.Snippet, Feature: f.Feature})
 	}
 	if added {

@@ -171,6 +171,7 @@ func decodeViewBody(d *decoder) *View {
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		name := d.string()
 		s := &subjectAgg{
+			key:     name,
 			total:   d.counts(),
 			months:  map[string]Counts{},
 			aspects: map[string]Counts{},

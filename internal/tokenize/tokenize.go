@@ -16,6 +16,7 @@ package tokenize
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"webfountain/internal/metrics"
 )
@@ -26,7 +27,7 @@ import (
 var textsTokenized = metrics.Default().Counter("tokenize.texts")
 
 // Kind classifies a token's surface form.
-type Kind int
+type Kind uint8
 
 // Token kinds.
 const (
@@ -52,14 +53,30 @@ func (k Kind) String() string {
 }
 
 // Token is a single lexical unit with its position in the source text.
-// Start and End are byte offsets such that text[Start:End] == Text for
-// tokens that appear verbatim in the input (contraction splits share the
-// span of the original surface form).
+// Start and End are byte offsets such that text[Start:End] == Text, with
+// one exception: a collapsed run of '.', '!' or '?' spans the whole run
+// while its Text is the run's first byte.
+//
+// Term caches the token's vocabulary term (see Probe): TermUnprobed until
+// the first analysis stage that needs the word's class fills it in, so
+// each word is folded and probed at most once, and only when asked.
+// Kind and Term share the word that Kind alone used to pad, so the token
+// is no larger for carrying the cache.
 type Token struct {
 	Text  string
 	Start int
 	End   int
 	Kind  Kind
+	Term  uint32
+}
+
+// TermID returns the token's vocabulary term, probing the text and
+// storing the result on first use.
+func (t *Token) TermID() uint32 {
+	if t.Term == TermUnprobed {
+		t.Term = Probe(t.Text)
+	}
+	return t.Term
 }
 
 // IsWord reports whether the token is alphabetic.
@@ -70,10 +87,14 @@ func (t Token) Lower() string { return strings.ToLower(t.Text) }
 
 // IsCapitalized reports whether the token starts with an upper-case letter.
 func (t Token) IsCapitalized() bool {
-	for _, r := range t.Text {
-		return unicode.IsUpper(r)
+	if t.Text == "" {
+		return false
 	}
-	return false
+	if c := t.Text[0]; c < utf8.RuneSelf {
+		return 'A' <= c && c <= 'Z' // unicode.IsUpper on ASCII
+	}
+	r, _ := utf8.DecodeRuneInString(t.Text)
+	return unicode.IsUpper(r)
 }
 
 // Sentence is a contiguous run of tokens ending at a sentence boundary.
@@ -175,9 +196,9 @@ func (tk *Tokenizer) AppendTokens(dst []Token, text string) []Token {
 			for j < n && (isDigitByte(text[j]) || (text[j] == '.' && j+1 < n && isDigitByte(text[j+1])) || text[j] == ',') {
 				j++
 			}
-			tokens = append(tokens, Token{Text: text[i:j], Start: i, End: j, Kind: Number})
+			tokens = emit(tokens, text[i:j], i, j, Number)
 			i = j
-		case class&classURLStart != 0 && hasURLPrefix(text[i:]):
+		case class&classURLStart != 0 && urlAhead(text, i) && hasURLPrefix(text[i:]):
 			j := i
 			for j < n && !isSpaceByte(text[j]) {
 				j++
@@ -187,7 +208,7 @@ func (tk *Tokenizer) AppendTokens(dst []Token, text string) []Token {
 			for j > i && (text[j-1] == '.' || text[j-1] == ',' || text[j-1] == ')' || text[j-1] == ';') {
 				j--
 			}
-			tokens = append(tokens, Token{Text: text[i:j], Start: i, End: j, Kind: Symbol})
+			tokens = emit(tokens, text[i:j], i, j, Symbol)
 			i = j
 		case nextAt < n && isEmailAhead(text, i):
 			j := i
@@ -198,7 +219,7 @@ func (tk *Tokenizer) AppendTokens(dst []Token, text string) []Token {
 			for j > i && text[j-1] == '.' {
 				j--
 			}
-			tokens = append(tokens, Token{Text: text[i:j], Start: i, End: j, Kind: Symbol})
+			tokens = emit(tokens, text[i:j], i, j, Symbol)
 			i = j
 		case class&classLetter != 0:
 			j := i + 1
@@ -210,23 +231,27 @@ func (tk *Tokenizer) AppendTokens(dst []Token, text string) []Token {
 					continue
 				}
 				// '-', '\'' and an abbreviation's '.' stay inside a word
-				// when a letter follows.
-				if j+1 >= n || byteClass[text[j+1]]&classLetter == 0 ||
-					!(d == '-' || d == '\'' || d == '.' && looksLikeAbbrevSoFar(text[i:j+1])) {
+				// when a letter follows. The byte itself is tested first:
+				// most words end at a space or a comma, and then the next
+				// byte is never read.
+				if d != '-' && d != '\'' && d != '.' ||
+					j+1 >= n || byteClass[text[j+1]]&classLetter == 0 ||
+					d == '.' && !looksLikeAbbrevSoFar(text[i:j+1]) {
 					break
 				}
 				apostrophe = apostrophe || d == '\''
 				j++
 			}
 			// Trailing period kept only for known abbreviations, so that
-			// "etc." stays one token but "camera." splits.
-			if j < n && text[j] == '.' && isAbbreviation(text[i:j+1]) {
+			// "etc." stays one token but "camera." splits. A word longer
+			// than every abbreviation is never probed.
+			if j < n && text[j] == '.' && j+1-i <= maxAbbreviation && isAbbreviation(text[i:j+1]) {
 				j++
 			}
 			if apostrophe {
 				tokens = appendWordTokens(tokens, text[i:j], i)
 			} else {
-				tokens = append(tokens, Token{Text: text[i:j], Start: i, End: j, Kind: Word})
+				tokens = emit(tokens, text[i:j], i, j, Word)
 			}
 			i = j
 		default:
@@ -245,11 +270,38 @@ func (tk *Tokenizer) AppendTokens(dst []Token, text string) []Token {
 			// text[i:i+1] rather than string(c): the one-byte substring
 			// shares the input's memory, so punctuation tokens cost no
 			// allocation.
-			tokens = append(tokens, Token{Text: text[i : i+1], Start: i, End: j, Kind: kind})
+			tokens = emit(tokens, text[i:i+1], i, j, kind)
 			i = j
 		}
 	}
 	return tokens
+}
+
+// emit appends one token to tokens, writing its fields in place: an
+// append of a Token literal builds the 40-byte value on the stack and
+// copies it in halves, which made it the tokenizer's costliest line.
+// Term is reset because a reused buffer holds the previous document's.
+func emit(tokens []Token, s string, start, end int, kind Kind) []Token {
+	n := len(tokens)
+	if n == cap(tokens) {
+		tokens = append(tokens, Token{})
+	}
+	tokens = tokens[:n+1]
+	t := &tokens[n]
+	t.Text, t.Start, t.End, t.Kind, t.Term = s, start, end, kind, TermUnprobed
+	return tokens
+}
+
+// urlAhead is hasURLPrefix's gate: every prefix it knows has a ':' or a
+// '.' three to five bytes in ("ftp:", "www.", "http:", "https:"), so a
+// word without one there never runs the prefix comparisons.
+func urlAhead(text string, i int) bool {
+	for k := i + 3; k <= i+5 && k < len(text); k++ {
+		if c := text[k]; c == ':' || c == '.' {
+			return true
+		}
+	}
+	return false
 }
 
 // atOrEnd returns the offset of the first '@' in text at or after i, or
@@ -315,6 +367,15 @@ func looksLikeAbbrevSoFar(s string) bool {
 	return !expectLetter && len(s) > 0
 }
 
+// maxAbbreviation is the byte length of the longest abbreviation.
+var maxAbbreviation = func() int {
+	n := 0
+	for a := range abbreviations {
+		n = max(n, len(a))
+	}
+	return n
+}()
+
 // isAbbreviation reports whether s is a known abbreviation, folding ASCII
 // case without allocating. The string(buf) map key conversion does not
 // escape, so the lookup is allocation-free.
@@ -343,12 +404,11 @@ func appendWordTokens(dst []Token, word string, start int) []Token {
 	for _, suf := range contractionSuffixes {
 		if len(word) > len(suf) && equalFoldASCII(word[len(word)-len(suf):], suf) {
 			cut := len(word) - len(suf)
-			return append(dst,
-				Token{Text: word[:cut], Start: start, End: start + cut, Kind: Word},
-				Token{Text: word[cut:], Start: start + cut, End: start + len(word), Kind: Word})
+			dst = emit(dst, word[:cut], start, start+cut, Word)
+			return emit(dst, word[cut:], start+cut, start+len(word), Word)
 		}
 	}
-	return append(dst, Token{Text: word, Start: start, End: start + len(word), Kind: Word})
+	return emit(dst, word, start, start+len(word), Word)
 }
 
 // Sentences tokenizes text and groups the tokens into sentences.
@@ -384,13 +444,18 @@ func (tk *Tokenizer) AppendSentences(dst []Sentence, tokens []Token) []Sentence 
 		})
 		start = end
 	}
-	for i, t := range tokens {
-		if t.Kind == Punct && (t.Text == "." || t.Text == "!" || t.Text == "?") {
+	for i := range tokens {
+		t := &tokens[i]
+		if t.Kind != Punct || len(t.Text) != 1 {
+			continue
+		}
+		switch c := t.Text[0]; c {
+		case '.', '!', '?':
 			// A period mid-number or abbreviation never reaches here (those
 			// are folded into the preceding token), so this is a boundary —
 			// unless the next token continues in lower case right away,
 			// which suggests an unusual abbreviation we don't know.
-			if t.Text == "." && i+1 < len(tokens) && tokens[i+1].Kind == Word && !tokens[i+1].IsCapitalized() {
+			if c == '.' && i+1 < len(tokens) && tokens[i+1].Kind == Word && !tokens[i+1].IsCapitalized() {
 				continue
 			}
 			flush(i + 1)
@@ -485,34 +550,6 @@ func EqualFold(s, lower string) bool {
 		}
 	}
 	return true
-}
-
-// FoldProbe probes a lower-case-keyed map with the case-folded form of s
-// without allocating: the fold goes through a stack buffer and the
-// string(buf) conversion in a map index is elided by the compiler.
-// Non-ASCII or oversized keys fall back to strings.ToLower.
-func FoldProbe[V any](m map[string]V, s string) (V, bool) {
-	if len(s) <= 32 {
-		ascii := true
-		var buf [32]byte
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			if c >= 0x80 {
-				ascii = false
-				break
-			}
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			buf[i] = c
-		}
-		if ascii {
-			v, ok := m[string(buf[:len(s)])]
-			return v, ok
-		}
-	}
-	v, ok := m[strings.ToLower(s)]
-	return v, ok
 }
 
 func equalFoldASCII(a, b string) bool {

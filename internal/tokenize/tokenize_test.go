@@ -300,3 +300,79 @@ func TestTokenizeNonEmailAtSign(t *testing.T) {
 		t.Errorf("got %v", toks)
 	}
 }
+
+// TestSpansAndGatedLookaheads pins the token spans the analysis stages
+// read: a collapsed run of '!' is one token whose Text is its first
+// byte and whose span covers the run, and the gated lookaheads still
+// fire for an abbreviation, a "www." host and a scheme URL.
+func TestSpansAndGatedLookaheads(t *testing.T) {
+	toks := New().Tokenize("Great!!!")
+	if len(toks) != 2 {
+		t.Fatalf("Great!!!: %d tokens %+v, want 2", len(toks), toks)
+	}
+	if bang := toks[1]; bang.Text != "!" || bang.Kind != Punct || bang.Start != 5 || bang.End != 8 {
+		t.Errorf("Great!!!: run token %+v, want Text \"!\" spanning [5,8)", bang)
+	}
+	for _, c := range []struct {
+		text string
+		want string
+		kind Kind
+	}{
+		{"see e.g. this", "e.g.", Word},
+		{"visit www.x.com today", "www.x.com", Symbol},
+		{"visit http://x now", "http://x", Symbol},
+		{"visit HTTPS://x.org/a now", "HTTPS://x.org/a", Symbol},
+		{"ask ftp://x now", "ftp://x", Symbol},
+	} {
+		toks := New().Tokenize(c.text)
+		if len(toks) != 3 || toks[1].Text != c.want || toks[1].Kind != c.kind {
+			t.Errorf("%q: tokens %+v, want %q (%s) in the middle", c.text, toks, c.want, c.kind)
+		}
+	}
+}
+
+// TestProbeReservedTerms pins the vocabulary's reserved IDs: an ASCII
+// word folds to its term, a word outside the lists is TermUnknown, a
+// non-ASCII word is TermUnprobeable until LookupFolded resolves it, and
+// a token stores its term on first use. This test binary links no
+// package that owns a word list, so the test interns its own words.
+func TestProbeReservedTerms(t *testing.T) {
+	id := Intern("vocabtestword")
+	if Intern("vocabtestword") != id || !IsVocabTerm(id) || TermWord(id) != "vocabtestword" {
+		t.Fatalf("Intern is not idempotent or TermWord disagrees: %d %q", id, TermWord(id))
+	}
+	for _, c := range []struct {
+		text string
+		want uint32
+	}{
+		{"vocabtestword", id},
+		{"VocabTestWord", id},
+		{"vocabtestwor", TermUnknown},
+		{strings.Repeat("x", MaxTermLen+1), TermUnknown},
+		{"vocabtestwörd", TermUnprobeable},
+		{strings.Repeat("é", MaxTermLen), TermUnprobeable},
+	} {
+		if got := Probe(c.text); got != c.want {
+			t.Errorf("Probe(%q) = %d, want %d", c.text, got, c.want)
+		}
+	}
+	if got := LookupFolded("VOCABTESTWORD"); got != id {
+		t.Errorf("LookupFolded = %d, want %d", got, id)
+	}
+	// The Kelvin sign lower-cases to an ASCII 'k': unprobeable for the
+	// ASCII comparisons, the term itself for list membership.
+	kelvin := Intern("kvocab")
+	if Probe("\u212Avocab") != TermUnprobeable || ClassTerm(TermUnprobeable, "\u212Avocab") != kelvin {
+		t.Errorf("Kelvin-sign word: Probe %d, ClassTerm %d, want %d, %d",
+			Probe("\u212Avocab"), ClassTerm(TermUnprobeable, "\u212Avocab"), TermUnprobeable, kelvin)
+	}
+	tok := Token{Text: "VOCABTESTWORD", Kind: Word}
+	if tok.TermID() != id || tok.Term != id {
+		t.Errorf("TermID stored %d, want %d", tok.Term, id)
+	}
+	for _, rid := range []uint32{TermUnprobed, TermUnknown, TermUnprobeable} {
+		if IsVocabTerm(rid) || TermWord(rid) != "" {
+			t.Errorf("reserved ID %d reads as a vocabulary term", rid)
+		}
+	}
+}

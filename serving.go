@@ -320,7 +320,11 @@ func (t *ServingTier) ingest(ctx context.Context, batch []Document) ([]string, i
 		mined[i] = t.m.analyzeEntity(id, text, toks)
 		return annotationsOf(mined[i])
 	})
-	var facts []serve.Fact
+	n := 0
+	for i := range ids {
+		n += len(mined[i])
+	}
+	facts := make([]serve.Fact, 0, n)
 	for i := range ids {
 		facts = fold(facts, batch[i].Date, mined[i])
 	}
