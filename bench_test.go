@@ -18,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -317,8 +318,8 @@ func BenchmarkMinerAnalyzeBulk(b *testing.B) {
 // of cmd/wfserver in process: the gateway reads and decodes a
 // 32-document bulk body, the serving tier analyzes each document and
 // folds its facts, and the durable store commits the batch (one WAL
-// write and fsync, in a temporary directory). It reports microseconds
-// per document.
+// write and fsync, in a temporary directory). It reports microseconds,
+// bytes allocated and allocations per document.
 func BenchmarkGatewayIngestBulk(b *testing.B) {
 	const batch = 32
 	p, err := OpenPlatform(PlatformConfig{DataDir: b.TempDir()})
@@ -351,6 +352,8 @@ func BenchmarkGatewayIngestBulk(b *testing.B) {
 		bodies = append(bodies, body)
 	}
 	b.SetBytes(int64(len(bodies[0])))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := httptest.NewRecorder()
@@ -359,7 +362,12 @@ func BenchmarkGatewayIngestBulk(b *testing.B) {
 			b.Fatalf("ingest: status %d: %s", w.Code, w.Body)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/doc")
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	docs := float64(b.N * batch)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/docs, "us/doc")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/docs, "B/doc")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/docs, "allocs/doc")
 }
 
 // BenchmarkMinerRun measures end-to-end parallel mining over a platform.

@@ -1,6 +1,7 @@
 package pos
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -63,7 +64,49 @@ func refLexical(tg *Tagger, tok tokenize.Token) Tag {
 		}
 		return NNP
 	}
-	return suffixTag(w)
+	return refSuffixTag(w)
+}
+
+// refSuffixTag is suffixTag as it was: the morphology rules in order,
+// each suffix compared with an ASCII-lowered copy of the word.
+func refSuffixTag(w string) Tag {
+	lw := []byte(w)
+	for i, c := range lw {
+		if 'A' <= c && c <= 'Z' {
+			lw[i] = c + 'a' - 'A'
+		}
+	}
+	has := func(suffixes ...string) bool {
+		for _, suf := range suffixes {
+			if bytes.HasSuffix(lw, []byte(suf)) {
+				return true
+			}
+		}
+		return false
+	}
+	switch {
+	case strings.Contains(w, "-"):
+		return JJ
+	case has("ly") && len(w) > 4:
+		return RB
+	case has("ing") && len(w) > 5:
+		return VBG
+	case has("ed") && len(w) > 4:
+		return VBN
+	case has("tion", "sion", "ment", "ness", "ance", "ence", "ship", "ity", "ism", "age", "ure", "cy"):
+		return NN
+	case has("ous", "ful", "able", "ible", "ive", "ish", "less", "ic", "al", "ary"):
+		return JJ
+	case has("est") && len(w) > 4:
+		return JJS
+	case has("er") && len(w) > 4:
+		return NN
+	case has("ies"):
+		return NNS
+	case has("s") && !has("ss") && len(w) > 3:
+		return NNS
+	}
+	return NN
 }
 
 func refFoldProbe[V any](m map[string]V, s string) (V, bool) {
@@ -175,6 +218,13 @@ var taggerSeeds = []string{
 	"Outperformed exceeded beating grown written Gotten sTaYs staies",
 	"It tastied odd, it seeies fine, it growies and becomied turnies.",
 	"and or but nor yet so plus like unlike as since until",
+	// Unknown words reaching every morphology rule of suffixTag on each
+	// side of its length bounds, then with upper-case suffixes after a
+	// lower-case first letter (a capital one makes the word NNP).
+	"zorp-zap qqly qqqly qqing qqqing qqed qqqed frobination vexsion plonkment zanyness zorpnes grobance " +
+		"flurence wugship blarity frobism snarfage glorpure frobcy zorpous zorpful zorpable zorpible " +
+		"zorpive zorpish zorpless zorpic zorpal zorpary qqest qqqest qqer qqqer ies qies zorpies qqs qqqs zorpss zorp",
+	"gLORPLY bLORKING gLORPED fROBINATION pLONKMENT zANYNESS zORPOUS zORPFUL zORPARY zORPEST zORPER zORPIES zORPS zORPSS",
 }
 
 // taggerExtra overrides words at every precedence step, including ones

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,36 +52,92 @@ type AspectCount struct {
 // subjectAgg is one subject's cells: the polarity totals, the per-month
 // time buckets, the per-feature aspect tallies and the served entries.
 // Once published in a View it is immutable — Apply clones touched
-// subjects before mutating. The clone shares the entries' backing array:
-// entries are append-only, and a View reads only the length it was
-// published with, so a later append never changes what an older View
-// serves. Anything that removes or rewrites an entry must copy the
-// slice first.
+// subjects before mutating. The clone shares the entries' backing
+// arrays: entries are append-only, and a View reads only the lengths it
+// was published with, so a later append never changes what an older
+// View serves. Anything that removes or rewrites an entry must copy
+// them first.
+//
+// The month buckets and the aspect tallies share one slice, cells, so
+// that a clone copies them in one allocation: the months sorted by
+// month, then the aspects sorted by lower-cased feature.
+//
+// The entries are kept in chunks, so that an append never copies more
+// than one chunk: full holds chunks of exactly entryChunk entries, never
+// written again, and tail the fewer than entryChunk entries after them.
+// A subject's first chunk grows by doubling, so a subject with a few
+// entries holds a few; each later one is allocated whole.
 type subjectAgg struct {
 	key     string // the lower-cased subject, its key in View.subjects
 	gen     uint64 // the generation that created this copy
 	total   Counts
-	months  map[string]Counts
-	aspects map[string]Counts
-	entries []Entry
+	cells   []cell
+	nMonths int // cells[:nMonths] are the months, cells[nMonths:] the aspects
+	full    [][]Entry
+	tail    []Entry
 }
 
+// cell is one tally of a subject, keyed by a month ("YYYY-MM") or a
+// lower-cased feature.
+type cell struct {
+	key string
+	Counts
+}
+
+// entryChunk is the number of entries in one full chunk of a subject's
+// entries: 512 entries of 104 bytes, 52 KiB.
+const entryChunk = 512
+
 func (s *subjectAgg) clone() *subjectAgg {
-	c := &subjectAgg{
+	return &subjectAgg{
 		key:     s.key,
 		total:   s.total,
-		entries: s.entries,
-		months:  make(map[string]Counts, len(s.months)),
-		aspects: make(map[string]Counts, len(s.aspects)),
+		cells:   append(make([]cell, 0, len(s.cells)+2), s.cells...), // room for a new month or feature
+		nMonths: s.nMonths,
+		full:    s.full,
+		tail:    s.tail,
 	}
-	for k, v := range s.months {
-		c.months[k] = v
-	}
-	for k, v := range s.aspects {
-		c.aspects[k] = v
-	}
-	return c
 }
+
+func (s *subjectAgg) months() []cell  { return s.cells[:s.nMonths] }
+func (s *subjectAgg) aspects() []cell { return s.cells[s.nMonths:] }
+
+// tally returns the month's cell (month true) or the feature's, inserted
+// in key order when the subject has none. A new month's key is a copy:
+// one cut from a fact's date would keep its request's body alive. Only
+// a copy this publish made may be tallied.
+func (s *subjectAgg) tally(month bool, key string) *Counts {
+	lo, hi := s.nMonths, len(s.cells)
+	if month {
+		lo, hi = 0, s.nMonths
+	}
+	i, found := slices.BinarySearchFunc(s.cells[lo:hi], key, func(c cell, k string) int { return strings.Compare(c.key, k) })
+	i += lo
+	if !found {
+		if month {
+			key = strings.Clone(key)
+			s.nMonths++
+		}
+		s.cells = slices.Insert(s.cells, i, cell{key: key})
+	}
+	return &s.cells[i].Counts
+}
+
+// addEntry appends one entry, starting a new chunk when the tail is
+// full.
+func (s *subjectAgg) addEntry(e Entry) {
+	switch {
+	case len(s.tail) == entryChunk:
+		s.full = append(s.full, s.tail)
+		s.tail = make([]Entry, 0, entryChunk)
+	case len(s.tail) == cap(s.tail) && 2*cap(s.tail) > entryChunk:
+		s.tail = append(make([]Entry, 0, entryChunk), s.tail...) // the first chunk's last growth
+	}
+	s.tail = append(s.tail, e)
+}
+
+// numEntries is the number of entries the subject holds.
+func (s *subjectAgg) numEntries() int { return len(s.full)*entryChunk + len(s.tail) }
 
 // View is an immutable snapshot of the materialized aggregates. Readers
 // obtain one with Aggregates.View — a single atomic pointer load, the
@@ -124,11 +181,10 @@ func (v *View) Series(subject string) []Bucket {
 	if s == nil {
 		return nil
 	}
-	out := make([]Bucket, 0, len(s.months))
-	for m, c := range s.months {
-		out = append(out, Bucket{Month: m, Counts: c})
+	out := make([]Bucket, 0, s.nMonths)
+	for _, c := range s.months() {
+		out = append(out, Bucket{Month: c.key, Counts: c.Counts})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Month < out[j].Month })
 	return out
 }
 
@@ -141,7 +197,11 @@ func (v *View) Entries(subject string) []Entry {
 	if s == nil {
 		return nil
 	}
-	out := append([]Entry(nil), s.entries...)
+	out := make([]Entry, 0, s.numEntries())
+	for _, c := range s.full {
+		out = append(out, c...)
+	}
+	out = append(out, s.tail...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := &out[i], &out[j]
 		if a.Doc != b.Doc {
@@ -168,9 +228,9 @@ func (v *View) Aspects(subject string) []AspectCount {
 	if s == nil {
 		return nil
 	}
-	out := make([]AspectCount, 0, len(s.aspects))
-	for f, c := range s.aspects {
-		out = append(out, AspectCount{Feature: f, Counts: c})
+	out := make([]AspectCount, 0, len(s.cells)-s.nMonths)
+	for _, c := range s.aspects() {
+		out = append(out, AspectCount{Feature: c.key, Counts: c.Counts})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Total() != out[j].Total() {
@@ -188,11 +248,15 @@ func (v *View) Aspects(subject string) []AspectCount {
 type Aggregates struct {
 	mu   sync.Mutex
 	view atomic.Pointer[View]
+	// lower interns the lower-cased feature names: a feature already
+	// seen is found through a key folded on the stack and costs no
+	// string. Guarded by mu.
+	lower map[string]string
 }
 
 // NewAggregates returns an empty aggregate store at generation 0.
 func NewAggregates() *Aggregates {
-	a := &Aggregates{}
+	a := &Aggregates{lower: map[string]string{}}
 	a.view.Store(&View{subjects: map[string]*subjectAgg{}})
 	return a
 }
@@ -237,8 +301,9 @@ func (a *Aggregates) publish(facts []Fact, advance uint64) uint64 {
 	}
 	added := false
 	for _, f := range facts {
-		// The subject is found through a key folded on the stack; only a
-		// new subject allocates its key. A subject copied for this
+		// The subject, and the feature through lower, are found through
+		// keys folded on the stack; only a new one allocates its key. A
+		// subject copied for this
 		// publish carries its generation, so it is cloned once however
 		// many facts touch it.
 		var buf [64]byte
@@ -246,7 +311,7 @@ func (a *Aggregates) publish(facts []Fact, advance uint64) uint64 {
 		switch {
 		case s == nil:
 			key := strings.ToLower(f.Subject)
-			s = &subjectAgg{key: key, gen: next.gen, months: map[string]Counts{}, aspects: map[string]Counts{}}
+			s = &subjectAgg{key: key, gen: next.gen}
 			next.subjects[key] = s
 			added = true
 		case s.gen != next.gen:
@@ -268,17 +333,17 @@ func (a *Aggregates) publish(facts []Fact, advance uint64) uint64 {
 		bump(&s.total)
 		bump(&next.totals)
 		if m := monthOf(f.Date); m != "" {
-			mc := s.months[m]
-			bump(&mc)
-			s.months[m] = mc
+			bump(s.tally(true, m))
 		}
 		if f.Feature != "" {
-			feature := strings.ToLower(f.Feature)
-			ac := s.aspects[feature]
-			bump(&ac)
-			s.aspects[feature] = ac
+			feature, ok := a.lower[string(tokenize.Fold(buf[:0], f.Feature))]
+			if !ok {
+				feature = strings.ToLower(f.Feature)
+				a.lower[feature] = feature
+			}
+			bump(s.tally(false, feature))
 		}
-		s.entries = append(s.entries, Entry{Subject: s.key, Polarity: pol, Doc: f.Doc,
+		s.addEntry(Entry{Subject: s.key, Polarity: pol, Doc: f.Doc,
 			Sentence: f.Sentence, Snippet: f.Snippet, Feature: f.Feature})
 	}
 	if added {

@@ -159,7 +159,7 @@ func TestAggregatesSnapshotImmutable(t *testing.T) {
 	a.Apply([]Fact{{Subject: "S", Doc: "d2"}})
 	mid, midEntries := a.View(), a.View().Entries("s")
 	a.Apply([]Fact{{Subject: "s", Doc: "d1", Positive: true}})
-	if &a.View().subjects["s"].entries[0] != &mid.subjects["s"].entries[0] {
+	if &a.View().subjects["s"].tail[0] != &mid.subjects["s"].tail[0] {
 		t.Fatal("the last Apply copied the entries; the shared-array case went unchecked")
 	}
 	if got := old.Entries("s"); !reflect.DeepEqual(got, oldEntries) || len(got) != 1 {
@@ -170,6 +170,53 @@ func TestAggregatesSnapshotImmutable(t *testing.T) {
 	}
 	if got := a.View().Entries("s"); len(got) != 4 || got[0].Polarity != "+" || got[2].Doc != "d1" || got[3].Doc != "d2" {
 		t.Fatalf("new snapshot Entries(s) = %+v, want 4 sorted by document", got)
+	}
+}
+
+// TestAggregatesEntriesAcrossChunks: a subject's entries cross several
+// chunk boundaries, one batch at a time, and every View taken on the way
+// still serves exactly the entries it was published with, in full; a
+// later chunk is never copied into a new array by an append.
+func TestAggregatesEntriesAcrossChunks(t *testing.T) {
+	a := NewAggregates()
+	type seen struct {
+		v    *View
+		want []Entry
+	}
+	var views []seen
+	doc := 0
+	for _, n := range []int{1, 3, entryChunk - 5, 7, entryChunk, 2*entryChunk + 1, 2} {
+		facts := make([]Fact, n)
+		for i := range facts {
+			facts[i] = Fact{Subject: "NR70", Feature: "Battery Life", Date: "2004-03-02", Positive: doc%3 != 0,
+				Doc: fmt.Sprintf("d%05d", doc), Sentence: i}
+			doc++
+		}
+		a.Apply(facts)
+		views = append(views, seen{a.View(), a.View().Entries("nr70")})
+	}
+	if got := a.View().subjects["nr70"].numEntries(); got != doc {
+		t.Fatalf("%d entries held, want %d", got, doc)
+	}
+	for i, s := range views {
+		got := s.v.Entries("nr70")
+		if !reflect.DeepEqual(got, s.want) {
+			t.Fatalf("view %d: %d entries now, %d when published", i, len(got), len(s.want))
+		}
+		for k := 1; k < len(got); k++ {
+			if got[k-1].Doc >= got[k].Doc {
+				t.Fatalf("view %d: entries out of order at %d", i, k)
+			}
+		}
+	}
+	last := a.View().subjects["nr70"]
+	for i, c := range last.full {
+		if len(c) != entryChunk || cap(c) != entryChunk {
+			t.Fatalf("full chunk %d has len %d cap %d, want %d", i, len(c), cap(c), entryChunk)
+		}
+	}
+	if c := a.View().Aspects("nr70"); len(c) != 1 || c[0].Feature != "battery life" || c[0].Total() != doc {
+		t.Fatalf("aspects %+v, want one lower-cased feature counting %d", c, doc)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 
 	"webfountain/internal/durable"
 )
@@ -144,17 +143,12 @@ func encodeViewBody(b *bytes.Buffer, v *View, withGen bool) {
 		s := v.subjects[name]
 		putString(b, name)
 		putCounts(b, s.total)
-		months := sortedKeys(s.months)
-		putUvarint(b, uint64(len(months)))
-		for _, m := range months {
-			putString(b, m)
-			putCounts(b, s.months[m])
-		}
-		aspects := sortedKeys(s.aspects)
-		putUvarint(b, uint64(len(aspects)))
-		for _, a := range aspects {
-			putString(b, a)
-			putCounts(b, s.aspects[a])
+		for _, cells := range [...][]cell{s.months(), s.aspects()} { // each sorted by key
+			putUvarint(b, uint64(len(cells)))
+			for _, c := range cells {
+				putString(b, c.key)
+				putCounts(b, c.Counts)
+			}
 		}
 	}
 }
@@ -170,19 +164,13 @@ func decodeViewBody(d *decoder) *View {
 	n := d.uvarint()
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		name := d.string()
-		s := &subjectAgg{
-			key:     name,
-			total:   d.counts(),
-			months:  map[string]Counts{},
-			aspects: map[string]Counts{},
-		}
+		s := &subjectAgg{key: name, total: d.counts()}
 		for j, m := uint64(0), d.uvarint(); j < m && d.err == nil; j++ {
-			key := d.string()
-			s.months[key] = d.counts()
+			s.cells = append(s.cells, cell{key: d.string(), Counts: d.counts()})
 		}
+		s.nMonths = len(s.cells)
 		for j, m := uint64(0), d.uvarint(); j < m && d.err == nil; j++ {
-			key := d.string()
-			s.aspects[key] = d.counts()
+			s.cells = append(s.cells, cell{key: d.string(), Counts: d.counts()})
 		}
 		v.subjects[name] = s
 		v.names = append(v.names, name)
@@ -267,15 +255,6 @@ func putStrings(b *bytes.Buffer, ss []string) {
 func putCounts(b *bytes.Buffer, c Counts) {
 	putUvarint(b, uint64(c.Positive))
 	putUvarint(b, uint64(c.Negative))
-}
-
-func sortedKeys(m map[string]Counts) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // decoder is a bounds-checked reader over the checkpoint body; the

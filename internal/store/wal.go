@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // The write-ahead log is a sequence of length-prefixed, checksummed
@@ -166,11 +167,12 @@ func encodeAnnotate(id string, anns []Annotation) []byte {
 	return appendAnnotateRecord(make([]byte, 0, walHeaderSize+1+stringSize(id)+annotationsSize(anns)), id, anns)
 }
 
-// encodeBatch frames, in one exactly sized buffer, the records PutBatch
-// logs: each entity's put record and then, when anns[i] is not empty,
-// its annotate record — byte for byte what Put and Annotate would have
-// logged one call at a time. It returns the buffer and its record count.
-func encodeBatch(ents []*Entity, anns [][]Annotation) ([]byte, int) {
+// appendBatch appends to b the records PutBatch logs: each entity's put
+// record and then, when anns[i] is not empty, its annotate record — byte
+// for byte what Put and Annotate would have logged one call at a time.
+// b grows at most once, to the batch's exact size. It returns the
+// extended buffer and the batch's record count.
+func appendBatch(b []byte, ents []*Entity, anns [][]Annotation) ([]byte, int) {
 	n, records := 0, 0
 	for i, e := range ents {
 		n += walHeaderSize + 1 + putBodySize(e)
@@ -180,14 +182,14 @@ func encodeBatch(ents []*Entity, anns [][]Annotation) ([]byte, int) {
 			records++
 		}
 	}
-	buf := make([]byte, 0, n)
+	b = slices.Grow(b, n)
 	for i, e := range ents {
-		buf = appendPutRecord(buf, e)
+		b = appendPutRecord(b, e)
 		if i < len(anns) && len(anns[i]) > 0 {
-			buf = appendAnnotateRecord(buf, e.ID, anns[i])
+			b = appendAnnotateRecord(b, e.ID, anns[i])
 		}
 	}
-	return buf, records
+	return b, records
 }
 
 // appendPutRecord appends a sealed opPut record of e to b.

@@ -3,7 +3,6 @@ package webfountain
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -146,18 +145,26 @@ type pipelineArena struct {
 	keep   []spotter.Spot      // maximal() survivors
 	seen   map[string]bool     // per-sentence subject dedup
 	one    [1]spotter.Spot     // disambiguator's single-spot argument
-	ents   []ne.Entity         // mode 2: named entities of one sentence
+	ents   []ne.Entity         // mode 2: named entities of the document, sentence by sentence
 	hits   []sentiment.Assignment
 	sa     sentiment.Scratch // mode 1: per-spot tag→chunk→analyze buffers
 
 	// Mode 2 drives the stages itself, so it owns the stage buffers
 	// directly instead of going through the sentiment scratch.
-	tagged  []pos.TaggedToken
-	ck      chunk.Chunker
-	cs      chunk.Scratch
-	assigns []sentiment.Assignment
+	entSents []entitySentence  // the sentences with an entity, in order
+	tagged   []pos.TaggedToken // the entity sentences' tags, sentence by sentence
+	ck       chunk.Chunker
+	cs       chunk.Scratch
+	assigns  []sentiment.Assignment
 
 	facts []SubjectSentiment // the document's facts, copied out at the end
+}
+
+// entitySentence is one sentence of a mode 2 document that holds a named
+// entity: its index in sents and where its entities and tags start in
+// ents and tagged (each runs to the next entity sentence's start).
+type entitySentence struct {
+	sent, ents, tags int
 }
 
 func (m *SentimentMiner) arena() *pipelineArena {
@@ -226,14 +233,24 @@ func (m *SentimentMiner) AnalyzeText(text string) []SubjectSentiment {
 	return m.analyzeEntity("", text, nil)
 }
 
-// analyzeEntity extracts the (subject, sentiment) facts of one document,
-// stamping the trip through the pipeline stages into the registry. toks
-// is the document's token stream when the caller already has it (the
-// ingest step, which tokenized the text for the inverted index); nil
-// makes the analyzer tokenize into its arena. Either way the document
-// is tokenized exactly once, and sentences are subslice views over that
-// one token slice, shared by every downstream stage.
+// analyzeEntity extracts the (subject, sentiment) facts of one document
+// in one new slice: appendFacts to nil.
 func (m *SentimentMiner) analyzeEntity(docID, text string, toks []tokenize.Token) []SubjectSentiment {
+	return m.appendFacts(nil, docID, text, toks)
+}
+
+// appendFacts appends the (subject, sentiment) facts of one document to
+// dst, stamping the trip through the pipeline stages into the registry.
+// toks is the document's token stream when the caller already has it
+// (the ingest step, which tokenized the text for the inverted index);
+// nil makes the analyzer tokenize into its arena. Either way the
+// document is tokenized exactly once, and sentences are subslice views
+// over that one token slice, shared by every downstream stage.
+//
+// The facts collect in the arena and leave it in one append, so a nil
+// dst costs one allocation, and a caller that reuses dst (the
+// ingest step's worker) allocates nothing for them.
+func (m *SentimentMiner) appendFacts(dst []SubjectSentiment, docID, text string, toks []tokenize.Token) []SubjectSentiment {
 	a := m.arena()
 	defer m.arenas.Put(a)
 	laps := metrics.StartLaps()
@@ -253,14 +270,11 @@ func (m *SentimentMiner) analyzeEntity(docID, text string, toks []tokenize.Token
 	docPipelineNs.ObserveDuration(laps.Elapsed())
 	minedDocs.Inc()
 	minedFacts.Add(int64(len(a.facts)))
-	// The facts collect in the arena and leave it in one exact copy,
-	// instead of a slice regrown fact by fact for every document.
-	var out []SubjectSentiment
 	if len(a.facts) > 0 {
-		out = slices.Clone(a.facts)
+		dst = append(dst, a.facts...)
 		clear(a.facts) // drop the arena's references to this document
 	}
-	return out
+	return dst
 }
 
 // mineWithSubjects is mode 1: spot subjects, disambiguate, build a
@@ -330,25 +344,39 @@ func (m *SentimentMiner) mineWithSubjects(out []SubjectSentiment, a *pipelineAre
 // every sentiment-bearing sentence appends (entity, polarity) facts to
 // out.
 //
-// The clock is read only where the stage changes: spotting runs on
-// through the sentences without an entity and is lapped before an entity
-// sentence is tagged and once after the last sentence, so its histogram
-// still holds all spotting time at a few clock reads per entity sentence
-// rather than one per sentence.
+// The clock is read only where the stage changes. Every sentence is
+// spotted in one stretch and every entity sentence tagged in the next,
+// one lap each; then each entity sentence is chunked and analyzed in
+// turn, a lap each, because a sentence's clauses live in the chunker's
+// scratch only until its next call. That is two clock reads per
+// document and two per entity sentence.
 func (m *SentimentMiner) mineEntities(out []SubjectSentiment, a *pipelineArena, laps *metrics.Laps, docID, text string) []SubjectSentiment {
 	var spot, tag, chunk, analyze time.Duration
-	for _, s := range a.sents {
-		a.ents = m.nespot.AppendEntities(a.ents[:0], s.Tokens, -1)
-		if len(a.ents) == 0 {
-			continue
+	a.ents, a.entSents = a.ents[:0], a.entSents[:0]
+	for i, s := range a.sents {
+		from := len(a.ents)
+		if a.ents = m.nespot.AppendEntities(a.ents, s.Tokens, -1); len(a.ents) > from {
+			a.entSents = append(a.entSents, entitySentence{sent: i, ents: from})
 		}
-		laps.Lap(&spot)
-		a.tagged = m.tagger.AppendTags(a.tagged[:0], s.Tokens)
-		laps.Lap(&tag)
-		clauses := a.ck.ClausesInto(&a.cs, a.tagged)
+	}
+	laps.Lap(&spot)
+	a.tagged = a.tagged[:0]
+	for k := range a.entSents {
+		es := &a.entSents[k]
+		es.tags = len(a.tagged)
+		a.tagged = m.tagger.AppendTags(a.tagged, a.sents[es.sent].Tokens)
+	}
+	laps.Lap(&tag)
+	for k, es := range a.entSents {
+		entsEnd, tagsEnd := len(a.ents), len(a.tagged)
+		if k+1 < len(a.entSents) {
+			entsEnd, tagsEnd = a.entSents[k+1].ents, a.entSents[k+1].tags
+		}
+		s := &a.sents[es.sent]
+		clauses := a.ck.ClausesInto(&a.cs, a.tagged[es.tags:tagsEnd])
 		laps.Lap(&chunk)
 		a.assigns = m.analyzer.AppendAssignments(a.assigns[:0], clauses)
-		for _, e := range a.ents {
+		for _, e := range a.ents[es.ents:entsEnd] {
 			a.hits = sentiment.AppendForSpan(a.hits[:0], a.assigns, e.Start, e.End)
 			for _, h := range a.hits {
 				out = append(out, SubjectSentiment{
@@ -366,7 +394,6 @@ func (m *SentimentMiner) mineEntities(out []SubjectSentiment, a *pipelineArena, 
 		}
 		laps.Lap(&analyze)
 	}
-	laps.Lap(&spot)
 	stageSpot.ObserveDuration(spot)
 	stagePOS.ObserveDuration(tag)
 	stageChunk.ObserveDuration(chunk)

@@ -308,25 +308,33 @@ func (t *ServingTier) Ingest(ctx context.Context, docs []serve.Doc) ([]string, i
 }
 
 // ingest is Ingest over platform documents: the loop behind the gateway
-// and the node's store service alike.
+// and the node's store service alike. Each document's facts are mined
+// into its worker's arena and leave it once, as the annotations the
+// store keeps; the aggregate facts of the acked prefix are read back
+// from those annotations, in one slice for the batch.
 func (t *ServingTier) ingest(ctx context.Context, batch []Document) ([]string, int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	mined := make([][]SubjectSentiment, len(batch))
-	ids, err := t.p.ingest(ctx, batch, func(i int, id, text string, toks []tokenize.Token) []store.Annotation {
-		mined[i] = t.m.analyzeEntity(id, text, toks)
-		return annotationsOf(mined[i])
+	anns := make([][]store.Annotation, len(batch))
+	texts := make([]string, len(batch))
+	ids, err := t.p.ingest(ctx, batch, func(ia *ingestArena, i int, id, text string, toks []tokenize.Token) []store.Annotation {
+		ia.facts = t.m.appendFacts(ia.facts[:0], id, text, toks)
+		anns[i], texts[i] = annotationsOf(ia.facts), text
+		clear(ia.facts) // drop the arena's references to this document
+		return anns[i]
 	})
 	n := 0
 	for i := range ids {
-		n += len(mined[i])
+		n += len(anns[i])
 	}
 	facts := make([]serve.Fact, 0, n)
-	for i := range ids {
-		facts = fold(facts, batch[i].Date, mined[i])
+	for i, id := range ids {
+		for k := range anns[i] {
+			facts = append(facts, annotationFact(&anns[i][k], id, batch[i].Date, texts[i]))
+		}
 	}
 	// Publish even an empty successful batch: the corpus changed, so
 	// cached responses keyed on the old generation must re-render. A
@@ -338,6 +346,14 @@ func (t *ServingTier) ingest(ctx context.Context, batch []Document) ([]string, i
 		t.published()
 	}
 	return ids, len(facts), err
+}
+
+// annotationFact is the aggregate fact one of annotationsOf's
+// annotations carries, for the document id of the given date and
+// stored text: what aggFact makes of the mined fact it was built from.
+func annotationFact(a *store.Annotation, id, date, text string) serve.Fact {
+	return serve.Fact{Subject: a.Key, Feature: a.Feature, Date: date, Positive: a.Value == Positive.String(),
+		Doc: id, Sentence: a.Sentence, Snippet: text[a.Start:a.End]}
 }
 
 // ServingStore is the entity-store surface of a serving node, as a
