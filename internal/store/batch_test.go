@@ -235,3 +235,38 @@ func TestPutBatchInMemoryAndValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestPutBatchEncodeBuffersBounded: PutBatch encodes each commit into a
+// pooled buffer, and a batch whose record is over maxPooledBuf leaves no
+// buffer that large in the pool once it is logged.
+func TestPutBatchEncodeBuffersBounded(t *testing.T) {
+	drain := func() (largest int) {
+		for {
+			bp, _ := walBufs.Get().(*[]byte)
+			if bp == nil {
+				return largest
+			}
+			largest = max(largest, cap(*bp))
+		}
+	}
+	st, err := Open(t.TempDir(), Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	drain()
+	small, _ := batchOf(3)
+	if err := st.PutBatch(small, nil); err != nil {
+		t.Fatal(err)
+	}
+	big := []*Entity{{ID: "big", Text: string(bytes.Repeat([]byte("x"), maxPooledBuf+1))}}
+	if err := st.PutBatch(big, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := st.Get("big"); !ok || len(got.Text) != maxPooledBuf+1 {
+		t.Fatalf("the large entity was not stored whole")
+	}
+	if n := drain(); n > maxPooledBuf {
+		t.Fatalf("a %d-byte encode buffer was kept after a %d-byte entity", n, maxPooledBuf+1)
+	}
+}
