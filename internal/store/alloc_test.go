@@ -8,12 +8,12 @@ import (
 )
 
 // TestAllocCeilingWALFrame gates the record framing of a put, an
-// annotate and a PutBatch commit: each binary body is sized exactly and
+// annotate and a PutBatch commit: each binary body is bounded first and
 // encoded straight into its frame behind the reserved header and op
-// byte, so a lone record is one buffer and one allocation, and a batch
-// appended to a reused buffer (PutBatch's, from its pool) allocates
-// nothing. Race instrumentation adds allocations of its own, hence the
-// build tag.
+// byte, its string table on the stack, so a lone record is one buffer
+// and one allocation, and a batch appended to a reused buffer
+// (PutBatch's, from its pool) allocates nothing. Race instrumentation
+// adds allocations of its own, hence the build tag.
 func TestAllocCeilingWALFrame(t *testing.T) {
 	text := strings.Repeat("The NR70 takes excellent pictures, and the battery life is great. ", 96)
 	anns := []Annotation{{Miner: "sentiment", Type: "polarity", Key: "nr70", Value: "+", Feature: "pictures", Sentence: 1, Start: 66, End: 132}}

@@ -285,12 +285,12 @@ func (d *durability) replayWAL(s *Store, path string) error {
 // applyRecord applies one decoded WAL record through the in-memory paths.
 func applyRecord(s *Store, op byte, body []byte) error {
 	switch op {
-	case opPut:
-		return s.replayPut(decodePut(body))
+	case opPut, opPutPlain:
+		return s.replayPut(decodePut(body, op == opPut))
 	case opPutXML:
 		return s.replayPut(ParseEntity(body))
-	case opAnnotate:
-		return s.replayAnnotate(decodeAnnotate(body))
+	case opAnnotate, opAnnotatePlain:
+		return s.replayAnnotate(decodeAnnotate(body, op == opAnnotate))
 	case opAnnotateXML:
 		return s.replayAnnotate(decodeXMLAnnotate(body))
 	case opDelete:

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -78,44 +79,142 @@ type goldenRecord struct {
 	rec  []byte
 }
 
-// goldenRecords are the WAL records behind testdata/wal.golden: a put of
-// each golden entity, an annotate carrying a feature and a negative
-// sentence, and a delete.
+// goldenRecords are the records this version writes behind
+// testdata/wal.golden: a put of each golden entity, an annotate
+// carrying a feature and a negative sentence, and a delete.
 func goldenRecords() []goldenRecord {
 	var out []goldenRecord
 	for _, e := range goldenEntities() {
-		out = append(out, goldenRecord{"put " + e.ID, encodePut(e)})
+		out = append(out, goldenRecord{"op 8 put " + e.ID, encodePut(e)})
 	}
 	rec := encodeAnnotate("doc-03", []Annotation{
 		{Miner: "sentiment", Type: "polarity", Key: "d100", Value: "-", Feature: "battery life", Sentence: 2, Start: 130, End: 171},
 		{Miner: "geo", Type: "region", Key: "asia", Sentence: -1},
 	})
-	out = append(out, goldenRecord{"annotate doc-03", rec})
-	return append(out, goldenRecord{"delete doc-02", encodeWALRecord(opDelete, []byte("doc-02"))})
+	out = append(out, goldenRecord{"op 7 annotate doc-03", rec})
+	return append(out, goldenRecord{"op 2 delete doc-02", encodeWALRecord(opDelete, []byte("doc-02"))})
 }
 
-// TestWALRecordGolden pins the WAL's put, annotate and delete record
-// bytes, frame included, to testdata/wal.golden (a hex dump; regenerate
-// with -update-golden). A change here is a log format change: logs
-// already on disk must still replay.
+// TestWALRecordGolden pins the WAL's record bytes, frame included, to
+// testdata/wal.golden, a hex dump of two kinds of section. The records
+// of the plain bodies older versions wrote (ops 5 and 6) are kept as
+// they were written, and must replay to the store goldenRecords
+// replays to. Then come goldenRecords, byte for byte (regenerate them
+// with -update-golden, which keeps the older sections). A change to
+// them is a log format change: logs already on disk must still replay.
 func TestWALRecordGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "wal.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	legacy, err := legacyGoldenRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := goldenRecords()
 	var buf bytes.Buffer
-	for _, r := range goldenRecords() {
+	for _, r := range append(legacy, current...) {
 		fmt.Fprintf(&buf, "== %s (%d bytes)\n%s", r.name, len(r.rec), hex.Dump(r.rec))
 	}
-	golden := filepath.Join("testdata", "wal.golden")
 	if *updateGolden {
 		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden: %v (regenerate with go test -run TestWALRecordGolden -update-golden ./internal/store)", err)
+		want = buf.Bytes()
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("WAL records differ from golden file:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
 	}
+
+	// The delete is left out: it is the same record in both formats.
+	old, now := replayGolden(t, legacy), replayGolden(t, current[:len(current)-1])
+	if len(legacy) != 4 || old.Len() != 3 {
+		t.Fatalf("%d legacy sections replay to %d entities, want 4 and 3", len(legacy), old.Len())
+	}
+	for _, id := range now.IDs() {
+		a, _ := old.Get(id)
+		b, _ := now.Get(id)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s replays from the legacy records as\n%+v\nand from today's as\n%+v", id, a, b)
+		}
+	}
+	if e, _ := old.Get("doc-03"); len(e.Annotations) != 2 || e.Annotations[0].Feature != "battery life" {
+		t.Errorf("the legacy annotate record replays as %+v", e.Annotations)
+	}
+}
+
+// parseGoldenDump reads the sections of a wal.golden hex dump back into
+// records.
+func parseGoldenDump(data []byte) ([]goldenRecord, error) {
+	var out []goldenRecord
+	var sizes []int
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if head, ok := strings.CutPrefix(line, "== "); ok {
+			i := strings.LastIndex(head, " (")
+			var size int
+			if i < 0 {
+				return nil, fmt.Errorf("golden header %q has no byte count", line)
+			}
+			if _, err := fmt.Sscanf(head[i:], " (%d bytes)", &size); err != nil {
+				return nil, fmt.Errorf("golden header %q: %v", line, err)
+			}
+			out, sizes = append(out, goldenRecord{name: head[:i]}), append(sizes, size)
+			continue
+		}
+		bar := strings.IndexByte(line, '|')
+		if len(out) == 0 || bar < 10 {
+			return nil, fmt.Errorf("malformed golden line %q", line)
+		}
+		b, err := hex.DecodeString(strings.Join(strings.Fields(line[10:bar]), ""))
+		if err != nil {
+			return nil, fmt.Errorf("golden line %q: %v", line, err)
+		}
+		out[len(out)-1].rec = append(out[len(out)-1].rec, b...)
+	}
+	for i, r := range out {
+		if len(r.rec) != sizes[i] || len(r.rec) <= walHeaderSize {
+			return nil, fmt.Errorf("golden section %q holds %d bytes, its header says %d", r.name, len(r.rec), sizes[i])
+		}
+	}
+	return out, nil
+}
+
+// legacyGoldenRecords are the sections of testdata/wal.golden that
+// older versions wrote: records of the plain bodies, ops 5 and 6.
+func legacyGoldenRecords() ([]goldenRecord, error) {
+	data, err := os.ReadFile(filepath.Join("testdata", "wal.golden"))
+	if err != nil {
+		return nil, err
+	}
+	recs, err := parseGoldenDump(data)
+	if err != nil {
+		return nil, err
+	}
+	var legacy []goldenRecord
+	for _, r := range recs {
+		if op := r.rec[walHeaderSize]; op == opPutPlain || op == opAnnotatePlain {
+			legacy = append(legacy, r)
+		}
+	}
+	return legacy, nil
+}
+
+// replayGolden replays records into a fresh store through the path
+// recovery takes.
+func replayGolden(t *testing.T, recs []goldenRecord) *Store {
+	t.Helper()
+	s := New(1)
+	for _, r := range recs {
+		op, body, n, err := decodeWALRecord(r.rec)
+		if err != nil || n != len(r.rec) {
+			t.Fatalf("%s: %d of %d bytes framed, err %v", r.name, n, len(r.rec), err)
+		}
+		if err := applyRecord(s, op, body); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+	}
+	return s
 }
 
 // TestSnapshotIdenticalStoresIdenticalBytes: two independently built but

@@ -18,18 +18,22 @@ import (
 //
 // where payload is one op byte followed by the op body:
 //
-//	opPut         — the entity, as a binary put body (below)
-//	opDelete      — the raw entity ID
-//	opAnnotate    — the entity ID and the annotations to append, as a
-//	                binary annotate body (below)
-//	opPutXML      — legacy, replay only: the entity as compact XML
-//	opAnnotateXML — legacy, replay only: an <annotate id="..."> element
-//	                listing annotations
-//	opDeleteV     — legacy, replay only: an 8-byte version stamp, then
-//	                the raw entity ID; replayed as a plain delete
+//	opPut           — the entity, as a binary put body (below)
+//	opDelete        — the raw entity ID
+//	opAnnotate      — the entity ID and the annotations to append, as a
+//	                  binary annotate body (below)
+//	opPutPlain      — legacy, replay only: a put body without a string
+//	                  table
+//	opAnnotatePlain — legacy, replay only: an annotate body without a
+//	                  string table
+//	opPutXML        — legacy, replay only: the entity as compact XML
+//	opAnnotateXML   — legacy, replay only: an <annotate id="..."> element
+//	                  listing annotations
+//	opDeleteV       — legacy, replay only: an 8-byte version stamp, then
+//	                  the raw entity ID; replayed as a plain delete
 //
-// The binary bodies are byte-exact: a string is its uvarint byte length
-// and then its bytes, a count is a uvarint, and nothing is escaped.
+// The binary bodies are byte-exact: a count is a uvarint, and nothing
+// is escaped.
 //
 //	put        ID URL Source Title Date Text
 //	           count(Links) Link…  count(Annotations) Annotation…
@@ -37,12 +41,23 @@ import (
 //	Annotation Miner Type Key Value Feature
 //	           Sentence, Start, End−Start (zigzag varints)
 //
+// Each body writes every string once. A string is one uvarint x and,
+// when x is even, x/2 bytes that follow it inline; an odd x refers to
+// entry (x−1)/2 of the record's string table, whose entries are the
+// body's inline strings in order. A string the table holds is always a
+// reference, and a reference names an entry already written, so the
+// encoding of a body is unique: the decoder refuses an inline repeat
+// and a reference past the table. The table is the record's own, so a
+// record still decodes alone. A legacy plain body writes every string
+// as its uvarint length and its bytes.
+//
 // The span is a delta and the integers are signed, so every annotation
 // an in-memory store can hold round-trips, spoiled spans included (the
 // serving tier's recovery is built to meet them).
 //
-// Both bodies open with the entity ID, so a put or annotate record of
-// one entity starts with a payload prefix of its own (RecordPrefix).
+// Both bodies open with the entity ID, table entry 0, so a put or
+// annotate record of one entity starts with a payload prefix of its own
+// (RecordPrefix).
 //
 // The length prefix gives resync-free sequential scanning, and the two
 // checksums split corruption into three distinguishable classes: a
@@ -57,12 +72,14 @@ import (
 
 // WAL op codes.
 const (
-	opPutXML      byte = 1 // written by older versions only
-	opDelete      byte = 2
-	opAnnotateXML byte = 3 // written by older versions only
-	opDeleteV     byte = 4 // written by older versions only
-	opPut         byte = 5
-	opAnnotate    byte = 6
+	opPutXML        byte = 1 // written by older versions only
+	opDelete        byte = 2
+	opAnnotateXML   byte = 3 // written by older versions only
+	opDeleteV       byte = 4 // written by older versions only
+	opPutPlain      byte = 5 // written by older versions only
+	opAnnotatePlain byte = 6 // written by older versions only
+	opAnnotate      byte = 7
+	opPut           byte = 8
 )
 
 // legacyDeleteID returns the entity ID of an opDeleteV body, which
@@ -146,39 +163,42 @@ func decodeWALRecord(data []byte) (op byte, body []byte, n int, err error) {
 
 // RecordPrefix returns the first payload bytes of the WAL record that
 // Put (annotate false) or Annotate (annotate true) logs for the entity
-// id: the op byte and the length-prefixed ID. Fault-injection tests
-// match appends against it to fail one chosen record.
+// id: the op byte and the ID, written inline as the table's first
+// entry. Fault-injection tests match appends against it to fail one
+// chosen record.
 func RecordPrefix(annotate bool, id string) []byte {
 	op := opPut
 	if annotate {
 		op = opAnnotate
 	}
-	return appendString([]byte{op}, id)
+	var w bodyWriter
+	w.b = []byte{op}
+	w.string(id)
+	return w.b
 }
 
-// encodePut frames an opPut record of e in one exactly sized buffer.
+// encodePut frames an opPut record of e in one buffer.
 func encodePut(e *Entity) []byte {
-	return appendPutRecord(make([]byte, 0, walHeaderSize+1+putBodySize(e)), e)
+	return appendPutRecord(make([]byte, 0, putRecordBound(e)), e)
 }
 
-// encodeAnnotate frames an opAnnotate record in one exactly sized
-// buffer.
+// encodeAnnotate frames an opAnnotate record in one buffer.
 func encodeAnnotate(id string, anns []Annotation) []byte {
-	return appendAnnotateRecord(make([]byte, 0, walHeaderSize+1+stringSize(id)+annotationsSize(anns)), id, anns)
+	return appendAnnotateRecord(make([]byte, 0, annotateRecordBound(id, anns)), id, anns)
 }
 
 // appendBatch appends to b the records PutBatch logs: each entity's put
 // record and then, when anns[i] is not empty, its annotate record — byte
 // for byte what Put and Annotate would have logged one call at a time.
-// b grows at most once, to the batch's exact size. It returns the
-// extended buffer and the batch's record count.
+// b grows at most once, to the batch's bound. It returns the extended
+// buffer and the batch's record count.
 func appendBatch(b []byte, ents []*Entity, anns [][]Annotation) ([]byte, int) {
 	n, records := 0, 0
 	for i, e := range ents {
-		n += walHeaderSize + 1 + putBodySize(e)
+		n += putRecordBound(e)
 		records++
 		if i < len(anns) && len(anns[i]) > 0 {
-			n += walHeaderSize + 1 + stringSize(e.ID) + annotationsSize(anns[i])
+			n += annotateRecordBound(e.ID, anns[i])
 			records++
 		}
 	}
@@ -195,71 +215,104 @@ func appendBatch(b []byte, ents []*Entity, anns [][]Annotation) ([]byte, int) {
 // appendPutRecord appends a sealed opPut record of e to b.
 func appendPutRecord(b []byte, e *Entity) []byte {
 	start := len(b)
-	b = append(append(b, make([]byte, walHeaderSize)...), opPut)
-	b = appendPutBody(b, e)
-	sealWALRecord(b[start:])
-	return b
+	w := bodyWriter{b: append(append(b, make([]byte, walHeaderSize)...), opPut)}
+	w.put(e)
+	sealWALRecord(w.b[start:])
+	return w.b
 }
 
 // appendAnnotateRecord appends a sealed opAnnotate record to b.
 func appendAnnotateRecord(b []byte, id string, anns []Annotation) []byte {
 	start := len(b)
-	b = append(append(b, make([]byte, walHeaderSize)...), opAnnotate)
-	b = appendAnnotations(appendString(b, id), anns)
-	sealWALRecord(b[start:])
-	return b
+	w := bodyWriter{b: append(append(b, make([]byte, walHeaderSize)...), opAnnotate)}
+	w.annotate(id, anns)
+	sealWALRecord(w.b[start:])
+	return w.b
 }
 
-// putBodySize is the exact length of appendPutBody's encoding of e.
-func putBodySize(e *Entity) int {
-	n := stringSize(e.ID) + stringSize(e.URL) + stringSize(e.Source) + stringSize(e.Title) +
-		stringSize(e.Date) + stringSize(e.Text) + uvarintSize(uint64(len(e.Links))) + annotationsSize(e.Annotations)
-	for _, l := range e.Links {
-		n += stringSize(l)
+// putRecordBound is the length of appendPutRecord's record of e were
+// every string written inline. A reference is never longer than the
+// string it stands for while the table holds fewer than 64 entries, so
+// this bounds the record, and a buffer of it takes the record whole.
+func putRecordBound(e *Entity) int {
+	w := bodyWriter{sizing: true}
+	w.put(e)
+	return walHeaderSize + 1 + w.n
+}
+
+// annotateRecordBound bounds appendAnnotateRecord's record as
+// putRecordBound bounds a put record.
+func annotateRecordBound(id string, anns []Annotation) int {
+	w := bodyWriter{sizing: true}
+	w.annotate(id, anns)
+	return walHeaderSize + 1 + w.n
+}
+
+// bodyWriter encodes one put or annotate body against the body's own
+// string table, which lives in the struct, on its caller's stack. With
+// sizing set it appends nothing: it counts in n the bytes the body would
+// take with every string inline, so one walk both bounds and writes a
+// body.
+type bodyWriter struct {
+	b      []byte
+	n      int
+	sizing bool
+	tab    strtab
+}
+
+func (w *bodyWriter) uvarint(x uint64) {
+	if w.sizing {
+		w.n += uvarintSize(x)
+	} else {
+		w.b = binary.AppendUvarint(w.b, x)
 	}
-	return n
 }
 
-func appendPutBody(b []byte, e *Entity) []byte {
+func (w *bodyWriter) varint(x int64) { w.uvarint(uint64(x<<1) ^ uint64(x>>63)) }
+
+// string writes s as a reference when the table holds it, and inline,
+// as the table's next entry, when it does not.
+func (w *bodyWriter) string(s string) {
+	if w.sizing {
+		w.n += uvarintSize(uint64(len(s))<<1) + len(s)
+		return
+	}
+	if i, ok := w.tab.find(s); ok {
+		w.b = binary.AppendUvarint(w.b, uint64(i)<<1|1)
+		return
+	}
+	w.tab.add(s)
+	w.b = append(binary.AppendUvarint(w.b, uint64(len(s))<<1), s...)
+}
+
+func (w *bodyWriter) put(e *Entity) {
 	for _, s := range [...]string{e.ID, e.URL, e.Source, e.Title, e.Date, e.Text} {
-		b = appendString(b, s)
+		w.string(s)
 	}
-	b = binary.AppendUvarint(b, uint64(len(e.Links)))
+	w.uvarint(uint64(len(e.Links)))
 	for _, l := range e.Links {
-		b = appendString(b, l)
+		w.string(l)
 	}
-	return appendAnnotations(b, e.Annotations)
+	w.annotations(e.Annotations)
 }
 
-func appendAnnotations(b []byte, anns []Annotation) []byte {
-	b = binary.AppendUvarint(b, uint64(len(anns)))
+func (w *bodyWriter) annotate(id string, anns []Annotation) {
+	w.string(id)
+	w.annotations(anns)
+}
+
+func (w *bodyWriter) annotations(anns []Annotation) {
+	w.uvarint(uint64(len(anns)))
 	for i := range anns {
 		a := &anns[i]
 		for _, s := range [...]string{a.Miner, a.Type, a.Key, a.Value, a.Feature} {
-			b = appendString(b, s)
+			w.string(s)
 		}
-		b = binary.AppendVarint(b, int64(a.Sentence))
-		b = binary.AppendVarint(b, int64(a.Start))
-		b = binary.AppendVarint(b, int64(a.End-a.Start))
+		w.varint(int64(a.Sentence))
+		w.varint(int64(a.Start))
+		w.varint(int64(a.End - a.Start))
 	}
-	return b
 }
-
-func annotationsSize(anns []Annotation) int {
-	n := uvarintSize(uint64(len(anns)))
-	for i := range anns {
-		a := &anns[i]
-		n += stringSize(a.Miner) + stringSize(a.Type) + stringSize(a.Key) + stringSize(a.Value) +
-			stringSize(a.Feature) + varintSize(int64(a.Sentence)) + varintSize(int64(a.Start)) + varintSize(int64(a.End-a.Start))
-	}
-	return n
-}
-
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-func stringSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
 
 func uvarintSize(x uint64) int {
 	n := 1
@@ -269,9 +322,58 @@ func uvarintSize(x uint64) int {
 	return n
 }
 
-// varintSize is the length of binary.AppendVarint's encoding of x: the
-// uvarint of its zigzag mapping.
-func varintSize(x int64) int { return uvarintSize(uint64(x<<1) ^ uint64(x>>63)) }
+// strtab is one record body's string table: entry i is the i-th string
+// the body holds inline. While it is small, its entries sit in an array
+// and are found by a scan; past tabScan entries a map indexes them, so a
+// body with many distinct strings is still encoded and decoded in
+// linear time.
+type strtab struct {
+	n     int
+	first [tabScan]string
+	rest  []string       // entries tabScan and on
+	index map[string]int // every entry, once there are more than tabScan
+}
+
+// tabScan is the number of table entries found by a scan. An annotate
+// record of the serving tier holds about ten.
+const tabScan = 32
+
+func (t *strtab) find(s string) (int, bool) {
+	if t.index != nil {
+		i, ok := t.index[s]
+		return i, ok
+	}
+	for i := range t.n {
+		if t.first[i] == s {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+func (t *strtab) add(s string) {
+	if t.n < tabScan {
+		t.first[t.n] = s
+		t.n++
+		return
+	}
+	if t.index == nil {
+		t.index = make(map[string]int, 2*tabScan)
+		for i, e := range t.first {
+			t.index[e] = i
+		}
+	}
+	t.index[s] = t.n
+	t.rest = append(t.rest, s)
+	t.n++
+}
+
+func (t *strtab) at(i int) string {
+	if i < tabScan {
+		return t.first[i]
+	}
+	return t.rest[i-tabScan]
+}
 
 // Smallest encodings of one link and one annotation: the count check
 // in bodyReader.count uses them to refuse a count the remaining bytes
@@ -281,10 +383,11 @@ const (
 	minAnnotationSize = 8
 )
 
-// decodePut parses an opPut body. Every string field of the entity is a
-// substring of one copy of the body.
-func decodePut(body []byte) (*Entity, error) {
-	r := bodyReader{s: string(body)}
+// decodePut parses a put body, one with a string table (refs) or a
+// legacy plain one. Every string field of the entity is a substring of
+// one copy of the body.
+func decodePut(body []byte, refs bool) (*Entity, error) {
+	r := bodyReader{s: string(body), refs: refs}
 	e := &Entity{ID: r.string(), URL: r.string(), Source: r.string(), Title: r.string(), Date: r.string(), Text: r.string()}
 	if n := r.count(minLinkSize); n > 0 {
 		e.Links = make([]string, n)
@@ -299,9 +402,10 @@ func decodePut(body []byte) (*Entity, error) {
 	return e, nil
 }
 
-// decodeAnnotate parses an opAnnotate body.
-func decodeAnnotate(body []byte) (id string, anns []Annotation, err error) {
-	r := bodyReader{s: string(body)}
+// decodeAnnotate parses an annotate body, one with a string table
+// (refs) or a legacy plain one.
+func decodeAnnotate(body []byte, refs bool) (id string, anns []Annotation, err error) {
+	r := bodyReader{s: string(body), refs: refs}
 	id, anns = r.string(), r.annotations()
 	if err = r.end("annotate"); err != nil {
 		return "", nil, err
@@ -309,15 +413,18 @@ func decodeAnnotate(body []byte) (id string, anns []Annotation, err error) {
 	return id, anns, nil
 }
 
-// bodyReader decodes a binary put or annotate body. The first error
+// bodyReader decodes a binary put or annotate body, with references
+// into the body's string table when refs is set. The first error
 // sticks: later reads return zero values, and end reports it. Every
-// varint must be in its shortest form and every length and count must
-// fit in the bytes left, so an accepted body re-encodes to exactly its
-// own bytes.
+// varint must be in its shortest form, every length and count must fit
+// in the bytes left, and every string must be written as the encoder
+// writes it, so an accepted body re-encodes to exactly its own bytes.
 type bodyReader struct {
-	s   string
-	off int
-	err error
+	s    string
+	off  int
+	err  error
+	refs bool
+	tab  strtab
 }
 
 func (r *bodyReader) fail(what string) {
@@ -366,15 +473,33 @@ func (r *bodyReader) int() int {
 }
 
 func (r *bodyReader) string() string {
-	n := r.uvarint()
+	x := r.uvarint()
 	if r.err != nil {
 		return ""
+	}
+	n := x
+	if r.refs {
+		if x&1 == 1 {
+			if x>>1 >= uint64(r.tab.n) {
+				r.fail("reference past the string table")
+				return ""
+			}
+			return r.tab.at(int(x >> 1))
+		}
+		n = x >> 1
 	}
 	if n > uint64(len(r.s)-r.off) {
 		r.fail("string runs past the body")
 		return ""
 	}
 	s := r.s[r.off : r.off+int(n)]
+	if r.refs {
+		if _, ok := r.tab.find(s); ok {
+			r.fail("inline repeat of a table string")
+			return ""
+		}
+		r.tab.add(s)
+	}
 	r.off += int(n)
 	return s
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"reflect"
@@ -172,13 +173,21 @@ func TestBinaryBodyRoundTrip(t *testing.T) {
 		{Sentence: math.MaxInt, Start: math.MinInt, End: math.MaxInt},
 		{Key: "spoiled", Start: -4, End: 34},
 		{Key: "inverted", Start: 34, End: 0},
+		{Miner: "sentiment", Type: "polarity", Key: "nr70", Value: "-", Feature: "nr70", Sentence: 4, Start: 41, End: 60},
+	}
+	// More distinct strings than the table scans: entries past tabScan
+	// are found through its map.
+	var many []Annotation
+	for i := range 3 * tabScan {
+		many = append(many, Annotation{Miner: "sentiment", Type: "polarity", Key: fmt.Sprint("s", i%40), Value: "+", Feature: fmt.Sprint("f", i)})
 	}
 	ents := []*Entity{
 		{ID: "a"},
 		{ID: "empty-slices", Text: "t", Links: []string{}, Annotations: []Annotation{}},
 		{ID: "doc-000001", URL: "http://x/y", Source: "review", Title: "T & <t>", Date: "2004-03-02",
-			Text: "It's \"great\"\n\tand <bold> & more\x01\xff\x00", Links: []string{"b", "", "c"}, Annotations: anns},
+			Text: "It's \"great\"\n\tand <bold> & more\x01\xff\x00", Links: []string{"b", "", "c", "b"}, Annotations: anns},
 		{ID: "long", Text: strings.Repeat("'", 3000)},
+		{ID: "doc-000002", Source: "doc-000002", Title: "doc-000002", Annotations: many},
 	}
 	for _, e := range ents {
 		live := New(1)
@@ -187,31 +196,34 @@ func TestBinaryBodyRoundTrip(t *testing.T) {
 		}
 		want, _ := live.Get(e.ID)
 		rec := encodePut(e)
-		if cap(rec) != len(rec) {
-			t.Errorf("put %s: record buffer sized %d for %d bytes", e.ID, cap(rec), len(rec))
+		if bound := putRecordBound(e); cap(rec) != bound || len(rec) > bound {
+			t.Errorf("put %s: %d bytes in a buffer of %d, bound %d", e.ID, len(rec), cap(rec), bound)
 		}
 		op, body, _, err := decodeWALRecord(rec)
 		if err != nil || op != opPut {
 			t.Fatalf("put %s: op %d, err %v", e.ID, op, err)
 		}
-		got, err := decodePut(body)
+		got, err := decodePut(body, true)
 		if err != nil {
 			t.Fatalf("put %s: %v", e.ID, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("put %s replays as\n%+v\nwant\n%+v", e.ID, got, want)
 		}
+		if !bytes.HasPrefix(rec[walHeaderSize:], RecordPrefix(false, e.ID)) {
+			t.Errorf("put %s record does not start with RecordPrefix", e.ID)
+		}
 	}
-	for _, a := range [][]Annotation{nil, anns[:1], anns} {
+	for _, a := range [][]Annotation{nil, anns[:1], anns, many} {
 		rec := encodeAnnotate("doc-000001", a)
-		if cap(rec) != len(rec) {
-			t.Errorf("annotate: record buffer sized %d for %d bytes", cap(rec), len(rec))
+		if bound := annotateRecordBound("doc-000001", a); cap(rec) != bound || len(rec) > bound {
+			t.Errorf("annotate: %d bytes in a buffer of %d, bound %d", len(rec), cap(rec), bound)
 		}
 		op, body, _, err := decodeWALRecord(rec)
 		if err != nil || op != opAnnotate {
 			t.Fatalf("annotate: op %d, err %v", op, err)
 		}
-		id, got, err := decodeAnnotate(body)
+		id, got, err := decodeAnnotate(body, true)
 		if err != nil || id != "doc-000001" || !reflect.DeepEqual(got, a) {
 			t.Errorf("annotate of %d replays as %q %+v (err %v)", len(a), id, got, err)
 		}
@@ -223,61 +235,157 @@ func TestBinaryBodyRoundTrip(t *testing.T) {
 
 // TestBinaryBodyDecodeErrors: truncations, trailing bytes, overlong
 // varints and counts or lengths past the end are refused, never
-// decoded as something else.
+// decoded as something else, by the table decoder and the legacy plain
+// one alike.
 func TestBinaryBodyDecodeErrors(t *testing.T) {
 	rec := encodePut(&Entity{ID: "doc", Text: "text", Links: []string{"x"},
 		Annotations: []Annotation{{Miner: "m", Key: "k", Start: 1, End: 3}}})
 	body := rec[walHeaderSize+1:]
 	for l := 0; l < len(body); l++ {
-		if _, err := decodePut(body[:l]); err == nil {
+		if _, err := decodePut(body[:l], true); err == nil {
 			t.Errorf("truncated put body (%d of %d bytes) accepted", l, len(body))
 		}
 	}
-	for name, bad := range map[string][]byte{
-		"trailing byte":    append(append([]byte(nil), body...), 0),
-		"overlong varint":  append([]byte{0x83, 0x00}, body[1:]...),
-		"string past end":  {0x7f, 'd'},
-		"varint overflow":  {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
-		"huge link count":  {0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"annotation count": {1, 'd', 0x09, 0, 0, 0, 0, 0, 0, 0, 0},
+	for _, c := range []struct {
+		name         string
+		table, plain []byte
+	}{
+		{"trailing byte", append(append([]byte(nil), body...), 0), nil},
+		{"overlong varint", append([]byte{0x86, 0x00}, body[1:]...), []byte{0x83, 0x00, 'd', 'o', 'c'}},
+		{"string past end", []byte{0x7e, 'd'}, []byte{0x7f, 'd'}},
+		{"varint overflow", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, nil},
+		{"huge link count", []byte{0, 1, 1, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}, []byte{0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}},
+		{"annotation count", []byte{2, 'd', 0x09, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{1, 'd', 0x09, 0, 0, 0, 0, 0, 0, 0, 0}},
 	} {
-		if _, err := decodePut(bad); err == nil {
-			t.Errorf("%s: put body accepted", name)
+		if c.plain == nil {
+			c.plain = c.table
 		}
-		if _, _, err := decodeAnnotate(bad); err == nil {
-			t.Errorf("%s: annotate body accepted", name)
+		for _, refs := range []bool{true, false} {
+			bad := c.plain
+			if refs {
+				bad = c.table
+			}
+			if _, err := decodePut(bad, refs); err == nil {
+				t.Errorf("%s: put body accepted (refs %v)", c.name, refs)
+			}
+			if _, _, err := decodeAnnotate(bad, refs); err == nil {
+				t.Errorf("%s: annotate body accepted (refs %v)", c.name, refs)
+			}
 		}
+	}
+}
+
+// TestStringTableCanonical: the one encoding of a body writes each
+// string inline once and every repeat as a reference to an entry
+// already written. Hand-built bodies that write a string any other way
+// are refused, so no two bodies decode to the same value.
+func TestStringTableCanonical(t *testing.T) {
+	// annotate "d": one annotation, Miner "d", Type, Key, Value and
+	// Feature "", at sentence 0, span 0..0.
+	valid := []byte{0x02, 'd', 0x01, 0x01, 0x00, 0x03, 0x03, 0x03, 0, 0, 0}
+	if got := encodeAnnotate("d", []Annotation{{Miner: "d"}})[walHeaderSize+1:]; !bytes.Equal(got, valid) {
+		t.Fatalf("encoder writes %x, want %x", got, valid)
+	}
+	if _, _, err := decodeAnnotate(valid, true); err != nil {
+		t.Fatalf("canonical body refused: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"inline repeat", []byte{0x02, 'd', 0x01, 0x02, 'd', 0x00, 0x03, 0x03, 0x03, 0, 0, 0}},
+		{"inline repeat of the empty string", []byte{0x02, 'd', 0x01, 0x01, 0x00, 0x00, 0x03, 0x03, 0, 0, 0}},
+		{"reference past the table", []byte{0x02, 'd', 0x01, 0x09, 0x00, 0x03, 0x03, 0x03, 0, 0, 0}},
+		{"reference to an entry not yet written", []byte{0x02, 'd', 0x01, 0x03, 0x00, 0x03, 0x03, 0x03, 0, 0, 0}},
+		{"overlong reference", []byte{0x02, 'd', 0x01, 0x81, 0x00, 0x00, 0x03, 0x03, 0x03, 0, 0, 0}},
+	} {
+		if _, _, err := decodeAnnotate(c.body, true); err == nil {
+			t.Errorf("%s: annotate body accepted", c.name)
+		}
+	}
+	// A put whose URL repeats its ID inline.
+	if _, err := decodePut([]byte{0x02, 'd', 0x02, 'd', 0x03, 0x03, 0x03, 0x03, 0x00, 0x00}, true); err == nil {
+		t.Error("put body with an inline repeat accepted")
+	}
+	if _, err := decodePut([]byte{0x02, 'd', 0x01, 0x01, 0x01, 0x01, 0x01, 0x00, 0x00}, true); err != nil {
+		t.Errorf("canonical put body refused: %v", err)
 	}
 }
 
 // FuzzWALBody asserts the binary body decoders never panic on arbitrary
 // bytes, and that a body they accept re-encodes to exactly the bytes it
-// was decoded from — nothing read past a length, nothing left over.
+// was decoded from — nothing read past a length, nothing left over. A
+// legacy plain body (op 5 or 6) has no encoder left: the value it
+// decodes to must survive today's encoding unchanged.
 func FuzzWALBody(f *testing.F) {
 	for _, rec := range goldenRecords() {
 		if op := rec.rec[walHeaderSize]; op == opPut || op == opAnnotate {
-			f.Add(op == opAnnotate, rec.rec[walHeaderSize+1:])
+			f.Add(op, rec.rec[walHeaderSize+1:])
 		}
 	}
-	f.Add(false, []byte{})
-	f.Add(true, []byte{0x01, 'x', 0x80})
-	f.Fuzz(func(t *testing.T, annotate bool, body []byte) {
+	f.Add(opPut, []byte{})
+	f.Add(opAnnotate, []byte{0x02, 'x', 0x80})
+	legacy, err := legacyGoldenRecords()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range legacy {
+		f.Add(rec.rec[walHeaderSize], rec.rec[walHeaderSize+1:])
+	}
+	f.Fuzz(func(t *testing.T, op byte, body []byte) {
 		var rec []byte
-		if annotate {
-			id, anns, err := decodeAnnotate(body)
+		var value any
+		switch op {
+		case opAnnotate, opAnnotatePlain:
+			id, anns, err := decodeAnnotate(body, op == opAnnotate)
 			if err != nil {
 				return
 			}
-			rec = encodeAnnotate(id, anns)
-		} else {
-			e, err := decodePut(body)
+			rec, value = encodeAnnotate(id, anns), []any{id, anns}
+			if id, anns, err = decodeAnnotate(rec[walHeaderSize+1:], true); err != nil || !reflect.DeepEqual([]any{id, anns}, value) {
+				t.Fatalf("annotate %q %+v re-encodes to a body that decodes as %q %+v (err %v)", value.([]any)[0], value.([]any)[1], id, anns, err)
+			}
+		case opPut, opPutPlain:
+			e, err := decodePut(body, op == opPut)
 			if err != nil {
 				return
 			}
 			rec = encodePut(e)
+			if got, err := decodePut(rec[walHeaderSize+1:], true); err != nil || !reflect.DeepEqual(got, e) {
+				t.Fatalf("put %+v re-encodes to a body that decodes as %+v (err %v)", e, got, err)
+			}
+		default:
+			return
 		}
-		if !bytes.Equal(rec[walHeaderSize+1:], body) {
+		if (op == opPut || op == opAnnotate) && !bytes.Equal(rec[walHeaderSize+1:], body) {
 			t.Fatalf("accepted body does not re-encode to its input\n got %x\nwant %x", rec[walHeaderSize+1:], body)
 		}
 	})
+}
+
+// BenchmarkAppendBatch prices framing one PutBatch commit: 32 documents
+// of about 6 KB, each with 13 sentiment annotations over five subjects
+// and seven features, appended to a reused buffer.
+func BenchmarkAppendBatch(b *testing.B) {
+	subjects := []string{"NR70", "D100", "ZX900", "Axiom Therapeutics", "Minolta"}
+	features := []string{"pictures", "battery life", "screen", "NR70", "price", "lens", "zoom"}
+	var ents []*Entity
+	var anns [][]Annotation
+	for i := range 32 {
+		ents = append(ents, &Entity{ID: fmt.Sprintf("doc-%06d", i), Source: "review", Title: fmt.Sprint("bulk ", i), Date: "2004-03-02",
+			Text: strings.Repeat("The NR70 takes excellent pictures, and the battery life is great. ", 90)})
+		var a []Annotation
+		for k := range 13 {
+			a = append(a, Annotation{Miner: "sentiment", Type: "polarity", Key: subjects[(i+k)%len(subjects)], Value: [2]string{"+", "-"}[k%2],
+				Feature: features[i*k%len(features)], Sentence: 3 * k, Start: 200 * k, End: 200*k + 60})
+		}
+		anns = append(anns, a)
+	}
+	buf, _ := appendBatch(nil, ents, anns)
+	b.ResetTimer()
+	for range b.N {
+		buf, _ = appendBatch(buf[:0], ents, anns)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(ents)), "ns/doc")
+	b.ReportMetric(float64(len(buf))/float64(len(ents)), "B/doc")
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 
@@ -98,6 +99,11 @@ type ServingTier struct {
 	p   *Platform
 	m   *SentimentMiner
 	agg *serve.Aggregates
+	// facts is the buffer a batch's facts are gathered in for
+	// Aggregates.Apply, which copies them. Guarded by mu; cleared after
+	// each Apply, so it keeps no document alive, and dropped when it
+	// outgrows maxKeptFacts.
+	facts []serve.Fact
 }
 
 func newServingTier(p *Platform, m *SentimentMiner) *ServingTier {
@@ -330,7 +336,7 @@ func (t *ServingTier) ingest(ctx context.Context, batch []Document) ([]string, i
 	for i := range ids {
 		n += len(anns[i])
 	}
-	facts := make([]serve.Fact, 0, n)
+	facts := slices.Grow(t.facts[:0], n)
 	for i, id := range ids {
 		for k := range anns[i] {
 			facts = append(facts, annotationFact(&anns[i][k], id, batch[i].Date, texts[i]))
@@ -345,8 +351,16 @@ func (t *ServingTier) ingest(ctx context.Context, batch []Document) ([]string, i
 		t.agg.Apply(facts)
 		t.published()
 	}
+	clear(facts)
+	if cap(facts) <= maxKeptFacts {
+		t.facts = facts[:0]
+	}
 	return ids, len(facts), err
 }
+
+// maxKeptFacts bounds the facts buffer a tier keeps between batches, at
+// about 800 KB; a larger batch's buffer is left to the collector.
+const maxKeptFacts = 8192
 
 // annotationFact is the aggregate fact one of annotationsOf's
 // annotations carries, for the document id of the given date and

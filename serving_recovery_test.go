@@ -583,11 +583,13 @@ func TestFoldEqualsAnalyze(t *testing.T) {
 	}
 }
 
-// legacyWALBatches is the history behind testdata/legacy-xml-wal: nine
-// camera reviews and the wild document, ingested through a durable
-// serving tier four documents at a time. The log there was written by
-// the XML record format (ops 1 and 3) that the binary bodies replaced;
-// legacyWALFingerprint is the fingerprint that tier served at shutdown.
+// legacyWALBatches is the history behind the logs in testdata/legacy-*-wal:
+// nine camera reviews and the wild document, ingested through a durable
+// serving tier four documents at a time. Each log there was written in
+// a record format that a later one replaced: legacy-xml-wal in the XML
+// bodies (ops 1 and 3), legacy-binary-wal in the plain binary bodies
+// without a string table (ops 5 and 6). legacyWALFingerprint is the
+// fingerprint both tiers served at shutdown.
 func legacyWALBatches() [][]serve.Doc {
 	var docs []serve.Doc
 	for _, d := range corpus.DigitalCameraReviews(5, 9) {
@@ -604,78 +606,93 @@ func legacyWALBatches() [][]serve.Doc {
 
 const legacyWALFingerprint = "2875eaccbed119afdc4a1f4251417e4f737f5aa3a423fc4155d7aeb4bc79a6b1"
 
-// TestServingTierRecoversXMLWrittenLog: a data directory whose log was
-// written in the XML record format recovers to the tier it served when
-// it was written, and to the tier a log of today's binary records for
-// the same history recovers to: same fingerprint, same entries for every
-// subject, same stored entities. New binary records appended behind the
-// XML ones replay with them.
-func TestServingTierRecoversXMLWrittenLog(t *testing.T) {
-	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-xml-wal", "wal-00000000.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(legacy, []byte(`<entity id="wild"`)) || !bytes.Contains(legacy, []byte(`<annotate id="wild"`)) {
-		t.Fatal("testdata/legacy-xml-wal holds no XML records")
-	}
-	xmlDir, binDir := t.TempDir(), t.TempDir()
-	if err := os.WriteFile(filepath.Join(xmlDir, "wal-00000000.log"), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p, tier, _ := durableServingFixture(t, binDir, nil, ServingTierConfig{})
-	for _, b := range legacyWALBatches() {
-		if _, _, err := tier.Ingest(context.Background(), b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Each call boots both directories afresh: a first boot that had to
-	// mine what the XML log failed to deliver would show in recovery.
-	compare := func(label string) (fingerprint string) {
-		t.Helper()
-		pX, tierX, recX := durableServingFixture(t, xmlDir, nil, ServingTierConfig{})
-		pB, tierB, recB := durableServingFixture(t, binDir, nil, ServingTierConfig{})
-		defer pX.Close()
-		defer pB.Close()
-		if recX != recB || recX.FoldedDocs == 0 {
-			t.Fatalf("%s: recovery %+v from the XML log, %+v from the binary one", label, recX, recB)
-		}
-		fingerprint = tierX.View().Fingerprint()
-		if fb := tierB.View().Fingerprint(); fingerprint != fb {
-			t.Fatalf("%s: fingerprint %s from the XML log, %s from the binary one", label, fingerprint[:12], fb[:12])
-		}
-		if dx, db := entryDump(tierX.View()), entryDump(tierB.View()); dx != db {
-			t.Fatalf("%s: entries differ\n--- XML log ---\n%s\n--- binary log ---\n%s", label, dx, db)
-		}
-		sx, sb := pX.internalStore(), pB.internalStore()
-		if !reflect.DeepEqual(sx.IDs(), sb.IDs()) {
-			t.Fatalf("%s: stored IDs %v from the XML log, %v from the binary one", label, sx.IDs(), sb.IDs())
-		}
-		for _, id := range sb.IDs() {
-			ex, _ := sx.Get(id)
-			eb, _ := sb.Get(id)
-			if !reflect.DeepEqual(ex, eb) {
-				t.Fatalf("%s: %s is\n%+v\nfrom the XML log, and\n%+v\nfrom the binary one", label, id, ex, eb)
+// TestServingTierRecoversLegacyLog: a data directory whose log was
+// written in an older record format recovers to the tier it served when
+// it was written, and to the tier a log of today's records for the same
+// history recovers to: same fingerprint, same entries for every
+// subject, same stored entities. Today's records appended behind the
+// old ones replay with them.
+func TestServingTierRecoversLegacyLog(t *testing.T) {
+	for _, c := range []struct {
+		fixture string
+		markers []string // bytes only that format writes, for the wild document
+	}{
+		{"legacy-xml-wal", []string{`<entity id="wild"`, `<annotate id="wild"`}},
+		{"legacy-binary-wal", []string{"\x05\x04wild", "\x06\x04wild"}}, // op, plain length, ID
+	} {
+		t.Run(c.fixture, func(t *testing.T) {
+			legacy, err := os.ReadFile(filepath.Join("testdata", c.fixture, "wal-00000000.log"))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return fingerprint
-	}
-	if got := compare("as written"); got != legacyWALFingerprint {
-		t.Fatalf("both logs recover to fingerprint %s, want the %s the XML log was written with", got[:12], legacyWALFingerprint[:12])
-	}
+			for _, m := range c.markers {
+				if !bytes.Contains(legacy, []byte(m)) {
+					t.Fatalf("testdata/%s holds no %q", c.fixture, m)
+				}
+			}
+			oldDir, newDir := t.TempDir(), t.TempDir()
+			if err := os.WriteFile(filepath.Join(oldDir, "wal-00000000.log"), legacy, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			p, tier, _ := durableServingFixture(t, newDir, nil, ServingTierConfig{})
+			for _, b := range legacyWALBatches() {
+				if _, _, err := tier.Ingest(context.Background(), b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	more := []serve.Doc{{ID: "after", Date: "2004-01-02", Text: "The Minolta takes excellent pictures. The CLIE screen is disappointing."}}
-	for _, dir := range []string{xmlDir, binDir} {
-		p, tier, _ := durableServingFixture(t, dir, nil, ServingTierConfig{})
-		if _, _, err := tier.Ingest(context.Background(), more); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
+			// Each call boots both directories afresh: a first boot that
+			// had to mine what the old log failed to deliver would show
+			// in recovery.
+			compare := func(label string) (fingerprint string) {
+				t.Helper()
+				pO, tierO, recO := durableServingFixture(t, oldDir, nil, ServingTierConfig{})
+				pN, tierN, recN := durableServingFixture(t, newDir, nil, ServingTierConfig{})
+				defer pO.Close()
+				defer pN.Close()
+				if recO != recN || recO.FoldedDocs == 0 {
+					t.Fatalf("%s: recovery %+v from the old log, %+v from today's", label, recO, recN)
+				}
+				fingerprint = tierO.View().Fingerprint()
+				if fn := tierN.View().Fingerprint(); fingerprint != fn {
+					t.Fatalf("%s: fingerprint %s from the old log, %s from today's", label, fingerprint[:12], fn[:12])
+				}
+				if do, dn := entryDump(tierO.View()), entryDump(tierN.View()); do != dn {
+					t.Fatalf("%s: entries differ\n--- old log ---\n%s\n--- today's log ---\n%s", label, do, dn)
+				}
+				so, sn := pO.internalStore(), pN.internalStore()
+				if !reflect.DeepEqual(so.IDs(), sn.IDs()) {
+					t.Fatalf("%s: stored IDs %v from the old log, %v from today's", label, so.IDs(), sn.IDs())
+				}
+				for _, id := range sn.IDs() {
+					eo, _ := so.Get(id)
+					en, _ := sn.Get(id)
+					if !reflect.DeepEqual(eo, en) {
+						t.Fatalf("%s: %s is\n%+v\nfrom the old log, and\n%+v\nfrom today's", label, id, eo, en)
+					}
+				}
+				return fingerprint
+			}
+			if got := compare("as written"); got != legacyWALFingerprint {
+				t.Fatalf("both logs recover to fingerprint %s, want the %s the old log was written with", got[:12], legacyWALFingerprint[:12])
+			}
+
+			more := []serve.Doc{{ID: "after", Date: "2004-01-02", Text: "The Minolta takes excellent pictures. The CLIE screen is disappointing."}}
+			for _, dir := range []string{oldDir, newDir} {
+				p, tier, _ := durableServingFixture(t, dir, nil, ServingTierConfig{})
+				if _, _, err := tier.Ingest(context.Background(), more); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := compare("after an append"); got == legacyWALFingerprint {
+				t.Fatal("the appended document changed nothing served")
+			}
+		})
 	}
-	compare("after a binary append")
 }
