@@ -33,8 +33,6 @@ func TestValidateRejectsNonsenseConfigs(t *testing.T) {
 		{"ingest workers over max", PlatformConfig{IngestWorkers: maxShards + 1}, "IngestWorkers"},
 		{"negative sync cadence", PlatformConfig{SyncEvery: -1}, "SyncEvery"},
 		{"negative compaction cadence", PlatformConfig{CompactEvery: -2}, "CompactEvery"},
-		{"negative miner backoff", PlatformConfig{MinerBackoff: -1}, "MinerBackoff"},
-		{"negative entity timeout", PlatformConfig{EntityTimeout: -1}, "EntityTimeout"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

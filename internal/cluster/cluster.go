@@ -15,9 +15,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"webfountain/internal/metrics"
@@ -55,33 +53,14 @@ type Stats struct {
 	Entities int
 	// Annotations is the number of annotations attached.
 	Annotations int
-	// Failures is the number of entities whose processing errored after
-	// all retries.
+	// Failures is the number of entities whose processing errored.
 	Failures int
-	// Retries is the number of re-attempted Process calls that transient
-	// failures triggered.
-	Retries int
 	// Panics is the number of recovered miner panics.
 	Panics int
-	// Skipped is the number of entities skipped after the circuit
-	// breaker tripped.
-	Skipped int
-	// Shed is the number of entities dropped because the deployment's
-	// deadline budget ran out before they were reached.
-	Shed int
-	// Probes is the number of half-open probe entities admitted while
-	// the breaker was tripped.
-	Probes int
-	// Recoveries is the number of times a successful probe closed the
-	// breaker and resumed normal processing.
-	Recoveries int
 	// WriteFailures is the number of entities whose annotations were
 	// mined but could not be written back to the store — the store was
 	// in degraded read-only mode or its write-ahead log failed.
 	WriteFailures int
-	// BreakerTripped reports that the miner exhausted its error budget
-	// and the deployment degraded to skip-and-report.
-	BreakerTripped bool
 	// Elapsed is the wall-clock duration of the deployment.
 	Elapsed time.Duration
 }
@@ -90,125 +69,34 @@ type Stats struct {
 func (s Stats) String() string {
 	out := fmt.Sprintf("%s: %d entities, %d annotations, %d failures in %v",
 		s.Miner, s.Entities, s.Annotations, s.Failures, s.Elapsed)
-	if s.Retries > 0 {
-		out += fmt.Sprintf(", %d retries", s.Retries)
-	}
 	if s.Panics > 0 {
 		out += fmt.Sprintf(", %d panics", s.Panics)
 	}
 	if s.WriteFailures > 0 {
 		out += fmt.Sprintf(", %d write failures", s.WriteFailures)
 	}
-	if s.BreakerTripped {
-		out += fmt.Sprintf(", breaker tripped (%d skipped, %d probes, %d recoveries)",
-			s.Skipped, s.Probes, s.Recoveries)
-	}
-	if s.Shed > 0 {
-		out += fmt.Sprintf(", %d shed on deadline", s.Shed)
-	}
 	return out
-}
-
-// RetryPolicy bounds per-entity retries of transient miner failures.
-// Backoff is deliberately jitter-free so a seeded fault injector replays
-// the exact same retry schedule.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of Process attempts per entity,
-	// including the first (values below 1 select 1: no retries).
-	MaxAttempts int
-	// Backoff is the sleep before the first retry; each further retry
-	// doubles it (0 means retry immediately).
-	Backoff time.Duration
-	// MaxBackoff caps the doubled backoff (0 means uncapped).
-	MaxBackoff time.Duration
-}
-
-// attempts normalizes MaxAttempts.
-func (p RetryPolicy) attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
-// backoffFor computes the sleep before retry number `retry` (1-based).
-func (p RetryPolicy) backoffFor(retry int) time.Duration {
-	if p.Backoff <= 0 {
-		return 0
-	}
-	d := p.Backoff
-	for i := 1; i < retry; i++ {
-		d *= 2
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
-	}
-	return d
-}
-
-// Config tunes the miner runtime's resilience behavior. The zero value
-// reproduces the pre-fault-tolerance runtime: no retries, no timeout,
-// no breaker.
-type Config struct {
-	// Workers is the worker-pool size (values below 1 select one per
-	// shard, capped at 8).
-	Workers int
-	// Retry bounds retries of transient per-entity failures.
-	Retry RetryPolicy
-	// EntityTimeout bounds one Process call (0 means no timeout). A
-	// timed-out entity counts as a transient failure; the abandoned
-	// attempt finishes in the background and its result is discarded.
-	EntityTimeout time.Duration
-	// ErrorBudget is the number of failed entities (after retries) a
-	// single deployment tolerates before its circuit breaker trips and
-	// the remaining entities are skipped and reported (0 = never trip).
-	ErrorBudget int
-	// BreakerProbeAfter enables half-open probing of a tripped breaker:
-	// every BreakerProbeAfter-th entity seen while the breaker is open is
-	// admitted as a single probe (never more than one in flight). A
-	// successful probe closes the breaker and processing resumes; a
-	// failed probe re-opens it for another BreakerProbeAfter entities.
-	// The count-based trigger keeps replays deterministic where a timer
-	// would not. 0 disables probing: once tripped, the breaker stays
-	// open for the rest of the deployment.
-	BreakerProbeAfter int
-	// DeployBudget bounds one deployment's wall-clock time. Entities not
-	// reached before the budget expires are shed and counted in
-	// Stats.Shed rather than processed late (0 = unbounded). This is the
-	// miner-side half of the platform's deadline propagation: a caller
-	// with d milliseconds of patience deploys with DeployBudget d and
-	// gets a partial, on-time result instead of a complete, late one.
-	DeployBudget time.Duration
 }
 
 // Cluster runs miners over a store.
 type Cluster struct {
 	store   *store.Store
 	workers int
-	cfg     Config
 }
 
 // New returns a cluster over the store with the given worker count
-// (values below 1 select 1 worker per shard, capped at 8) and no
-// resilience policy: failures are not retried and never trip a breaker.
+// (values below 1 select 1 worker per shard, capped at 8). Miners are
+// deterministic in-process functions, so a failed entity is reported,
+// never retried.
 func New(st *store.Store, workers int) *Cluster {
-	return NewWithConfig(st, Config{Workers: workers})
-}
-
-// NewWithConfig returns a cluster with an explicit resilience config.
-func NewWithConfig(st *store.Store, cfg Config) *Cluster {
-	workers := cfg.Workers
 	if workers < 1 {
 		workers = st.NumShards()
 		if workers > 8 {
 			workers = 8
 		}
 	}
-	return &Cluster{store: st, workers: workers, cfg: cfg}
+	return &Cluster{store: st, workers: workers}
 }
-
-// Store returns the cluster's backing store.
-func (c *Cluster) Store() *store.Store { return c.store }
 
 // maxErrors bounds how many per-entity errors are retained verbatim.
 const maxErrors = 8
@@ -218,7 +106,6 @@ const maxErrors = 8
 type minerMetrics struct {
 	entities *metrics.Counter
 	failures *metrics.Counter
-	retries  *metrics.Counter
 	panics   *metrics.Counter
 	entityNs *metrics.Histogram
 	deployNs *metrics.Histogram
@@ -230,105 +117,21 @@ func minerMetricsFor(name string) *minerMetrics {
 	return &minerMetrics{
 		entities: reg.Counter(p + "entities"),
 		failures: reg.Counter(p + "failures"),
-		retries:  reg.Counter(p + "retries"),
 		panics:   reg.Counter(p + "panics"),
 		entityNs: reg.Histogram(p + "entity.ns"),
 		deployNs: reg.Histogram(p + "deploy.ns"),
 	}
 }
 
-var (
-	breakerOpen       = metrics.Default().Gauge("cluster.breaker.open")
-	breakerTrips      = metrics.Default().Counter("cluster.breaker.trips")
-	breakerProbes     = metrics.Default().Counter("cluster.breaker.probes")
-	breakerRecoveries = metrics.Default().Counter("cluster.breaker.recoveries")
-	deployShed        = metrics.Default().Counter("cluster.deploy.shed")
-)
-
 // runState is the shared bookkeeping of one deployment.
 type runState struct {
-	mu      sync.Mutex
-	stats   Stats
-	errs    []error
-	tripped atomic.Bool
-	mm      *minerMetrics
-	// deadline is the deployment's absolute budget (zero = unbounded).
-	deadline time.Time
-	// Breaker half-open machinery, guarded by mu. gaugeOpen mirrors this
-	// deployment's +1 contribution to the cluster.breaker.open gauge so
-	// trip/recover/end-of-run keep it balanced.
-	sinceTrip     int
-	probeInFlight bool
-	gaugeOpen     bool
+	mu    sync.Mutex
+	stats Stats
+	errs  []error
+	mm    *minerMetrics
 }
 
-// admitDecision is the per-entity verdict of the breaker state machine.
-type admitDecision int
-
-const (
-	admitProcess admitDecision = iota // breaker closed: process normally
-	admitProbe                        // breaker open: this entity is the probe
-	admitSkip                         // breaker open: skip and count
-)
-
-// admit decides what to do with the next entity while the breaker is
-// tripped. Callers check rs.tripped first; this re-checks under the lock
-// because a concurrent probe may have closed the breaker in between.
-func (rs *runState) admit(probeAfter int) admitDecision {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if !rs.tripped.Load() {
-		return admitProcess
-	}
-	if probeAfter > 0 && !rs.probeInFlight {
-		rs.sinceTrip++
-		if rs.sinceTrip >= probeAfter {
-			rs.sinceTrip = 0
-			rs.probeInFlight = true
-			rs.stats.Probes++
-			breakerProbes.Inc()
-			return admitProbe
-		}
-	}
-	rs.stats.Skipped++
-	return admitSkip
-}
-
-// isTransient classifies a per-entity failure: errors carrying
-// Temporary() == true (injected faults, vinci retryable errors) and
-// network timeouts are worth retrying; anything else — including a
-// recovered panic — is treated as permanent.
-func isTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	var tmp interface{ Temporary() bool }
-	if errors.As(err, &tmp) && tmp.Temporary() {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// entityTimeoutError reports a Process call that outran EntityTimeout.
-type entityTimeoutError struct{ d time.Duration }
-
-func (e *entityTimeoutError) Error() string { return fmt.Sprintf("entity timed out after %v", e.d) }
-
-// Temporary marks timeouts retryable: a stalled downstream dependency
-// may well answer the next attempt.
-func (e *entityTimeoutError) Temporary() bool { return true }
-
-// procResult is the outcome of processing one entity through the
-// retry/timeout/recovery stack.
-type procResult struct {
-	anns     []store.Annotation
-	retries  int
-	panicked bool
-	err      error
-}
-
-// safeProcess runs one Process attempt with panic recovery.
+// safeProcess runs one Process call with panic recovery.
 func safeProcess(m EntityMiner, e *store.Entity) (anns []store.Annotation, panicked bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -340,64 +143,9 @@ func safeProcess(m EntityMiner, e *store.Entity) (anns []store.Annotation, panic
 	return anns, false, err
 }
 
-// attemptOnce runs one Process attempt under the optional entity
-// timeout. On timeout the attempt keeps running in a goroutine whose
-// result is discarded (the buffered channel lets it exit when done).
-func (c *Cluster) attemptOnce(m EntityMiner, e *store.Entity) ([]store.Annotation, bool, error) {
-	if c.cfg.EntityTimeout <= 0 {
-		return safeProcess(m, e)
-	}
-	type attempt struct {
-		anns     []store.Annotation
-		panicked bool
-		err      error
-	}
-	ch := make(chan attempt, 1)
-	go func() {
-		anns, panicked, err := safeProcess(m, e)
-		ch <- attempt{anns, panicked, err}
-	}()
-	timer := time.NewTimer(c.cfg.EntityTimeout)
-	defer timer.Stop()
-	select {
-	case a := <-ch:
-		return a.anns, a.panicked, a.err
-	case <-timer.C:
-		return nil, false, &entityTimeoutError{d: c.cfg.EntityTimeout}
-	}
-}
-
-// processEntity runs the full per-entity resilience stack: panic
-// recovery, timeout, and bounded retries of transient failures.
-func (c *Cluster) processEntity(m EntityMiner, e *store.Entity) procResult {
-	var res procResult
-	attempts := c.cfg.Retry.attempts()
-	for attempt := 1; ; attempt++ {
-		anns, panicked, err := c.attemptOnce(m, e)
-		if panicked {
-			res.panicked = true
-		}
-		if err == nil {
-			res.anns = anns
-			res.err = nil
-			return res
-		}
-		res.err = err
-		if attempt >= attempts || !isTransient(err) {
-			return res
-		}
-		res.retries++
-		if d := c.cfg.Retry.backoffFor(attempt); d > 0 {
-			time.Sleep(d)
-		}
-	}
-}
-
 // RunEntityMiner deploys one entity-level miner across all shards in
-// parallel. Per-entity failures do not abort the run: transient errors
-// are retried within the retry policy, panics are recovered and counted,
-// and once failures exhaust the error budget the breaker trips and the
-// remaining entities are skipped. Up to maxErrors failure details are
+// parallel. Per-entity failures do not abort the run: panics are
+// recovered and counted, and up to maxErrors failure details are
 // collected into the returned error (nil when every entity succeeded).
 func (c *Cluster) RunEntityMiner(m EntityMiner) (Stats, error) {
 	start := time.Now()
@@ -407,9 +155,6 @@ func (c *Cluster) RunEntityMiner(m EntityMiner) (Stats, error) {
 	rs := &runState{
 		stats: Stats{Miner: m.Name(), TraceID: metrics.NewTraceID()},
 		mm:    minerMetricsFor(m.Name()),
-	}
-	if c.cfg.DeployBudget > 0 {
-		rs.deadline = start.Add(c.cfg.DeployBudget)
 	}
 
 	workers := c.workers
@@ -433,21 +178,6 @@ func (c *Cluster) RunEntityMiner(m EntityMiner) (Stats, error) {
 
 	rs.stats.Elapsed = time.Since(start)
 	rs.mm.deployNs.ObserveDuration(rs.stats.Elapsed)
-	if rs.gaugeOpen {
-		// The breaker is per-deployment; one still open closes when the
-		// run ends. A probe-recovered breaker already gave back its +1.
-		breakerOpen.Add(-1)
-		rs.gaugeOpen = false
-	}
-	if rs.stats.BreakerTripped {
-		rs.errs = append(rs.errs, fmt.Errorf(
-			"breaker tripped after %d failures; %d entities skipped, %d probes, %d recoveries",
-			rs.stats.Failures, rs.stats.Skipped, rs.stats.Probes, rs.stats.Recoveries))
-	}
-	if rs.stats.Shed > 0 {
-		rs.errs = append(rs.errs, fmt.Errorf(
-			"deployment budget %v exhausted; %d entities shed", c.cfg.DeployBudget, rs.stats.Shed))
-	}
 	if len(rs.errs) > 0 {
 		return rs.stats, fmt.Errorf("cluster: %d entities failed under %s: %w",
 			rs.stats.Failures, m.Name(), errors.Join(rs.errs...))
@@ -457,98 +187,51 @@ func (c *Cluster) RunEntityMiner(m EntityMiner) (Stats, error) {
 
 func (c *Cluster) mineShard(m EntityMiner, shard int, rs *runState) {
 	_ = c.store.ForEachInShard(shard, func(e *store.Entity) error {
-		if !rs.deadline.IsZero() && time.Now().After(rs.deadline) {
-			rs.mu.Lock()
-			rs.stats.Shed++
-			rs.mu.Unlock()
-			deployShed.Inc()
-			return nil
-		}
-		probe := false
-		if rs.tripped.Load() {
-			switch rs.admit(c.cfg.BreakerProbeAfter) {
-			case admitSkip:
-				return nil
-			case admitProbe:
-				probe = true
-			}
-		}
 		span := rs.mm.entityNs.Start()
-		res := c.processEntity(m, e)
+		anns, panicked, err := safeProcess(m, e)
 		span.End()
 		rs.mm.entities.Inc()
-		if res.retries > 0 {
-			rs.mm.retries.Add(int64(res.retries))
-		}
-		if res.panicked {
+		if panicked {
 			rs.mm.panics.Inc()
 		}
-		if res.err != nil {
+		if err != nil {
 			rs.mm.failures.Inc()
 		}
 		writeFailed := false
-		if res.err == nil && len(res.anns) > 0 {
+		if err == nil && len(anns) > 0 {
 			// The write-back stays outside the stats critical section:
 			// holding the mutex across Annotate would serialize all shard
 			// workers through one lock. Annotate write-ahead-logs the
 			// annotations on durable stores; a failure (degraded read-only
 			// mode) makes the mined result unrecoverable, so it counts as
-			// an entity failure and feeds the error budget like any other.
+			// an entity failure like any other.
 			// Stamp the miner name in place: Process hands over ownership
 			// of the returned slice, so no defensive copy is needed.
-			for i := range res.anns {
-				res.anns[i].Miner = m.Name()
+			for i := range anns {
+				anns[i].Miner = m.Name()
 			}
-			if _, werr := c.store.Annotate(e.ID, res.anns); werr != nil {
-				res.err = fmt.Errorf("annotation write-back: %w", werr)
+			if _, werr := c.store.Annotate(e.ID, anns); werr != nil {
+				err = fmt.Errorf("annotation write-back: %w", werr)
 				writeFailed = true
 			}
 		}
 		rs.mu.Lock()
 		defer rs.mu.Unlock()
 		rs.stats.Entities++
-		rs.stats.Retries += res.retries
 		if writeFailed {
 			rs.stats.WriteFailures++
 		}
-		if res.panicked {
+		if panicked {
 			rs.stats.Panics++
 		}
-		if res.err != nil {
+		if err != nil {
 			rs.stats.Failures++
 			if len(rs.errs) < maxErrors {
-				rs.errs = append(rs.errs, fmt.Errorf("%s: %w", e.ID, res.err))
-			}
-			if probe {
-				// Failed probe: the breaker stays open and the next probe
-				// waits another BreakerProbeAfter entities.
-				rs.probeInFlight = false
-			} else if c.cfg.ErrorBudget > 0 && rs.stats.Failures >= c.cfg.ErrorBudget && !rs.tripped.Load() {
-				rs.stats.BreakerTripped = true
-				rs.tripped.Store(true)
-				rs.sinceTrip = 0
-				if !rs.gaugeOpen {
-					breakerOpen.Add(1)
-					rs.gaugeOpen = true
-				}
-				breakerTrips.Inc()
+				rs.errs = append(rs.errs, fmt.Errorf("%s: %w", e.ID, err))
 			}
 			return nil
 		}
-		if probe {
-			// Successful probe: close the breaker and resume. The error
-			// budget stays spent, so the next failure re-trips immediately —
-			// recovery is optimistic, not amnesiac.
-			rs.probeInFlight = false
-			rs.tripped.Store(false)
-			rs.stats.Recoveries++
-			breakerRecoveries.Inc()
-			if rs.gaugeOpen {
-				breakerOpen.Add(-1)
-				rs.gaugeOpen = false
-			}
-		}
-		rs.stats.Annotations += len(res.anns)
+		rs.stats.Annotations += len(anns)
 		return nil
 	})
 }

@@ -70,12 +70,27 @@ func TestRunEntityMinerParallelism(t *testing.T) {
 	}
 }
 
+// transientErr carries Temporary() == true, the mark a retry layer
+// would act on.
+type transientErr struct{ id string }
+
+func (e *transientErr) Error() string   { return "transient failure on " + e.id }
+func (e *transientErr) Temporary() bool { return true }
+
+// TestRunEntityMinerCollectsFailures: failed entities are counted and
+// reported, the run continues past them, and no failure is retried,
+// whatever its class.
 func TestRunEntityMinerCollectsFailures(t *testing.T) {
 	st := seededStore(20, 4)
 	c := New(st, 2)
+	var calls atomic.Int64
 	m := MinerFunc{MinerName: "flaky", Fn: func(e *store.Entity) ([]store.Annotation, error) {
-		if strings.HasSuffix(e.ID, "5") {
+		calls.Add(1)
+		switch e.ID {
+		case "doc005":
 			return nil, fmt.Errorf("boom on %s", e.ID)
+		case "doc015":
+			return nil, &transientErr{id: e.ID}
 		}
 		return []store.Annotation{{Type: "ok"}}, nil
 	}}
@@ -89,8 +104,34 @@ func TestRunEntityMinerCollectsFailures(t *testing.T) {
 	if stats.Entities != 20 {
 		t.Errorf("entities = %d (run should continue past failures)", stats.Entities)
 	}
-	if !strings.Contains(err.Error(), "doc005") {
+	if n := calls.Load(); n != 20 {
+		t.Errorf("Process ran %d times over 20 entities; a failure must not be retried", n)
+	}
+	if !strings.Contains(err.Error(), "doc005") || !strings.Contains(err.Error(), "transient failure on doc015") {
 		t.Errorf("error detail missing: %v", err)
+	}
+}
+
+// TestPanicRecoveryCountsAndContinues: a panicking miner is recovered,
+// counted, and the deployment finishes the remaining entities.
+func TestPanicRecoveryCountsAndContinues(t *testing.T) {
+	st := seededStore(20, 4)
+	c := New(st, 2)
+	m := MinerFunc{MinerName: "panicky", Fn: func(e *store.Entity) ([]store.Annotation, error) {
+		if strings.HasSuffix(e.ID, "7") {
+			panic("miner bug on " + e.ID)
+		}
+		return []store.Annotation{{Type: "ok"}}, nil
+	}}
+	stats, err := c.RunEntityMiner(m)
+	if err == nil || !strings.Contains(err.Error(), "miner panicked") {
+		t.Fatalf("err = %v", err)
+	}
+	if stats.Entities != 20 {
+		t.Errorf("entities = %d (run should continue past panics)", stats.Entities)
+	}
+	if stats.Panics != 2 || stats.Failures != 2 { // doc007, doc017
+		t.Errorf("stats = %+v", stats)
 	}
 }
 

@@ -1,18 +1,21 @@
 // Package faults is a deterministic, seedable fault injector for
 // exercising the platform's failure paths. The paper's miner ran on a
-// 500+ node cluster where node, link and miner failures were routine;
-// this package makes every such failure mode reproducible in tests by
-// deriving all fault decisions from one seeded PRNG.
+// 500+ node cluster where link and disk failures were routine; this
+// package makes those failure modes reproducible in tests by deriving
+// all fault decisions from one seeded PRNG.
 //
-// An Injector wraps the three surfaces where production failures enter
-// the system:
+// An Injector wraps the two surfaces where such failures enter the
+// system:
 //
-//   - vinci.Client — calls fail with transient or permanent errors, or
-//     are delayed (Injector.Client);
-//   - net.Conn — frames are dropped (connection killed), delayed, or
-//     corrupted in transit (Injector.Conn, Injector.Dialer);
-//   - miner and store callbacks — per-entity processing fails with
-//     transient or permanent errors (Injector.Miner, Injector.Callback).
+//   - the transport — a vinci.Client call fails with a transient or
+//     permanent error or is delayed (Injector.Client), and a net.Conn
+//     frame is dropped (connection killed), delayed or corrupted in
+//     transit (Injector.Conn, Injector.Dialer);
+//   - the disk — a durable.File write is torn or bit-flipped, or a sync
+//     fails (Injector.File, disk.go).
+//
+// Miners are not wrapped: they are deterministic in-process functions,
+// and the miner runtime reports a failed entity without retrying it.
 //
 // Decisions are drawn from a single mutex-guarded PRNG, so a sequential
 // workload replays the exact fault sequence under a fixed seed; a
@@ -27,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"webfountain/internal/store"
 	"webfountain/internal/vinci"
 )
 
@@ -39,7 +41,7 @@ type Config struct {
 	// default config is still deterministic.
 	Seed int64
 	// DropRate kills the connection (conn faults) or fails the call
-	// with a transient error (call/miner faults) instead of delivering.
+	// with a transient error (call faults) instead of delivering.
 	DropRate float64
 	// DelayRate stalls the operation for Delay before delivering.
 	DelayRate float64
@@ -101,7 +103,7 @@ func (s Stats) String() string {
 
 // Error is an injected failure.
 type Error struct {
-	// Op names the faulted surface ("call", "conn", "miner", "callback").
+	// Op names the faulted surface ("call" or "conn").
 	Op string
 	// Transient reports whether a retry is expected to succeed.
 	Transient bool
@@ -289,63 +291,5 @@ func (in *Injector) Dialer() func(addr string) (net.Conn, error) {
 			return nil, err
 		}
 		return in.Conn(conn), nil
-	}
-}
-
-// --- miner and store-callback wrappers ---
-
-// MinerFault returns the error to inject into the current entity-miner
-// call, or nil to let it proceed (delays are applied inline). Exposed
-// so any per-entity code path can share the injector's decision stream.
-func (in *Injector) MinerFault() error {
-	switch in.decide(false) {
-	case drop, transient:
-		return &Error{Op: "miner", Transient: true}
-	case permanent:
-		return &Error{Op: "miner", Transient: false}
-	case delay:
-		time.Sleep(in.delay())
-	}
-	return nil
-}
-
-// EntityProcessor matches cluster.EntityMiner without importing it
-// (faults is below the cluster runtime in the dependency order).
-type EntityProcessor interface {
-	Name() string
-	Process(e *store.Entity) ([]store.Annotation, error)
-}
-
-type faultyMiner struct {
-	in *Injector
-	m  EntityProcessor
-}
-
-// Miner wraps an entity miner so each Process call may fail with a
-// transient or permanent injected error before the real miner runs.
-func (in *Injector) Miner(m EntityProcessor) EntityProcessor { return &faultyMiner{in: in, m: m} }
-
-func (fm *faultyMiner) Name() string { return fm.m.Name() }
-
-func (fm *faultyMiner) Process(e *store.Entity) ([]store.Annotation, error) {
-	if err := fm.in.MinerFault(); err != nil {
-		return nil, err
-	}
-	return fm.m.Process(e)
-}
-
-// Callback wraps a store iteration callback so each invocation may fail
-// with an injected error, exercising ForEach/ForEachInShard error paths.
-func (in *Injector) Callback(fn func(*store.Entity) error) func(*store.Entity) error {
-	return func(e *store.Entity) error {
-		switch in.decide(false) {
-		case drop, transient:
-			return &Error{Op: "callback", Transient: true}
-		case permanent:
-			return &Error{Op: "callback", Transient: false}
-		case delay:
-			time.Sleep(in.delay())
-		}
-		return fn(e)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"webfountain/internal/cluster"
-	"webfountain/internal/store"
 	"webfountain/internal/vinci"
 )
 
@@ -20,14 +18,6 @@ func echoRegistry() *vinci.Registry {
 	return reg
 }
 
-func seededStore(n, shards int) *store.Store {
-	st := store.New(shards)
-	for i := 0; i < n; i++ {
-		st.Put(&store.Entity{ID: fmt.Sprintf("doc%03d", i), Text: fmt.Sprintf("text %d", i)})
-	}
-	return st
-}
-
 // TestInjectorDeterministicSequence: the same seed yields the same
 // fault decisions, call by call, and therefore the same stats.
 func TestInjectorDeterministicSequence(t *testing.T) {
@@ -35,9 +25,10 @@ func TestInjectorDeterministicSequence(t *testing.T) {
 		TransientRate: 0.2, PermanentRate: 0.05}
 	run := func() ([]string, Stats) {
 		in := New(cfg)
+		c := in.Client(vinci.NewLocalClient(echoRegistry()))
 		var outcomes []string
 		for i := 0; i < 200; i++ {
-			err := in.MinerFault()
+			_, err := c.Call(vinci.Request{Service: "echo", Op: "x"})
 			switch {
 			case err == nil:
 				outcomes = append(outcomes, "ok")
@@ -67,10 +58,10 @@ func TestInjectorDeterministicSequence(t *testing.T) {
 // TestSeedsDiverge: different seeds explore different fault sequences.
 func TestSeedsDiverge(t *testing.T) {
 	outcomes := func(seed int64) string {
-		in := New(Config{Seed: seed, TransientRate: 0.5})
+		c := New(Config{Seed: seed, TransientRate: 0.5}).Client(vinci.NewLocalClient(echoRegistry()))
 		var b strings.Builder
 		for i := 0; i < 64; i++ {
-			if in.MinerFault() == nil {
+			if _, err := c.Call(vinci.Request{Service: "echo", Op: "x"}); err == nil {
 				b.WriteByte('.')
 			} else {
 				b.WriteByte('x')
@@ -114,17 +105,6 @@ func errorsAs(err error, target **Error) bool {
 		*target = e
 	}
 	return ok
-}
-
-// TestCallbackWrapper: injected callback faults surface through store
-// iteration error paths.
-func TestCallbackWrapper(t *testing.T) {
-	st := seededStore(4, 1)
-	in := New(Config{Seed: 5, PermanentRate: 1})
-	err := st.ForEach(in.Callback(func(e *store.Entity) error { return nil }))
-	if err == nil || !strings.Contains(err.Error(), "injected permanent callback") {
-		t.Errorf("err = %v", err)
-	}
 }
 
 // startFaultyServer runs a plain vinci server; faults are injected on
@@ -208,97 +188,5 @@ func TestAcceptanceCorruptedFrames(t *testing.T) {
 	}
 	if in.Stats().Corruptions == 0 {
 		t.Error("no corruption injected at 15% over 40+ frames")
-	}
-}
-
-// TestAcceptanceClusterTransientFaults is the ISSUE acceptance scenario
-// for the miner runtime: 10% of entity-miner calls fail transiently,
-// and RunEntityMiner still completes with zero net failures.
-func TestAcceptanceClusterTransientFaults(t *testing.T) {
-	st := seededStore(200, 8)
-	in := New(Config{Seed: 13, TransientRate: 0.10})
-	c := cluster.NewWithConfig(st, cluster.Config{
-		Workers: 4,
-		Retry:   cluster.RetryPolicy{MaxAttempts: 6, Backoff: 100 * time.Microsecond},
-	})
-	m := in.Miner(cluster.MinerFunc{MinerName: "resilient", Fn: func(e *store.Entity) ([]store.Annotation, error) {
-		return []store.Annotation{{Type: "seen", Key: e.ID}}, nil
-	}})
-	stats, err := c.RunEntityMiner(m)
-	if err != nil {
-		t.Fatalf("run with 10%% transient faults must complete: %v", err)
-	}
-	if stats.Entities != 200 || stats.Failures != 0 || stats.Annotations != 200 {
-		t.Errorf("stats = %+v", stats)
-	}
-	if stats.Retries == 0 {
-		t.Error("no retries recorded despite injected transients")
-	}
-	if in.Stats().Transients == 0 {
-		t.Error("injector reports no transients")
-	}
-	// Every entity carries its annotation.
-	count := 0
-	st.ForEach(func(e *store.Entity) error {
-		if len(e.AnnotationsBy("resilient")) != 1 {
-			t.Errorf("entity %s missing annotation", e.ID)
-		}
-		count++
-		return nil
-	})
-	if count != 200 {
-		t.Errorf("visited %d entities", count)
-	}
-}
-
-// TestAcceptanceBreakerUnderPermanentFaults: when faults are permanent
-// the breaker trips at the budget and the trip is visible in Stats.
-func TestAcceptanceBreakerUnderPermanentFaults(t *testing.T) {
-	st := seededStore(80, 1)
-	in := New(Config{Seed: 17, PermanentRate: 1})
-	c := cluster.NewWithConfig(st, cluster.Config{
-		Workers:     1,
-		Retry:       cluster.RetryPolicy{MaxAttempts: 3},
-		ErrorBudget: 4,
-	})
-	m := in.Miner(cluster.MinerFunc{MinerName: "doomed", Fn: func(e *store.Entity) ([]store.Annotation, error) {
-		return []store.Annotation{{Type: "never"}}, nil
-	}})
-	stats, err := c.RunEntityMiner(m)
-	if err == nil || !strings.Contains(err.Error(), "breaker tripped") {
-		t.Fatalf("err = %v", err)
-	}
-	if !stats.BreakerTripped || stats.Failures != 4 || stats.Skipped != 76 {
-		t.Errorf("stats = %+v", stats)
-	}
-	if stats.Retries != 0 {
-		t.Errorf("permanent faults must not be retried: %+v", stats)
-	}
-}
-
-// TestClusterRunDeterministicUnderSeed: a single-worker run under a
-// fixed seed reproduces identical stats, including retry counts.
-func TestClusterRunDeterministicUnderSeed(t *testing.T) {
-	run := func() cluster.Stats {
-		st := seededStore(100, 4)
-		in := New(Config{Seed: 21, TransientRate: 0.15, PermanentRate: 0.02})
-		c := cluster.NewWithConfig(st, cluster.Config{
-			Workers: 1, // sequential: the fault stream maps 1:1 onto entities
-			Retry:   cluster.RetryPolicy{MaxAttempts: 3},
-		})
-		m := in.Miner(cluster.MinerFunc{MinerName: "det", Fn: func(e *store.Entity) ([]store.Annotation, error) {
-			return []store.Annotation{{Type: "t"}}, nil
-		}})
-		stats, _ := c.RunEntityMiner(m)
-		stats.Elapsed = 0  // wall clock and the per-deployment trace ID
-		stats.TraceID = "" // are the intentionally nondeterministic fields
-		return stats
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Errorf("same seed, different outcomes:\n  %+v\n  %+v", a, b)
-	}
-	if a.Retries == 0 {
-		t.Error("expected some retries in the deterministic run")
 	}
 }

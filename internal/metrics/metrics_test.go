@@ -171,7 +171,7 @@ func TestWriteTextGolden(t *testing.T) {
 	r.Counter("vinci.server.store.get.calls").Add(42)
 	r.Counter("ingest.docs").Add(7)
 	r.Gauge("store.degraded").Set(0)
-	r.Gauge("cluster.breaker.open").Set(1)
+	r.Gauge("serving.generation").Set(1)
 	h := r.SizeHistogram("store.wal.batch.records")
 	for _, v := range []int64{1, 2, 2, 4, 8} {
 		h.Observe(v)
@@ -179,7 +179,7 @@ func TestWriteTextGolden(t *testing.T) {
 	want := strings.Join([]string{
 		"counter ingest.docs 7",
 		"counter vinci.server.store.get.calls 42",
-		"gauge cluster.breaker.open 1",
+		"gauge serving.generation 1",
 		"gauge store.degraded 0",
 		"histogram store.wal.batch.records count=5 sum=17 min=1 max=8 mean=3.4 p50=1 p95=7 p99=7",
 		"",

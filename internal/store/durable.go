@@ -235,7 +235,9 @@ func Open(dir string, opts Options) (*Store, error) {
 // truncates the file in place so the next append starts on a record
 // boundary, and a corrupt record header — framing lost mid-file —
 // quarantines the whole remaining tail and degrades the store rather
-// than silently dropping the acknowledged records the tail may hold.
+// than silently dropping the acknowledged records the tail may hold. An
+// intact record of an op this binary does not know fails the replay and
+// leaves the file as it is.
 func (d *durability) replayWAL(s *Store, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -272,7 +274,13 @@ func (d *durability) replayWAL(s *Store, path string) error {
 			}
 			return nil
 		}
-		if aerr := applyRecord(s, op, body); aerr != nil {
+		if aerr := applyRecord(s, op, body); errors.Is(aerr, errUnknownOp) {
+			// The checksum covers the op byte, so this record is intact:
+			// a newer binary wrote it. Skipping it would open a store
+			// that silently lacks acknowledged data, so refuse to open
+			// and leave the log as it is.
+			return fmt.Errorf("replay %s: offset %d: %w", filepath.Base(path), off, aerr)
+		} else if aerr != nil {
 			d.quarantine(data[off : off+n])
 		} else {
 			d.replayed++
@@ -281,6 +289,10 @@ func (d *durability) replayWAL(s *Store, path string) error {
 	}
 	return nil
 }
+
+// errUnknownOp reports a checksum-valid WAL record whose op this binary
+// does not know.
+var errUnknownOp = errors.New("unknown wal op")
 
 // applyRecord applies one decoded WAL record through the in-memory paths.
 func applyRecord(s *Store, op byte, body []byte) error {
@@ -304,7 +316,7 @@ func applyRecord(s *Store, op byte, body []byte) error {
 		s.applyDelete(id)
 		return nil
 	}
-	return fmt.Errorf("store: unknown wal op %d", op)
+	return fmt.Errorf("%w %d: written by a newer version of the store", errUnknownOp, op)
 }
 
 // replayPut installs a decoded entity. It is the store's own, so it

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -280,6 +281,50 @@ func TestBitRotQuarantinesRecord(t *testing.T) {
 	}
 	if len(q) == 0 {
 		t.Fatal("quarantine.log is empty")
+	}
+}
+
+// TestUnknownOpRefusesOpen: a checksum-valid record with an op this
+// binary does not know was written by a newer one. Open must fail and
+// name it, leaving the log untouched and quarantining nothing, rather
+// than open a store that silently lacks the record's data.
+func TestUnknownOpRefusesOpen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(&Entity{ID: "doc-01", Text: "body"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := walFiles.Path(dir, 0)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := append(valid, encodeWALRecord(99, []byte("from a newer version"))...)
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Open(dir, Options{Shards: 2}); err == nil {
+		t.Fatal("Open succeeded over a record of unknown op 99")
+	} else if !errors.Is(err, errUnknownOp) || !strings.Contains(err.Error(), "op 99") ||
+		!strings.Contains(err.Error(), fmt.Sprintf("offset %d", len(valid))) {
+		t.Fatalf("Open error %q should name op 99 and offset %d", err, len(valid))
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wal) {
+		t.Fatalf("refused open changed the log: %d bytes, want %d", len(got), len(wal))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine.log")); !os.IsNotExist(err) {
+		t.Fatalf("refused open wrote quarantine.log (stat: %v)", err)
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unicode/utf8"
 
 	"webfountain/internal/cluster"
@@ -97,20 +96,6 @@ type Platform struct {
 type PlatformConfig struct {
 	// Shards is the number of store shards (default 16).
 	Shards int
-	// Workers is the miner worker-pool size (default: one per shard,
-	// capped at 8).
-	Workers int
-	// MinerRetries is the total number of attempts per entity when a
-	// miner fails transiently (default 1: no retries).
-	MinerRetries int
-	// MinerBackoff is the base sleep between per-entity retries,
-	// doubling per retry (default none).
-	MinerBackoff time.Duration
-	// EntityTimeout bounds one miner call on one entity (default none).
-	EntityTimeout time.Duration
-	// MinerErrorBudget trips a deployment's circuit breaker after this
-	// many failed entities, skipping the rest (default 0: never trip).
-	MinerErrorBudget int
 
 	// DataDir, when set, makes the platform durable: every ingest,
 	// delete and miner annotation is write-ahead-logged under this
@@ -160,8 +145,8 @@ func (e *ConfigError) Error() string {
 const maxShards = 1 << 12
 
 // Validate reports the first nonsensical configuration value as a
-// *ConfigError. Zero and negative tuning fields (Shards, IngestWorkers,
-// IndexShards, Workers) are valid — they select defaults — so Validate
+// *ConfigError. Zero and negative tuning fields (Shards, IngestWorkers and
+// IndexShards) are valid — they select defaults — so Validate
 // only rejects values no clamping rule can make sense of.
 func (cfg PlatformConfig) Validate() error {
 	if cfg.Shards > maxShards {
@@ -178,12 +163,6 @@ func (cfg PlatformConfig) Validate() error {
 	}
 	if cfg.CompactEvery < 0 {
 		return &ConfigError{Field: "CompactEvery", Value: cfg.CompactEvery, Reason: "negative compaction cadence"}
-	}
-	if cfg.MinerBackoff < 0 {
-		return &ConfigError{Field: "MinerBackoff", Value: cfg.MinerBackoff, Reason: "negative backoff"}
-	}
-	if cfg.EntityTimeout < 0 {
-		return &ConfigError{Field: "EntityTimeout", Value: cfg.EntityTimeout, Reason: "negative timeout"}
 	}
 	return nil
 }
@@ -248,16 +227,8 @@ func platformOver(st *store.Store, cfg PlatformConfig) *Platform {
 		shards = 16
 	}
 	p := &Platform{
-		store: st,
-		cluster: cluster.NewWithConfig(st, cluster.Config{
-			Workers: cfg.Workers,
-			Retry: cluster.RetryPolicy{
-				MaxAttempts: cfg.MinerRetries,
-				Backoff:     cfg.MinerBackoff,
-			},
-			EntityTimeout: cfg.EntityTimeout,
-			ErrorBudget:   cfg.MinerErrorBudget,
-		}),
+		store:       st,
+		cluster:     cluster.New(st, 0),
 		workers:     workers,
 		indexShards: shards,
 	}
