@@ -23,6 +23,7 @@ import (
 	"testing"
 
 	"webfountain/internal/corpus"
+	"webfountain/internal/lexicon"
 	"webfountain/internal/pos"
 	"webfountain/internal/serve"
 	"webfountain/internal/spotter"
@@ -83,6 +84,27 @@ func TestAllocCeilingMine(t *testing.T) {
 		t.Fatalf("AnalyzeText allocates %.1f/run, ceiling %d", avg, ceiling)
 	}
 	t.Logf("AnalyzeText: %.1f allocs/run (ceiling %d)", avg, ceiling)
+}
+
+// TestAllocCeilingLexiconBuild gates the lexicon build a miner with
+// extra entries pays, and the shared lexicon pays once per process: the
+// embedded entries, the entry map and the phrase automaton (compiled by
+// the first LookupPhrase, which itself allocates nothing). Each term's
+// readings are carved from one array and the automaton's tables are
+// sized up front, so the build is a few dozen allocations whatever the
+// entry count.
+func TestAllocCeilingLexiconBuild(t *testing.T) {
+	toks := []pos.TaggedToken{{Token: tokenize.Token{Text: "Excellent"}, Tag: pos.JJ}}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, _, ok := lexicon.Default().LookupPhrase(toks, 0); !ok {
+			t.Fatal("the built lexicon misses an embedded entry")
+		}
+	})
+	const ceiling = 40
+	if avg > ceiling {
+		t.Fatalf("lexicon build allocates %.1f/run, ceiling %d", avg, ceiling)
+	}
+	t.Logf("lexicon build: %.1f allocs/run (ceiling %d)", avg, ceiling)
 }
 
 // TestAllocCeilingTag gates POS tagging: with a reused destination

@@ -28,6 +28,7 @@ import (
 	"webfountain/internal/corpus"
 	"webfountain/internal/eval"
 	"webfountain/internal/feature"
+	"webfountain/internal/lexicon"
 	"webfountain/internal/miners"
 	"webfountain/internal/pos"
 	"webfountain/internal/sentiment"
@@ -267,6 +268,23 @@ func BenchmarkMinerAnalyzeText(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.AnalyzeText(text)
+	}
+}
+
+// BenchmarkMinerNew measures building a miner with extra lexicon
+// entries: each iteration builds a private lexicon and its phrase
+// automaton (the pattern database and the tagger's tables are shared),
+// the work a process does once before its first answer.
+func BenchmarkMinerNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := NewSentimentMiner(MinerConfig{ExtraLexicon: strings.NewReader(`"zx900" JJ +`)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if m.analyzer.Lexicon() == lexicon.Shared() {
+			b.Fatal("miner with extra entries shares the default lexicon")
+		}
 	}
 }
 

@@ -196,9 +196,17 @@ func boot(corpusName string, docs int, seed int64, dataDir string) (
 	if err != nil {
 		return nil, nil, err
 	}
-	log.Printf("serving recovery: folded=%d repaired=%d docs; booted in %v, generation %d",
-		rec.FoldedDocs, rec.RepairedDocs, time.Since(start).Round(time.Microsecond), tier.View().Generation())
+	log.Printf("serving recovery: folded=%d repaired=%d docs; booted in %v (platform.open=%v miner.new=%v serving.recover=%v), generation %d",
+		rec.FoldedDocs, rec.RepairedDocs, time.Since(start).Round(time.Microsecond),
+		bootPhase("platform.open.ns"), bootPhase("miner.new.ns"), bootPhase("serving.recover.ns"),
+		tier.View().Generation())
 	return platform, tier, nil
+}
+
+// bootPhase reads back the time OpenServing recorded for one boot phase.
+// The process boots once, so the histogram's sum is that boot's time.
+func bootPhase(name string) time.Duration {
+	return time.Duration(metrics.Default().Histogram(name).Snapshot().Sum).Round(time.Microsecond)
 }
 
 // newMux mounts the serving-tier gateway for the JSON API, the health

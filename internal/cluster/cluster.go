@@ -84,18 +84,11 @@ type Cluster struct {
 	workers int
 }
 
-// New returns a cluster over the store with the given worker count
-// (values below 1 select 1 worker per shard, capped at 8). Miners are
-// deterministic in-process functions, so a failed entity is reported,
-// never retried.
-func New(st *store.Store, workers int) *Cluster {
-	if workers < 1 {
-		workers = st.NumShards()
-		if workers > 8 {
-			workers = 8
-		}
-	}
-	return &Cluster{store: st, workers: workers}
+// New returns a cluster over the store with one worker per shard,
+// capped at 8. Miners are deterministic in-process functions, so a
+// failed entity is reported, never retried.
+func New(st *store.Store) *Cluster {
+	return &Cluster{store: st, workers: min(st.NumShards(), 8)}
 }
 
 // maxErrors bounds how many per-entity errors are retained verbatim.
@@ -157,11 +150,7 @@ func (c *Cluster) RunEntityMiner(m EntityMiner) (Stats, error) {
 		mm:    minerMetricsFor(m.Name()),
 	}
 
-	workers := c.workers
-	if workers > c.store.NumShards() {
-		workers = c.store.NumShards()
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < c.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -18,8 +18,8 @@ func seededStore(n, shards int) *store.Store {
 }
 
 func TestRunEntityMinerAnnotatesEverything(t *testing.T) {
-	st := seededStore(50, 8)
-	c := New(st, 4)
+	st := seededStore(50, 4)
+	c := New(st)
 	m := MinerFunc{MinerName: "marker", Fn: func(e *store.Entity) ([]store.Annotation, error) {
 		return []store.Annotation{{Type: "seen", Key: e.ID}}, nil
 	}}
@@ -46,7 +46,7 @@ func TestRunEntityMinerAnnotatesEverything(t *testing.T) {
 
 func TestRunEntityMinerParallelism(t *testing.T) {
 	st := seededStore(64, 16)
-	c := New(st, 8)
+	c := New(st)
 	var concurrent, peak int64
 	m := MinerFunc{MinerName: "p", Fn: func(e *store.Entity) ([]store.Annotation, error) {
 		cur := atomic.AddInt64(&concurrent, 1)
@@ -81,8 +81,8 @@ func (e *transientErr) Temporary() bool { return true }
 // reported, the run continues past them, and no failure is retried,
 // whatever its class.
 func TestRunEntityMinerCollectsFailures(t *testing.T) {
-	st := seededStore(20, 4)
-	c := New(st, 2)
+	st := seededStore(20, 2)
+	c := New(st)
 	var calls atomic.Int64
 	m := MinerFunc{MinerName: "flaky", Fn: func(e *store.Entity) ([]store.Annotation, error) {
 		calls.Add(1)
@@ -115,8 +115,8 @@ func TestRunEntityMinerCollectsFailures(t *testing.T) {
 // TestPanicRecoveryCountsAndContinues: a panicking miner is recovered,
 // counted, and the deployment finishes the remaining entities.
 func TestPanicRecoveryCountsAndContinues(t *testing.T) {
-	st := seededStore(20, 4)
-	c := New(st, 2)
+	st := seededStore(20, 2)
+	c := New(st)
 	m := MinerFunc{MinerName: "panicky", Fn: func(e *store.Entity) ([]store.Annotation, error) {
 		if strings.HasSuffix(e.ID, "7") {
 			panic("miner bug on " + e.ID)
@@ -137,7 +137,7 @@ func TestPanicRecoveryCountsAndContinues(t *testing.T) {
 
 func TestRunPipelineOrdersEntityThenCorpus(t *testing.T) {
 	st := seededStore(10, 2)
-	c := New(st, 2)
+	c := New(st)
 	var order []string
 	em := MinerFunc{MinerName: "e1", Fn: func(e *store.Entity) ([]store.Annotation, error) {
 		return []store.Annotation{{Type: "t"}}, nil
@@ -167,7 +167,7 @@ func TestRunPipelineOrdersEntityThenCorpus(t *testing.T) {
 
 func TestRunPipelineCorpusErrorStops(t *testing.T) {
 	st := seededStore(5, 1)
-	c := New(st, 1)
+	c := New(st)
 	ran := false
 	cm1 := CorpusFunc{MinerName: "bad", Fn: func(*store.Store) error { return fmt.Errorf("nope") }}
 	cm2 := CorpusFunc{MinerName: "after", Fn: func(*store.Store) error { ran = true; return nil }}
@@ -189,11 +189,11 @@ func TestStatsString(t *testing.T) {
 
 func TestWorkerDefaulting(t *testing.T) {
 	st := seededStore(4, 32)
-	c := New(st, 0)
+	c := New(st)
 	if c.workers != 8 {
 		t.Errorf("workers = %d, want capped 8", c.workers)
 	}
-	c2 := New(store.New(2), 0)
+	c2 := New(store.New(2))
 	if c2.workers != 2 {
 		t.Errorf("workers = %d, want 2", c2.workers)
 	}

@@ -67,7 +67,7 @@ var archetypes = []struct {
 			Delay:     time.Duration(4+rng.Intn(8)) * time.Millisecond,
 		}
 	}},
-	{"miner-transient", func(rng *rand.Rand) Config {
+	{"call-transient", func(rng *rand.Rand) Config { // vinci.Client calls fail, retryably
 		return Config{TransientRate: 0.10 + 0.20*rng.Float64()}
 	}},
 	{"disk-degraded", func(rng *rand.Rand) Config {

@@ -2,26 +2,25 @@ package lexicon
 
 import "webfountain/internal/pos"
 
-// defaultEntries returns the embedded sentiment lexicon. It stands in for
+// entryGroup is a run of embedded entries sharing a POS and a polarity.
+// The tables are package-level literals of constants, so the compiler
+// lays them out in the binary and nothing runs to build them.
+type entryGroup struct {
+	pol   Polarity
+	tag   pos.Tag
+	terms []string
+}
+
+// coreGroups is the embedded sentiment lexicon. It stands in for
 // the paper's ~3000 manually validated entries merged from the General
 // Inquirer, the Dictionary of Affect in Language and WordNet. Like the
 // paper's lexicon it is dominated by adjectives, with a smaller set of
 // nouns, verbs and adverbs. Coverage is intentionally not exhaustive —
 // idiomatic and figurative sentiment ("a real gem", "falls flat") is
 // absent, which is what bounds the sentiment miner's recall.
-func defaultEntries() []Entry {
-	mk := func(pol Polarity, tag pos.Tag, words ...string) []Entry {
-		out := make([]Entry, len(words))
-		for i, w := range words {
-			out[i] = Entry{Term: w, POS: tag, Pol: pol}
-		}
-		return out
-	}
-	var all []Entry
-	add := func(es []Entry) { all = append(all, es...) }
-
+var coreGroups = []entryGroup{
 	// --- positive adjectives ---
-	add(mk(Positive, pos.JJ,
+	{Positive, pos.JJ, []string{
 		"excellent", "good", "great", "amazing", "awesome", "wonderful",
 		"fantastic", "superb", "outstanding", "impressive", "remarkable",
 		"brilliant", "stunning", "gorgeous", "beautiful", "crisp", "sharp",
@@ -58,10 +57,10 @@ func defaultEntries() []Entry {
 		"faithful", "true", "balanced", "harmonious", "cohesive", "tight",
 		"punchy", "dynamic", "expressive", "nuanced", "sophisticated",
 		"mature", "confident", "assured", "bold", "daring", "adventurous",
-	))
+	}},
 
 	// --- negative adjectives ---
-	add(mk(Negative, pos.JJ,
+	{Negative, pos.JJ, []string{
 		"bad", "poor", "terrible", "horrible", "awful", "disappointing",
 		"mediocre", "sluggish", "slow", "weak", "flimsy", "cheap",
 		"noisy", "grainy", "blurry", "dim", "dull", "muddy", "harsh",
@@ -102,10 +101,10 @@ func defaultEntries() []Entry {
 		"counterintuitive", "baffling", "bewildering", "incomprehensible",
 		"contaminated", "polluted", "dirty", "filthy", "grimy", "corrosive",
 		"sick", "ill", "nauseous", "dizzy", "lethargic", "fatigued",
-	))
+	}},
 
 	// --- positive nouns ---
-	add(mk(Positive, pos.NN,
+	{Positive, pos.NN, []string{
 		"masterpiece", "gem", "delight", "pleasure", "joy", "triumph",
 		"success", "winner", "bargain", "steal", "treat", "marvel",
 		"wonder", "beauty", "excellence", "perfection", "brilliance",
@@ -117,10 +116,10 @@ func defaultEntries() []Entry {
 		"grace", "polish", "finesse", "craftsmanship", "virtuosity",
 		"gain", "profit", "growth", "recovery", "upturn", "boom",
 		"remedy", "cure", "relief", "healing", "wellness",
-	))
+	}},
 
 	// --- negative nouns ---
-	add(mk(Negative, pos.NN,
+	{Negative, pos.NN, []string{
 		"disaster", "catastrophe", "failure", "flop", "dud", "mess",
 		"nightmare", "disappointment", "letdown", "ripoff", "junk",
 		"garbage", "trash", "waste", "problem", "issue", "flaw",
@@ -138,20 +137,20 @@ func defaultEntries() []Entry {
 		"side-effect", "overdose", "addiction", "relapse", "infection",
 		"noise", "distortion", "lag", "delay", "crack", "scratch",
 		"dent", "wear", "corrosion", "rust",
-	))
+	}},
 
 	// --- positive verbs (self-polar predicates) ---
-	add(mk(Positive, pos.VB,
+	{Positive, pos.VB, []string{
 		"love", "enjoy", "adore", "admire", "appreciate", "praise",
 		"recommend", "applaud", "celebrate", "impress", "delight",
 		"please", "satisfy", "excel", "shine", "thrive", "flourish",
 		"improve", "enhance", "boost", "strengthen", "succeed",
 		"outperform", "surpass", "exceed", "win", "triumph", "reward",
 		"benefit", "help", "heal", "cure", "comfort", "reassure",
-	))
+	}},
 
 	// --- negative verbs ---
-	add(mk(Negative, pos.VB,
+	{Negative, pos.VB, []string{
 		"hate", "dislike", "despise", "loathe", "detest", "regret",
 		"disappoint", "frustrate", "annoy", "irritate", "aggravate",
 		"anger", "upset", "disgust", "appall", "horrify", "fail",
@@ -161,43 +160,33 @@ func defaultEntries() []Entry {
 		"damage", "harm", "hurt", "ruin", "destroy", "waste",
 		"pollute", "contaminate", "leak", "spill", "violate",
 		"overheat", "jam", "rattle", "scratch", "blur", "stall",
-	))
+	}},
 
 	// --- positive adverbs ---
-	add(mk(Positive, pos.RB,
+	{Positive, pos.RB, []string{
 		"flawlessly", "beautifully", "superbly", "brilliantly",
 		"wonderfully", "excellently", "admirably", "gracefully",
 		"smoothly", "reliably", "consistently", "effortlessly",
 		"perfectly", "impressively", "remarkably well",
-	))
+	}},
 
 	// --- negative adverbs ---
-	add(mk(Negative, pos.RB,
+	{Negative, pos.RB, []string{
 		"poorly", "badly", "terribly", "horribly", "awfully",
 		"miserably", "dismally", "sloppily", "erratically",
 		"unreliably", "painfully", "frustratingly", "annoyingly",
-	))
+	}},
 
 	// --- multi-word terms ---
-	add([]Entry{
-		{Term: "high quality", POS: pos.JJ, Pol: Positive},
-		{Term: "top quality", POS: pos.JJ, Pol: Positive},
-		{Term: "poor quality", POS: pos.JJ, Pol: Negative},
-		{Term: "low quality", POS: pos.JJ, Pol: Negative},
-		{Term: "state of the art", POS: pos.JJ, Pol: Positive},
-		{Term: "state-of-the-art", POS: pos.JJ, Pol: Positive},
-		{Term: "top notch", POS: pos.JJ, Pol: Positive},
-		{Term: "second to none", POS: pos.JJ, Pol: Positive},
-		{Term: "best in class", POS: pos.JJ, Pol: Positive},
-		{Term: "worth every penny", POS: pos.JJ, Pol: Positive},
-		{Term: "highly recommended", POS: pos.JJ, Pol: Positive},
-		{Term: "piece of junk", POS: pos.NN, Pol: Negative},
-		{Term: "waste of money", POS: pos.NN, Pol: Negative},
-		{Term: "pain in the neck", POS: pos.NN, Pol: Negative},
-		{Term: "deal breaker", POS: pos.NN, Pol: Negative},
-		{Term: "short battery life", POS: pos.NN, Pol: Negative},
-		{Term: "long battery life", POS: pos.NN, Pol: Positive},
-	})
-
-	return all
+	{Positive, pos.JJ, []string{"high quality", "top quality"}},
+	{Negative, pos.JJ, []string{"poor quality", "low quality"}},
+	{Positive, pos.JJ, []string{
+		"state of the art", "state-of-the-art", "top notch", "second to none",
+		"best in class", "worth every penny", "highly recommended",
+	}},
+	{Negative, pos.NN, []string{
+		"piece of junk", "waste of money", "pain in the neck", "deal breaker",
+		"short battery life",
+	}},
+	{Positive, pos.NN, []string{"long battery life"}},
 }

@@ -25,9 +25,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"webfountain/internal/match"
 	"webfountain/internal/pos"
@@ -90,9 +92,9 @@ type Lexicon struct {
 // term, mapping the matcher's pattern IDs back to entry keys.
 type phraseTrie struct {
 	m *match.Matcher
-	// terms[pattern] is the single-space join of the pattern's words —
-	// exactly the key the scan-time probe must use, matching the old
-	// ToLower+Join candidate construction.
+	// terms[pattern] is the entry key the pattern was compiled from: its
+	// words joined by single spaces, exactly the key the scan-time probe
+	// must use, matching the old ToLower+Join candidate construction.
 	terms []string
 }
 
@@ -103,14 +105,23 @@ func New() *Lexicon {
 
 // Default returns a lexicon populated with the embedded entries: the core
 // set (data.go) plus the extended General Inquirer / DAL-style long tail
-// (data_extended.go).
+// (data_extended.go). The entry map is sized once, and every term's
+// readings are carved from one backing array instead of one slice each.
 func Default() *Lexicon {
-	lx := New()
-	for _, e := range defaultEntries() {
-		lx.Add(e)
+	groups := slices.Concat(coreGroups, extendedGroups)
+	n := 0
+	for _, g := range groups {
+		n += len(g.terms)
 	}
-	for _, e := range extendedEntries() {
-		lx.Add(e)
+	lx := &Lexicon{entries: make(map[string][]Entry, n)}
+	// Room for every entry plus a move for each term that gains a second
+	// reading (a few dozen of the ~1 900 terms do); past that, append
+	// reallocates and only the saving is lost.
+	arena := make([]Entry, 0, n+n/8)
+	for _, g := range groups {
+		for _, term := range g.terms {
+			arena = lx.add(Entry{Term: term, POS: g.tag, Pol: g.pol}, arena)
+		}
 	}
 	return lx
 }
@@ -128,7 +139,14 @@ func Shared() *Lexicon { return shared() }
 
 // Add inserts an entry. Later entries with the same (term, POS) override
 // earlier ones.
-func (lx *Lexicon) Add(e Entry) {
+func (lx *Lexicon) Add(e Entry) { lx.add(e, nil) }
+
+// add is Add with the term's reading list placed at the end of arena,
+// which it returns: a new term's list, or a list that gains a reading,
+// moves there. With a nil arena each list is its own allocation. Lists
+// are capped at their length, so growing one never writes into the
+// next.
+func (lx *Lexicon) add(e Entry, arena []Entry) []Entry {
 	e.Term = strings.ToLower(e.Term)
 	words := strings.Count(e.Term, " ") + 1
 	if words > lx.maxWords {
@@ -139,14 +157,27 @@ func (lx *Lexicon) Add(e Entry) {
 	for i, old := range list {
 		if old.POS == e.POS {
 			list[i] = e
-			return
+			return arena
 		}
 	}
-	lx.entries[e.Term] = append(list, e)
+	start := len(arena)
+	arena = append(append(arena, list...), e)
+	lx.entries[e.Term] = arena[start:len(arena):len(arena)]
+	return arena
 }
 
 // Len returns the number of distinct terms in the lexicon.
 func (lx *Lexicon) Len() int { return len(lx.entries) }
+
+// Terms returns the lexicon's distinct entry terms, in no particular
+// order.
+func (lx *Lexicon) Terms() []string {
+	terms := make([]string, 0, len(lx.entries))
+	for term := range lx.entries {
+		terms = append(terms, term)
+	}
+	return terms
+}
 
 // MaxWords returns the longest entry length in words.
 func (lx *Lexicon) MaxWords() int { return lx.maxWords }
@@ -273,28 +304,36 @@ func (lx *Lexicon) phraseTrie() *phraseTrie {
 	if t := lx.trie.Load(); t != nil {
 		return t
 	}
-	b := match.NewBuilder()
-	t := &phraseTrie{}
-	seen := make(map[string]bool, len(lx.entries))
-	for term := range lx.entries {
-		words := strings.Fields(term)
-		if len(words) == 0 {
-			continue
+	terms := lx.Terms()
+	t := &phraseTrie{terms: terms[:0]} // filtered in place
+	for _, term := range terms {
+		// A match is probed by its words joined with single spaces, so an
+		// entry key with irregular spacing was never reachable and must
+		// stay unreachable: it is left out of the automaton.
+		if singleSpaced(term) {
+			t.terms = append(t.terms, term)
 		}
-		// Probe by the normalized join: entry keys with irregular spacing
-		// were unreachable under the old Join(parts, " ") candidates and
-		// must stay unreachable.
-		norm := strings.Join(words, " ")
-		if seen[norm] {
-			continue
-		}
-		seen[norm] = true
-		b.Add(words)
-		t.terms = append(t.terms, norm)
 	}
-	t.m = b.Compile()
+	t.m = match.Compile(t.terms)
 	lx.trie.Store(t)
 	return t
+}
+
+// singleSpaced reports whether s is words joined by single spaces, that
+// is strings.Join(strings.Fields(s), " ") == s with s non-empty.
+func singleSpaced(s string) bool {
+	if s == "" || s[0] == ' ' || s[len(s)-1] == ' ' {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == ' ' && s[i-1] == ' ', '\t' <= c && c <= '\r':
+			return false
+		case c >= utf8.RuneSelf: // Unicode spaces: take the definition
+			return strings.Join(strings.Fields(s), " ") == s
+		}
+	}
+	return true
 }
 
 // lookupPhraseCands is how many candidates LookupPhrase keeps on the
@@ -402,7 +441,8 @@ func parseLine(line string) (Entry, error) {
 	return Entry{Term: strings.ToLower(term), POS: tag, Pol: pol}, nil
 }
 
-// Load parses entries from r and adds them to the lexicon.
+// Load parses entries from r, adds them to the lexicon and compiles the
+// phrase automaton, so the first lookup does not pay for it.
 func (lx *Lexicon) Load(r io.Reader) error {
 	entries, err := Parse(r)
 	if err != nil {
@@ -411,5 +451,6 @@ func (lx *Lexicon) Load(r io.Reader) error {
 	for _, e := range entries {
 		lx.Add(e)
 	}
+	lx.phraseTrie()
 	return nil
 }

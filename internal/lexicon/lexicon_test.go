@@ -9,6 +9,18 @@ import (
 	"webfountain/internal/tokenize"
 )
 
+// defaultEntries flattens the core entry table in the order Default adds
+// it.
+func defaultEntries() []Entry {
+	var all []Entry
+	for _, g := range coreGroups {
+		for _, term := range g.terms {
+			all = append(all, Entry{Term: term, POS: g.tag, Pol: g.pol})
+		}
+	}
+	return all
+}
+
 func TestDefaultLexiconNonTrivial(t *testing.T) {
 	lx := Default()
 	if lx.Len() < 500 {

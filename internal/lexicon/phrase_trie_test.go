@@ -138,6 +138,46 @@ func checkLookupPhraseMatchesSlowPath(t *testing.T, lx *Lexicon) {
 	}
 }
 
+// TestIrregularSpacingStaysUnreachable: an entry key that is not its
+// words joined by single spaces is never a probe's key, so no token
+// sequence reaches it, while its single-spaced twin, when present, is
+// reached as before.
+func TestIrregularSpacingStaysUnreachable(t *testing.T) {
+	for _, tc := range []struct {
+		s    string
+		want bool
+	}{
+		{"good", true}, {"battery drain", true}, {"", false}, {" good", false},
+		{"good ", false}, {"battery  drain", false}, {"battery\tdrain", false},
+		{"battery\u00a0drain", false}, {"naïve choice", true}, {"naïve  choice", false},
+	} {
+		if got := singleSpaced(tc.s); got != tc.want || got != (strings.Join(strings.Fields(tc.s), " ") == tc.s && tc.s != "") {
+			t.Errorf("singleSpaced(%q) = %v, want %v", tc.s, got, tc.want)
+		}
+	}
+	lx := Default()
+	lx.Add(Entry{Term: "battery  drain", POS: pos.NN, Pol: Negative})
+	lx.Add(Entry{Term: "lens\u00a0flare", POS: pos.NN, Pol: Negative})
+	lx.Add(Entry{Term: " shutter lag", POS: pos.NN, Pol: Negative})
+	lx.Add(Entry{Term: "shutter lag", POS: pos.NN, Pol: Positive})
+	toks := func(words ...string) []pos.TaggedToken {
+		var ts []pos.TaggedToken
+		for _, w := range words {
+			ts = append(ts, pos.TaggedToken{Token: tokenize.Token{Text: w}, Tag: pos.NN})
+		}
+		return ts
+	}
+	for _, ts := range [][]pos.TaggedToken{toks("battery", "drain"), toks("lens", "flare")} {
+		if pol, l, ok := lx.LookupPhrase(ts, 0); ok && l > 1 {
+			t.Errorf("%v reached an irregularly spaced entry: (%v,%d)", ts, pol, l)
+		}
+	}
+	if pol, l, ok := lx.LookupPhrase(toks("shutter", "lag"), 0); !ok || l != 2 || pol != Positive {
+		t.Errorf("single-spaced twin: got (%v,%d,%v), want (+,2,true)", pol, l, ok)
+	}
+	checkLookupPhraseMatchesSlowPath(t, lx)
+}
+
 // TestLookupPhraseTrieInvalidation proves Add after a lookup rebuilds the
 // automaton so new multi-word entries are found.
 func TestLookupPhraseTrieInvalidation(t *testing.T) {

@@ -18,7 +18,7 @@
 //   - LongestAt: a plain root walk reporting the longest pattern starting
 //     at one position (the lexicon's longest-entry-first contract).
 //
-// Patterns are word sequences, already lower-cased by the builder;
+// Patterns are phrases of space-separated words, lower-cased by Compile;
 // matching is case-insensitive (ASCII fast path, Unicode fallback).
 package match
 
@@ -28,58 +28,10 @@ import "strings"
 // reserved for it so the scanner can branch on zero.
 const noSym = 0
 
-// Builder accumulates patterns before compilation.
-type Builder struct {
-	syms  map[string]uint32
-	words []string
-	pats  [][]uint32
-}
-
-// NewBuilder returns an empty pattern builder.
-func NewBuilder() *Builder {
-	return &Builder{syms: map[string]uint32{}}
-}
-
-// Add registers one pattern (a word sequence). Words are lower-cased by
-// the builder. The pattern's payload is the value reported on a match —
-// typically an index into a caller-side table. Empty patterns are
-// ignored. Add returns the builder for chaining.
-func (b *Builder) Add(words []string) *Builder {
-	if len(words) == 0 {
-		return b
-	}
-	pat := make([]uint32, len(words))
-	for i, w := range words {
-		lw := strings.ToLower(w)
-		sym, ok := b.syms[lw]
-		if !ok {
-			sym = uint32(len(b.words)) + 1 // 0 is noSym
-			b.syms[lw] = sym
-			b.words = append(b.words, lw)
-		}
-		pat[i] = sym
-	}
-	b.pats = append(b.pats, pat)
-	return b
-}
-
-// Len returns the number of registered patterns. The payload of the
-// pattern added by the n-th Add call is n (zero-based), so callers can
-// index a side table by it.
-func (b *Builder) Len() int { return len(b.pats) }
-
-// trieNode is scratch state used only during compilation.
-type trieNode struct {
-	next map[uint32]int32
-	out  []int32 // pattern indices terminating here
-	fail int32
-	len  int32 // depth in words (pattern length for terminals)
-}
-
 // Match is one reported occurrence.
 type Match struct {
-	// Pattern is the zero-based index of the Add call that registered
-	// the matched pattern.
+	// Pattern is the index in Compile's pattern list of the matched
+	// pattern.
 	Pattern int
 	// Start and End are token indices of the occurrence (half-open).
 	Start, End int
@@ -105,99 +57,118 @@ type outEntry struct {
 	next    int32
 }
 
-// Compile freezes the builder into a Matcher.
-func (b *Builder) Compile() *Matcher {
-	// Build the word trie.
-	nodes := []trieNode{{next: map[uint32]int32{}}}
-	patLen := make([]int32, len(b.pats))
-	for pi, pat := range b.pats {
-		cur := int32(0)
-		for _, sym := range pat {
-			nxt, ok := nodes[cur].next[sym]
-			if !ok {
-				nxt = int32(len(nodes))
-				nodes = append(nodes, trieNode{next: map[uint32]int32{}, len: nodes[cur].len + 1})
-				nodes[cur].next[sym] = nxt
+// Compile builds the automaton of patterns. Each pattern is a phrase of
+// words separated by spaces (runs of spaces count as one); a match
+// reports the pattern's index in patterns. A phrase without words
+// matches nothing. Duplicate phrases each report their own index.
+//
+// The build allocates a fixed handful of arrays, each sized from the
+// pattern or word count up front: words are interned straight into the
+// symbol table, trie edges straight into the transition table, and the
+// trie grows one depth at a time, so states are numbered in
+// breadth-first order and each state's failure link can be set when the
+// state is created (every state it can point to is shallower, hence
+// already complete).
+func Compile(patterns []string) *Matcher {
+	words := 0 // an upper bound on distinct words, edges and states
+	for _, p := range patterns {
+		words += strings.Count(p, " ") + 1
+	}
+	m := &Matcher{patLen: make([]int32, len(patterns))}
+	m.table.init(words)
+
+	// Intern every pattern's words; syms holds them back to back.
+	syms := make([]uint32, 0, words)
+	for i, p := range patterns {
+		start := len(syms)
+		for rest := p; rest != ""; {
+			var w string
+			w, rest, _ = strings.Cut(rest, " ")
+			if w != "" {
+				syms = append(syms, m.table.intern(strings.ToLower(w)))
 			}
-			cur = nxt
 		}
-		nodes[cur].out = append(nodes[cur].out, int32(pi))
-		patLen[pi] = int32(len(pat))
+		m.patLen[i] = int32(len(syms) - start)
+		if int(m.patLen[i]) > m.maxDepth {
+			m.maxDepth = int(m.patLen[i])
+		}
 	}
 
-	m := &Matcher{
-		fail:    make([]int32, len(nodes)),
-		outHead: make([]int32, len(nodes)),
-		patLen:  patLen,
+	// Grow the trie one depth at a time. at[p] is the state pattern p has
+	// reached; after the last depth it is the state p terminates in.
+	states := len(syms) + 1
+	m.trans.init(len(syms))
+	m.fail = make([]int32, states)
+	at := make([]int32, len(patterns))
+	n := int32(1) // states created; 0 is the root
+	for d := 0; d < m.maxDepth; d++ {
+		off := 0
+		for p, l := range m.patLen {
+			if d < int(l) {
+				sym := syms[off+d]
+				next, ok := m.trans.get(at[p], sym)
+				if !ok {
+					next = n
+					n++
+					m.trans.put(at[p], sym, next)
+					m.fail[next] = m.failOf(at[p], sym)
+				}
+				at[p] = next
+			}
+			off += int(l)
+		}
 	}
+	m.fail = m.fail[:n]
+
+	// Output lists: a state's own patterns in index order, then its
+	// failure state's list. outHead first chains each state's own
+	// patterns (through next), then, state by state in breadth-first
+	// order, becomes the head of the state's full list; a failure state
+	// has a smaller number, so its list is final by then.
+	m.outHead = make([]int32, n)
 	for i := range m.outHead {
 		m.outHead[i] = -1
 	}
-	m.table.init(b.words)
-
-	// BFS failure links (standard Aho-Corasick construction), and the
-	// per-state output lists: a state's outputs are its own terminals
-	// followed by a link to its failure state's list.
-	queue := make([]int32, 0, len(nodes))
-	for _, child := range nodes[0].next {
-		nodes[child].fail = 0
-		queue = append(queue, child)
+	next := make([]int32, len(patterns))
+	for p := len(patterns) - 1; p >= 0; p-- {
+		if m.patLen[p] > 0 {
+			next[p], m.outHead[at[p]] = m.outHead[at[p]], int32(p)
+		}
 	}
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		for sym, child := range nodes[cur].next {
-			f := nodes[cur].fail
-			for f != 0 {
-				if nxt, ok := nodes[f].next[sym]; ok {
-					f = nxt
-					goto linked
-				}
-				f = nodes[f].fail
+	m.outList = make([]outEntry, 0, len(patterns))
+	for s := int32(0); s < n; s++ {
+		tail := int32(-1)
+		if s != 0 {
+			tail = m.outHead[m.fail[s]]
+		}
+		head := tail
+		if p := m.outHead[s]; p >= 0 {
+			head = int32(len(m.outList))
+			for ; p >= 0; p = next[p] {
+				m.outList = append(m.outList, outEntry{pattern: p, length: m.patLen[p], next: int32(len(m.outList)) + 1})
 			}
-			if nxt, ok := nodes[0].next[sym]; ok {
-				f = nxt
-			}
-		linked:
-			nodes[child].fail = f
-			queue = append(queue, child)
+			m.outList[len(m.outList)-1].next = tail
 		}
-	}
-	// queue is in BFS order; parents precede children, so a failure
-	// state's output list is final before its dependents link to it.
-	link := func(state int32) {
-		n := &nodes[state]
-		head := int32(-1)
-		if n.fail != state {
-			head = m.outHead[n.fail]
-		}
-		for i := len(n.out) - 1; i >= 0; i-- {
-			pi := n.out[i]
-			m.outList = append(m.outList, outEntry{pattern: pi, length: patLen[pi], next: head})
-			head = int32(len(m.outList) - 1)
-		}
-		m.outHead[state] = head
-		m.fail[state] = n.fail
-	}
-	link(0)
-	for _, state := range queue {
-		link(state)
-	}
-
-	// Pack transitions into the shared open-addressing table.
-	edges := 0
-	for i := range nodes {
-		edges += len(nodes[i].next)
-	}
-	m.trans.init(edges)
-	for state := range nodes {
-		for sym, child := range nodes[state].next {
-			m.trans.put(int32(state), sym, child)
-		}
-		if int(nodes[state].len) > m.maxDepth {
-			m.maxDepth = int(nodes[state].len)
-		}
+		m.outHead[s] = head
 	}
 	return m
+}
+
+// failOf returns the failure state of the state reached from parent on
+// sym: the state of the longest proper suffix of its path that is in the
+// trie. It reads only states shallower than the new one.
+func (m *Matcher) failOf(parent int32, sym uint32) int32 {
+	if parent == 0 {
+		return 0
+	}
+	for f := m.fail[parent]; ; f = m.fail[f] {
+		if next, ok := m.trans.get(f, sym); ok {
+			return next
+		}
+		if f == 0 {
+			return 0
+		}
+	}
 }
 
 // MaxLen returns the longest registered pattern length in words.
@@ -354,25 +325,38 @@ func (t *transTable) get(state int32, sym uint32) (int32, bool) {
 // containing non-ASCII bytes take a Unicode slow path that may allocate
 // — they cannot appear in the embedded English resources.
 type foldTable struct {
-	slots []uint32 // symbol+1; 0 = empty
+	slots []uint32 // symbol (1-based); 0 = empty
 	words []string // vocabulary, indexed by symbol-1
 	mask  uint64
 }
 
-func (t *foldTable) init(words []string) {
+// init sizes an empty table for up to n words.
+func (t *foldTable) init(n int) {
 	size := 16
-	for size < len(words)*2 {
+	for size < n*2 {
 		size <<= 1
 	}
 	t.slots = make([]uint32, size)
-	t.words = words
+	t.words = make([]string, 0, n)
 	t.mask = uint64(size - 1)
-	for i, w := range words {
-		slot := foldHash(w) & t.mask
-		for t.slots[slot] != 0 {
-			slot = (slot + 1) & t.mask
+}
+
+// intern returns the symbol of the lower-cased word lw, adding lw to the
+// vocabulary when it is new. The table must have room (init's n).
+func (t *foldTable) intern(lw string) uint32 {
+	slot := foldHash(lw) & t.mask
+	for {
+		sym := t.slots[slot]
+		if sym == 0 {
+			t.words = append(t.words, lw)
+			sym = uint32(len(t.words))
+			t.slots[slot] = sym
+			return sym
 		}
-		t.slots[slot] = uint32(i) + 1
+		if t.words[sym-1] == lw {
+			return sym
+		}
+		slot = (slot + 1) & t.mask
 	}
 }
 

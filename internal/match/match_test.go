@@ -18,12 +18,12 @@ func scanAll(m *Matcher, words []string) []Match {
 }
 
 func TestScanBasics(t *testing.T) {
-	b := NewBuilder()
-	b.Add([]string{"clie"})                 // 0
-	b.Add([]string{"sony", "clie"})         // 1
-	b.Add([]string{"t", "series", "clies"}) // 2
-	b.Add([]string{"series"})               // 3
-	m := b.Compile()
+	m := Compile([]string{
+		"clie",           // 0
+		"sony clie",      // 1
+		"t series clies", // 2
+		"series",         // 3
+	})
 
 	words := strings.Fields("the Sony CLIE beats the T series CLIEs hands down")
 	got := scanAll(m, words)
@@ -39,11 +39,11 @@ func TestScanBasics(t *testing.T) {
 }
 
 func TestScanOverlapsAndSuffixes(t *testing.T) {
-	b := NewBuilder()
-	b.Add([]string{"a", "b", "a"}) // 0
-	b.Add([]string{"b", "a"})      // 1
-	b.Add([]string{"a"})           // 2
-	m := b.Compile()
+	m := Compile([]string{
+		"a b a", // 0
+		"b a",   // 1
+		"a",     // 2
+	})
 	words := []string{"a", "b", "a", "b", "a"}
 	got := scanAll(m, words)
 	// ends at 1: a; ends at 3: aba, ba, a; ends at 5: aba, ba, a.
@@ -58,9 +58,7 @@ func TestScanOverlapsAndSuffixes(t *testing.T) {
 }
 
 func TestCaseFolding(t *testing.T) {
-	b := NewBuilder()
-	b.Add([]string{"Battery", "LIFE"})
-	m := b.Compile()
+	m := Compile([]string{"Battery LIFE"})
 	for _, probe := range [][]string{
 		{"battery", "life"},
 		{"BATTERY", "LIFE"},
@@ -79,12 +77,12 @@ func TestCaseFolding(t *testing.T) {
 }
 
 func TestWalkAtLongest(t *testing.T) {
-	b := NewBuilder()
-	b.Add([]string{"battery"})                 // 0
-	b.Add([]string{"battery", "life"})         // 1
-	b.Add([]string{"battery", "life", "woes"}) // 2
-	b.Add([]string{"life"})                    // 3
-	m := b.Compile()
+	m := Compile([]string{
+		"battery",           // 0
+		"battery life",      // 1
+		"battery life woes", // 2
+		"life",              // 3
+	})
 	words := []string{"the", "battery", "life", "woes", "continue"}
 	sym := func(i int) uint32 { return m.Sym(words[i]) }
 
@@ -112,7 +110,7 @@ func TestWalkAtLongest(t *testing.T) {
 }
 
 func TestEmptyMatcher(t *testing.T) {
-	m := NewBuilder().Compile()
+	m := Compile(nil)
 	if got := scanAll(m, []string{"anything", "at", "all"}); len(got) != 0 {
 		t.Fatalf("empty matcher matched %v", got)
 	}
@@ -128,8 +126,8 @@ func TestDifferentialVsNaive(t *testing.T) {
 	alphabet := []string{"a", "b", "c", "d"}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		b := NewBuilder()
 		var pats [][]string
+		var phrases []string
 		for p := 0; p < 12; p++ {
 			n := 1 + rng.Intn(3)
 			pat := make([]string, n)
@@ -137,9 +135,9 @@ func TestDifferentialVsNaive(t *testing.T) {
 				pat[i] = alphabet[rng.Intn(len(alphabet))]
 			}
 			pats = append(pats, pat)
-			b.Add(pat)
+			phrases = append(phrases, strings.Join(pat, " "))
 		}
-		m := b.Compile()
+		m := Compile(phrases)
 		words := make([]string, 30)
 		for i := range words {
 			words[i] = alphabet[rng.Intn(len(alphabet))]
@@ -181,11 +179,7 @@ func TestDifferentialVsNaive(t *testing.T) {
 }
 
 func TestScanAllocs(t *testing.T) {
-	b := NewBuilder()
-	b.Add([]string{"sony", "clie"})
-	b.Add([]string{"battery", "life"})
-	b.Add([]string{"nr70"})
-	m := b.Compile()
+	m := Compile([]string{"sony clie", "battery life", "nr70"})
 	words := strings.Fields("The Sony CLIE NR70 has Battery Life issues says SONY")
 	sink := 0
 	avg := testing.AllocsPerRun(100, func() {

@@ -20,9 +20,9 @@ func put(t *testing.T, st *store.Store, e *store.Entity) {
 // --- GeoContext ---
 
 func TestGeoContextSpotsPlacesAndRegion(t *testing.T) {
-	st := store.New(2)
+	st := store.New(1)
 	put(t, st, &store.Entity{ID: "d1", Text: "The refinery in Texas ships crude to Japan. Texas output rose."})
-	c := cluster.New(st, 1)
+	c := cluster.New(st)
 	if _, err := c.RunEntityMiner(NewGeoContext()); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestGeoContextSpotsPlacesAndRegion(t *testing.T) {
 func TestGeoContextVariants(t *testing.T) {
 	st := store.New(1)
 	put(t, st, &store.Entity{ID: "d1", Text: "Offices in the U.S. and Holland opened."})
-	c := cluster.New(st, 1)
+	c := cluster.New(st)
 	if _, err := c.RunEntityMiner(NewGeoContext()); err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestKMeansEdgeCases(t *testing.T) {
 // --- integration: all corpus miners run via the cluster pipeline ---
 
 func TestCorpusMinersRunInPipeline(t *testing.T) {
-	st := store.New(4)
+	st := store.New(2)
 	for i := 0; i < 12; i++ {
 		put(t, st, &store.Entity{
 			ID:   fmt.Sprintf("d%02d", i),
@@ -462,7 +462,7 @@ func TestCorpusMinersRunInPipeline(t *testing.T) {
 			Text: fmt.Sprintf("Document %d talks about Texas oil production near the coast. Footer line.", i),
 		})
 	}
-	c := cluster.New(st, 2)
+	c := cluster.New(st)
 	agg := &AggregateStats{}
 	dd := &DuplicateDetector{}
 	td := &TemplateDetector{}

@@ -1,7 +1,5 @@
 package patterns
 
-import "strings"
-
 // defaultPatternSource is the embedded predicate pattern database in the
 // paper's textual notation. It covers the trans verbs (be, offer, take,
 // ...) whose polarity comes from a source phrase, and the self-polar
@@ -171,7 +169,7 @@ benefit PP(from) SP
 // defaultPatterns parses the embedded database; the source is a compile-
 // time constant, so parsing cannot fail after the package's own tests run.
 func defaultPatterns() []Pattern {
-	ps, err := Parse(strings.NewReader(defaultPatternSource))
+	ps, err := parse(defaultPatternSource)
 	if err != nil {
 		panic("patterns: embedded database invalid: " + err.Error())
 	}

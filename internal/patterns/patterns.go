@@ -24,11 +24,11 @@
 package patterns
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
 	"sync"
+	"unicode"
 
 	"webfountain/internal/chunk"
 	"webfountain/internal/lexicon"
@@ -106,7 +106,7 @@ func (p Pattern) render() string {
 			cat = "~" + cat
 		}
 	}
-	return fmt.Sprintf("%s %s %s", p.Predicate, cat, p.Target)
+	return p.Predicate + " " + cat + " " + p.Target.String()
 }
 
 // DB is a sentiment pattern database keyed by predicate lemma.
@@ -119,10 +119,9 @@ func NewDB() *DB { return &DB{byPredicate: make(map[string][]Pattern)} }
 
 // Default returns a database populated with the embedded patterns.
 func Default() *DB {
-	db := NewDB()
-	for _, p := range defaultPatterns() {
-		db.Add(p)
-	}
+	ps := defaultPatterns()
+	db := &DB{byPredicate: make(map[string][]Pattern, len(ps))}
+	db.addAll(ps)
 	return db
 }
 
@@ -135,10 +134,23 @@ func Shared() *DB { return shared() }
 
 // Add inserts a pattern. Multiple patterns per predicate are allowed; the
 // analyzer picks the best structural match.
-func (db *DB) Add(p Pattern) {
-	p.Predicate = strings.ToLower(p.Predicate)
-	p.str = p.render()
-	db.byPredicate[p.Predicate] = append(db.byPredicate[p.Predicate], p)
+func (db *DB) Add(p Pattern) { db.addAll([]Pattern{p}) }
+
+// addAll adds ps in order, taking ownership of the slice: a predicate's
+// first pattern is served from ps itself (capped, so a second pattern
+// for it copies instead of overwriting its neighbour), so a whole parse
+// costs no per-predicate allocation.
+func (db *DB) addAll(ps []Pattern) {
+	for i := range ps {
+		p := &ps[i]
+		p.Predicate = strings.ToLower(p.Predicate)
+		p.str = p.render()
+		if list, ok := db.byPredicate[p.Predicate]; ok {
+			db.byPredicate[p.Predicate] = append(list, *p)
+		} else {
+			db.byPredicate[p.Predicate] = ps[i : i+1 : i+1]
+		}
+	}
 }
 
 // Lookup returns all patterns for a predicate lemma.
@@ -173,12 +185,21 @@ func (db *DB) Patterns() int {
 //
 // Lines starting with # and blank lines are skipped.
 func Parse(r io.Reader) ([]Pattern, error) {
-	var out []Pattern
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+	src, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("pattern read: %w", err)
+	}
+	return parse(string(src))
+}
+
+// parse is Parse over text held in memory. The patterns' strings are
+// substrings of src, and the result is allocated once.
+func parse(src string) ([]Pattern, error) {
+	out := make([]Pattern, 0, strings.Count(src, "\n")+1)
+	for lineNo, rest := 1, src; rest != ""; lineNo++ {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -188,16 +209,24 @@ func Parse(r io.Reader) ([]Pattern, error) {
 		}
 		out = append(out, p)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("pattern read: %w", err)
-	}
 	return out, nil
 }
 
 func parseLine(line string) (Pattern, error) {
-	fields := strings.Fields(line)
-	if len(fields) != 3 {
-		return Pattern{}, fmt.Errorf("want 3 fields, got %d in %q", len(fields), line)
+	var fields [3]string
+	n := 0 // fields counted, the first three kept
+	for rest := strings.TrimLeftFunc(line, unicode.IsSpace); rest != ""; n++ {
+		end := strings.IndexFunc(rest, unicode.IsSpace)
+		if end < 0 {
+			end = len(rest)
+		}
+		if n < len(fields) {
+			fields[n] = rest[:end]
+		}
+		rest = strings.TrimLeftFunc(rest[end:], unicode.IsSpace)
+	}
+	if n != len(fields) {
+		return Pattern{}, fmt.Errorf("want 3 fields, got %d in %q", n, line)
 	}
 	p := Pattern{Predicate: strings.ToLower(fields[0])}
 

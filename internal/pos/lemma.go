@@ -88,6 +88,11 @@ func lemmaParts(lw string) (stem, suffix string) {
 	if base, ok := irregularLemmas[lw]; ok {
 		return base, ""
 	}
+	// Every rule strips an ending in s, d or g: any other word is its own
+	// lemma, without a try of each rule.
+	if lw == "" || lw[len(lw)-1] != 's' && lw[len(lw)-1] != 'd' && lw[len(lw)-1] != 'g' {
+		return lw, ""
+	}
 	switch {
 	case strings.HasSuffix(lw, "ies") && len(lw) > 4:
 		return lw[:len(lw)-3], "y"

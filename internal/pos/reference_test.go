@@ -8,6 +8,62 @@ import (
 	"webfountain/internal/tokenize"
 )
 
+// The word lists as the maps the reference probes.
+var (
+	refDeterminers        = wordSet(determiners)
+	refModals             = wordSet(modals)
+	refPossessivePronouns = wordSet(possessivePronouns)
+	refPronouns           = wordSet(pronouns)
+	refConjunctions       = wordSet(conjunctions)
+	refPrepositions       = wordSet(prepositions)
+	refBeForms            = tagMap(beForms)
+	refWhWords            = tagMap(whWords)
+	refIrregularVerbs     = tagMap(irregularVerbs)
+	refLexicon            = tagMap(lexicon)
+)
+
+func wordSet(words []string) map[string]bool {
+	m := make(map[string]bool, len(words))
+	for _, w := range words {
+		m[w] = true
+	}
+	return m
+}
+
+func tagMap(list []wordTag) map[string]Tag {
+	m := make(map[string]Tag, len(list))
+	for _, wt := range list {
+		m[wt.word] = wt.tag
+	}
+	return m
+}
+
+// TestWordListsHaveNoDuplicates holds the lists to what their map
+// literals guaranteed: a word appears at most once in each.
+func TestWordListsHaveNoDuplicates(t *testing.T) {
+	lists := map[string][]string{
+		"determiners": determiners, "modals": modals, "possessivePronouns": possessivePronouns,
+		"pronouns": pronouns, "conjunctions": conjunctions, "prepositions": prepositions,
+	}
+	for name, list := range map[string][]wordTag{
+		"beForms": beForms, "whWords": whWords, "irregularVerbs": irregularVerbs,
+		"lexicon": lexicon, "pluralAsVerb": pluralAsVerb,
+	} {
+		for _, wt := range list {
+			lists[name] = append(lists[name], wt.word)
+		}
+	}
+	for name, words := range lists {
+		seen := map[string]bool{}
+		for _, w := range words {
+			if seen[w] {
+				t.Errorf("%s holds %q twice", name, w)
+			}
+			seen[w] = true
+		}
+	}
+}
+
 // refLexical is Tagger.lexical as it was before the closed-class lists,
 // wh-words, irregular verbs and the lexicon were merged into one table:
 // up to ten case-folded probes of separate maps per token. It is the
@@ -23,7 +79,7 @@ func refLexical(tg *Tagger, tok tokenize.Token) Tag {
 	if foldEq(w, "'s") {
 		return POS
 	}
-	if t, ok := refFoldProbe(beForms, w); ok {
+	if t, ok := refFoldProbe(refBeForms, w); ok {
 		return t
 	}
 	if tg.Extra != nil {
@@ -36,26 +92,26 @@ func refLexical(tg *Tagger, tok tokenize.Token) Tag {
 		return TO
 	case foldEq(w, "there"):
 		return EX
-	case refProbe(determiners, w):
+	case refProbe(refDeterminers, w):
 		return DT
-	case refProbe(modals, w):
+	case refProbe(refModals, w):
 		return MD
-	case refProbe(possessivePronouns, w):
+	case refProbe(refPossessivePronouns, w):
 		return PRPS
-	case refProbe(pronouns, w):
+	case refProbe(refPronouns, w):
 		return PRP
-	case refProbe(conjunctions, w):
+	case refProbe(refConjunctions, w):
 		return CC
-	case refProbe(prepositions, w):
+	case refProbe(refPrepositions, w):
 		return IN
 	}
-	if t, ok := refFoldProbe(whWords, w); ok {
+	if t, ok := refFoldProbe(refWhWords, w); ok {
 		return t
 	}
-	if t, ok := refFoldProbe(irregularVerbs, w); ok {
+	if t, ok := refFoldProbe(refIrregularVerbs, w); ok {
 		return t
 	}
-	if t, ok := refFoldProbe(lexicon, w); ok {
+	if t, ok := refFoldProbe(refLexicon, w); ok {
 		return t
 	}
 	if tok.IsCapitalized() {
@@ -144,7 +200,7 @@ func refIsLinkingLike(ts []TaggedToken, j int) bool {
 	if j < 0 || j >= len(ts) {
 		return false
 	}
-	if _, ok := refFoldProbe(beForms, ts[j].Text); ok {
+	if _, ok := refFoldProbe(refBeForms, ts[j].Text); ok {
 		return true
 	}
 	switch refVerbLemma(strings.ToLower(ts[j].Text)) {
@@ -287,15 +343,16 @@ func TestTaggerMatchesReferenceOnVocabulary(t *testing.T) {
 		checkTaggerMatchesReference(t, s)
 	}
 	var words []string
-	for _, m := range []map[string]bool{determiners, modals, possessivePronouns, pronouns, conjunctions, prepositions} {
-		for w := range m {
-			words = append(words, w)
+	for _, list := range [][]string{determiners, modals, possessivePronouns, pronouns, conjunctions, prepositions} {
+		words = append(words, list...)
+	}
+	for _, list := range [][]wordTag{beForms, whWords, irregularVerbs, lexicon} {
+		for _, wt := range list {
+			words = append(words, wt.word)
 		}
 	}
-	for _, m := range []map[string]Tag{beForms, whWords, irregularVerbs, lexicon, taggerExtra} {
-		for w := range m {
-			words = append(words, w)
-		}
+	for w := range taggerExtra {
+		words = append(words, w)
 	}
 	for w := range irregularLemmas {
 		words = append(words, w)

@@ -113,52 +113,58 @@ type termInfo struct {
 // costs at most one probe. Lists are added in the order of their
 // precedence, and a word held by several keeps the tag of the first.
 // Every term interned before the table is built gets its lemma and
-// linking bit; a term interned later has no entry (infoOf).
+// linking bit; a term interned later has no entry (infoOf). The words
+// are interned first, so the table is allocated once at its final size.
 var termInfos = func() []termInfo {
-	var t []termInfo
-	at := func(w string) *termInfo {
-		id := tokenize.Intern(w)
-		for int(id) >= len(t) {
-			t = append(t, termInfo{})
-		}
-		return &t[id]
-	}
-	add := func(w string, tag Tag, be bool) {
-		if e := at(w); !e.known {
-			e.tag, e.known, e.be = tag, true, be
-		}
-	}
-	for w, tag := range beForms {
-		add(w, tag, true)
-	}
-	for _, set := range []struct {
-		words map[string]bool
+	closed := []struct {
+		words []string
 		tag   Tag
 	}{
 		{determiners, DT}, {modals, MD}, {possessivePronouns, PRPS},
 		{pronouns, PRP}, {conjunctions, CC}, {prepositions, IN},
-	} {
-		for w, in := range set.words {
-			if in {
-				add(w, set.tag, false)
-			}
+	}
+	tagged := [][]wordTag{whWords, irregularVerbs, lexicon}
+	for _, set := range closed {
+		for _, w := range set.words {
+			tokenize.Intern(w)
 		}
 	}
-	for _, tags := range []map[string]Tag{whWords, irregularVerbs, lexicon} {
-		for w, tag := range tags {
-			add(w, tag, false)
+	for _, list := range append(tagged, beForms, pluralAsVerb) {
+		for _, wt := range list {
+			tokenize.Intern(wt.word)
 		}
 	}
-	for w, tag := range pluralAsVerb {
-		at(w).plural = tag
+
+	t := make([]termInfo, tokenize.VocabSize())
+	add := func(w string, tag Tag, be bool) {
+		if e := &t[tokenize.Probe(w)]; !e.known {
+			e.tag, e.known, e.be = tag, true, be
+		}
 	}
-	for len(t) < tokenize.VocabSize() {
-		t = append(t, termInfo{})
+	for _, wt := range beForms {
+		add(wt.word, wt.tag, true)
+	}
+	for _, set := range closed {
+		for _, w := range set.words {
+			add(w, set.tag, false)
+		}
+	}
+	for _, list := range tagged {
+		for _, wt := range list {
+			add(wt.word, wt.tag, false)
+		}
+	}
+	for _, wt := range pluralAsVerb {
+		t[tokenize.Probe(wt.word)].plural = wt.tag
 	}
 	for id := range t {
 		if w := tokenize.TermWord(uint32(id)); w != "" {
-			t[id].linking = isLinkingVerb(w)
-			t[id].lemma = VerbLemma(w)
+			stem, suffix := lemmaParts(w)
+			t[id].linking = isLinkingLemma(stem, suffix)
+			t[id].lemma = stem
+			if suffix != "" {
+				t[id].lemma = stem + suffix
+			}
 		}
 	}
 	return t
@@ -401,10 +407,10 @@ func applyContextRules(ts []TaggedToken) {
 
 // pluralAsVerb lists -s forms that are far more often 3sg verbs than
 // plural nouns when they follow a subject.
-var pluralAsVerb = map[string]Tag{
-	"reports": VBZ, "claims": VBZ, "plans": VBZ, "notes": VBZ,
-	"states": VBZ, "estimates": VBZ, "costs": VBZ, "features": VBZ,
-	"supports": VBZ, "results": VBZ, "increases": VBZ, "decreases": VBZ,
+var pluralAsVerb = []wordTag{
+	{"reports", VBZ}, {"claims", VBZ}, {"plans", VBZ}, {"notes", VBZ},
+	{"states", VBZ}, {"estimates", VBZ}, {"costs", VBZ}, {"features", VBZ},
+	{"supports", VBZ}, {"results", VBZ}, {"increases", VBZ}, {"decreases", VBZ},
 }
 
 // dtChainBefore reports whether positions before i form an unbroken
@@ -452,11 +458,15 @@ var linkingVerbs = []string{
 }
 
 // isLinkingVerb reports whether VerbLemma(w) is one of linkingVerbs
-// without building the lemma: it is compared in the two parts
-// lemmaParts returns, and the lower-cased word lives on the stack.
+// without building the lemma: the lower-cased word lives on the stack.
 func isLinkingVerb(w string) bool {
 	var buf [32]byte
-	stem, suffix := lemmaParts(string(tokenize.Fold(buf[:0], w)))
+	return isLinkingLemma(lemmaParts(string(tokenize.Fold(buf[:0], w))))
+}
+
+// isLinkingLemma reports whether the lemma stem+suffix (lemmaParts) is
+// one of linkingVerbs, compared in its two parts.
+func isLinkingLemma(stem, suffix string) bool {
 	for _, v := range linkingVerbs {
 		if len(v) == len(stem)+len(suffix) && v[:len(stem)] == stem && v[len(stem):] == suffix {
 			return true

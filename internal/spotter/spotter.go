@@ -63,19 +63,19 @@ type Spotter struct {
 // duplicate terms across sets match for every set that registered them.
 func New(sets []SynonymSet) *Spotter {
 	sp := &Spotter{sets: make(map[string]SynonymSet, len(sets))}
-	b := match.NewBuilder()
+	var phrases []string
 	for _, set := range sets {
 		sp.sets[set.ID] = set
 		for _, term := range set.Terms {
-			words := termWords(term)
-			if len(words) == 0 {
+			phrase := strings.Join(termWords(term), " ")
+			if phrase == "" {
 				continue
 			}
-			b.Add(words)
-			sp.outs = append(sp.outs, output{setID: set.ID, term: strings.Join(words, " ")})
+			phrases = append(phrases, phrase)
+			sp.outs = append(sp.outs, output{setID: set.ID, term: phrase})
 		}
 	}
-	sp.m = b.Compile()
+	sp.m = match.Compile(phrases)
 	return sp
 }
 

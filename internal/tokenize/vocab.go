@@ -37,8 +37,11 @@ var (
 	// integers, so neither a hit nor a miss reads the word itself unless
 	// it is longer than 16 bytes. With a string-keyed map in its place,
 	// probing was 12 % of the bulk analysis profile; with the table, 7 %.
-	vocabSlots = make([]vocabSlot, 1024)
-	slotShift  = 64 - 10
+	// It starts at the size the ~1 600 interned words need, so
+	// initialization neither rehashes nor leaves smaller tables behind;
+	// Intern still doubles it past 2 048 words.
+	vocabSlots = make([]vocabSlot, 4096)
+	slotShift  = 64 - 12
 )
 
 type vocabSlot struct {

@@ -33,6 +33,8 @@ var (
 	servingFoldedDocs   = metrics.Default().Counter("serving.recovery.folded.docs")
 	servingRepairedDocs = metrics.Default().Counter("serving.recovery.repaired.docs")
 	servingRecoverNs    = metrics.Default().Histogram("serving.recover.ns")
+	platformOpenNs      = metrics.Default().Histogram("platform.open.ns")
+	minerNewNs          = metrics.Default().Histogram("miner.new.ns")
 	servingGeneration   = metrics.Default().Gauge("serving.generation")
 	servingSubjects     = metrics.Default().Gauge("serving.subjects")
 	servingEntries      = metrics.Default().Gauge("serving.entries")
@@ -118,8 +120,13 @@ func newServingTier(p *Platform, m *SentimentMiner) *ServingTier {
 // ingest, as one batch, so seed documents are mined and annotated by the
 // same step as live ones; seed is called only then, and may be nil. On
 // error nothing is left open.
+//
+// Each boot records its phases in the default metrics registry:
+// platform.open.ns (store open and WAL replay), miner.new.ns (the
+// miner's lexicon, pattern database and tagger) and serving.recover.ns.
 func OpenServing(cfg PlatformConfig, seed func() ([]ServingDoc, error)) (*Platform, *ServingTier, ServingRecovery, error) {
 	var p *Platform
+	span := platformOpenNs.Start()
 	if cfg.DataDir == "" {
 		p = NewPlatform(cfg)
 	} else {
@@ -128,14 +135,17 @@ func OpenServing(cfg PlatformConfig, seed func() ([]ServingDoc, error)) (*Platfo
 			return nil, nil, ServingRecovery{}, err
 		}
 	}
+	span.End()
 	fail := func(err error) (*Platform, *ServingTier, ServingRecovery, error) {
 		p.Close()
 		return nil, nil, ServingRecovery{}, err
 	}
+	span = minerNewNs.Start()
 	m, err := NewSentimentMiner(MinerConfig{})
 	if err != nil {
 		return fail(err)
 	}
+	span.End()
 	t, rec, err := RecoverServingTier(p, m, ServingTierConfig{})
 	if err != nil {
 		return fail(err)

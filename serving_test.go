@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"webfountain/internal/corpus"
+	"webfountain/internal/metrics"
 	"webfountain/internal/serve"
 )
 
@@ -304,5 +305,31 @@ func TestServingEntriesMatchTheirGeneration(t *testing.T) {
 	if torn.Load() > 0 {
 		t.Errorf("%d of %d reads at one generation listed a different number of %q entries than that generation counts",
 			torn.Load(), reads.Load(), subject)
+	}
+}
+
+// TestOpenServingRecordsBootPhases: a boot records one sample of each
+// phase it decomposes into — opening the store and replaying its WAL,
+// building the miner, recovering the tier — so wfserver's boot line can
+// read them back.
+func TestOpenServingRecordsBootPhases(t *testing.T) {
+	phases := []string{"platform.open.ns", "miner.new.ns", "serving.recover.ns"}
+	before := make([]metrics.HistogramSnapshot, len(phases))
+	for i, name := range phases {
+		before[i] = metrics.Default().Histogram(name).Snapshot()
+	}
+	p, _, _, err := OpenServing(PlatformConfig{DataDir: t.TempDir()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i, name := range phases {
+		after := metrics.Default().Histogram(name).Snapshot()
+		if n := after.Count - before[i].Count; n != 1 {
+			t.Errorf("%s: %d samples from one boot, want 1", name, n)
+		}
+		if after.Sum <= before[i].Sum {
+			t.Errorf("%s: boot recorded no time (sum %d → %d)", name, before[i].Sum, after.Sum)
+		}
 	}
 }

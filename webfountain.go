@@ -228,7 +228,7 @@ func platformOver(st *store.Store, cfg PlatformConfig) *Platform {
 	}
 	p := &Platform{
 		store:       st,
-		cluster:     cluster.New(st, 0),
+		cluster:     cluster.New(st),
 		workers:     workers,
 		indexShards: shards,
 	}
