@@ -2,21 +2,19 @@ package webfountain
 
 // The composed-chaos invariant harness: a seeded faults.Schedule drives
 // the injector through storms of network and disk faults while a full
-// ingest→mine workload runs on top, and the test asserts the four
-// overload-resilience invariants:
+// ingest→mine workload runs on top, and the test asserts three
+// invariants:
 //
 //  1. no acknowledged write is ever lost (in memory and through durable
 //     crash recovery);
 //  2. no call outlives its deadline budget by more than one grace
 //     window;
-//  3. the shed counters the servers export are consistent with what
-//     clients observed;
-//  4. the mined result set is byte-deterministic per seed — two runs of
+//  3. the mined result set is byte-deterministic per seed — two runs of
 //     the same seeded storm produce identical annotations.
 //
 // The schedule's archetypes deliberately exclude permanent faults, so a
-// retrying workload always converges: that is what makes invariants 1
-// and 4 checkable at all. Each invariant runs as its own sequential
+// workload that resends until acknowledged always converges: that is
+// what makes invariants 1 and 3 checkable at all. Each invariant runs as its own sequential
 // test so metric deltas stay attributable to the scenario that caused
 // them.
 
@@ -27,22 +25,19 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"webfountain/internal/cluster"
 	"webfountain/internal/corpus"
 	"webfountain/internal/faults"
-	"webfountain/internal/metrics"
 	"webfountain/internal/services"
 	"webfountain/internal/store"
 	"webfountain/internal/vinci"
 )
 
-// chaosGrace is the slack a call may run past its deadline budget: one
-// attempt timeout plus scheduler noise, far below a hung retry loop.
+// chaosGrace is the slack a call may run past its deadline budget:
+// scheduler noise and an injected delay, far below a hung call.
 const chaosGrace = 300 * time.Millisecond
 
 // chaosSeeds are the fixed storms the harness replays; a failure report
@@ -169,7 +164,7 @@ func runChaosScenario(t *testing.T, seed int64) string {
 		}
 	}
 
-	// Invariant 4's digest: entity IDs in sorted order, each with its
+	// Invariant 3's digest: entity IDs in sorted order, each with its
 	// mined annotations in deployment order (a pure function of the
 	// text, so two runs of any seed must agree byte for byte).
 	h := sha256.New()
@@ -207,7 +202,8 @@ func TestChaosIngestMineDeterministicPerSeed(t *testing.T) {
 
 // TestChaosCallsNeverOutliveDeadline: under a storm of drops, delays
 // and corruptions, a budgeted call may fail but must always return
-// within its budget plus one grace window.
+// within its budget plus one grace window, and a call that succeeds
+// returns its own answer.
 func TestChaosCallsNeverOutliveDeadline(t *testing.T) {
 	reg := vinci.NewRegistry()
 	reg.Register("chaos-echo", func(req vinci.Request) vinci.Response {
@@ -229,10 +225,8 @@ func TestChaosCallsNeverOutliveDeadline(t *testing.T) {
 
 	const budget = 120 * time.Millisecond
 	c, err := vinci.DialWith(ln.Addr().String(), vinci.DialOptions{
-		CallTimeout:    budget,
-		AttemptTimeout: 40 * time.Millisecond,
-		Retry:          vinci.RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Seed: 9},
-		Dialer:         in.Dialer(),
+		CallTimeout: budget,
+		Dialer:      in.Dialer(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,94 +235,23 @@ func TestChaosCallsNeverOutliveDeadline(t *testing.T) {
 
 	successes := 0
 	for i := 0; i < 30; i++ {
+		op := fmt.Sprintf("op%d", i)
 		start := time.Now()
-		_, err := c.Call(vinci.Request{Service: "chaos-echo", Op: fmt.Sprintf("op%d", i)})
+		resp, err := c.Call(vinci.Request{Service: "chaos-echo", Op: op})
 		if elapsed := time.Since(start); elapsed > budget+chaosGrace {
 			t.Errorf("call %d outlived its deadline: %v against %v budget + %v grace (err=%v)",
 				i, elapsed, budget, chaosGrace, err)
 		}
 		if err == nil {
+			if !resp.OK || resp.Fields["op"] != op {
+				t.Errorf("call %d answered %+v, want op %s", i, resp, op)
+			}
 			successes++
 		}
 	}
+	t.Logf("%d of 30 calls answered; injected %v", successes, in.Stats())
 	if successes == 0 {
 		t.Error("every call failed under survivable chaos rates")
-	}
-}
-
-// TestChaosShedCountersConsistent: a burst far over server capacity is
-// shed, and the server's shed counters account exactly for the
-// overload errors the clients observed.
-func TestChaosShedCountersConsistent(t *testing.T) {
-	reg := vinci.NewRegistry()
-	reg.Register("chaos-slow", func(req vinci.Request) vinci.Response {
-		time.Sleep(20 * time.Millisecond)
-		return vinci.OKResponse(nil)
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := vinci.NewServerWith(reg, vinci.ServerOptions{Admission: vinci.AdmissionConfig{
-		Capacity: 1, Depth: 1, MaxWait: 200 * time.Millisecond,
-	}})
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(ln) }()
-	defer func() { srv.Close(); <-done }()
-
-	mr := metrics.Default()
-	shedBefore := mr.Counter("vinci.server.shed.overload").Value() + mr.Counter("vinci.server.shed.budget").Value()
-	expiredBefore := mr.Counter("vinci.server.shed.expired").Value()
-
-	const callers = 16
-	var (
-		wg         sync.WaitGroup
-		served     atomic.Int64
-		overloaded atomic.Int64
-	)
-	start := make(chan struct{})
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := vinci.DialWith(ln.Addr().String(), vinci.DialOptions{
-				CallTimeout: 2 * time.Second,
-				Retry:       vinci.RetryPolicy{MaxAttempts: 1},
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			<-start
-			_, err = c.Call(vinci.Request{Service: "chaos-slow", Op: "work"})
-			switch {
-			case err == nil:
-				served.Add(1)
-			case vinci.IsOverloaded(err):
-				overloaded.Add(1)
-			default:
-				t.Errorf("unexpected error class under overload: %v", err)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-
-	shedDelta := mr.Counter("vinci.server.shed.overload").Value() + mr.Counter("vinci.server.shed.budget").Value() - shedBefore
-	if overloaded.Load() == 0 {
-		t.Fatalf("no calls shed at %dx concurrency over capacity 1", callers)
-	}
-	if served.Load() == 0 {
-		t.Fatal("shedding must protect some capacity, not reject everything")
-	}
-	// Retries are off, so each shed response is observed by exactly one
-	// caller: the server's count and the clients' must agree.
-	if shedDelta != overloaded.Load() {
-		t.Errorf("server shed %d requests, clients observed %d overload errors", shedDelta, overloaded.Load())
-	}
-	if d := mr.Counter("vinci.server.shed.expired").Value() - expiredBefore; d != 0 {
-		t.Errorf("%d requests expired in queue; the burst's budgets were ample", d)
 	}
 }
 

@@ -37,8 +37,8 @@
 //	wfnode -connect host:9410 -metrics
 //
 // Every client run first probes the node's health service before
-// issuing operations; transport failures are retried with exponential
-// backoff (tunable via -retries, -backoff, -call-timeout).
+// issuing operations. Each call is one attempt within -call-timeout; a
+// transport failure is reported, not retried.
 package main
 
 import (
@@ -69,8 +69,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "corpus seed")
 	dataDir := flag.String("data-dir", "", "serve mode: durable data directory (empty: in-memory)")
 	syncEvery := flag.Int("sync-every", 1, "serve mode: sync the write-ahead log every N records")
-	admissionDepth := flag.Int("admission-depth", 0, "serve mode: bounded admission queue depth (0: admission control off)")
-	shedPolicy := flag.String("shed-policy", "lifo", "serve mode: admission queue order, lifo or fifo")
 	metricsAddr := flag.String("metrics-addr", "", "serve mode: HTTP address for /metrics, /metrics.json and /healthz (empty: disabled)")
 	pprofAddr := flag.String("pprof-addr", "", "serve mode: HTTP address for net/http/pprof profiling (empty: disabled)")
 	get := flag.String("get", "", "client: fetch an entity by ID")
@@ -78,32 +76,16 @@ func main() {
 	sentimentQ := flag.String("sentiment", "", "client: query a subject's sentiment")
 	ping := flag.Bool("ping", false, "client: print the node's health status")
 	showMetrics := flag.Bool("metrics", false, "client: dump the node's metrics registry")
-	retries := flag.Int("retries", 4, "client: attempts per call on transport failure")
-	backoff := flag.Duration("backoff", 25*time.Millisecond, "client: base retry backoff (doubles per retry)")
-	callTimeout := flag.Duration("call-timeout", 10*time.Second, "client: total per-call deadline budget, stamped on the wire")
-	hedge := flag.Bool("hedge", false, "client: hedge idempotent reads on a second connection after the method's p95")
+	callTimeout := flag.Duration("call-timeout", 10*time.Second, "client: per-call deadline budget, stamped on the wire")
 	flag.Parse()
 
 	switch {
 	case *listen != "":
-		adm := vinci.AdmissionConfig{Depth: *admissionDepth, Policy: *shedPolicy}
-		if *admissionDepth <= 0 {
-			adm = vinci.AdmissionConfig{} // zero value: admission off
-		}
-		if err := serve(*listen, *corpusName, *docs, *seed, *dataDir, *syncEvery, *metricsAddr, *pprofAddr, adm); err != nil {
+		if err := serve(*listen, *corpusName, *docs, *seed, *dataDir, *syncEvery, *metricsAddr, *pprofAddr); err != nil {
 			log.Fatal(err)
 		}
 	case *connect != "":
-		opts := vinci.DialOptions{
-			CallTimeout: *callTimeout,
-			Retry: vinci.RetryPolicy{
-				MaxAttempts: *retries,
-				BaseBackoff: *backoff,
-				MaxBackoff:  20 * *backoff,
-				Jitter:      0.2,
-			},
-		}
-		if err := client(*connect, opts, *hedge, *ping, *showMetrics, *get, *search, *sentimentQ); err != nil {
+		if err := client(*connect, *callTimeout, *ping, *showMetrics, *get, *search, *sentimentQ); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -115,7 +97,7 @@ func main() {
 
 // serve boots the node (boot) and serves its Vinci services (registry)
 // until the listener closes or a shutdown signal arrives.
-func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEvery int, metricsAddr, pprofAddr string, adm vinci.AdmissionConfig) error {
+func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEvery int, metricsAddr, pprofAddr string) error {
 	platform, tier, err := boot(corpusName, docs, seed, dataDir, syncEvery)
 	if err != nil {
 		return err
@@ -163,10 +145,7 @@ func serve(addr, corpusName string, docs int, seed int64, dataDir string, syncEv
 	// accepting, finish in-flight exchanges), then close the platform,
 	// flushing the store's write-ahead log so every acknowledged write
 	// survives the restart.
-	srv := vinci.NewServerWith(reg, vinci.ServerOptions{Admission: adm})
-	if adm.Depth > 0 {
-		log.Printf("admission control on: queue depth %d, %s shedding", adm.Depth, adm.Policy)
-	}
+	srv := vinci.NewServer(reg)
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -242,21 +221,10 @@ func registry(node string, platform *webfountain.Platform, tier *webfountain.Ser
 // client performs one-shot operations against a running node. The
 // node's health service is probed before any operation runs, so a dead
 // or half-up node is reported up front instead of failing mid-request.
-func client(addr string, opts vinci.DialOptions, hedge, ping, showMetrics bool, get, search, sentimentQ string) error {
-	raw, err := vinci.DialWith(addr, opts)
+func client(addr string, callTimeout time.Duration, ping, showMetrics bool, get, search, sentimentQ string) error {
+	raw, err := vinci.Dial(addr, callTimeout)
 	if err != nil {
 		return err
-	}
-	if hedge {
-		// Hedged reads need an independent second transport: a hedge
-		// queued behind the stuck call on the same connection would never
-		// outrun it. Only services registered idempotent are hedged.
-		second, err := vinci.DialWith(addr, opts)
-		if err != nil {
-			raw.Close()
-			return err
-		}
-		raw = vinci.NewHedged(raw, second, vinci.HedgeOptions{IsIdempotent: services.Idempotent})
 	}
 	defer raw.Close()
 	// One trace ID per invocation: every call this run makes carries it,

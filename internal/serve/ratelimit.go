@@ -54,10 +54,8 @@ type bucket struct {
 
 // Limiter applies per-tenant token-bucket rate limiting: each tenant
 // (the x-tenant header; "" is the default tenant) draws from its own
-// bucket, so one chatty dashboard cannot starve the rest. It layers on
-// the node-level admission control: admission bounds total concurrent
-// work, the limiter apportions the admitted rate across tenants. Safe
-// for concurrent use.
+// bucket, so one chatty dashboard cannot starve the rest. Safe for
+// concurrent use.
 type Limiter struct {
 	mu      sync.Mutex
 	cfg     LimiterConfig

@@ -12,8 +12,7 @@
 //     re-scans the corpus.
 //   - Cache: a bounded LRU over rendered responses, invalidated on
 //     ingest through the aggregate generation number.
-//   - Limiter: per-tenant token-bucket rate limiting, layered in front
-//     of the node-level admission control.
+//   - Limiter: per-tenant token-bucket rate limiting.
 //   - Gateway: the HTTP/JSON query API over a Backend.
 //
 // Everything is stdlib-only and safe for concurrent use.

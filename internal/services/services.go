@@ -24,15 +24,6 @@ const (
 	SentimentService = "sentiment"
 )
 
-// Idempotent reports whether a service is safe to hedge: its ops are
-// read-only, so a duplicated call changes nothing. The store service is
-// excluded because put/delete mutate. Client-side hedging gates on this
-// (vinci.HedgeOptions.IsIdempotent); the server-side registration
-// mirrors it via RegisterIdempotent.
-func Idempotent(service string) bool {
-	return service == IndexService || service == SentimentService
-}
-
 // --- store service ---
 
 // Store is what the store service serves. *store.Store is one; a
@@ -160,12 +151,11 @@ func (sc StoreClient) Count() (int, error) {
 // phrase over space-separated terms), docfreq and numdocs. Every call
 // reads the index that ix returns, so a platform's lazily built index
 // (webfountain.Platform.InvertedIndex) is built by the first call, as by
-// its first search. The service is read-only and registered idempotent,
-// so clients may hedge it; a search carrying a deadline budget is
-// evaluated under that deadline and shed with a deadline-exceeded
-// response when it cannot finish in time.
+// its first search. A search carrying a deadline budget is evaluated
+// under that deadline and shed with a deadline-exceeded response when
+// it cannot finish in time.
 func RegisterIndex(reg *vinci.Registry, ix func() *index.Index) {
-	reg.RegisterIdempotent(IndexService, func(req vinci.Request) vinci.Response {
+	reg.Register(IndexService, func(req vinci.Request) vinci.Response {
 		switch req.Op {
 		case "search":
 			terms := strings.Fields(req.Param("terms"))
@@ -247,10 +237,9 @@ func (ic IndexClient) DocFreq(term string) (int, error) {
 // RegisterSentiment exposes the sentiment served from src's current
 // View: ops query (the subject's entries, as JSON inside one response
 // field — the JSON of /api/sentiment) and counts. Each call reads one
-// View. Both ops are pure reads, so the service is registered
-// idempotent and safe to hedge.
+// View.
 func RegisterSentiment(reg *vinci.Registry, src interface{ View() *serve.View }) {
-	reg.RegisterIdempotent(SentimentService, func(req vinci.Request) vinci.Response {
+	reg.Register(SentimentService, func(req vinci.Request) vinci.Response {
 		subject := req.Param("subject")
 		if subject == "" {
 			return vinci.Errorf("sentiment: missing subject")

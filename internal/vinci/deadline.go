@@ -2,6 +2,7 @@ package vinci
 
 import (
 	"errors"
+	"strconv"
 	"time"
 
 	"webfountain/internal/deadline"
@@ -9,49 +10,25 @@ import (
 
 // DeadlineParam is the reserved request parameter that carries a
 // request's remaining deadline budget, in integer milliseconds, across
-// Vinci hops. The client stamps it from its per-call budget and
-// decrements it by the time already spent before each (re)transmission,
-// so a handler that fans out to further services forwards only the
-// budget that is genuinely left — the paper's 500-node cluster cannot
-// afford a request queueing somewhere long after its caller gave up.
+// Vinci hops. The client stamps it from its per-call budget minus the
+// time already spent, so a handler that fans out to further services
+// forwards only the budget that is genuinely left.
 const DeadlineParam = deadline.Param
 
 // ErrDeadlineExceeded reports that a request's deadline budget was
-// already spent — on the client before (re)sending, or on the server
-// before dispatch. It is never retried: the caller has already given up,
-// so re-executing the work can only add load.
+// spent — on the client before sending or while waiting for the
+// answer, or on the server before dispatch.
 var ErrDeadlineExceeded = errors.New("vinci: deadline exceeded")
 
-// ErrOverloaded reports that the server shed the request before doing
-// any work — its admission queue was full or the request's remaining
-// budget was below the observed service time. Shedding is retryable:
-// another replica, or the same one after backoff, may have capacity.
-var ErrOverloaded = errors.New("vinci: overloaded")
-
-// Response codes distinguish machine-actionable failures from free-text
-// handler errors. They travel on the wire as the response's code
-// attribute; the client retry loop keys off them (shed → retry with
-// backoff, expired → fail immediately).
-const (
-	// CodeOverloaded marks a shed request (retryable).
-	CodeOverloaded = "overloaded"
-	// CodeDeadlineExceeded marks an expired request (never retryable).
-	CodeDeadlineExceeded = "deadline-exceeded"
-)
-
-// OverloadedResponse builds the shed response.
-func OverloadedResponse(reason string) Response {
-	return Response{OK: false, Code: CodeOverloaded, Error: "vinci: overloaded: " + reason}
-}
+// CodeDeadlineExceeded marks an expired request. It travels on the wire
+// as the response's code attribute, so the client can tell a spent
+// budget from a free-text handler error.
+const CodeDeadlineExceeded = "deadline-exceeded"
 
 // DeadlineExceededResponse builds the expired-request response.
 func DeadlineExceededResponse(reason string) Response {
 	return Response{OK: false, Code: CodeDeadlineExceeded, Error: "vinci: deadline exceeded: " + reason}
 }
-
-// IsOverloaded reports whether err (or the response it was built from)
-// marks a shed request.
-func IsOverloaded(err error) bool { return errors.Is(err, ErrOverloaded) }
 
 // IsDeadlineExceeded reports whether err marks a spent deadline budget.
 func IsDeadlineExceeded(err error) bool { return errors.Is(err, ErrDeadlineExceeded) }
@@ -63,32 +40,14 @@ func formatMS(d time.Duration) string {
 	if d <= 0 {
 		return "0"
 	}
-	ms := (d + time.Millisecond - 1) / time.Millisecond
-	return itoa(int64(ms))
-}
-
-// itoa is a minimal non-negative int64 formatter (avoids strconv in the
-// per-call hot path's import set; the conversion itself is trivial).
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return strconv.FormatInt(int64((d+time.Millisecond-1)/time.Millisecond), 10)
 }
 
 // WithDeadlineBudget returns req with the remaining budget stamped into
 // DeadlineParam (non-positive budgets stamp "0": already expired). The
-// params map is cloned, never mutated in place: hedged calls hand the
-// same Request to concurrent attempts, and each attempt re-stamps its
-// own remaining budget — a shared map here would be a concurrent map
-// write under the race the stamps create.
+// params map is cloned, never mutated in place: the map belongs to the
+// caller, who may reuse the request or forward it with a budget of its
+// own, and must not find x-deadline-ms left behind in it.
 func WithDeadlineBudget(req Request, budget time.Duration) Request {
 	params := make(map[string]string, len(req.Params)+1)
 	for k, v := range req.Params {
@@ -132,11 +91,4 @@ func (r Request) Remaining() (time.Duration, bool) {
 		d = 0
 	}
 	return d, true
-}
-
-// withAbsoluteDeadline returns req carrying the absolute deadline
-// (dispatch-side; not serialized).
-func (r Request) withAbsoluteDeadline(t time.Time) Request {
-	r.deadline = t
-	return r
 }

@@ -1,7 +1,6 @@
 package vinci
 
 import (
-	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -59,6 +58,32 @@ func TestWithDeadlineBudgetRoundTrip(t *testing.T) {
 	if got := req.Params[DeadlineParam]; got != "0" {
 		t.Errorf("negative budget stamped %q, want 0", got)
 	}
+
+	// The caller's params map never gains the stamp: not from
+	// WithDeadlineBudget, and not from a bounded call that stamps it on
+	// the wire.
+	params := map[string]string{"k": "v"}
+	req = WithDeadlineBudget(Request{Service: "echo", Params: params}, time.Second)
+	if req.Params[DeadlineParam] != "1000" {
+		t.Errorf("stamped copy = %v", req.Params)
+	}
+	if _, ok := params[DeadlineParam]; ok || len(params) != 1 {
+		t.Errorf("WithDeadlineBudget wrote into the caller's map: %v", params)
+	}
+	addr, shutdown := startServer(t)
+	defer shutdown()
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resp, err := c.Call(Request{Service: "echo", Op: "x", Params: params})
+	if err != nil || resp.Fields[DeadlineParam] == "" {
+		t.Fatalf("bounded call: %+v, %v (want the stamp on the wire)", resp, err)
+	}
+	if _, ok := params[DeadlineParam]; ok || len(params) != 1 {
+		t.Errorf("a bounded Call wrote into the caller's map: %v", params)
+	}
 }
 
 // TestDispatchRejectsExpiredBudget: a request arriving with no budget
@@ -113,94 +138,16 @@ func TestDispatchExposesDeadlineToHandler(t *testing.T) {
 	}
 }
 
-// TestDispatchHonorsArrivalDeadline: a deadline stamped at arrival
-// (Server.dispatch does this before admission queueing) survives
-// Dispatch unchanged — the wire budget must not be granted back after a
-// queue wait.
-func TestDispatchHonorsArrivalDeadline(t *testing.T) {
-	reg := NewRegistry()
-	var got time.Time
-	reg.Register("scan", func(req Request) Response {
-		got, _ = req.Deadline()
-		return OKResponse(nil)
-	})
-	stamped := time.Now().Add(80 * time.Millisecond)
-	req := Request{Service: "scan", Op: "x",
-		Params: map[string]string{DeadlineParam: "60000"}}.withAbsoluteDeadline(stamped)
-	if resp := reg.Dispatch(req); !resp.OK {
-		t.Fatalf("dispatch failed: %+v", resp)
-	}
-	if !got.Equal(stamped) {
-		t.Errorf("handler saw deadline %v, want the arrival stamp %v (wire budget re-granted)", got, stamped)
-	}
-	// An arrival deadline already in the past is rejected before the
-	// handler runs, even though the wire budget still reads generous.
-	var ran atomic.Int32
-	reg.Register("late", func(req Request) Response {
-		ran.Add(1)
-		return OKResponse(nil)
-	})
-	late := Request{Service: "late", Op: "x",
-		Params: map[string]string{DeadlineParam: "60000"}}.withAbsoluteDeadline(time.Now().Add(-time.Millisecond))
-	if resp := reg.Dispatch(late); resp.OK || resp.Code != CodeDeadlineExceeded {
-		t.Errorf("resp = %+v, want CodeDeadlineExceeded", resp)
-	}
-	if ran.Load() != 0 {
-		t.Error("handler ran for a request whose arrival deadline had passed")
-	}
-}
-
-// TestQueueWaitDeductsBudget: time spent waiting in the admission queue
-// comes out of the handler's budget — the deadline is fixed at arrival,
-// not recomputed from the wire value at dispatch.
-func TestQueueWaitDeductsBudget(t *testing.T) {
-	reg := NewRegistry()
-	occupying := make(chan struct{})
-	release := make(chan struct{})
-	var rem time.Duration
-	reg.Register("svc", func(req Request) Response {
-		if req.Param("who") == "occupier" {
-			close(occupying)
-			<-release
-			return OKResponse(nil)
-		}
-		rem, _ = req.Remaining()
-		return OKResponse(nil)
-	})
-	s := NewServerWith(reg, ServerOptions{Admission: AdmissionConfig{Capacity: 1, Depth: 4}})
-	occDone := make(chan struct{})
-	go func() {
-		defer close(occDone)
-		s.dispatch(Request{Service: "svc", Op: "x", Params: map[string]string{"who": "occupier"}})
-	}()
-	<-occupying
-	queuedDone := make(chan Response, 1)
-	go func() {
-		queuedDone <- s.dispatch(Request{Service: "svc", Op: "x",
-			Params: map[string]string{DeadlineParam: "60000"}})
-	}()
-	waitQueueDepth(t, s.adm, 1)
-	time.Sleep(100 * time.Millisecond) // measurable queue wait
-	close(release)
-	if resp := <-queuedDone; !resp.OK {
-		t.Fatalf("queued request failed: %+v", resp)
-	}
-	<-occDone
-	if rem > 60*time.Second-80*time.Millisecond {
-		t.Errorf("handler saw %v remaining of a 60s budget after ~100ms in queue — queue wait not deducted", rem)
-	}
-}
-
 // TestUnboundedCallClearsInheritedDeadline: a budget-less call on a kept
 // connection must not inherit the conn deadline a prior budget-carrying
-// call set (with CallTimeout=0 and a single-attempt policy the stale,
-// by-then-past deadline would fail the call outright).
+// call set (with CallTimeout=0 the stale, by-then-past deadline would
+// fail the call outright).
 func TestUnboundedCallClearsInheritedDeadline(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register("echo", func(req Request) Response { return OKResponse(nil) })
 	addr, shutdown := startServerWith(t, reg)
 	defer shutdown()
-	c, err := DialWith(addr, DialOptions{}) // no CallTimeout, single attempt
+	c, err := DialWith(addr, DialOptions{}) // no CallTimeout
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,103 +164,30 @@ func TestUnboundedCallClearsInheritedDeadline(t *testing.T) {
 	}
 }
 
-// TestRetriesStopAtTotalDeadline is the regression test for the PR-4-era
-// bug where each retry reset the connection deadline, letting a call
-// with CallTimeout=T and N attempts run for nearly N*T plus backoffs.
-// With a dialer that always fails and far more backoff budget than call
-// budget, the call must return once the total budget is spent — not
-// after all attempts.
-func TestRetriesStopAtTotalDeadline(t *testing.T) {
-	var dials atomic.Int32
-	c, err := DialWith("unused:0", DialOptions{
-		CallTimeout: 120 * time.Millisecond,
-		Retry: RetryPolicy{
-			MaxAttempts: 50,
-			BaseBackoff: 30 * time.Millisecond,
-			MaxBackoff:  30 * time.Millisecond,
-			Seed:        1,
-		},
-		Dialer: func(addr string) (net.Conn, error) {
-			if dials.Add(1) == 1 {
-				// First (eager) dial succeeds so DialWith returns a client;
-				// it is torn down by the failing exchange below.
-				a, b := net.Pipe()
-				go func() {
-					var buf [1]byte
-					b.Read(buf[:])
-					b.Close()
-				}()
-				return a, nil
-			}
-			return nil, errors.New("injected dial failure")
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	start := time.Now()
-	_, err = c.Call(Request{Service: "echo", Op: "x"})
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("expected failure")
-	}
-	if !IsDeadlineExceeded(err) {
-		t.Errorf("err = %v, want deadline exceeded", err)
-	}
-	// 50 attempts x 30ms backoff would be 1.5s; the budget is 120ms.
-	if elapsed > 600*time.Millisecond {
-		t.Errorf("call ran %v after its 120ms budget — retries are not honoring the total deadline", elapsed)
-	}
-	if d := dials.Load(); d >= 50 {
-		t.Errorf("dials = %d, want far fewer than MaxAttempts", d)
-	}
-}
-
-// TestShedVsExpiredRetryClassification: CodeOverloaded responses are
-// retried (the next attempt may find capacity), CodeDeadlineExceeded
-// responses are terminal.
+// TestShedVsExpiredRetryClassification: a CodeDeadlineExceeded
+// response takes exactly one round trip and reaches the caller as
+// ErrDeadlineExceeded.
 func TestShedVsExpiredRetryClassification(t *testing.T) {
 	reg := NewRegistry()
-	var calls atomic.Int32
-	reg.Register("flaky", func(req Request) Response {
-		if calls.Add(1) <= 2 {
-			return OverloadedResponse("busy")
-		}
-		return OKResponse(map[string]string{"n": "3"})
-	})
-	addr, shutdown := startServerWith(t, reg)
-	defer shutdown()
-
-	c, err := DialWith(addr, DialOptions{
-		CallTimeout: 2 * time.Second,
-		Retry:       RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, Seed: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	resp, err := c.Call(Request{Service: "flaky", Op: "x"})
-	if err != nil || !resp.OK {
-		t.Fatalf("shed responses should be retried to success: resp=%+v err=%v", resp, err)
-	}
-	if calls.Load() != 3 {
-		t.Errorf("server calls = %d, want 3 (two sheds + one success)", calls.Load())
-	}
-
-	// Expired is terminal: exactly one server round trip.
 	var expCalls atomic.Int32
 	reg.Register("expired", func(req Request) Response {
 		expCalls.Add(1)
 		return DeadlineExceededResponse("simulated")
 	})
+	addr, shutdown := startServerWith(t, reg)
+	defer shutdown()
+
+	c, err := Dial(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	_, err = c.Call(Request{Service: "expired", Op: "x"})
 	if !IsDeadlineExceeded(err) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 	if expCalls.Load() != 1 {
-		t.Errorf("server calls = %d, want 1 (expired must never retry)", expCalls.Load())
+		t.Errorf("server calls = %d, want 1", expCalls.Load())
 	}
 }
 
@@ -348,16 +222,11 @@ func TestClientStampsRemainingBudget(t *testing.T) {
 // startServerWith serves a registry on a loopback listener.
 func startServerWith(t *testing.T, reg *Registry) (addr string, shutdown func()) {
 	t.Helper()
-	return startServerOpts(t, reg, ServerOptions{})
-}
-
-func startServerOpts(t *testing.T, reg *Registry, opts ServerOptions) (addr string, shutdown func()) {
-	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerWith(reg, opts)
+	srv := NewServer(reg)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

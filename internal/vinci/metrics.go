@@ -76,16 +76,10 @@ func clientMethod(service, op string) *methodMetrics {
 	return methodFor(&clientMethods, "vinci.client.", service, op)
 }
 
+// Deadline counters (DESIGN.md §10): calls that died with a spent
+// budget on the client, and requests rejected before dispatch because
+// they arrived with no budget left.
 var (
-	clientRetries = metrics.Default().Counter("vinci.client.retries")
-
-	// Overload-model counters (see DESIGN.md §10). Client side: calls
-	// that died with a spent budget, shed responses observed, hedges
-	// fired and hedges whose second attempt won. Server side: requests
-	// rejected before dispatch because they arrived with no budget.
-	clientExpired   = metrics.Default().Counter("vinci.client.expired")
-	clientShedSeen  = metrics.Default().Counter("vinci.client.shed.seen")
-	clientHedges    = metrics.Default().Counter("vinci.client.hedges")
-	clientHedgeWins = metrics.Default().Counter("vinci.client.hedge.wins")
-	serverExpired   = metrics.Default().Counter("vinci.server.expired")
+	clientExpired = metrics.Default().Counter("vinci.client.expired")
+	serverExpired = metrics.Default().Counter("vinci.server.expired")
 )

@@ -48,8 +48,8 @@ func (r Request) Param(name string) string { return r.Params[name] }
 type Response struct {
 	// OK reports success; when false, Error describes the failure.
 	OK bool
-	// Code classifies machine-actionable failures (CodeOverloaded,
-	// CodeDeadlineExceeded); empty for success and free-text errors.
+	// Code classifies machine-actionable failures (CodeDeadlineExceeded);
+	// empty for success and free-text errors.
 	Code string
 	// Error is the failure description for !OK responses.
 	Error string
@@ -75,42 +75,20 @@ type Handler func(Request) Response
 
 // Registry maps service names to handlers; safe for concurrent use.
 type Registry struct {
-	mu         sync.RWMutex
-	services   map[string]Handler
-	idempotent map[string]bool
+	mu       sync.RWMutex
+	services map[string]Handler
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{services: make(map[string]Handler), idempotent: make(map[string]bool)}
+	return &Registry{services: make(map[string]Handler)}
 }
 
-// Register installs (or replaces) the handler for a service. The
-// service is not marked idempotent: hedged clients will not race
-// duplicate calls against it.
+// Register installs (or replaces) the handler for a service.
 func (rg *Registry) Register(service string, h Handler) {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	rg.services[service] = h
-	delete(rg.idempotent, service)
-}
-
-// RegisterIdempotent installs the handler and marks the service
-// idempotent: every operation can safely execute more than once, so
-// hedged reads (Client hedging, at-least-once retries) are allowed
-// against it.
-func (rg *Registry) RegisterIdempotent(service string, h Handler) {
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	rg.services[service] = h
-	rg.idempotent[service] = true
-}
-
-// Idempotent reports whether the service was registered as idempotent.
-func (rg *Registry) Idempotent(service string) bool {
-	rg.mu.RLock()
-	defer rg.mu.RUnlock()
-	return rg.idempotent[service]
 }
 
 // Services returns the registered service names, sorted.
@@ -139,21 +117,12 @@ func (rg *Registry) Dispatch(req Request) (resp Response) {
 	if !ok {
 		return Errorf("vinci: unknown service %q", req.Service)
 	}
-	// A request may already carry an absolute deadline stamped at arrival
-	// (Server.dispatch does this before admission queueing, so queue wait
-	// is deducted from the handler's budget rather than granted back
-	// here). Only a request without one derives it from the wire budget.
-	if req.deadline.IsZero() {
-		if budget, ok := req.DeadlineBudget(); ok {
-			if budget <= 0 {
-				serverExpired.Inc()
-				return DeadlineExceededResponse(req.Service + "." + req.Op + " arrived with no budget left")
-			}
-			req = req.withAbsoluteDeadline(time.Now().Add(budget))
+	if budget, ok := req.DeadlineBudget(); ok {
+		if budget <= 0 {
+			serverExpired.Inc()
+			return DeadlineExceededResponse(req.Service + "." + req.Op + " arrived with no budget left")
 		}
-	} else if req.Expired() {
-		serverExpired.Inc()
-		return DeadlineExceededResponse(req.Service + "." + req.Op + " budget spent before dispatch")
+		req.deadline = time.Now().Add(budget)
 	}
 	mm := serverMethod(req.Service, req.Op)
 	mm.calls.Inc()
@@ -289,17 +258,9 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// ServerOptions tunes a network server's overload behavior.
-type ServerOptions struct {
-	// Admission bounds concurrent work (zero value: no admission
-	// control, every request dispatches immediately).
-	Admission AdmissionConfig
-}
-
 // Server serves a registry over a listener.
 type Server struct {
 	reg *Registry
-	adm *admission // nil: admission control off
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -308,20 +269,9 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer wraps a registry for network serving with no admission
-// control (requests dispatch immediately, however many arrive).
+// NewServer wraps a registry for network serving.
 func NewServer(reg *Registry) *Server {
-	return NewServerWith(reg, ServerOptions{})
-}
-
-// NewServerWith wraps a registry for network serving with explicit
-// overload options.
-func NewServerWith(reg *Registry, opts ServerOptions) *Server {
-	s := &Server{reg: reg, conns: make(map[net.Conn]struct{})}
-	if opts.Admission.enabled() {
-		s.adm = newAdmission(opts.Admission)
-	}
-	return s
+	return &Server{reg: reg, conns: make(map[net.Conn]struct{})}
 }
 
 // Serve accepts connections until the listener is closed. Each connection
@@ -395,7 +345,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err != nil {
 			resp = Errorf("vinci: malformed request: %v", err)
 		} else {
-			resp = s.dispatch(req)
+			resp = s.reg.Dispatch(req)
 		}
 		out, err := encodeResponse(resp)
 		if err != nil {
@@ -407,47 +357,16 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// dispatch runs one request through admission control (when enabled)
-// and the registry. Shed and expired requests never reach a handler.
-// The absolute deadline is computed once, at arrival: a request that
-// waits in the admission queue dispatches with only the budget it has
-// genuinely left, not a fresh copy of its wire budget.
-func (s *Server) dispatch(req Request) Response {
-	if budget, ok := req.DeadlineBudget(); ok && budget > 0 {
-		req = req.withAbsoluteDeadline(time.Now().Add(budget))
-	}
-	if s.adm == nil {
-		return s.reg.Dispatch(req)
-	}
-	outcome, reason := s.adm.acquire(req)
-	switch outcome {
-	case shedOverload:
-		return OverloadedResponse(reason)
-	case shedExpired:
-		return DeadlineExceededResponse(reason)
-	}
-	defer s.adm.release()
-	return s.reg.Dispatch(req)
-}
+// dialTimeout bounds each connection attempt.
+const dialTimeout = 5 * time.Second
 
 // DialOptions tunes the TCP client transport.
 type DialOptions struct {
-	// CallTimeout is the total per-call budget covering every attempt —
-	// exchanges, redials and retry backoffs together (0 means no
-	// deadline). The remaining budget is stamped onto each outgoing
-	// request as the x-deadline-ms param so every downstream hop sees
-	// only the time genuinely left.
+	// CallTimeout is the per-call budget (0 means no deadline). The
+	// remaining budget is stamped onto each outgoing request as the
+	// x-deadline-ms param so every downstream hop sees only the time
+	// genuinely left.
 	CallTimeout time.Duration
-	// AttemptTimeout bounds a single attempt's exchange within the
-	// total budget (0 means each attempt may use whatever budget
-	// remains). Setting it keeps one stalled server from consuming the
-	// whole call budget, leaving room to retry on a fresh connection.
-	AttemptTimeout time.Duration
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
-	// Retry bounds how transport failures are retried. The zero value
-	// means a single attempt; use DefaultRetryPolicy() for production.
-	Retry RetryPolicy
 	// Dialer overrides the transport, e.g. to inject faults in tests.
 	// It receives the target address and must return a connected conn.
 	Dialer func(addr string) (net.Conn, error)
@@ -455,32 +374,28 @@ type DialOptions struct {
 
 // tcpClient is a single-connection network client; calls are serialized.
 // After any transport error mid-exchange the connection may hold a
-// partial frame, so it is torn down and redialed on the next attempt —
+// partial frame, so it is torn down and redialed by the next call —
 // never reused, which would desynchronize the framing.
 type tcpClient struct {
 	addr string
 	opts DialOptions
 
 	mu     sync.Mutex
-	rng    *lockedRand
 	conn   net.Conn
 	closed bool
 }
 
-// Dial connects to a vinci server with the default retry policy. The
-// timeout applies per call (0 means no deadline).
+// Dial connects to a vinci server. The timeout applies per call (0
+// means no deadline).
 func Dial(addr string, timeout time.Duration) (Client, error) {
-	return DialWith(addr, DialOptions{CallTimeout: timeout, Retry: DefaultRetryPolicy()})
+	return DialWith(addr, DialOptions{CallTimeout: timeout})
 }
 
 // DialWith connects to a vinci server with explicit transport options.
 // The initial connection is established eagerly so configuration errors
 // surface immediately; later reconnects happen lazily inside Call.
 func DialWith(addr string, opts DialOptions) (Client, error) {
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
-	c := &tcpClient{addr: addr, opts: opts, rng: opts.Retry.newRand()}
+	c := &tcpClient{addr: addr, opts: opts}
 	conn, err := c.dial()
 	if err != nil {
 		return nil, fmt.Errorf("vinci: dial %s: %w", addr, err)
@@ -494,19 +409,16 @@ func (c *tcpClient) dial() (net.Conn, error) {
 	if c.opts.Dialer != nil {
 		return c.opts.Dialer(c.addr)
 	}
-	return net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	return net.DialTimeout("tcp", c.addr, dialTimeout)
 }
 
-// Call performs one exchange, transparently redialing and retrying
-// transport failures within the retry policy and the call's total
-// deadline budget: once the budget is spent no further attempt (or
-// backoff sleep) is made, and each attempt stamps the remaining budget
-// onto the request so the server and any downstream hop can shed or
-// abort work the caller will no longer wait for. Shed responses
-// (CodeOverloaded) are retried after backoff like transport failures;
-// expired responses (CodeDeadlineExceeded) are never retried.
-// Operations are assumed idempotent (true of all platform services): a
-// call whose response was lost may execute twice on the server.
+// Call performs one exchange within the call's deadline: the tighter of
+// CallTimeout and any budget an upstream hop already stamped on the
+// request. A bounded call stamps its remaining budget onto the request,
+// so the server and any downstream hop can shed or abort work the
+// caller will no longer wait for. A transport failure tears the
+// connection down and is returned; the next call redials. Nothing is
+// retried.
 func (c *tcpClient) Call(req Request) (Response, error) {
 	mm := clientMethod(req.Service, req.Op)
 	mm.calls.Inc()
@@ -514,156 +426,102 @@ func (c *tcpClient) Call(req Request) (Response, error) {
 	defer span.End()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	resp, err := c.call(req)
+	if err != nil {
+		mm.errors.Inc()
+	}
+	return resp, err
+}
 
-	// The overall deadline is the tighter of the transport's per-call
-	// budget and any budget already stamped on the request by an
-	// upstream hop. Zero means unbounded.
-	var overall time.Time
+// call is Call's body (mu held).
+func (c *tcpClient) call(req Request) (Response, error) {
+	if c.closed {
+		return Response{}, errors.New("vinci: client closed")
+	}
+	// Zero means unbounded.
+	var deadline time.Time
 	if c.opts.CallTimeout > 0 {
-		overall = time.Now().Add(c.opts.CallTimeout)
+		deadline = time.Now().Add(c.opts.CallTimeout)
 	}
 	if budget, ok := req.DeadlineBudget(); ok {
-		if t := time.Now().Add(budget); overall.IsZero() || t.Before(overall) {
-			overall = t
+		if t := time.Now().Add(budget); deadline.IsZero() || t.Before(deadline) {
+			deadline = t
 		}
 	}
-
-	// Unbounded calls encode once; bounded calls re-encode per attempt
-	// so the stamped budget reflects time already burned on earlier
-	// attempts and backoffs.
-	var payload []byte
-	if overall.IsZero() {
-		var err error
-		payload, err = encodeRequest(req)
+	if !deadline.IsZero() {
+		rem := time.Until(deadline)
+		if rem <= 0 {
+			clientExpired.Inc()
+			return Response{}, fmt.Errorf("vinci: call %s.%s: no budget left: %w",
+				req.Service, req.Op, ErrDeadlineExceeded)
+		}
+		req = WithDeadlineBudget(req, rem)
+	}
+	payload, err := encodeRequest(req)
+	if err != nil {
+		return Response{}, err
+	}
+	if c.conn == nil {
+		conn, err := c.dial()
 		if err != nil {
-			mm.errors.Inc()
-			return Response{}, err
+			return Response{}, fmt.Errorf("vinci: call %s.%s: dial %s: %w", req.Service, req.Op, c.addr, err)
 		}
+		c.conn = conn
 	}
-
-	attempts := c.opts.Retry.attempts()
-	var lastErr error
-	expired := false
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 {
-			if d := c.opts.Retry.backoffFor(attempt-1, c.rng); d > 0 {
-				if !overall.IsZero() && time.Until(overall) <= d {
-					// Sleeping would outlive the budget: stop here
-					// rather than retrying a call nobody awaits.
-					expired = true
-					break
-				}
-				time.Sleep(d)
-			}
-			clientRetries.Inc()
+	resp, err := c.exchange(payload, deadline)
+	if err != nil {
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			clientExpired.Inc()
+			return Response{}, fmt.Errorf("vinci: call %s.%s: deadline budget spent (%v): %w",
+				req.Service, req.Op, err, ErrDeadlineExceeded)
 		}
-		if c.closed {
-			mm.errors.Inc()
-			return Response{}, errors.New("vinci: client closed")
-		}
-		attemptDeadline := overall
-		if c.opts.AttemptTimeout > 0 {
-			if t := time.Now().Add(c.opts.AttemptTimeout); attemptDeadline.IsZero() || t.Before(attemptDeadline) {
-				attemptDeadline = t
-			}
-		}
-		if !attemptDeadline.IsZero() {
-			if !overall.IsZero() && time.Until(overall) <= 0 {
-				expired = true
-				break
-			}
-			rem := time.Until(attemptDeadline)
-			if rem <= 0 {
-				expired = true
-				break
-			}
-			var err error
-			payload, err = encodeRequest(WithDeadlineBudget(req, rem))
-			if err != nil {
-				mm.errors.Inc()
-				return Response{}, err
-			}
-		}
-		if c.conn == nil {
-			conn, err := c.dial()
-			if err != nil {
-				lastErr = &RetryableError{Op: "dial", Err: err}
-				continue
-			}
-			c.conn = conn
-		}
-		resp, err := c.exchange(payload, attemptDeadline)
-		if err == nil {
-			switch resp.Code {
-			case CodeDeadlineExceeded:
-				clientExpired.Inc()
-				mm.errors.Inc()
-				return Response{}, fmt.Errorf("vinci: call %s.%s: %s: %w",
-					req.Service, req.Op, resp.Error, ErrDeadlineExceeded)
-			case CodeOverloaded:
-				clientShedSeen.Inc()
-				lastErr = fmt.Errorf("%s: %w", resp.Error, ErrOverloaded)
-				continue
-			}
-			return resp, nil
-		}
-		lastErr = err
-		if !IsRetryable(err) {
-			mm.errors.Inc()
-			return Response{}, err
-		}
+		return Response{}, fmt.Errorf("vinci: call %s.%s: %w", req.Service, req.Op, err)
 	}
-	mm.errors.Inc()
-	if expired || (!overall.IsZero() && time.Now().After(overall)) {
+	if resp.Code == CodeDeadlineExceeded {
 		clientExpired.Inc()
-		if lastErr == nil {
-			lastErr = ErrDeadlineExceeded
-		}
-		return Response{}, fmt.Errorf("vinci: call %s.%s: deadline budget spent (last error: %v): %w",
-			req.Service, req.Op, lastErr, ErrDeadlineExceeded)
+		return Response{}, fmt.Errorf("vinci: call %s.%s: %s: %w",
+			req.Service, req.Op, resp.Error, ErrDeadlineExceeded)
 	}
-	return Response{}, fmt.Errorf("vinci: call %s.%s failed after %d attempts: %w",
-		req.Service, req.Op, attempts, lastErr)
+	return resp, nil
 }
 
 // exchange writes one request frame and reads the response frame on the
-// live connection, bounded by the call's overall deadline (a zero
-// deadline means unbounded). Any failure tears the connection down:
-// after a deadline or I/O error mid-frame the stream may hold a partial
-// frame, and reusing it would make the next call read garbage.
-func (c *tcpClient) exchange(payload []byte, overall time.Time) (Response, error) {
-	// The conn deadline is the call's total budget, not a fresh
-	// per-attempt window: retries must never stretch a call past the
-	// deadline its caller is waiting on. Setting it unconditionally also
-	// clears (zero overall) any deadline a prior budget-carrying call
-	// left on the kept connection — inheriting a spent one would fail an
-	// unbounded call spuriously.
-	if err := c.conn.SetDeadline(overall); err != nil {
+// live connection, bounded by the call's deadline (a zero deadline means
+// unbounded). Any failure tears the connection down: after a deadline
+// or I/O error mid-frame the stream may hold a partial frame, and
+// reusing it would make the next call read garbage.
+func (c *tcpClient) exchange(payload []byte, deadline time.Time) (Response, error) {
+	// Setting the deadline unconditionally also clears (zero deadline)
+	// any deadline a prior budget-carrying call left on the kept
+	// connection — inheriting a spent one would fail an unbounded call
+	// spuriously.
+	if err := c.conn.SetDeadline(deadline); err != nil {
 		c.teardown()
-		return Response{}, &RetryableError{Op: "deadline", Err: err}
+		return Response{}, fmt.Errorf("set deadline: %w", err)
 	}
 	if err := writeFrame(c.conn, payload); err != nil {
 		c.teardown()
-		return Response{}, &RetryableError{Op: "write", Err: err}
+		return Response{}, fmt.Errorf("write: %w", err)
 	}
 	respData, err := readFrame(c.conn)
 	if err != nil {
 		c.teardown()
-		return Response{}, &RetryableError{Op: "read", Err: err}
+		return Response{}, fmt.Errorf("read: %w", err)
 	}
 	resp, err := decodeResponse(respData)
 	if err != nil {
 		// A frame that parsed as a length but not as XML means the
 		// stream integrity is suspect (corruption or desync): drop it.
 		c.teardown()
-		return Response{}, &RetryableError{Op: "decode", Err: err}
+		return Response{}, fmt.Errorf("decode: %w", err)
 	}
 	if !resp.OK && strings.HasPrefix(resp.Error, "vinci: malformed request") {
 		// The peer could not parse the frame we sent — corruption in
-		// transit, not an application failure. Resend on a fresh
-		// connection; the stream position is no longer trustworthy.
+		// transit, not an application failure. The stream position is
+		// no longer trustworthy, so the next call starts a fresh
+		// connection.
 		c.teardown()
-		return Response{}, &RetryableError{Op: "integrity", Err: errors.New(resp.Error)}
+		return Response{}, fmt.Errorf("integrity: %s", resp.Error)
 	}
 	return resp, nil
 }

@@ -89,20 +89,7 @@ func TestWireEncodingRoundTrip(t *testing.T) {
 
 func startServer(t *testing.T) (addr string, shutdown func()) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(echoRegistry())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(ln)
-	}()
-	return ln.Addr().String(), func() {
-		srv.Close()
-		<-done
-	}
+	return startServerWith(t, echoRegistry())
 }
 
 func TestTCPRoundTrip(t *testing.T) {
