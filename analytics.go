@@ -3,7 +3,6 @@ package webfountain
 import (
 	"fmt"
 
-	"webfountain/internal/cluster"
 	"webfountain/internal/miners"
 	"webfountain/internal/store"
 )
@@ -66,27 +65,34 @@ type AnalyticsReport struct {
 	Clusters []DocumentCluster
 }
 
-// RunAnalytics deploys the platform's standard miner suite — the
-// geographic context discoverer (entity-level) followed by aggregate
-// statistics, duplicate detection, page ranking and optional clustering
-// (corpus-level) — and returns the combined report.
+// RunAnalytics runs the platform's standard miner suite — the
+// geographic context discoverer over each stored document (mineGeo),
+// then aggregate statistics, duplicate detection, page ranking and
+// optional clustering over the whole store, in that order — and returns
+// the combined report. It stops at the first miner that fails.
 func (p *Platform) RunAnalytics(cfg AnalyticsConfig) (*AnalyticsReport, error) {
 	if cfg.PageRankTop == 0 {
 		cfg.PageRankTop = 10
 	}
-	geo := miners.NewGeoContext()
+	if err := p.mineGeo(miners.NewGeoContext()); err != nil {
+		return nil, fmt.Errorf("webfountain: analytics: %w", err)
+	}
 	agg := &miners.AggregateStats{TopK: cfg.TopTerms}
 	dd := &miners.DuplicateDetector{Threshold: cfg.DuplicateThreshold}
 	pr := &miners.PageRank{}
-	corpusMiners := []cluster.CorpusMiner{agg, dd, pr}
+	corpusMiners := []interface {
+		Name() string
+		Run(*store.Store) error
+	}{agg, dd, pr}
 	var km *miners.KMeans
 	if cfg.Clusters > 0 {
 		km = &miners.KMeans{K: cfg.Clusters}
 		corpusMiners = append(corpusMiners, km)
 	}
-	if _, err := p.internalCluster().RunPipeline(
-		[]cluster.EntityMiner{geo}, corpusMiners); err != nil {
-		return nil, fmt.Errorf("webfountain: analytics: %w", err)
+	for _, cm := range corpusMiners {
+		if err := cm.Run(p.internalStore()); err != nil {
+			return nil, fmt.Errorf("webfountain: analytics: corpus miner %s: %w", cm.Name(), err)
+		}
 	}
 
 	report := &AnalyticsReport{
@@ -123,9 +129,24 @@ func (p *Platform) RunAnalytics(cfg AnalyticsConfig) (*AnalyticsReport, error) {
 	return report, nil
 }
 
-// SentimentTrend reports a subject's monthly sentiment series after a
-// SentimentMiner has run over the platform (it consumes the miner's
-// annotations and the documents' dates).
+// mineGeo annotates each stored document that carries no geographic
+// annotation yet with its places and dominant region (mineStored's
+// write-back rule), so running it again leaves the store as it is.
+func (p *Platform) mineGeo(geo *miners.GeoContext) error {
+	for _, d := range mineStored(p, miners.GeoMinerName, func(e *store.Entity, annotated bool) (struct{}, []store.Annotation) {
+		if annotated {
+			return struct{}{}, nil
+		}
+		return struct{}{}, geo.Process(e)
+	}) {
+		if d.err != nil {
+			return fmt.Errorf("geo miner: %s: annotation write-back: %w", d.id, d.err)
+		}
+	}
+	return nil
+}
+
+// TrendPoint is one month of a subject's sentiment series.
 type TrendPoint struct {
 	// Month is "YYYY-MM".
 	Month string
@@ -133,9 +154,11 @@ type TrendPoint struct {
 	Positive, Negative int
 }
 
-// SentimentTrend computes a subject's sentiment trend. Momentum is the
-// change in positive share between the first and second half of the
-// series (0 with ok=false when there is not enough data).
+// SentimentTrend computes a subject's monthly sentiment series from the
+// sentiment annotations a SentimentMiner's Run (or the serving tier)
+// wrote, bucketed by the documents' dates. Momentum is the change in
+// positive share between the first and second half of the series (0
+// with ok=false when there is not enough data).
 func (p *Platform) SentimentTrend(subject string) (series []TrendPoint, momentum float64, ok bool) {
 	tr := &miners.Trend{SentimentMiner: MinerName}
 	if err := tr.Run(p.internalStore()); err != nil {

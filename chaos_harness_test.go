@@ -28,7 +28,6 @@ import (
 	"testing"
 	"time"
 
-	"webfountain/internal/cluster"
 	"webfountain/internal/corpus"
 	"webfountain/internal/faults"
 	"webfountain/internal/services"
@@ -132,26 +131,9 @@ func runChaosScenario(t *testing.T, seed int64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	miner := cluster.MinerFunc{MinerName: "chaos-sentiment", Fn: func(e *store.Entity) ([]store.Annotation, error) {
-		facts := sm.AnalyzeText(e.Text)
-		anns := make([]store.Annotation, 0, len(facts))
-		for _, f := range facts {
-			anns = append(anns, store.Annotation{
-				Type: "polarity", Key: f.Subject,
-				Value: f.Polarity.String(), Sentence: f.Sentence,
-			})
-		}
-		return anns, nil
-	}}
-	stats, err := p.internalCluster().RunEntityMiner(miner)
+	facts, err := sm.Run(p)
 	if err != nil {
 		t.Fatalf("seed %d: mining under chaos: %v", seed, err)
-	}
-	if stats.Failures != 0 {
-		t.Fatalf("seed %d: %d entities failed: %s", seed, stats.Failures, stats)
-	}
-	if stats.Entities != len(docs) {
-		t.Fatalf("seed %d: mined %d of %d entities", seed, stats.Entities, len(docs))
 	}
 
 	// Read everything back through the faulty service surface: the acked
@@ -165,8 +147,8 @@ func runChaosScenario(t *testing.T, seed int64) string {
 	}
 
 	// Invariant 3's digest: entity IDs in sorted order, each with its
-	// mined annotations in deployment order (a pure function of the
-	// text, so two runs of any seed must agree byte for byte).
+	// mined annotations in the order Run wrote them (a pure function of
+	// the text, so two runs of any seed must agree byte for byte).
 	h := sha256.New()
 	ids := st.IDs()
 	sort.Strings(ids)
@@ -174,7 +156,7 @@ func runChaosScenario(t *testing.T, seed int64) string {
 	for _, id := range ids {
 		e, _ := st.Get(id)
 		fmt.Fprintf(h, "%s\n", id)
-		for _, a := range e.AnnotationsBy("chaos-sentiment") {
+		for _, a := range e.AnnotationsBy(MinerName) {
 			fmt.Fprintf(h, "  %s=%s @%d\n", a.Key, a.Value, a.Sentence)
 			mined++
 		}
@@ -182,7 +164,10 @@ func runChaosScenario(t *testing.T, seed int64) string {
 	if mined == 0 {
 		t.Fatalf("seed %d: chaos run mined no facts; the corpus should produce some", seed)
 	}
-	t.Logf("seed %d: %s; %d facts; injected %v", seed, stats, mined, in.Stats())
+	if mined != len(facts) {
+		t.Fatalf("seed %d: the store carries %d sentiment annotations, Run returned %d facts", seed, mined, len(facts))
+	}
+	t.Logf("seed %d: %d facts; injected %v", seed, mined, in.Stats())
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -7,10 +7,11 @@ import (
 	"webfountain/internal/corpus"
 )
 
-// Mining fans out over parallel workers, so facts arrive on the result
-// channel in scheduler order; the final sort must impose a total order
-// or two runs over the same corpus report facts in different orders.
-// This guards the sort.SliceStable + full-key ordering in Run.
+// Mining fans out over parallel workers, each document's facts landing
+// in its own slot, and Run then sorts them on a total key: two runs over
+// the same corpus, in either miner mode, must report the facts in the
+// same order. This guards the slots and the sort.SliceStable + full-key
+// ordering in Run.
 func TestMinerRunDeterministicOrder(t *testing.T) {
 	gen := corpus.DigitalCameraReviews(3, 30)
 	docs := make([]Document, len(gen))

@@ -8,8 +8,8 @@ import (
 
 // The span/trace half of the package: a Span times one stage of work
 // into a histogram, and a trace ID correlates every stage of one
-// request (a document's trip through the pipeline, a mining deployment,
-// an RPC fan-out) across log lines, cluster jobs and Vinci frames.
+// request (a document's trip through the pipeline, an RPC fan-out)
+// across log lines and Vinci frames.
 //
 // Trace IDs are generated without math/rand: a process-unique base
 // (seeded from the clock once at init) is mixed with an atomic sequence

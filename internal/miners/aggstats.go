@@ -32,10 +32,10 @@ type TermCount struct {
 	Count int
 }
 
-// Name implements cluster.CorpusMiner.
+// Name identifies the miner.
 func (a *AggregateStats) Name() string { return "aggstats" }
 
-// Run implements cluster.CorpusMiner.
+// Run computes the aggregates over the whole store.
 func (a *AggregateStats) Run(st *store.Store) error {
 	if a.TopK == 0 {
 		a.TopK = 20

@@ -24,7 +24,7 @@ type KMeans struct {
 	iters  int
 }
 
-// Name implements cluster.CorpusMiner.
+// Name identifies the miner.
 func (k *KMeans) Name() string { return "kmeans" }
 
 func (k *KMeans) defaults() {
@@ -64,7 +64,7 @@ func (v sparse) normalize() {
 	}
 }
 
-// Run implements cluster.CorpusMiner.
+// Run clusters every document of the store.
 func (k *KMeans) Run(st *store.Store) error {
 	k.defaults()
 	// Pass 1: document frequencies.

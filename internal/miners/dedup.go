@@ -27,7 +27,7 @@ type DuplicateDetector struct {
 	clusters [][]string
 }
 
-// Name implements cluster.CorpusMiner.
+// Name identifies the miner.
 func (d *DuplicateDetector) Name() string { return "dedup" }
 
 func (d *DuplicateDetector) defaults() {
@@ -45,8 +45,7 @@ func (d *DuplicateDetector) defaults() {
 	}
 }
 
-// Run implements cluster.CorpusMiner: computes duplicate clusters over the
-// whole store.
+// Run computes duplicate clusters over the whole store.
 func (d *DuplicateDetector) Run(st *store.Store) error {
 	d.defaults()
 	type doc struct {

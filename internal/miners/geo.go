@@ -74,18 +74,18 @@ func NewGeoContext() *GeoContext {
 	return &GeoContext{sp: spotter.New(sets), regions: regions, tk: tokenize.New()}
 }
 
-// Name implements cluster.EntityMiner.
-func (g *GeoContext) Name() string { return GeoMinerName }
-
-// Process implements cluster.EntityMiner: one "place" annotation per spot
-// plus a single "region" annotation for the dominant region.
-func (g *GeoContext) Process(e *store.Entity) ([]store.Annotation, error) {
+// Process returns the annotations the miner attaches to e: one "place"
+// annotation per spot plus a single "region" annotation for the
+// dominant region, each carrying GeoMinerName. It does not retain or
+// mutate e.
+func (g *GeoContext) Process(e *store.Entity) []store.Annotation {
 	sents := g.tk.Sentences(e.Text)
 	var anns []store.Annotation
 	regionCounts := map[string]int{}
 	for _, s := range sents {
 		for _, sp := range g.sp.SpotTokens(s.Tokens) {
 			anns = append(anns, store.Annotation{
+				Miner:    GeoMinerName,
 				Type:     "place",
 				Key:      sp.SetID,
 				Sentence: s.Index,
@@ -96,9 +96,9 @@ func (g *GeoContext) Process(e *store.Entity) ([]store.Annotation, error) {
 		}
 	}
 	if region, n := dominant(regionCounts); n > 0 {
-		anns = append(anns, store.Annotation{Type: "region", Key: region, Sentence: -1})
+		anns = append(anns, store.Annotation{Miner: GeoMinerName, Type: "region", Key: region, Sentence: -1})
 	}
-	return anns, nil
+	return anns
 }
 
 // Places extracts the distinct places a processed entity mentions, from

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"webfountain/internal/cluster"
 	"webfountain/internal/store"
 	"webfountain/internal/tokenize"
 )
@@ -17,15 +16,23 @@ func put(t *testing.T, st *store.Store, e *store.Entity) {
 	}
 }
 
+// mineGeo attaches g's annotations to every stored entity.
+func mineGeo(t *testing.T, st *store.Store, g *GeoContext) {
+	t.Helper()
+	for _, id := range st.IDs() {
+		e, _ := st.Get(id)
+		if _, err := st.Annotate(id, g.Process(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // --- GeoContext ---
 
 func TestGeoContextSpotsPlacesAndRegion(t *testing.T) {
 	st := store.New(1)
 	put(t, st, &store.Entity{ID: "d1", Text: "The refinery in Texas ships crude to Japan. Texas output rose."})
-	c := cluster.New(st)
-	if _, err := c.RunEntityMiner(NewGeoContext()); err != nil {
-		t.Fatal(err)
-	}
+	mineGeo(t, st, NewGeoContext())
 	e, _ := st.Get("d1")
 	places := Places(e)
 	if len(places) != 2 || places[0] != "japan" || places[1] != "texas" {
@@ -39,10 +46,7 @@ func TestGeoContextSpotsPlacesAndRegion(t *testing.T) {
 func TestGeoContextVariants(t *testing.T) {
 	st := store.New(1)
 	put(t, st, &store.Entity{ID: "d1", Text: "Offices in the U.S. and Holland opened."})
-	c := cluster.New(st)
-	if _, err := c.RunEntityMiner(NewGeoContext()); err != nil {
-		t.Fatal(err)
-	}
+	mineGeo(t, st, NewGeoContext())
 	e, _ := st.Get("d1")
 	places := Places(e)
 	want := map[string]bool{"united states": true, "netherlands": true}
@@ -59,9 +63,8 @@ func TestGeoContextVariants(t *testing.T) {
 
 func TestGeoContextNoPlaces(t *testing.T) {
 	g := NewGeoContext()
-	anns, err := g.Process(&store.Entity{ID: "x", Text: "The battery life is excellent."})
-	if err != nil || len(anns) != 0 {
-		t.Errorf("anns = %v, err = %v", anns, err)
+	if anns := g.Process(&store.Entity{ID: "x", Text: "The battery life is excellent."}); len(anns) != 0 {
+		t.Errorf("anns = %v", anns)
 	}
 }
 
@@ -450,7 +453,7 @@ func TestKMeansEdgeCases(t *testing.T) {
 	}
 }
 
-// --- integration: all corpus miners run via the cluster pipeline ---
+// --- integration: the geo miner, then every corpus miner, over one store ---
 
 func TestCorpusMinersRunInPipeline(t *testing.T) {
 	st := store.New(2)
@@ -462,17 +465,15 @@ func TestCorpusMinersRunInPipeline(t *testing.T) {
 			Text: fmt.Sprintf("Document %d talks about Texas oil production near the coast. Footer line.", i),
 		})
 	}
-	c := cluster.New(st)
+	mineGeo(t, st, NewGeoContext())
 	agg := &AggregateStats{}
 	dd := &DuplicateDetector{}
 	td := &TemplateDetector{}
 	pr := &PageRank{}
-	_, err := c.RunPipeline(
-		[]cluster.EntityMiner{NewGeoContext()},
-		[]cluster.CorpusMiner{agg, dd, td, pr},
-	)
-	if err != nil {
-		t.Fatal(err)
+	for _, run := range []func(*store.Store) error{agg.Run, dd.Run, td.Run, pr.Run} {
+		if err := run(st); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if agg.Documents != 12 {
 		t.Errorf("agg docs = %d", agg.Documents)

@@ -21,7 +21,7 @@ type PageRank struct {
 	iters  int
 }
 
-// Name implements cluster.CorpusMiner.
+// Name identifies the miner.
 func (p *PageRank) Name() string { return "pagerank" }
 
 func (p *PageRank) defaults() {
@@ -36,8 +36,7 @@ func (p *PageRank) defaults() {
 	}
 }
 
-// Run implements cluster.CorpusMiner: computes scores over the link graph
-// of the whole store. Links to unknown IDs are ignored.
+// Run computes scores over the link graph of the whole store. Links to unknown IDs are ignored.
 func (p *PageRank) Run(st *store.Store) error {
 	p.defaults()
 	ids := st.IDs()

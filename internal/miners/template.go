@@ -25,9 +25,6 @@ type TemplateDetector struct {
 	hostDocs  map[string]int
 }
 
-// Name implements cluster.CorpusMiner.
-func (t *TemplateDetector) Name() string { return "template" }
-
 func (t *TemplateDetector) defaults() {
 	if t.MinDocs == 0 {
 		t.MinDocs = 5
@@ -37,8 +34,7 @@ func (t *TemplateDetector) defaults() {
 	}
 }
 
-// Run implements cluster.CorpusMiner: computes per-host template sentence
-// sets.
+// Run computes per-host template sentence sets over the whole store.
 func (t *TemplateDetector) Run(st *store.Store) error {
 	t.defaults()
 	tk := tokenize.New()

@@ -33,11 +33,8 @@ func (m MonthCounts) Share() float64 {
 	return float64(m.Positive) / float64(m.Positive+m.Negative)
 }
 
-// Name implements cluster.CorpusMiner.
-func (t *Trend) Name() string { return "trend" }
-
-// Run implements cluster.CorpusMiner: scans entities for sentiment
-// annotations and buckets them by the entity's month.
+// Run scans every stored entity for sentiment annotations and buckets
+// them by the entity's month.
 func (t *Trend) Run(st *store.Store) error {
 	miner := t.SentimentMiner
 	if miner == "" {

@@ -3,7 +3,7 @@
 //
 // An entity is a referenceable unit of information such as a web page,
 // represented in XML. The store supports put/get/delete, per-shard
-// iteration (the unit of parallelism for the cluster runtime), and miner
+// iteration (the unit of parallelism of the index build), and miner
 // annotations attached to entities. Sharding is by FNV hash of the entity
 // ID, mirroring the shared-nothing layout of the production system where
 // each node owns a disjoint slice of the corpus.
@@ -268,13 +268,12 @@ func (s *Store) Get(id string) (*Entity, bool) {
 }
 
 // View runs fn on the live stored entity under its shard's read lock,
-// skipping the defensive clone Get makes — the read path for scans
-// that visit many entities and only look (the serving tier's startup
-// repair walks the whole corpus through it). fn must not mutate the
-// entity or retain it (or its slices) past the call; retaining plain
-// string fields is fine, strings are immutable. fn must not call back
-// into the store — the shard lock is held. Returns false when the ID
-// is absent.
+// skipping the defensive clone Get makes — the read path for callers
+// that only look, such as Annotate's presence check. fn must not mutate
+// the entity or retain it (or its slices) past the call; retaining
+// plain string fields is fine, strings are immutable. fn must not call
+// back into the store — the shard lock is held. Returns false when the
+// ID is absent.
 func (s *Store) View(id string, fn func(*Entity)) bool {
 	sh := s.shardFor(id)
 	sh.mu.RLock()

@@ -74,21 +74,3 @@ func (r Request) DeadlineBudget() (time.Duration, bool) {
 func (r Request) Deadline() (time.Time, bool) {
 	return r.deadline, !r.deadline.IsZero()
 }
-
-// Expired reports whether the request's deadline (if any) has passed.
-func (r Request) Expired() bool {
-	return !r.deadline.IsZero() && time.Now().After(r.deadline)
-}
-
-// Remaining returns the budget left before the request's deadline
-// (clamped at zero); ok is false when the request carries no deadline.
-func (r Request) Remaining() (time.Duration, bool) {
-	if r.deadline.IsZero() {
-		return 0, false
-	}
-	d := time.Until(r.deadline)
-	if d < 0 {
-		d = 0
-	}
-	return d, true
-}

@@ -117,8 +117,8 @@ func TestDispatchExposesDeadlineToHandler(t *testing.T) {
 		if rem <= 0 || rem > 200*time.Millisecond {
 			return Errorf("remaining = %v", rem)
 		}
-		if req.Expired() {
-			return Errorf("not expired yet")
+		if time.Now().After(dl) {
+			return Errorf("deadline %v already passed", dl)
 		}
 		return OKResponse(nil)
 	})
@@ -197,8 +197,8 @@ func TestClientStampsRemainingBudget(t *testing.T) {
 	reg := NewRegistry()
 	var sawBudget atomic.Int64
 	reg.Register("probe", func(req Request) Response {
-		if rem, ok := req.Remaining(); ok {
-			sawBudget.Store(int64(rem))
+		if dl, ok := req.Deadline(); ok {
+			sawBudget.Store(int64(time.Until(dl)))
 		}
 		return OKResponse(nil)
 	})

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"webfountain/internal/chunk"
-	"webfountain/internal/cluster"
 	"webfountain/internal/disambig"
 	"webfountain/internal/index"
 	"webfountain/internal/lexicon"
@@ -422,48 +421,34 @@ func maximalInto(dst, spots []spotter.Spot) []spotter.Spot {
 // MinerName is the annotation name the sentiment miner writes.
 const MinerName = "sentiment"
 
-// Run deploys the miner over every entity of the platform in parallel,
-// annotating entities with their (subject, sentiment) facts and building
-// the sentiment index for query-time lookups. It returns the extracted
-// facts sorted by (DocID, Sentence, Subject).
+// Run mines every stored document of the platform — analyzed with this
+// miner's configuration, so each fact keeps its Pattern — and builds the
+// sentiment index for query-time lookups. A document's facts are written
+// back as its annotations only if it carries no sentiment annotation
+// yet, so running again, or over documents the serving tier mined, adds
+// nothing to the store. It returns the facts sorted by (DocID, Sentence,
+// Subject); a refused write-back fails the run, naming the document, and
+// returns no facts.
 func (m *SentimentMiner) Run(p *Platform) ([]SubjectSentiment, error) {
-	var mu struct {
-		facts []SubjectSentiment
-	}
-	collect := make(chan []SubjectSentiment, 64)
-	done := make(chan struct{})
-	go func() {
-		for fs := range collect {
-			mu.facts = append(mu.facts, fs...)
+	var facts []SubjectSentiment
+	for _, d := range mineStored(p, MinerName, func(e *store.Entity, annotated bool) ([]SubjectSentiment, []store.Annotation) {
+		mined := m.analyzeEntity(e.ID, e.Text, nil)
+		if annotated {
+			return mined, nil
 		}
-		close(done)
-	}()
-
-	miner := cluster.MinerFunc{
-		MinerName: MinerName,
-		Fn: func(e *store.Entity) ([]store.Annotation, error) {
-			facts := m.analyzeEntity(e.ID, e.Text, nil)
-			if len(facts) == 0 {
-				return nil, nil
-			}
-			collect <- facts
-			return annotationsOf(facts), nil
-		},
-	}
-	_, err := p.internalCluster().RunEntityMiner(miner)
-	close(collect)
-	<-done
-	if err != nil {
-		return nil, err
+		return mined, annotationsOf(mined)
+	}) {
+		if d.err != nil {
+			return nil, fmt.Errorf("webfountain: mining %s: annotation write-back: %w", d.id, d.err)
+		}
+		facts = append(facts, d.res...)
 	}
 
-	// Facts arrive via channel from parallel shard workers, so the
-	// pre-sort order varies run to run. The sort key must therefore be
-	// total — same subject twice in one sentence still ties on
-	// (DocID, Sentence, Subject) — and the sort stable, or the report
-	// order differs between serial and parallel mining.
-	sort.SliceStable(mu.facts, func(i, j int) bool {
-		a, b := mu.facts[i], mu.facts[j]
+	// The sort key is total — the same subject twice in one sentence
+	// still ties on (DocID, Sentence, Subject) — and the sort stable, so
+	// the report order is a function of the facts alone.
+	sort.SliceStable(facts, func(i, j int) bool {
+		a, b := facts[i], facts[j]
 		if a.DocID != b.DocID {
 			return a.DocID < b.DocID
 		}
@@ -484,8 +469,8 @@ func (m *SentimentMiner) Run(p *Platform) ([]SubjectSentiment, error) {
 		}
 		return a.Snippet < b.Snippet
 	})
-	m.indexFacts(mu.facts)
-	return mu.facts, nil
+	m.indexFacts(facts)
+	return facts, nil
 }
 
 // annotationsOf converts mined facts to store annotations that carry the

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"slices"
-	"sort"
 	"sync"
 
 	"webfountain/internal/metrics"
@@ -175,49 +174,47 @@ func NewServingTier(p *Platform, m *SentimentMiner, facts []SubjectSentiment) *S
 }
 
 // RecoverServingTier builds the tier from what the store holds, in one
-// pass over its documents in sorted-ID order (so two recoveries of one
-// store are identical): a document stored with its facts is folded —
-// the facts are read back from its annotations, nothing is mined — and
-// any other document is analyzed and, only if it carries no sentiment
-// annotations yet, annotated. One aggregate publish follows, its
-// generation advanced by the number of documents recovered. A document
-// whose annotate is refused (degraded store) stays out, for the next
-// boot. The config is ignored and the error is always nil; both remain
-// for existing callers.
+// pass over its documents in sorted-ID order (mineStored, so two
+// recoveries of one store are identical): a document stored with its
+// facts is folded — the facts are read back from its annotations,
+// nothing is mined — and any other document is analyzed and, only if it
+// carries no sentiment annotations yet, annotated. One aggregate publish
+// follows, its generation advanced by the number of documents recovered.
+// A document whose annotate is refused (degraded store) stays out, for
+// the next boot. The config is ignored and the error is always nil; both
+// remain for existing callers.
 func RecoverServingTier(p *Platform, m *SentimentMiner, _ ServingTierConfig) (*ServingTier, ServingRecovery, error) {
 	span := servingRecoverNs.Start()
 	t := newServingTier(p, m)
-	var rec ServingRecovery
-	st := p.internalStore()
-	ids := st.IDs()
-	sort.Strings(ids)
-	var facts []serve.Fact
-	for _, id := range ids {
-		var (
-			text, date        string
-			mined             []SubjectSentiment
-			folded, annotated bool
-		)
-		if !st.View(id, func(e *store.Entity) {
-			text, date = e.Text, e.Date
-			if mined, folded = storedFacts(e); !folded {
-				annotated = len(e.AnnotationsBy(MinerName)) > 0
-			}
-		}) {
+	type recovered struct {
+		date   string
+		mined  []SubjectSentiment
+		folded bool
+	}
+	docs := mineStored(p, MinerName, func(e *store.Entity, annotated bool) (recovered, []store.Annotation) {
+		if mined, ok := storedFacts(e); ok {
+			return recovered{e.Date, mined, true}, nil
+		}
+		mined := m.analyzeEntity(e.ID, e.Text, nil)
+		if annotated {
+			return recovered{e.Date, mined, false}, nil
+		}
+		return recovered{e.Date, mined, false}, annotationsOf(mined)
+	})
+	var (
+		rec   ServingRecovery
+		facts []serve.Fact
+	)
+	for _, d := range docs {
+		if !d.ok || d.err != nil {
 			continue
 		}
-		if folded {
+		if d.res.folded {
 			rec.FoldedDocs++
 		} else {
-			mined = m.analyzeEntity(id, text, nil)
-			if len(mined) > 0 && !annotated {
-				if _, err := st.Annotate(id, annotationsOf(mined)); err != nil {
-					continue
-				}
-			}
 			rec.RepairedDocs++
 		}
-		facts = fold(facts, date, mined)
+		facts = fold(facts, d.res.date, d.res.mined)
 	}
 	t.agg.ApplyRecovered(facts, rec.FoldedDocs+rec.RepairedDocs)
 	t.published()

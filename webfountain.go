@@ -6,8 +6,9 @@
 //
 // The package is the public facade over the substrates in internal/:
 //
-//   - Platform: a sharded entity store, an inverted indexer and a
-//     shared-nothing miner runtime (the WebFountain core).
+//   - Platform: a sharded entity store, an inverted indexer and one
+//     parallel pass that runs miners over the stored documents (the
+//     WebFountain core).
 //   - SentimentMiner: the paper's contribution, in both operational
 //     modes — with a predefined set of subjects (spotting,
 //     disambiguation, per-spot sentiment) and without (named-entity
@@ -28,13 +29,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"unicode/utf8"
 
-	"webfountain/internal/cluster"
 	"webfountain/internal/index"
 	"webfountain/internal/metrics"
 	"webfountain/internal/store"
@@ -72,13 +73,17 @@ type Document struct {
 }
 
 // Platform is the text-analytics substrate: a sharded entity store, an
-// inverted index over tokens and miner concepts, and a parallel miner
-// runtime. It is safe for concurrent use.
+// inverted index over tokens and miner concepts, and a parallel pass
+// that mines the stored documents. It is safe for concurrent use.
 type Platform struct {
 	store   *store.Store
-	cluster *cluster.Cluster
 	workers int
 	nextID  atomic.Int64
+
+	// mineMu runs one mineStored pass at a time: a pass checks a
+	// document for its miner's annotations and then annotates it, and
+	// two passes interleaved there would both write.
+	mineMu sync.Mutex
 
 	// The inverted index is built from the store by the first search
 	// (InvertedIndex) and kept up to date by every write after that, so a
@@ -228,7 +233,6 @@ func platformOver(st *store.Store, cfg PlatformConfig) *Platform {
 	}
 	p := &Platform{
 		store:       st,
-		cluster:     cluster.New(st),
 		workers:     workers,
 		indexShards: shards,
 	}
@@ -388,6 +392,70 @@ func (p *Platform) buildIndex() *index.Index {
 	close(shardCh)
 	wg.Wait()
 	return ix
+}
+
+// stored is one document's outcome of a mineStored pass.
+type stored[T any] struct {
+	id  string
+	ok  bool // false when the document was deleted before its turn
+	res T
+	err error // the refused write-back
+}
+
+// mineStored is the one pass offline code mines the stored documents
+// with: SentimentMiner.Run, RecoverServingTier and RunAnalytics' geo
+// miner. It visits the store's IDs in sorted order, claimed by index on
+// p.workers goroutines (the ingest pool's count), and keeps each
+// document's outcome in its own slot, so what it returns, in sorted-ID
+// order, does not depend on scheduling.
+//
+// mine gets the live document under its shard's read lock, as
+// Store.View runs its fn (it must not mutate or retain e or its slices,
+// strings are fine, and must not call into the store), and whether the
+// document already carries an annotation of miner. It returns the
+// document's result and the annotations miner attaches. These are
+// written back, once the lock is released, under one rule: only to a
+// document that carries no annotation of miner yet. A second pass, or a
+// pass over documents the serving tier mined, therefore adds nothing to
+// the store. A refused write-back is that document's err; the pass goes
+// on.
+func mineStored[T any](p *Platform, miner string, mine func(e *store.Entity, annotated bool) (T, []store.Annotation)) []stored[T] {
+	p.mineMu.Lock()
+	defer p.mineMu.Unlock()
+	ids := p.store.IDs()
+	out := make([]stored[T], len(ids))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(ids); i = int(next.Add(1)) - 1 {
+			var (
+				anns      []store.Annotation
+				annotated bool
+			)
+			r := &out[i]
+			r.id = ids[i]
+			r.ok = p.store.View(r.id, func(e *store.Entity) {
+				annotated = slices.ContainsFunc(e.Annotations, func(a store.Annotation) bool { return a.Miner == miner })
+				r.res, anns = mine(e, annotated)
+			})
+			if r.ok && !annotated && len(anns) > 0 {
+				_, r.err = p.store.Annotate(r.id, anns)
+			}
+		}
+	}
+	if workers := min(p.workers, len(ids)); workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	return out
 }
 
 // Close flushes the durable store's write-ahead log and releases it. It
@@ -705,6 +773,3 @@ func (p *Platform) Restore(r io.Reader) (int, error) {
 
 // internalStore exposes the store to sibling files of this package.
 func (p *Platform) internalStore() *store.Store { return p.store }
-
-// internalCluster exposes the miner runtime to sibling files.
-func (p *Platform) internalCluster() *cluster.Cluster { return p.cluster }
