@@ -133,14 +133,15 @@ func TestAllocCeilingTag(t *testing.T) {
 // TestAllocCeilingGatewayIngest gates the whole server-side ingest of one
 // warm 32-document bulk request, as BenchmarkGatewayIngestBulk runs it:
 // the gateway reads the body into a pooled buffer and cuts the documents
-// from one string, the tier mines each into its worker's arena, the
-// durable store encodes the commit into a pooled buffer and keeps the
-// batch's entities in one array, and the aggregates append entries in
-// chunks. What is left per document is its generated ID, its
-// annotations (the store keeps them) and what the analyzer builds per
-// sentiment hit, so the ceiling is a constant per request, which covers
-// the 32 IDs, plus a small term per fact — at its parent the same
-// request made about 33 allocations per document.
+// from one string, the tier mines each into its worker's arena and
+// copies the strings its entries keep into one string, the durable
+// store encodes the commit into a pooled buffer and keeps where the
+// records landed under keys cut from one string, and the aggregates
+// append entries in chunks. What is left per document is its generated
+// ID, its annotations (the WAL record is encoded from them) and what the
+// analyzer builds per sentiment hit, so the ceiling is a constant per
+// request, which covers the 32 IDs, plus a small term per fact — at its
+// parent the same request made about 33 allocations per document.
 func TestAllocCeilingGatewayIngest(t *testing.T) {
 	const batch = 32
 	p, err := OpenPlatform(PlatformConfig{DataDir: t.TempDir()})

@@ -240,6 +240,10 @@ func (ix *Index) Add(docID string, tokens []string) {
 	b := builderPool.Get().(*docBuilder)
 	b.build(tokens, uint32(len(ix.termShards)))
 
+	// The index keeps the ID (a map assignment stores its key even when
+	// the key is there already), so it keeps a copy: the caller's may be
+	// cut from a whole document.
+	docID = strings.Clone(docID)
 	ds := ix.docShard(docID)
 	ds.mu.Lock()
 	ds.docLen[docID] = len(tokens)
@@ -275,11 +279,13 @@ func (ix *Index) Add(docID string, tokens []string) {
 }
 
 // intern returns the shard-local document number for an ID, assigning
-// the next one on first sight. Callers hold the shard write lock.
+// the next one, to a copy of the ID, on first sight. Callers hold the
+// shard write lock.
 func (sh *termShard) intern(docID string) uint32 {
 	if n, ok := sh.idOf[docID]; ok {
 		return n
 	}
+	docID = strings.Clone(docID)
 	n := uint32(len(sh.ids))
 	sh.ids = append(sh.ids, docID)
 	sh.idOf[docID] = n
@@ -293,8 +299,11 @@ func (sh *termShard) intern(docID string) uint32 {
 func (sh *termShard) appendBlock(term string, docN uint32, positions []int) {
 	tl := sh.terms[term]
 	if tl == nil {
+		// A new term is keyed on a copy: the token it was lowered from
+		// may be a substring of a whole document (strings.ToLower
+		// returns a lower-case token as it is).
 		tl = &termList{}
-		sh.terms[term] = tl
+		sh.terms[strings.Clone(term)] = tl
 	}
 	gap := uint64(docN) // first block: the document number itself
 	if tl.n > 0 {
@@ -322,9 +331,9 @@ func (ix *Index) AddNumeric(docID, field string, value float64) {
 	m, ok := sh.numeric[field]
 	if !ok {
 		m = make(map[string]float64)
-		sh.numeric[field] = m
+		sh.numeric[strings.Clone(field)] = m
 	}
-	m[docID] = value
+	m[strings.Clone(docID)] = value
 	sh.mu.Unlock()
 	ix.touchDoc(docID)
 }
@@ -336,7 +345,7 @@ func (ix *Index) touchDoc(docID string) {
 	ds := ix.docShard(docID)
 	ds.mu.Lock()
 	if _, ok := ds.docLen[docID]; !ok {
-		ds.docLen[docID] = 0
+		ds.docLen[strings.Clone(docID)] = 0
 	}
 	ds.mu.Unlock()
 }

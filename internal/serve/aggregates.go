@@ -313,7 +313,7 @@ func (a *Aggregates) publish(facts []Fact, advance uint64) uint64 {
 		s := next.subjects[string(tokenize.Fold(buf[:0], f.Subject))]
 		switch {
 		case s == nil:
-			key := strings.ToLower(f.Subject)
+			key := ownLower(f.Subject)
 			s = &subjectAgg{key: key, gen: next.gen}
 			next.subjects[key] = s
 			added = true
@@ -341,7 +341,7 @@ func (a *Aggregates) publish(facts []Fact, advance uint64) uint64 {
 		if f.Feature != "" {
 			feature, ok := a.lower[string(tokenize.Fold(buf[:0], f.Feature))]
 			if !ok {
-				feature = strings.ToLower(f.Feature)
+				feature = ownLower(f.Feature)
 				a.lower[feature] = feature
 			}
 			bump(s.tally(false, feature))
@@ -358,6 +358,16 @@ func (a *Aggregates) publish(facts []Fact, advance uint64) uint64 {
 	}
 	a.view.Store(next)
 	return next.gen
+}
+
+// ownLower returns s lower-cased in a string of its own: strings.ToLower
+// returns s itself when it is lower-case already, and a key cut from a
+// fact would keep the text the fact was cut from alive.
+func ownLower(s string) string {
+	if l := strings.ToLower(s); l != s {
+		return l
+	}
+	return strings.Clone(s)
 }
 
 // monthOf extracts "YYYY-MM" from a "YYYY-MM-DD" date ("" if

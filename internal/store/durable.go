@@ -1,11 +1,16 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/xml"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 
 	"webfountain/internal/durable"
@@ -25,6 +30,15 @@ import (
 // wal gen+1, and prunes everything older than the previous generation —
 // keeping one snapshot+WAL pair of history so a snapshot that rots on
 // disk can still be reconstructed from its predecessor plus that WAL.
+//
+// The logs are also where the store reads its entities from: the shards
+// of a durable store are a keydir (Bitcask's), holding for each logged
+// entity the generation, offset and length of its put record and of
+// each annotate record after it, and every read decodes the entity from
+// those records, checksums checked, through one read-only handle per
+// live generation. Entities with no record to point into stay resident:
+// those loaded from a snapshot, and those whose records were in a log a
+// compaction removes, which it reads into memory first.
 
 // ErrReadOnly is wrapped by every mutation rejected because the store is
 // in degraded read-only mode: the WAL could not be appended or synced, so
@@ -86,8 +100,15 @@ type durability struct {
 	dir  string
 	opts Options
 
-	gen uint64
-	wal durable.File
+	gen  uint64
+	wal  durable.File
+	size int64 // the live WAL's length: where the next commit lands
+
+	// rmu guards files, the read-only handle of every generation a ref
+	// can point into; nil once the store is closed. A read holds rmu
+	// shared across its ReadAt.
+	rmu   sync.RWMutex
+	files map[uint64]*os.File
 
 	appended  int
 	sinceSync int
@@ -117,17 +138,23 @@ type durability struct {
 }
 
 // walReq is one writer's records waiting for, or riding, a commit: n
-// framed records in rec, applied together by apply. rec stays the
+// framed records in rec, applied together by apply, which is told the
+// generation and offset of the log where rec landed. rec stays the
 // writer's until its logged call returns; the commit that carries it
 // only reads it, except the leader's, which the commit may extend with
 // its followers' records (commitLocked).
 type walReq struct {
 	rec   []byte
 	n     int
-	apply func()
+	apply func(gen uint32, off int64)
 	done  bool
 	err   error
 }
+
+// readBufs holds the buffers logged entities are read into, as *[]byte.
+// A decoded entity copies what it keeps, so a buffer is free again once
+// the entity is decoded.
+var readBufs sync.Pool
 
 // walBufs holds PutBatch's encode buffers between commits, as *[]byte,
 // so a bulk ingest request reuses one instead of allocating its WAL
@@ -178,26 +205,39 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	// Recovery applies through the plain in-memory paths; the durability
-	// state is attached only once the store is caught up, so replay never
-	// re-logs.
+	// Recovery applies without logging; the durability state is attached
+	// only once the store is caught up, so replay never re-logs.
 	s := New(opts.Shards)
-	d := &durability{dir: dir, opts: opts}
+	for _, sh := range s.shards {
+		sh.refs = make(map[string]logRefs)
+	}
+	d := &durability{dir: dir, opts: opts, files: map[uint64]*os.File{}}
 	d.idle = sync.NewCond(&d.mu)
+	if err := d.recover(s); err != nil {
+		d.closeFiles()
+		s.uncount()
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+	}
+	s.dur = d
+	return s, nil
+}
 
+// recover loads the store's state from d.dir and opens the WAL to
+// append to and the handles to read from.
+func (d *durability) recover(s *Store) error {
 	// Load the newest snapshot whose checksum verifies.
 	var body []byte
-	gen, ok, quarantined, err := snapshotFiles.Load(dir, func(data []byte) (verr error) {
+	gen, ok, quarantined, err := snapshotFiles.Load(d.dir, func(data []byte) (verr error) {
 		body, verr = VerifySnapshot(data)
 		return verr
 	})
 	d.quarantined += quarantined
 	if err != nil {
-		return nil, fmt.Errorf("store: open %s: read snapshot: %w", dir, err)
+		return fmt.Errorf("read snapshot: %w", err)
 	}
 	if ok {
 		if _, err := s.Restore(bytes.NewReader(body)); err != nil {
-			return nil, fmt.Errorf("store: open %s: snapshot gen %d: %w", dir, gen, err)
+			return fmt.Errorf("snapshot gen %d: %w", gen, err)
 		}
 		d.gen = gen
 		d.snapLoaded = true
@@ -207,12 +247,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	// (corrupt record header) degrades the store and ends replay: the
 	// records after the loss — in this log and any later generation —
 	// cannot be trusted to form a consistent history.
-	for _, g := range walFiles.Gens(dir) {
+	for _, g := range walFiles.Gens(d.dir) {
 		if g < d.gen {
 			continue
 		}
-		if err := d.replayWAL(s, walFiles.Path(dir, g)); err != nil {
-			return nil, fmt.Errorf("store: open %s: %w", dir, err)
+		if err := d.replayWAL(s, g); err != nil {
+			return err
 		}
 		if g > d.gen {
 			d.gen = g
@@ -224,34 +264,90 @@ func Open(dir string, opts Options) (*Store, error) {
 
 	// Append to the current generation's WAL from here on.
 	if d.wal, err = d.openWAL(d.gen); err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+		return err
 	}
-	s.dur = d
-	return s, nil
+	if err := d.openReader(d.gen); err != nil {
+		return err
+	}
+	fi, err := d.files[d.gen].Stat()
+	if err != nil {
+		return err
+	}
+	d.size = fi.Size()
+	return nil
 }
 
-// replayWAL applies one WAL file to the store: valid records are applied
-// in order, a corrupt record is quarantined and skipped, a torn tail
-// truncates the file in place so the next append starts on a record
-// boundary, and a corrupt record header — framing lost mid-file —
-// quarantines the whole remaining tail and degrades the store rather
-// than silently dropping the acknowledged records the tail may hold. An
-// intact record of an op this binary does not know fails the replay and
-// leaves the file as it is.
-func (d *durability) replayWAL(s *Store, path string) error {
-	data, err := os.ReadFile(path)
+// openReader opens generation gen's log read-only for the refs into it,
+// unless it is open already.
+func (d *durability) openReader(gen uint64) error {
+	if d.files[gen] != nil {
+		return nil
+	}
+	f, err := os.Open(walFiles.Path(d.dir, gen))
+	if err != nil {
+		return err
+	}
+	d.rmu.Lock()
+	d.files[gen] = f
+	d.rmu.Unlock()
+	return nil
+}
+
+// closeFiles closes every read handle; reads from then on find the
+// store closed.
+func (d *durability) closeFiles() {
+	d.rmu.Lock()
+	defer d.rmu.Unlock()
+	for _, f := range d.files {
+		_ = f.Close() // read-only
+	}
+	d.files = nil
+}
+
+// replayWAL applies generation gen's WAL file to the store, reading it
+// record by record: valid records are applied in order, a put or
+// annotate record as a ref to where it is (applyRecordAt), a corrupt
+// record is quarantined and skipped, a torn tail truncates the file in
+// place so the next append starts on a record boundary, and a corrupt
+// record header — framing lost mid-file — quarantines the whole
+// remaining tail and degrades the store rather than silently dropping
+// the acknowledged records the tail may hold. An intact record of an op
+// this binary does not know fails the replay and leaves the file as it
+// is. The log's read handle stays open for the refs into it.
+func (d *durability) replayWAL(s *Store, gen uint64) error {
+	path := walFiles.Path(d.dir, gen)
+	name := filepath.Base(path)
+	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
 		}
-		return fmt.Errorf("replay %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("replay %s: %w", name, err)
 	}
-	off := 0
-	for off < len(data) {
-		op, body, n, derr := decodeWALRecord(data[off:])
+	d.rmu.Lock()
+	d.files[gen] = f
+	d.rmu.Unlock()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("replay %s: %w", name, err)
+	}
+	size := fi.Size()
+	r := bufio.NewReaderSize(f, replayBuffer)
+	var (
+		off int64
+		buf []byte
+	)
+	for off < size {
+		var (
+			op   byte
+			body []byte
+			n    int64
+			derr error
+		)
+		op, body, n, buf, derr = readWALRecord(r, size-off, buf)
 		switch {
 		case errors.Is(derr, errCorruptRecord):
-			d.quarantine(data[off : off+n])
+			d.quarantine(bytes.NewReader(buf[:n]))
 			off += n
 			continue
 		case errors.Is(derr, errBadHeader):
@@ -260,28 +356,31 @@ func (d *durability) replayWAL(s *Store, path string) error {
 			// forensics, truncate so the file ends on a record boundary,
 			// and refuse further writes: the loss must be surfaced, not
 			// papered over.
-			d.quarantine(data[off:])
-			if terr := os.Truncate(path, int64(off)); terr != nil {
-				return fmt.Errorf("replay %s: truncate corrupt tail: %w", filepath.Base(path), terr)
+			d.quarantine(io.NewSectionReader(f, off, size-off))
+			if terr := os.Truncate(path, off); terr != nil {
+				return fmt.Errorf("replay %s: truncate corrupt tail: %w", name, terr)
 			}
-			d.degrade(fmt.Sprintf("wal framing lost: %s offset %d: %v", filepath.Base(path), off, derr))
+			d.degrade(fmt.Sprintf("wal framing lost: %s offset %d: %v", name, off, derr))
+			return nil
+		case errors.Is(derr, errTornRecord):
+			// Torn tail: drop it so appends resume on a clean boundary.
+			d.truncated += int(size - off)
+			if terr := os.Truncate(path, off); terr != nil {
+				return fmt.Errorf("replay %s: truncate torn tail: %w", name, terr)
+			}
 			return nil
 		case derr != nil:
-			// Torn tail: drop it so appends resume on a clean boundary.
-			d.truncated += len(data) - off
-			if terr := os.Truncate(path, int64(off)); terr != nil {
-				return fmt.Errorf("replay %s: truncate torn tail: %w", filepath.Base(path), terr)
-			}
-			return nil
+			return fmt.Errorf("replay %s: offset %d: %w", name, off, derr)
 		}
-		if aerr := applyRecord(s, op, body); errors.Is(aerr, errUnknownOp) {
+		at := recRef{gen: uint32(gen), n: uint32(n), off: off}
+		if aerr := s.applyRecordAt(op, body, at); errors.Is(aerr, errUnknownOp) {
 			// The checksum covers the op byte, so this record is intact:
 			// a newer binary wrote it. Skipping it would open a store
 			// that silently lacks acknowledged data, so refuse to open
 			// and leave the log as it is.
-			return fmt.Errorf("replay %s: offset %d: %w", filepath.Base(path), off, aerr)
+			return fmt.Errorf("replay %s: offset %d: %w", name, off, aerr)
 		} else if aerr != nil {
-			d.quarantine(data[off : off+n])
+			d.quarantine(bytes.NewReader(buf[:n]))
 		} else {
 			d.replayed++
 		}
@@ -290,72 +389,213 @@ func (d *durability) replayWAL(s *Store, path string) error {
 	return nil
 }
 
+// replayBuffer is the size of the buffered reader replay streams a log
+// through; a record longer than it is read into a buffer of its own.
+const replayBuffer = 64 << 10
+
 // errUnknownOp reports a checksum-valid WAL record whose op this binary
 // does not know.
 var errUnknownOp = errors.New("unknown wal op")
 
-// applyRecord applies one decoded WAL record through the in-memory paths.
+// applyRecord applies one decoded WAL record to a store that keeps what
+// it applies resident: at has no log to point into.
 func applyRecord(s *Store, op byte, body []byte) error {
+	return s.applyRecordAt(op, body, recRef{})
+}
+
+// applyRecordAt applies one decoded WAL record of any op this store
+// replays. A put record found in the log at at (at.n > 0) makes its
+// entity logged, a ref to it under a copy of the ID; without one, the
+// decoded entity is installed resident. An annotate record adds at, or
+// its annotations to a resident entity; a missing ID means the record
+// raced a delete at log time and is a no-op.
+func (s *Store) applyRecordAt(op byte, body []byte, at recRef) error {
 	switch op {
-	case opPut, opPutPlain:
-		return s.replayPut(decodePut(body, op == opPut))
-	case opPutXML:
-		return s.replayPut(ParseEntity(body))
-	case opAnnotate, opAnnotatePlain:
-		return s.replayAnnotate(decodeAnnotate(body, op == opAnnotate))
-	case opAnnotateXML:
-		return s.replayAnnotate(decodeXMLAnnotate(body))
+	case opPut, opPutPlain, opPutXML:
+		e, err := decodeEntityRecord(op, body)
+		switch {
+		case err != nil:
+			return err
+		case at.n == 0:
+			s.install(e)
+		default:
+			s.setRefs(strings.Clone(e.ID), logRefs{put: at})
+		}
+		return nil
+	case opAnnotate, opAnnotatePlain, opAnnotateXML:
+		id, anns, err := decodeAnnotateRecord(op, body)
+		if err != nil {
+			return err
+		}
+		s.annotated(id, anns, at)
+		return nil
 	case opDelete:
-		s.applyDelete(string(body))
+		s.remove(string(body))
 		return nil
 	case opDeleteV:
 		id, err := legacyDeleteID(body)
 		if err != nil {
 			return err
 		}
-		s.applyDelete(id)
+		s.remove(id)
 		return nil
 	}
 	return fmt.Errorf("%w %d: written by a newer version of the store", errUnknownOp, op)
 }
 
-// replayPut installs a decoded entity. It is the store's own, so it
-// goes in without the copy a live Put makes.
-func (s *Store) replayPut(e *Entity, err error) error {
-	if err != nil {
-		return err
+// errClosed reports a read of a logged entity after Close, which closed
+// the handles it would be read through.
+var errClosed = errors.New("store: closed")
+
+// load decodes the logged entity id from its records r: its put record,
+// then each annotate record in log order, each read whole and its
+// checksums checked.
+func (d *durability) load(id string, r logRefs) (*Entity, error) {
+	bp, _ := readBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
 	}
-	s.install(e)
+	defer readBufs.Put(bp)
+	d.rmu.RLock()
+	defer d.rmu.RUnlock()
+	if d.files == nil {
+		return nil, errClosed
+	}
+	op, body, err := d.read(r.put, bp)
+	if err != nil {
+		return nil, err
+	}
+	e, err := decodeEntityRecord(op, body)
+	if err == nil && e.ID != id {
+		err = fmt.Errorf("store: record of %q where %q was logged", e.ID, id)
+	}
+	if err != nil {
+		return nil, d.readError(r.put, err)
+	}
+	e.XMLName = xml.Name{}
+	if r.ann.n == 0 {
+		return e, nil
+	}
+	for i := -1; i < len(r.more); i++ {
+		a := r.ann
+		if i >= 0 {
+			a = r.more[i]
+		}
+		op, body, err := d.read(a, bp)
+		if err != nil {
+			return nil, err
+		}
+		aid, anns, err := decodeAnnotateRecord(op, body)
+		if err == nil && aid != id {
+			err = fmt.Errorf("store: annotations of %q where %q was logged", aid, id)
+		}
+		if err != nil {
+			return nil, d.readError(a, err)
+		}
+		if len(e.Annotations) == 0 {
+			e.Annotations = anns // the decoded slice is the entity's own
+		} else {
+			e.Annotations = append(e.Annotations, anns...)
+		}
+	}
+	return e, nil
+}
+
+// read reads the record r refers to into *bp, grown as needed, and
+// checks its checksums. The caller holds rmu shared, with files open.
+func (d *durability) read(r recRef, bp *[]byte) (op byte, body []byte, err error) {
+	f := d.files[uint64(r.gen)]
+	if f == nil {
+		return 0, nil, d.readError(r, errors.New("no open log"))
+	}
+	buf := slices.Grow((*bp)[:0], int(r.n))[:r.n]
+	*bp = buf
+	if _, err := f.ReadAt(buf, r.off); err != nil {
+		return 0, nil, d.readError(r, err)
+	}
+	op, body, n, err := decodeWALRecord(buf)
+	if err == nil && n != len(buf) {
+		err = fmt.Errorf("frame of %d bytes where %d were logged", n, len(buf))
+	}
+	if err != nil {
+		return 0, nil, d.readError(r, err)
+	}
+	return op, body, nil
+}
+
+// readError names the record a read failed at.
+func (d *durability) readError(r recRef, err error) error {
+	return fmt.Errorf("store: read %s offset %d: %w", filepath.Base(walFiles.Path(d.dir, uint64(r.gen))), r.off, err)
+}
+
+// readFailed acts on an entity read back from the log that failed after
+// the store opened: it counts in store.read.errors and degrades the
+// store with the reason, as a WAL failure does, and the reader reports
+// the entity absent. A read after Close is not a failure.
+func (s *Store) readFailed(err error) {
+	if errors.Is(err, errClosed) {
+		return
+	}
+	d := s.dur
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.readFailedLocked(err)
+}
+
+// readFailedLocked is readFailed for a caller holding d.mu.
+func (d *durability) readFailedLocked(err error) {
+	if errors.Is(err, errClosed) {
+		return
+	}
+	readErrors.Inc()
+	d.degrade(err.Error())
+}
+
+// uncount takes a durable store's entities out of the process-wide
+// gauges, when it closes.
+func (s *Store) uncount() {
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		kindGauges[resident].Add(-int64(len(sh.entities)))
+		kindGauges[logged].Add(-int64(len(sh.refs)))
+		sh.mu.RUnlock()
+	}
+}
+
+// residentBelow reads every logged entity with a record in a generation
+// below gen into memory, so that the logs below gen can go. It stops at
+// the first entity it cannot read, which stays logged.
+func (s *Store) residentBelow(gen uint64) error {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for id, r := range sh.refs {
+			if !r.below(gen) {
+				continue
+			}
+			e, err := s.dur.load(id, r)
+			if err != nil {
+				sh.mu.Unlock()
+				return err
+			}
+			delete(sh.refs, id)
+			sh.entities[id] = e
+			sh.moved(logged, resident)
+		}
+		sh.mu.Unlock()
+	}
 	return nil
 }
 
-// replayAnnotate appends decoded annotations to their entity.
-func (s *Store) replayAnnotate(id string, anns []Annotation, err error) error {
-	if err != nil {
-		return err
-	}
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// Annotating an entity deleted later in the original timeline is
-	// impossible here (records replay in order); a missing ID means the
-	// record raced a delete at log time and is a no-op.
-	if e, ok := sh.entities[id]; ok {
-		e.Annotations = append(e.Annotations, anns...)
-	}
-	return nil
-}
-
-// quarantine appends the raw bytes of a corrupt record to quarantine.log
-// (best effort) and counts it.
-func (d *durability) quarantine(rec []byte) {
+// quarantine appends the raw bytes of a corrupt record, or of a log's
+// unframeable tail, to quarantine.log (best effort) and counts it.
+func (d *durability) quarantine(rec io.Reader) {
 	d.quarantined++
 	f, err := os.OpenFile(filepath.Join(d.dir, "quarantine.log"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return
 	}
 	defer f.Close()
-	_, _ = f.Write(rec)
+	_, _ = io.Copy(f, rec)
 }
 
 // writableLocked reports why the store cannot accept a mutation, nil
@@ -371,13 +611,13 @@ func (d *durability) writableLocked() error {
 }
 
 // logged makes one writer's n records durable and then applies them
-// (apply runs once, after the sync). A writer that
+// (apply runs once, after the sync, told where rec landed). A writer that
 // finds the WAL free commits at once — a lone writer is a batch of one —
 // and writers that arrive while a commit is in flight ride the next one
 // together, led by the first of them. Either way the call returns only
 // once the record is durable under the sync policy and applied, or with
 // the error that failed its batch.
-func (s *Store) logged(rec []byte, n int, apply func()) error {
+func (s *Store) logged(rec []byte, n int, apply func(gen uint32, off int64)) error {
 	d := s.dur
 	req := &walReq{rec: rec, n: n, apply: apply}
 	d.mu.Lock()
@@ -398,7 +638,9 @@ func (s *Store) logged(rec []byte, n int, apply func()) error {
 
 // commitLocked is the one WAL write path: append the batch's records in
 // a single write, sync per the sync policy, apply the mutations in log
-// order, complete every waiter, and compact when due. Log order is apply
+// order, each told where its records landed (the write's offset plus
+// the records of the writers before it), complete every waiter, and
+// compact when due. Log order is apply
 // order because only one commit runs at a time, so replay reconstructs
 // exactly the in-memory history. A failed append or sync flips the store
 // into degraded read-only mode and fails the whole batch un-applied:
@@ -414,6 +656,10 @@ func (s *Store) logged(rec []byte, n int, apply func()) error {
 func (s *Store) commitLocked(batch []*walReq) {
 	d := s.dur
 	d.next = nil
+	var (
+		gen uint32
+		at  int64
+	)
 	err := d.writableLocked()
 	if err == nil {
 		// The followers' records are appended to the leader's: the
@@ -426,6 +672,7 @@ func (s *Store) commitLocked(batch []*walReq) {
 			records += r.n
 		}
 		wal, doSync := d.wal, d.sinceSync+records >= d.opts.SyncEvery
+		gen, at = uint32(d.gen), d.size
 		d.busy = true
 		d.mu.Unlock()
 		reason := appendWAL(wal, buf, doSync)
@@ -435,6 +682,7 @@ func (s *Store) commitLocked(batch []*walReq) {
 			d.degrade(reason)
 			err = d.writableLocked()
 		} else {
+			d.size += int64(len(buf))
 			walAppends.Add(int64(records))
 			walBatchRecords.Observe(int64(records))
 			d.appended += records
@@ -449,7 +697,8 @@ func (s *Store) commitLocked(batch []*walReq) {
 	}
 	for _, r := range batch {
 		if err == nil {
-			r.apply()
+			r.apply(gen, at)
+			at += int64(len(r.rec))
 		}
 		r.err, r.done = err, true
 	}
@@ -517,10 +766,20 @@ func (s *Store) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("store: compact: rotate wal: %w", err)
 	}
-	err = snapshotFiles.Publish(d.dir, newGen, d.opts.WrapFile, s.Snapshot)
+	if err = d.openReader(newGen); err == nil {
+		err = snapshotFiles.Publish(d.dir, newGen, d.opts.WrapFile, func(w io.Writer) error {
+			return s.snapshot(w, d.readFailedLocked)
+		})
+	}
 	if err != nil && !errors.Is(err, durable.ErrUnsynced) {
 		_ = newWAL.Close() // never written to
 		_ = os.Remove(walFiles.Path(d.dir, newGen))
+		d.rmu.Lock()
+		if f := d.files[newGen]; f != nil {
+			_ = f.Close() // read-only
+			delete(d.files, newGen)
+		}
+		d.rmu.Unlock()
 		return fmt.Errorf("store: compact: %w", err)
 	}
 
@@ -531,6 +790,7 @@ func (s *Store) compactLocked() error {
 	_ = d.wal.Close()
 	d.wal = newWAL
 	d.gen = newGen
+	d.size = 0
 	d.appended = 0
 	d.sinceSync = 0
 
@@ -550,15 +810,34 @@ func (s *Store) compactLocked() error {
 	// generation without publishing a snapshot it is older, and keying
 	// the WAL prune off the snapshot actually kept leaves the whole
 	// fallback chain intact. With no previous snapshot every WAL stays.
+	// The entities with a record in a log about to go are read into
+	// memory first, so no ref outlives its file; one that cannot be read
+	// keeps its log, and the store degrades.
 	if kept := snapshotFiles.Prune(d.dir, newGen, 2); len(kept) == 2 {
+		if err := s.residentBelow(kept[1]); err != nil {
+			d.readFailedLocked(err)
+			return fmt.Errorf("store: compact: %w", err)
+		}
+		d.rmu.Lock()
+		for g, f := range d.files {
+			if g < kept[1] {
+				_ = f.Close() // read-only
+				delete(d.files, g)
+			}
+		}
+		d.rmu.Unlock()
 		walFiles.RemoveBelow(d.dir, kept[1])
 	}
 	compactions.Inc()
 	return nil
 }
 
-// Close flushes and closes the WAL. A durable store must not be mutated
-// after Close; reads keep working. Closing an in-memory store is a no-op.
+// Close flushes and closes the WAL and the handles logged entities are
+// read through. A durable store must not be mutated after Close. Reads
+// keep answering from the keydir and the resident entities: Len and IDs
+// are unchanged, a resident entity reads as before, and a logged one is
+// reported absent by Get, View and ForEach (a Snapshot fails). Closing
+// an in-memory store is a no-op.
 func (s *Store) Close() error {
 	d := s.dur
 	if d == nil {
@@ -584,6 +863,8 @@ func (s *Store) Close() error {
 	if cerr := d.wal.Close(); err == nil {
 		err = cerr
 	}
+	d.closeFiles()
+	s.uncount()
 	return err
 }
 

@@ -26,8 +26,14 @@ const snapshotTrailerPrefix = "<!-- crc32:"
 // Entities are written in deterministic (ID-sorted) order, so identical
 // stores produce identical snapshots. The trailing comment carries the
 // CRC32-IEEE checksum of every byte before it; VerifySnapshot and
-// RestoreVerified check it, while Restore ignores it.
-func (s *Store) Snapshot(w io.Writer) error {
+// RestoreVerified check it, while Restore ignores it. On a durable store
+// an entity that cannot be read back from the log fails the snapshot,
+// as Get reports it (counted, the store degraded).
+func (s *Store) Snapshot(w io.Writer) error { return s.snapshot(w, s.readFailed) }
+
+// snapshot is Snapshot calling failed with the error of an entity that
+// cannot be read back.
+func (s *Store) snapshot(w io.Writer, failed func(error)) error {
 	h := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, h))
 	if _, err := fmt.Fprintf(bw, "<snapshot count=\"%d\">\n", s.Len()); err != nil {
@@ -39,8 +45,12 @@ func (s *Store) Snapshot(w io.Writer) error {
 	// order) so stores holding the same entities emit identical bytes
 	// regardless of their shard counts.
 	for _, id := range s.IDs() {
-		e, ok := s.Get(id)
-		if !ok {
+		e, err := s.get(id)
+		if err != nil {
+			failed(err)
+			return fmt.Errorf("store: snapshot: %w", err)
+		}
+		if e == nil {
 			continue // deleted concurrently
 		}
 		if err := enc.Encode(e); err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"slices"
 )
@@ -143,22 +144,68 @@ func decodeWALRecord(data []byte) (op byte, body []byte, n int, err error) {
 	if len(data) < walHeaderSize {
 		return 0, nil, len(data), errTornRecord
 	}
-	ln := binary.LittleEndian.Uint32(data)
-	if crc32.ChecksumIEEE(data[:4]) != binary.LittleEndian.Uint32(data[4:8]) {
-		return 0, nil, len(data), fmt.Errorf("%w: length checksum mismatch", errBadHeader)
+	total, err := walFrameLen(data)
+	if err != nil {
+		return 0, nil, len(data), err
 	}
-	if ln == 0 || ln > maxWALRecord {
-		return 0, nil, len(data), fmt.Errorf("%w: implausible length %d", errBadHeader, ln)
-	}
-	total := walHeaderSize + int(ln)
 	if len(data) < total {
 		return 0, nil, len(data), errTornRecord
 	}
-	payload := data[walHeaderSize:total]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[8:12]) {
-		return 0, nil, total, errCorruptRecord
+	if err := checkPayload(data[:total]); err != nil {
+		return 0, nil, total, err
 	}
-	return payload[0], payload[1:], total, nil
+	return data[walHeaderSize], data[walHeaderSize+1 : total], total, nil
+}
+
+// walFrameLen checks a record header and returns the length of the
+// frame it announces.
+func walFrameLen(hdr []byte) (int, error) {
+	ln := binary.LittleEndian.Uint32(hdr)
+	if crc32.ChecksumIEEE(hdr[:4]) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return 0, fmt.Errorf("%w: length checksum mismatch", errBadHeader)
+	}
+	if ln == 0 || ln > maxWALRecord {
+		return 0, fmt.Errorf("%w: implausible length %d", errBadHeader, ln)
+	}
+	return walHeaderSize + int(ln), nil
+}
+
+// checkPayload checks a whole frame's payload checksum.
+func checkPayload(rec []byte) error {
+	if crc32.ChecksumIEEE(rec[walHeaderSize:]) != binary.LittleEndian.Uint32(rec[8:12]) {
+		return errCorruptRecord
+	}
+	return nil
+}
+
+// readWALRecord is decodeWALRecord over a stream: it reads the record
+// at the head of r, of which rest bytes are left in the log, into buf,
+// grown to the frame's length, so only one record is held at a time. n
+// and err mean what they mean for decodeWALRecord; any other error is
+// the read's. The returned body aliases the returned buffer.
+func readWALRecord(r io.Reader, rest int64, buf []byte) (op byte, body []byte, n int64, _ []byte, err error) {
+	if rest < walHeaderSize {
+		return 0, nil, rest, buf, errTornRecord
+	}
+	buf = slices.Grow(buf[:0], walHeaderSize)[:walHeaderSize]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, nil, 0, buf, err
+	}
+	total, err := walFrameLen(buf)
+	if err != nil {
+		return 0, nil, rest, buf, err
+	}
+	if rest < int64(total) {
+		return 0, nil, rest, buf, errTornRecord
+	}
+	buf = slices.Grow(buf, total-walHeaderSize)[:total]
+	if _, err := io.ReadFull(r, buf[walHeaderSize:]); err != nil {
+		return 0, nil, 0, buf, err
+	}
+	if err := checkPayload(buf); err != nil {
+		return 0, nil, int64(total), buf, err
+	}
+	return buf[walHeaderSize], buf[walHeaderSize+1:], int64(total), buf, nil
 }
 
 // RecordPrefix returns the first payload bytes of the WAL record that
@@ -540,6 +587,30 @@ func (r *bodyReader) end(kind string) error {
 		return fmt.Errorf("store: decode %s record: %w", kind, r.err)
 	}
 	return nil
+}
+
+// decodeEntityRecord decodes the entity of a put record of any op this
+// store replays.
+func decodeEntityRecord(op byte, body []byte) (*Entity, error) {
+	switch op {
+	case opPut, opPutPlain:
+		return decodePut(body, op == opPut)
+	case opPutXML:
+		return ParseEntity(body)
+	}
+	return nil, fmt.Errorf("store: op %d is not a put", op)
+}
+
+// decodeAnnotateRecord decodes an annotate record of any op this store
+// replays.
+func decodeAnnotateRecord(op byte, body []byte) (id string, anns []Annotation, err error) {
+	switch op {
+	case opAnnotate, opAnnotatePlain:
+		return decodeAnnotate(body, op == opAnnotate)
+	case opAnnotateXML:
+		return decodeXMLAnnotate(body)
+	}
+	return "", nil, fmt.Errorf("store: op %d is not an annotate", op)
 }
 
 // xmlAnnotateRecord is the body of a legacy opAnnotateXML record.

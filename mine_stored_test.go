@@ -2,12 +2,15 @@ package webfountain
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"webfountain/internal/corpus"
+	"webfountain/internal/durable"
 	"webfountain/internal/miners"
 	"webfountain/internal/serve"
 	"webfountain/internal/store"
@@ -169,22 +172,25 @@ func TestRunAnalyticsTwiceKeepsGeoAnnotations(t *testing.T) {
 }
 
 // TestRunFailsOnRefusedWriteBack: when the store refuses a write-back
-// (here: a durable platform closed under the miner), Run returns an
-// error that names the document and wraps the store's failure, and no
-// facts.
+// (here: a durable platform whose log stops taking writes under the
+// miner), Run returns an error that names the document and wraps the
+// store's failure, and no facts.
 func TestRunFailsOnRefusedWriteBack(t *testing.T) {
-	p, err := OpenPlatform(PlatformConfig{DataDir: t.TempDir()})
+	var refuse atomic.Bool
+	st, err := store.Open(t.TempDir(), store.Options{WrapFile: func(f durable.File) durable.File {
+		return refusingWAL{File: f, refuse: &refuse}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := platformOver(st, PlatformConfig{}.normalized())
+	defer p.Close()
 	ingestStoredPassDocs(t, p)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	refuse.Store(true)
 	ids := p.internalStore().IDs()
 	_, storeErr := p.internalStore().Annotate(ids[0], []store.Annotation{{Miner: "probe", Type: "probe"}})
 	if storeErr == nil {
-		t.Fatal("a closed store accepted an annotation")
+		t.Fatal("a store whose log refuses writes accepted an annotation")
 	}
 	m, err := NewSentimentMiner(MinerConfig{})
 	if err != nil {
@@ -192,7 +198,7 @@ func TestRunFailsOnRefusedWriteBack(t *testing.T) {
 	}
 	facts, err := m.Run(p)
 	if err == nil || facts != nil {
-		t.Fatalf("Run over a closed store = %d facts, err %v; want no facts and an error", len(facts), err)
+		t.Fatalf("Run over a store refusing writes = %d facts, err %v; want no facts and an error", len(facts), err)
 	}
 	if !strings.Contains(err.Error(), "camera-review-") {
 		t.Errorf("error names no document: %v", err)
@@ -200,6 +206,19 @@ func TestRunFailsOnRefusedWriteBack(t *testing.T) {
 	if !wraps(err, storeErr.Error()) {
 		t.Errorf("error %q does not wrap the store's failure %q", err, storeErr)
 	}
+}
+
+// refusingWAL fails every write once refuse is set.
+type refusingWAL struct {
+	durable.File
+	refuse *atomic.Bool
+}
+
+func (w refusingWAL) Write(p []byte) (int, error) {
+	if w.refuse.Load() {
+		return 0, errors.New("injected write failure")
+	}
+	return w.File.Write(p)
 }
 
 // wraps reports whether an error err wraps, itself excluded, has the

@@ -557,7 +557,7 @@ func (p *Platform) ingest(ctx context.Context, docs []Document,
 			}
 			d := &docs[i]
 			text := sanitizeText(d.Text)
-			entity[i] = store.Entity{ // PutBatch stores a copy, Links included
+			entity[i] = store.Entity{ // PutBatch keeps a copy or a log record of it, Links included
 				ID: ids[i], URL: d.URL, Source: d.Source, Title: d.Title, Date: d.Date, Text: text, Links: d.Links,
 			}
 			ents[i] = &entity[i]
