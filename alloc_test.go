@@ -133,11 +133,11 @@ func TestAllocCeilingTag(t *testing.T) {
 // TestAllocCeilingGatewayIngest gates the whole server-side ingest of one
 // warm 32-document bulk request, as BenchmarkGatewayIngestBulk runs it:
 // the gateway reads the body into a pooled buffer and cuts the documents
-// from one string, the tier mines each into its worker's arena and
-// copies the strings its entries keep into one string, the durable
-// store encodes the commit into a pooled buffer and keeps where the
-// records landed under keys cut from one string, and the aggregates
-// append entries in chunks. What is left per document is its generated
+// from one string, the tier mines each into its worker's arena, the
+// durable store encodes the commit into a pooled buffer and keeps where
+// the records landed under keys cut from one string, and the aggregates
+// copy the strings their entries keep into one text and append packed
+// entries in chunks. What is left per document is its generated
 // ID, its annotations (the WAL record is encoded from them) and what the
 // analyzer builds per sentiment hit, so the ceiling is a constant per
 // request, which covers the 32 IDs, plus a small term per fact — at its

@@ -358,11 +358,11 @@ func TestChaosServingKillBetweenPutAndAnnotate(t *testing.T) {
 
 		// The repair's own annotate record is durable: a second kill and
 		// boot mines nothing and changes nothing.
-		fp, gen := sc.tier.View().Fingerprint(), sc.tier.View().Generation()
+		fp, gen, dump := sc.tier.View().Fingerprint(), sc.tier.View().Generation(), entryDump(sc.tier.View())
 		sc.crash()
 		sc.open(nil, ServingTierConfig{})
 		if sc.rec.RepairedDocs != 0 || sentimentAnnotations(sc.p.internalStore(), victim) != 1 ||
-			sc.tier.View().Fingerprint() != fp || sc.tier.View().Generation() != gen {
+			sc.tier.View().Fingerprint() != fp || sc.tier.View().Generation() != gen || entryDump(sc.tier.View()) != dump {
 			t.Fatalf("seed=%d: second recovery %+v diverged from the first", seed, sc.rec)
 		}
 		return digest

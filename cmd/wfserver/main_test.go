@@ -73,6 +73,16 @@ func getCached(t *testing.T, url string) (int, string, string) {
 	return resp.StatusCode, string(body), resp.Header.Get("X-Cache")
 }
 
+// entriesOf renders every subject's entries: a view's fingerprint covers
+// its cells, not what /api/sentiment serves.
+func entriesOf(v *serve.View) string {
+	var b strings.Builder
+	for _, s := range v.Subjects() {
+		fmt.Fprintf(&b, "%s: %+v\n", s, v.Entries(s))
+	}
+	return b.String()
+}
+
 func TestBootRejectsUnknownCorpus(t *testing.T) {
 	if _, _, err := boot("bogus", 5, 1, ""); err == nil {
 		t.Error("unknown corpus should fail")
@@ -105,6 +115,9 @@ func TestBootSeedsFreshDurableStoreThroughTier(t *testing.T) {
 	if got, want := v.Fingerprint(), memTier.View().Fingerprint(); got != want {
 		t.Errorf("durable and in-memory boots of one corpus disagree: %s != %s", got, want)
 	}
+	if entriesOf(v) != entriesOf(memTier.View()) {
+		t.Error("durable and in-memory boots of one corpus serve different entries")
+	}
 	if err := platform.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +128,10 @@ func TestBootSeedsFreshDurableStoreThroughTier(t *testing.T) {
 	}
 	defer platform2.Close()
 	v2 := tier2.View()
-	if platform2.NumEntities() != 25 || v2.Generation() != 25 || v2.Fingerprint() != v.Fingerprint() {
-		t.Errorf("restart: %d docs, generation %d, fingerprint match %v; want the seeded state at generation 25",
-			platform2.NumEntities(), v2.Generation(), v2.Fingerprint() == v.Fingerprint())
+	if platform2.NumEntities() != 25 || v2.Generation() != 25 || v2.Fingerprint() != v.Fingerprint() ||
+		entriesOf(v2) != entriesOf(v) {
+		t.Errorf("restart: %d docs, generation %d, fingerprint match %v, entries match %v; want the seeded state at generation 25",
+			platform2.NumEntities(), v2.Generation(), v2.Fingerprint() == v.Fingerprint(), entriesOf(v2) == entriesOf(v))
 	}
 
 	empty, emptyTier, err := boot("pharma", 0, 3, t.TempDir())

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -118,22 +119,41 @@ func TestAggregatesNamesSharedUnlessSubjectAdded(t *testing.T) {
 }
 
 // TestAggregatesApplyRecovered: the recovery publish is one snapshot
-// whose generation advances by the number of documents recovered; no
+// whose generation advances by the number of documents recovered, and
+// it holds what Apply of the same facts holds, entries included; no
 // documents, no publish.
 func TestAggregatesApplyRecovered(t *testing.T) {
 	a := NewAggregates()
-	if gen := a.ApplyRecovered(nil, 0); gen != 0 || a.View().Generation() != 0 {
+	if gen := a.ApplyRecovered(nil); gen != 0 || a.View().Generation() != 0 {
 		t.Fatalf("recovering nothing moved the generation to %d", gen)
 	}
-	facts := []Fact{{Subject: "s", Date: "2004-01-02", Positive: true}, {Subject: "t"}}
-	if gen := a.ApplyRecovered(facts, 5); gen != 5 || a.View().Generation() != 5 {
+	facts := []Fact{
+		{Subject: "s", Feature: "Zoom", Date: "2004-01-02", Positive: true, Doc: "d1", Snippet: "good zoom"},
+		{Subject: "t", Doc: "d1", Sentence: 2, Snippet: "bad"},
+		{Subject: "s", Feature: "zoom", Date: "2004-02-02", Doc: "d2", Snippet: "bad zoom"},
+	}
+	docs := []Staged{Stage(facts[:2]), Stage(nil), Stage(facts[2:]), Stage(nil), Stage(nil)}
+	if gen := a.ApplyRecovered(docs); gen != 5 || a.View().Generation() != 5 {
 		t.Fatalf("generation %d after recovering 5 documents, want 5", gen)
 	}
 	ref := NewAggregates()
 	ref.Apply(facts)
-	if a.View().Fingerprint() != ref.View().Fingerprint() || a.View().Facts() != 2 {
+	if a.View().Fingerprint() != ref.View().Fingerprint() || a.View().Facts() != 3 {
 		t.Fatal("the recovery publish holds different cells than Apply of the same facts")
 	}
+	if got, want := entryDump(a.View()), entryDump(ref.View()); got != want {
+		t.Fatalf("the recovery publish serves\n%s\nApply of the same facts\n%s", got, want)
+	}
+}
+
+// entryDump renders every subject's entries, for comparing what two
+// views serve beyond their fingerprints.
+func entryDump(v *View) string {
+	var b strings.Builder
+	for _, s := range v.Subjects() {
+		fmt.Fprintf(&b, "%s: %+v\n", s, v.Entries(s))
+	}
+	return b.String()
 }
 
 func TestAggregatesSnapshotImmutable(t *testing.T) {

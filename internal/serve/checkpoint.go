@@ -180,9 +180,11 @@ func decodeViewBody(d *decoder) *View {
 
 // Fingerprint returns a deterministic digest of the aggregate table —
 // every subject's totals, months and aspects plus the corpus totals,
-// excluding the generation counter. Two views that answer every query
-// identically fingerprint identically, which is what the chaos suite
-// compares between a recovered tier and an offline full re-mine.
+// excluding the generation counter. It covers the cells behind
+// /api/subjects, /api/trend and /api/aspects, but not the entries
+// /api/sentiment serves: two views with equal fingerprints may
+// hold different entries, so a check that the views answer alike
+// compares every subject's Entries as well.
 func (v *View) Fingerprint() string {
 	var b bytes.Buffer
 	encodeViewBody(&b, v, false)

@@ -427,7 +427,9 @@ func (s *Store) applyRecordAt(op byte, body []byte, at recRef) error {
 		if err != nil {
 			return err
 		}
-		s.annotated(id, anns, at)
+		// Assigning to a key a map holds stores the new key string, and
+		// id is cut from the whole decoded record.
+		s.annotated(strings.Clone(id), anns, at)
 		return nil
 	case opDelete:
 		s.remove(string(body))

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"slices"
-	"strings"
 	"sync"
 
 	"webfountain/internal/metrics"
@@ -188,7 +187,7 @@ func RecoverServingTier(p *Platform, m *SentimentMiner, _ ServingTierConfig) (*S
 	span := servingRecoverNs.Start()
 	t := newServingTier(p, m)
 	type recovered struct {
-		facts  []serve.Fact
+		staged serve.Staged
 		folded bool
 	}
 	docs := mineStored(p, MinerName, func(e *store.Entity, annotated bool) (recovered, []store.Annotation) {
@@ -196,20 +195,16 @@ func RecoverServingTier(p *Platform, m *SentimentMiner, _ ServingTierConfig) (*S
 		if !folded {
 			mined = m.analyzeEntity(e.ID, e.Text, nil)
 		}
-		// The facts are owned at once: e is decoded from the log, and a
+		// The facts are staged at once: e is decoded from the log, and a
 		// fact cut from it would keep its whole record alive.
-		r := recovered{ownFacts(fold(nil, e.Date, mined)), folded}
+		r := recovered{serve.Stage(fold(nil, e.Date, mined)), folded}
 		if folded || annotated {
 			return r, nil
 		}
 		return r, annotationsOf(mined)
 	})
 	var rec ServingRecovery
-	n := 0
-	for _, d := range docs {
-		n += len(d.res.facts)
-	}
-	facts := make([]serve.Fact, 0, n)
+	staged := make([]serve.Staged, 0, len(docs))
 	for _, d := range docs {
 		if !d.ok || d.err != nil {
 			continue
@@ -219,9 +214,9 @@ func RecoverServingTier(p *Platform, m *SentimentMiner, _ ServingTierConfig) (*S
 		} else {
 			rec.RepairedDocs++
 		}
-		facts = append(facts, d.res.facts...)
+		staged = append(staged, d.res.staged)
 	}
-	t.agg.ApplyRecovered(facts, rec.FoldedDocs+rec.RepairedDocs)
+	t.agg.ApplyRecovered(staged)
 	t.published()
 	servingFoldedDocs.Add(int64(rec.FoldedDocs))
 	servingRepairedDocs.Add(int64(rec.RepairedDocs))
@@ -277,7 +272,7 @@ func (t *ServingTier) toFacts(facts []SubjectSentiment) []serve.Fact {
 		}
 		out = append(out, aggFact(f, date))
 	}
-	return ownFacts(out)
+	return out
 }
 
 // View returns the current aggregate snapshot (serve.Backend).
@@ -355,7 +350,6 @@ func (t *ServingTier) ingest(ctx context.Context, batch []Document) ([]string, i
 			facts = append(facts, annotationFact(&anns[i][k], id, batch[i].Date, texts[i]))
 		}
 	}
-	ownFacts(facts)
 	// Publish even an empty successful batch: the corpus changed, so
 	// cached responses keyed on the old generation must re-render. A
 	// batch that acked nothing and failed changed nothing — skipping
@@ -382,67 +376,6 @@ const maxKeptFacts = 8192
 func annotationFact(a *store.Annotation, id, date, text string) serve.Fact {
 	return serve.Fact{Subject: a.Key, Feature: a.Feature, Date: date, Positive: a.Value == Positive.String(),
 		Doc: id, Sentence: a.Sentence, Snippet: text[a.Start:a.End]}
-}
-
-// ownFacts points every string field of facts into one new string and
-// returns facts. The fields of a fact are cut from the text it was mined
-// from — a request body, or a record decoded from the log — and the
-// aggregates keep what they are given, so a fact that keeps its own
-// bytes keeps no body alive. A document's facts are adjacent; its ID and
-// date are written once, and so is each distinct subject, feature and
-// snippet sentence among them. The first pass sizes the string, the
-// second writes it.
-func ownFacts(facts []serve.Fact) []serve.Fact {
-	var b strings.Builder
-	for write := false; ; write = true {
-		n, doc := 0, 0
-		own := func(s string) string {
-			if !write {
-				n += len(s)
-				return s
-			}
-			start := b.Len()
-			b.WriteString(s)
-			return b.String()[start:]
-		}
-		for i := range facts {
-			f := &facts[i]
-			if i == 0 || f.Doc != facts[i-1].Doc || f.Date != facts[i-1].Date {
-				doc = i
-				f.Doc, f.Date = own(f.Doc), own(f.Date)
-			} else {
-				f.Doc, f.Date = facts[i-1].Doc, facts[i-1].Date
-			}
-			// Each field is owned unless an earlier fact of the document
-			// holds it, owned already.
-			subject, feature, snippet := true, true, true
-			for j := doc; j < i; j++ {
-				g := &facts[j]
-				if subject && g.Subject == f.Subject {
-					f.Subject, subject = g.Subject, false
-				}
-				if feature && g.Feature == f.Feature {
-					f.Feature, feature = g.Feature, false
-				}
-				if snippet && g.Snippet == f.Snippet {
-					f.Snippet, snippet = g.Snippet, false
-				}
-			}
-			if subject {
-				f.Subject = own(f.Subject)
-			}
-			if feature {
-				f.Feature = own(f.Feature)
-			}
-			if snippet {
-				f.Snippet = own(f.Snippet)
-			}
-		}
-		if write {
-			return facts
-		}
-		b.Grow(n)
-	}
 }
 
 // ServingStore is the entity-store surface of a serving node, as a

@@ -203,7 +203,7 @@ func TestServingTierIngestPartialFailurePrefix(t *testing.T) {
 					t.Errorf("%s: %d entries served, want served = %v", d, len(entries), served)
 				}
 			}
-			preFP := v.Fingerprint()
+			preFP, preEntries := v.Fingerprint(), entryDump(v)
 
 			// Nothing is owed: on a healthy store the next batch publishes
 			// its own document and nothing else.
@@ -241,6 +241,9 @@ func TestServingTierIngestPartialFailurePrefix(t *testing.T) {
 			}
 			if got := tier2.View().Fingerprint(); (got == preFP) != (len(c.recovered) == 0) {
 				t.Errorf("recovered aggregates vs the pre-crash view: equal = %v with %v recovered", got == preFP, c.recovered)
+			}
+			if got := entryDump(tier2.View()); (got == preEntries) != (len(c.recovered) == 0) {
+				t.Errorf("recovered entries vs the pre-crash view's: equal = %v with %v recovered", got == preEntries, c.recovered)
 			}
 			for _, id := range c.recovered {
 				if n := sentimentAnnotations(p2.internalStore(), id); n != 1 {
